@@ -11,8 +11,7 @@ from .constructions import (PolarGrid, curvelet_eval_closed, curvelet_spec,
                             wavelet_spec, zeta, zeta_table, zonal_spec)
 from .diagnostics import (LocalizationRecord, ScaleAudit, StructureReport,
                           audit_conditions, autocorrelation,
-                          autocorrelation_closed, invariance_order,
-                          localization_report, steerable_order,
+                          autocorrelation_closed, localization_report,
                           structure_report, uncertainty_product, var_momentum,
                           var_space, xi0_d_spectral, xi0_numeric)
 from .errors import (CapacityError, DegenerateSignalError, DomainError,
@@ -22,12 +21,11 @@ from .errors import (CapacityError, DegenerateSignalError, DomainError,
 from .frames import (FrameBounds, FrameSpec, FrameSystem, ParsevalGap, Scale,
                      Signal, analysis, apply_Lambda_J, build_system,
                      canonical_dual, check_dual, dual_residuals, frame_bounds,
-                     parseval_check, random_signal, sigma_J, sigma_profile,
-                     synthesis)
+                     invariance_order, parseval_check, random_signal, sigma_J,
+                     sigma_profile, steerable_order, synthesis)
 from .harmonics import (ExpansionEvaluator, addition_kernel, basis_matrix,
                         cartesian_to_spherical, dim_harmonic, eval_expansion,
-                        eval_harmonic, in_index_set, index_set,
-                        matrix_function_block, matrix_function_numeric,
+                        eval_harmonic, index_set, matrix_function_block,
                         spherical_to_cartesian, to_cartesian, to_spherical)
 from .quadrature import (RotationRule, Rule1D, SphereRule, circle_rule,
                          embed_rotation, embed_subsphere_rotation,

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import os
 
+from .errors import ParameterError
+
 _workers = max(1, os.cpu_count() or 1)
 
 DEFAULT_MAX_NODES = 10_000_000
@@ -24,6 +26,10 @@ def node_cap(explicit=None) -> int:
     if explicit is not None:
         return int(explicit)
     env = os.environ.get(MAX_NODES_ENV)
-    if env:
+    if not env:
+        return DEFAULT_MAX_NODES
+    try:
         return int(env)
-    return DEFAULT_MAX_NODES
+    except ValueError:
+        raise ParameterError(
+            f"{MAX_NODES_ENV} must be an integer, got {env!r}") from None

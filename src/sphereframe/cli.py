@@ -13,7 +13,8 @@ import sys
 import numpy as np
 
 from . import _config, constructions, diagnostics, frames, io, quadrature
-from .errors import (CapacityError, NotAFrameError, SphereFrameError)
+from .errors import (CapacityError, NotAFrameError, ParameterError,
+                     SphereFrameError)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -53,7 +54,13 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise ParameterError(message)
+
+
 def cmd_check(args) -> int:
+    _require(args.n_max >= 0, f"--n-max must be nonnegative, got {args.n_max}")
     spec = io.read_spec(args.spec)
     bounds = frames.frame_bounds(spec, args.n_max)
     sigma = frames.sigma_profile(spec, args.n_max)
@@ -95,6 +102,8 @@ def cmd_dual(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
+    _require(args.random is None or args.random >= 0,
+             f"--random must be a nonnegative degree, got {args.random}")
     spec = io.read_spec(args.spec)
     if args.signal:
         signal = io.read_signal(args.signal)
@@ -140,10 +149,18 @@ def cmd_reconstruct(args) -> int:
 def _parse_scales(text, n_scales):
     if text is None:
         return list(range(n_scales))
-    if ".." in text:
-        lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(v) for v in text.split(",")]
+    try:
+        if ".." in text:
+            lo, hi = text.split("..")
+            scales = list(range(int(lo), int(hi) + 1))
+        else:
+            scales = [int(v) for v in text.split(",")]
+    except ValueError:
+        raise ParameterError(
+            f"--scales must look like 4..7 or 4,5,6, got {text!r}") from None
+    for j in scales:
+        _require(0 <= j < n_scales, f"scale {j} is outside 0..{n_scales - 1}")
+    return scales
 
 
 def cmd_localize(args) -> int:
@@ -174,6 +191,8 @@ def cmd_localize(args) -> int:
 
 def cmd_autocorr(args) -> int:
     spec = io.read_spec(args.spec)
+    _require(0 <= args.j < len(spec.scales),
+             f"--j {args.j} is outside 0..{len(spec.scales) - 1}")
     d = spec.d
     scale = spec.scales[args.j]
     rule = quadrature.sphere_rule(d, scale.bandwidth)
@@ -206,10 +225,14 @@ def cmd_autocorr(args) -> int:
 
 
 def cmd_figure(args) -> int:
+    _require(args.resolution >= 1,
+             f"--resolution must be positive, got {args.resolution}")
     spec = io.read_spec(args.spec)
+    _require(0 <= args.j < len(spec.scales),
+             f"--j {args.j} is outside 0..{len(spec.scales) - 1}")
     inv = spec.invariant_m
     if inv is None:
-        inv = diagnostics.invariance_order(spec)
+        inv = frames.invariance_order(spec)
     if inv is None or inv < spec.d - 2:
         print("warning: spec is not invariant under the subgroup fixing the "
               "last two axes; the sampled section depends on eta''",

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ParameterError
 from .frames import FrameSpec, Scale
 from .harmonics import ExpansionEvaluator, dim_harmonic
-from .specfun import _validate_multi_index, log_norm_A
+from .specfun import log_norm_A, validate_multi_index
 
 
 def phi(t):
@@ -96,7 +96,7 @@ def zeta(d: int, n: int, k, K: int) -> float:
         raise ParameterError(
             "directionality components are built in only for d >= 4; "
             "supply an external table for d = 3")
-    k = _validate_multi_index(d, n, k)
+    k = validate_multi_index(d, n, k)
     if K < 0:
         raise ParameterError("steerability order K must be nonnegative")
     if k[1] != 0:

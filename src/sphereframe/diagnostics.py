@@ -18,26 +18,10 @@ import numpy as np
 from .constructions import zeta_table
 from .errors import (DegenerateSignalError, ExactnessError, ParameterError,
                      TableShapeError, UndefinedVarianceError)
-from .frames import (FrameSpec, Signal, _table_invariance, _table_steer_order)
+from .frames import FrameSpec, Signal, invariance_order, steerable_order
 from .harmonics import ExpansionEvaluator, spherical_to_cartesian
 from .quadrature import SphereRule, gauss_symmetric_jacobi, sphere_rule
 from .specfun import Q_d
-
-
-def steerable_order(spec: FrameSpec) -> int | None:
-    """Smallest K for which the table passes the coefficient cutoff test:
-    the largest |k_1| carrying energy (tables are finite, so always defined
-    unless the spec is empty)."""
-    return _table_steer_order(spec)
-
-
-def invariance_order(spec: FrameSpec) -> int | None:
-    """Largest m in {2..d-1} with k_{d-m} = 0 on the support, or None.
-
-    This inspects the stored (pre-rotation) table; a base rotation moves the
-    invariance to a conjugate subgroup without changing the order.
-    """
-    return _table_invariance(spec)
 
 
 @dataclass(frozen=True)

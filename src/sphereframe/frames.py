@@ -19,7 +19,7 @@ from .errors import CapacityError, NotAFrameError, ParameterError
 from .harmonics import (ExpansionEvaluator, basis_matrix, dim_harmonic,
                         index_set)
 from .quadrature import RotationRule, rotation_rule, sphere_rule
-from .specfun import _validate_multi_index
+from .specfun import validate_multi_index
 
 
 @dataclass
@@ -67,7 +67,7 @@ class FrameSpec:
                 if n > s.bandwidth:
                     raise ParameterError(
                         f"coefficient at degree {n} exceeds scale bandwidth {s.bandwidth}")
-                _validate_multi_index(self.d, n, k)
+                validate_multi_index(self.d, n, k)
         if self.base_rotation is not None:
             g = np.asarray(self.base_rotation, dtype=float)
             if g.shape != (self.d, self.d):
@@ -221,7 +221,10 @@ def apply_Lambda_J(spec_a: FrameSpec, spec_b: FrameSpec, J: int, f: Signal) -> S
 # systems, analysis, synthesis
 # ---------------------------------------------------------------------------
 
-def _table_steer_order(spec: FrameSpec) -> int | None:
+def steerable_order(spec: FrameSpec) -> int | None:
+    """Smallest K for which the table passes the coefficient cutoff test:
+    the largest |k_1| carrying energy (tables are finite, so always defined
+    unless the spec is empty)."""
     best = None
     for scale in spec.scales:
         for (_, k), c in scale.coeffs.items():
@@ -231,7 +234,12 @@ def _table_steer_order(spec: FrameSpec) -> int | None:
     return best
 
 
-def _table_invariance(spec: FrameSpec) -> int | None:
+def invariance_order(spec: FrameSpec) -> int | None:
+    """Largest m in {2..d-1} with k_{d-m} = 0 on the support, or None.
+
+    This inspects the stored (pre-rotation) table; a base rotation moves the
+    invariance to a conjugate subgroup without changing the order.
+    """
     d = spec.d
     for m in range(d - 1, 1, -1):
         pos = d - m - 1  # zero-based position of k_{d-m}
@@ -272,8 +280,8 @@ def build_system(spec: FrameSpec, variant: str = "auto", K: int | None = None,
         inv = spec.invariant_m
         steer = spec.steerable_K
         if inv is None and steer is None and spec.base_rotation is None:
-            inv = _table_invariance(spec)
-            steer = _table_steer_order(spec)
+            inv = invariance_order(spec)
+            steer = steerable_order(spec)
         if inv == d - 1:
             variant = "zonal"
         elif inv == d - 2 and steer is not None:

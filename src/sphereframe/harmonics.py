@@ -25,10 +25,12 @@ from functools import lru_cache
 import numpy as np
 
 from . import _config
-from .errors import DomainError, ExactnessError, IndexSetError, ParameterError
-from .specfun import _validate_multi_index, gegenbauer_table, log_norm_A
+from .errors import DomainError, ExactnessError, ParameterError
+from .specfun import gegenbauer_table, log_norm_A, validate_multi_index
 
 TWO_PI = 2.0 * math.pi
+EVAL_CHUNK = 16384     # points per block in eval_angles, eval_cartesian, basis_matrix
+ROTATION_CHUNK = 512   # rotations per block in matrix_function_block
 
 
 def dim_harmonic(d: int, n: int) -> int:
@@ -60,14 +62,6 @@ def index_set(d: int, n: int) -> tuple:
 
     descend((), n, d - 2)
     return tuple(out)
-
-
-def in_index_set(d: int, n: int, k) -> bool:
-    try:
-        _validate_multi_index(d, n, k)
-    except IndexSetError:
-        return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +116,10 @@ def to_cartesian(theta) -> np.ndarray:
     return spherical_to_cartesian(np.asarray(theta, dtype=float))
 
 
+def _blocks(total: int, size: int) -> list:
+    return [slice(lo, min(lo + size, total)) for lo in range(0, total, size)]
+
+
 # ---------------------------------------------------------------------------
 # basis evaluation
 # ---------------------------------------------------------------------------
@@ -132,60 +130,18 @@ def eval_harmonic(d: int, n: int, k, theta):
     theta has shape (d-1,) or (M, d-1); the result is a complex scalar or a
     complex array of length M.
     """
-    k = _validate_multi_index(d, n, k)
-    theta = np.asarray(theta, dtype=float)
-    single = theta.ndim == 1
-    pts = theta[None, :] if single else theta
-    amp = math.exp(log_norm_A(d, n, k))
-    chain = (n,) + k
-    val = np.full(pts.shape[0], amp, dtype=complex)
-    if k[-1] != 0:
-        val = val * np.exp(1j * k[-1] * pts[:, 0])
-    for j in range(d - 2):
-        a = abs(chain[j + 1])
-        lam = 0.5 * (d - j - 2) + a
-        m = chain[j] - a
-        ang = pts[:, d - 2 - j]
-        factor = gegenbauer_table(lam, m, np.cos(ang))[m]
-        if a:
-            factor = factor * np.sin(ang) ** a
-        val = val * factor
-    if single:
-        return complex(val[0])
-    return val
+    return eval_expansion(d, {(n, validate_multi_index(d, n, k)): 1.0}, theta)
 
 
 def basis_matrix(d: int, n: int, theta: np.ndarray) -> np.ndarray:
     """All degree-n harmonics stacked: shape (dim H_n^d, M), index-set order."""
     theta = np.asarray(theta, dtype=float)
-    kset = index_set(d, n)
-    M = theta.shape[0]
-    out = np.empty((len(kset), M), dtype=complex)
-    # shared tables per level and sine-power order
-    tables = []
-    for j in range(d - 2):
-        ang = theta[:, d - 2 - j]
-        t, s = np.cos(ang), np.sin(ang)
-        per_a = {}
-        for a in range(n + 1):
-            lam = 0.5 * (d - j - 2) + a
-            tab = gegenbauer_table(lam, n - a, t)
-            if a:
-                tab = tab * (s ** a)[None, :]
-            per_a[a] = tab
-        tables.append(per_a)
-    ecache = {0: None}
-    theta1 = theta[:, 0]
-    for idx, k in enumerate(kset):
-        chain = (n,) + k
-        row = np.full(M, math.exp(log_norm_A(d, n, k)))
-        for j in range(d - 2):
-            a = abs(chain[j + 1])
-            row = row * tables[j][a][chain[j] - a]
-        kl = k[-1]
-        if kl not in ecache:
-            ecache[kl] = np.exp(1j * kl * theta1)
-        out[idx] = row if kl == 0 else row * ecache[kl]
+    ev = ExpansionEvaluator(d, {(n, k): 1.0 for k in index_set(d, n)})
+    out = np.empty((ev.n_terms, theta.shape[0]), dtype=complex)
+    for sl in _blocks(theta.shape[0], EVAL_CHUNK):
+        terms = ev._terms(*ev._angle_levels(theta[sl]))
+        for row, amp, term in zip(out, ev._amp, terms):
+            row[sl] = amp * term
     return out
 
 
@@ -206,13 +162,21 @@ def addition_kernel(d: int, n: int, s):
 # ---------------------------------------------------------------------------
 
 class ExpansionEvaluator:
-    """Compiled form of a sparse coefficient table for repeated evaluation.
+    """Compiled form of a sparse coefficient table sum c(n,k) Y_k^{d,n}; the
+    only code that builds product-basis factors.
 
-    Gegenbauer recurrences and sine powers are computed once per distinct
-    (level, |k_{j+1}|) pair and shared across all indices with that suffix
-    order, so the per-term work is a handful of fused vector products.
-    Tables whose last index is identically zero do not depend on theta_1;
-    those are evaluated on a reduced coordinate set with real arithmetic.
+        Y_k^{d,n} = A_k^n e^{i k_{d-2} theta_1}
+                    * prod_j C_{m_j}^{lam_j}(cos t_j) sin^{a_j}(t_j)
+    over the levels j = 0..d-3, with t_j = theta_{d-1-j}, a_j = |k_{j+1}|,
+    m_j = k_j - a_j (k_0 = n) and lam_j = (d-j-2)/2 + a_j.  Points arrive as
+    angles or as cartesian vectors and become per-level (cos t_j, sin t_j)
+    pairs; theta_1 is only formed when some k_{d-2} != 0.  One Gegenbauer
+    table times its sine power is built per distinct (level, a_j) pair and
+    shared by all terms.  `_terms` yields each term's level product times its
+    phase: `_eval_core` sums them with the weights c(n,k) A_k^n and
+    `basis_matrix` stacks them scaled by A_k^n.  The weights, and so the
+    output, are real exactly when no term depends on theta_1 and every
+    coefficient has a zero imaginary part.
     """
 
     def __init__(self, d: int, coeffs: dict):
@@ -222,115 +186,100 @@ class ExpansionEvaluator:
             c = complex(c)
             if c == 0.0:
                 continue
-            k = _validate_multi_index(d, n, k)
-            entries.append((n, k, c))
+            entries.append((n, validate_multi_index(d, n, k), c))
         entries.sort(key=lambda e: (e[0], e[1]))
         self.degree = max((n for n, _, _ in entries), default=0)
         self.n_terms = len(entries)
-        nlev = d - 2
         self._amp = np.array([math.exp(log_norm_A(d, n, k)) for n, k, _ in entries])
-        self._coeff = np.array([c for _, _, c in entries], dtype=complex)
-        self._klast = np.array([k[-1] for _, k, _ in entries], dtype=int) \
-            if entries else np.zeros(0, dtype=int)
-        self._a = [np.zeros(self.n_terms, dtype=int) for _ in range(nlev)]
-        self._m = [np.zeros(self.n_terms, dtype=int) for _ in range(nlev)]
-        self._level_specs = [dict() for _ in range(nlev)]  # a -> (lam, max m)
-        for i, (n, k, _) in enumerate(entries):
+        self._klast = [k[-1] for _, k, _ in entries]
+        # per term, the (a_j, m_j) of every level; per level, a_j -> max m_j
+        self._factors = []
+        self._mmax = [dict() for _ in range(d - 2)]
+        for n, k, _ in entries:
             chain = (n,) + k
-            for j in range(nlev):
-                a = abs(chain[j + 1])
-                m = chain[j] - a
-                self._a[j][i] = a
-                self._m[j][i] = m
-                lam = 0.5 * (d - j - 2) + a
-                prev = self._level_specs[j].get(a)
-                self._level_specs[j][a] = (lam, m if prev is None else max(prev[1], m))
-        self.theta1_free = bool(np.all(self._klast == 0))
-        self.real_output = self.theta1_free and bool(
-            np.allclose(self._coeff.imag, 0.0))
-        self._coeff_real = self._coeff.real.copy() if self.real_output else None
+            factors = tuple((abs(chain[j + 1]), chain[j] - abs(chain[j + 1]))
+                            for j in range(d - 2))
+            for mmax, (a, m) in zip(self._mmax, factors):
+                mmax[a] = max(mmax.get(a, 0), m)
+            self._factors.append(factors)
+        coeff = np.array([c for _, _, c in entries], dtype=complex)
+        self.theta1_free = not any(self._klast)
+        self.real_output = self.theta1_free and not np.any(coeff.imag)
+        weight = coeff * self._amp
+        self._weight = weight.real if self.real_output else weight
 
     # -- core ---------------------------------------------------------------
 
-    def _tables(self, cos_sin):
+    def _angle_levels(self, theta):
+        """Per-level (cos, sin) pairs and theta_1 of spherical points (M, d-1)."""
+        levels = [(np.cos(theta[:, i]), np.sin(theta[:, i]))
+                  for i in range(self.d - 2, 0, -1)]
+        return levels, None if self.theta1_free else theta[:, 0]
+
+    def _cartesian_levels(self, x):
+        """The same for cartesian points (M, d): cos theta_l = x_{l+1}/r_{l+1}
+        and sin theta_l = r_l/r_{l+1}, with r_l = |(x_1, ..., x_l)|.
+
+        Where r_{l+1} = 0 both come out 0.  No value depends on them: the
+        nearest level above with a nonzero radius has sine 0, and a term
+        either carries a positive power of that sine or has only constant
+        factors below it.
+        """
+        r = np.hypot(x[:, 0], x[:, 1])
+        levels = []
+        for ell in range(2, self.d):
+            r_next = np.hypot(r, x[:, ell])
+            safe = np.where(r_next == 0.0, 1.0, r_next)
+            levels.append((x[:, ell] / safe, r / safe))
+            r = r_next
+        levels.reverse()
+        return levels, None if self.theta1_free else np.arctan2(x[:, 0], x[:, 1])
+
+    def _tables(self, levels):
+        """Per level, a -> C_m^{lam}(cos) sin^a for m = 0..max m_j."""
         tables = []
-        for j, spec in enumerate(self._level_specs):
-            t, s = cos_sin[j]
+        for j, ((t, s), mmax) in enumerate(zip(levels, self._mmax)):
             per_a = {}
-            spow = {0: None}
-            for a in sorted(spec):
-                if a and a not in spow:
-                    p = s ** a
-                    spow[a] = p
-            for a, (lam, mmax) in spec.items():
-                tab = gegenbauer_table(lam, mmax, t)
+            for a, m in mmax.items():
+                tab = gegenbauer_table(0.5 * (self.d - j - 2) + a, m, t)
                 if a:
-                    tab = tab * spow[a][None, :]
+                    tab *= s ** a
                 per_a[a] = tab
             tables.append(per_a)
         return tables
 
-    def _eval_core(self, cos_sin, theta1):
-        npts = cos_sin[0][0].shape[0] if cos_sin else theta1.shape[0]
-        tables = self._tables(cos_sin)
-        real = self.real_output
-        acc = np.zeros(npts, dtype=float if real else complex)
-        if self.n_terms == 0:
-            return acc
-        coeff = self._coeff_real if real else self._coeff
-        ecache = {}
-        if not self.theta1_free:
-            for kl in np.unique(self._klast):
-                if kl != 0:
-                    ecache[int(kl)] = np.exp((1j * kl) * theta1)
-        nlev = len(tables)
-        amp = self._amp
-        for i in range(self.n_terms):
-            v = tables[0][self._a[0][i]][self._m[0][i]]
-            for j in range(1, nlev):
-                v = v * tables[j][self._a[j][i]][self._m[j][i]]
-            kl = int(self._klast[i])
-            if kl != 0:
-                v = v * ecache[kl]
-            acc += (coeff[i] * amp[i]) * v
+    def _terms(self, levels, theta1):
+        """Each term's level product times its phase e^{i k_{d-2} theta_1}."""
+        tables = self._tables(levels)
+        phases = {kl: np.exp((1j * kl) * theta1) for kl in set(self._klast) if kl}
+        for factors, kl in zip(self._factors, self._klast):
+            (a, m), *rest = factors
+            v = tables[0][a][m]
+            for table, (a, m) in zip(tables[1:], rest):
+                v = v * table[a][m]
+            yield v * phases[kl] if kl else v
+
+    def _eval_core(self, levels, theta1):
+        acc = np.zeros(levels[0][0].shape, dtype=self._weight.dtype)
+        for w, v in zip(self._weight, self._terms(levels, theta1)):
+            acc += w * v
         return acc
+
+    def _eval_blocks(self, pts, levels_of):
+        out = np.empty(pts.shape[0], dtype=self._weight.dtype)
+        for sl in _blocks(pts.shape[0], EVAL_CHUNK):
+            out[sl] = self._eval_core(*levels_of(pts[sl]))
+        return out
 
     # -- public entry points --------------------------------------------------
 
-    def eval_angles(self, theta: np.ndarray, chunk: int = 16384) -> np.ndarray:
+    def eval_angles(self, theta: np.ndarray) -> np.ndarray:
         """Evaluate at spherical points, shape (M, d-1) -> (M,)."""
-        theta = np.asarray(theta, dtype=float)
-        M = theta.shape[0]
-        out = np.empty(M, dtype=float if self.real_output else complex)
-        for lo in range(0, M, chunk):
-            sl = slice(lo, min(lo + chunk, M))
-            block = theta[sl]
-            cos_sin = []
-            for j in range(self.d - 2):
-                ang = block[:, self.d - 2 - j]
-                cos_sin.append((np.cos(ang), np.sin(ang)))
-            theta1 = None if self.theta1_free else block[:, 0]
-            out[sl] = self._eval_core(cos_sin, theta1)
-        return out
+        return self._eval_blocks(np.asarray(theta, dtype=float), self._angle_levels)
 
-    def eval_cartesian(self, x: np.ndarray, chunk: int = 16384) -> np.ndarray:
-        return self.eval_angles(cartesian_to_spherical(np.asarray(x, float)), chunk)
-
-    def _angles_from_tail(self, comps):
-        """cos/sin pairs per level from the components (x_3, ..., x_d)."""
-        d = self.d
-        sq = np.clip(1.0 - np.einsum("ij,ij->i", comps, comps), 0.0, None)
-        t = np.sqrt(sq)
-        by_ell = {}
-        for ell in range(2, d):
-            xl = comps[:, ell - 2]
-            t_next = np.hypot(t, xl)
-            safe = np.where(t_next == 0.0, 1.0, t_next)
-            cos_l = np.where(t_next == 0.0, 1.0, xl / safe)
-            sin_l = np.where(t_next == 0.0, 0.0, t / safe)
-            by_ell[ell] = (cos_l, sin_l)
-            t = t_next
-        return [by_ell[d - 1 - j] for j in range(d - 2)]
+    def eval_cartesian(self, x: np.ndarray) -> np.ndarray:
+        """Evaluate at cartesian points, shape (M, d) -> (M,)."""
+        return self._eval_blocks(np.asarray(x, dtype=float), self._cartesian_levels)
 
     def rotated_apply(self, rotations, points, reduce_fn, base_rotation=None,
                       max_block: int = 1 << 21, workers: int | None = None):
@@ -344,26 +293,15 @@ class ExpansionEvaluator:
         """
         rotations = np.asarray(rotations, dtype=float)
         points = np.asarray(points, dtype=float)
-        R, P = rotations.shape[0], points.shape[0]
+        P = points.shape[0]
         if base_rotation is not None:
             rotations = rotations @ np.asarray(base_rotation, dtype=float)
-        rows = max(1, max_block // max(1, P))
-        slices = [slice(lo, min(lo + rows, R)) for lo in range(0, R, rows)]
+        slices = _blocks(rotations.shape[0], max(1, max_block // max(1, P)))
 
         def run(sl):
-            g = rotations[sl]
-            if self.theta1_free:
-                comps = np.matmul(points[None, :, :], g[:, :, 2:])
-                flat = comps.reshape(-1, self.d - 2)
-                vals = self._eval_core(self._angles_from_tail(flat), None)
-            else:
-                moved = np.matmul(points[None, :, :], g)
-                theta = cartesian_to_spherical(moved.reshape(-1, self.d))
-                cos_sin = []
-                for j in range(self.d - 2):
-                    ang = theta[:, self.d - 2 - j]
-                    cos_sin.append((np.cos(ang), np.sin(ang)))
-                vals = self._eval_core(cos_sin, theta[:, 0])
+            # the moved points are freed before the Gegenbauer tables are built
+            vals = self._eval_core(*self._cartesian_levels(
+                np.matmul(points[None, :, :], rotations[sl]).reshape(-1, self.d)))
             return reduce_fn(vals.reshape(sl.stop - sl.start, P), sl)
 
         nworkers = _config.get_workers() if workers is None else max(1, workers)
@@ -376,52 +314,29 @@ class ExpansionEvaluator:
 def eval_expansion(d: int, coeffs: dict, theta) -> np.ndarray:
     """Evaluate sum_{n,k} c(n,k) Y_k^{d,n} at spherical points (M, d-1)."""
     theta = np.asarray(theta, dtype=float)
-    single = theta.ndim == 1
-    pts = theta[None, :] if single else theta
-    values = ExpansionEvaluator(d, coeffs).eval_angles(pts)
-    values = values.astype(complex) if values.dtype != complex else values
-    if single:
-        return complex(values[0])
-    return values
+    values = ExpansionEvaluator(d, coeffs).eval_angles(np.atleast_2d(theta))
+    values = values.astype(complex, copy=False)
+    return complex(values[0]) if theta.ndim == 1 else values
 
 
 # ---------------------------------------------------------------------------
-# matrix functions of rotations (numeric oracle)
+# matrix functions of rotations
 # ---------------------------------------------------------------------------
 
-def matrix_function_numeric(d: int, n: int, k, m, g, rule) -> complex:
-    """<T(g) Y_m, Y_k> by discrete quadrature; testing oracle only.
-
-    The rule must be exact on polynomials of degree 2n since the integrand is
-    a product of two degree-n harmonics.
-    """
-    if rule.exact_degree < 2 * n:
-        raise ExactnessError(
-            f"rule exact through degree {rule.exact_degree}, need {2 * n}")
-    g = np.asarray(g, dtype=float)
-    moved = rule.points @ g  # row i: g^{-1} eta_i
-    y_m = eval_harmonic(d, n, m, cartesian_to_spherical(moved))
-    y_k = eval_harmonic(d, n, k, rule.angles)
-    return complex(np.sum(rule.weights * y_m * np.conj(y_k)))
-
-
-def matrix_function_block(d: int, n: int, rotations, rule,
-                          chunk: int = 512) -> np.ndarray:
+def matrix_function_block(d: int, n: int, rotations, rule) -> np.ndarray:
     """All t_{k,m}^{d,n}(g) for a batch of rotations, shape (R, dim, dim)."""
     if rule.exact_degree < 2 * n:
         raise ExactnessError(
             f"rule exact through degree {rule.exact_degree}, need {2 * n}")
     rotations = np.asarray(rotations, dtype=float)
-    R = rotations.shape[0]
     B = basis_matrix(d, n, rule.angles)          # (dim, nodes)
     Bw = np.conj(B) * rule.weights[None, :]
     dim = B.shape[0]
-    out = np.empty((R, dim, dim), dtype=complex)
+    out = np.empty((rotations.shape[0], dim, dim), dtype=complex)
     nodes = rule.points
-    for lo in range(0, R, chunk):
-        sl = slice(lo, min(lo + chunk, R))
+    for sl in _blocks(rotations.shape[0], ROTATION_CHUNK):
         moved = np.matmul(nodes[None, :, :], rotations[sl])   # (c, nodes, d)
         theta = cartesian_to_spherical(moved.reshape(-1, d))
-        C = basis_matrix(d, n, theta).reshape(dim, sl.stop - lo, -1)
+        C = basis_matrix(d, n, theta).reshape(dim, sl.stop - sl.start, -1)
         out[sl] = np.einsum("kn,mcn->ckm", Bw, C)
     return out

@@ -48,7 +48,7 @@ def gegenbauer(lam: float, n: int, t):
     return value
 
 
-def _validate_multi_index(d: int, n: int, k) -> tuple:
+def validate_multi_index(d: int, n: int, k) -> tuple:
     """Membership test for the degree-n multi-index chain (k_0 = n)."""
     k = tuple(int(v) for v in np.atleast_1d(k))
     if len(k) != d - 2:
@@ -76,7 +76,7 @@ def log_norm_A(d: int, n: int, k) -> float:
         raise ParameterError(f"dimension must be at least 3, got d={d}")
     if n < 0:
         raise ParameterError(f"degree must be nonnegative, got {n}")
-    k = _validate_multi_index(d, n, k)
+    k = validate_multi_index(d, n, k)
     if n == 0:
         return 0.0
     chain = (n,) + k

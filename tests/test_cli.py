@@ -191,3 +191,27 @@ def test_parse_error_is_input_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{]")
     assert run("check", "--spec", bad, "--n-max", "4") == cli.EXIT_INPUT
+
+
+@pytest.mark.parametrize("env, argv", [
+    ({"SPHEREFRAME_MAX_NODES": "abc"}, ("quadinfo", "--d", "4", "--N", "2")),
+    ({}, ("localize", "--spec", "{w}", "--scales", "1..x")),
+    ({}, ("localize", "--spec", "{w}", "--scales", "1..9")),
+    ({}, ("autocorr", "--spec", "{w}", "--j", "9")),
+    ({}, ("check", "--spec", "{w}", "--n-max", "-1")),
+    ({}, ("figure", "--spec", "{w}", "--j", "1", "--resolution", "0",
+          "--out", "{tmp}/f.csv")),
+    ({}, ("figure", "--spec", "{w}", "--j", "9", "--out", "{tmp}/f.csv")),
+    ({}, ("reconstruct", "--spec", "{w}", "--random", "-1")),
+])
+def test_bad_input_is_one_line_input_error(tmp_path, capsys, monkeypatch, env, argv):
+    spec_path = tmp_path / "w.json"
+    assert run("build", "--kind", "wavelet", "--d", "4", "--K", "4",
+               "--J", "3", "--window", "kappa2", "--out", spec_path) == 0
+    capsys.readouterr()
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    argv = [a.format(w=spec_path, tmp=tmp_path) for a in argv]
+    assert run(*argv) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err

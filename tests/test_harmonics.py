@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracle
 from sphereframe import harmonics as H
 from sphereframe import quadrature as Q
 from sphereframe.errors import DomainError, ExactnessError, IndexSetError
@@ -29,7 +32,7 @@ def test_index_set_enumeration():
             assert len(kset) == H.dim_harmonic(d, n)
             assert len(set(kset)) == len(kset)
             assert list(kset) == sorted(kset)
-            assert all(H.in_index_set(d, n, k) for k in kset)
+            assert all(oracle.in_index_set(d, n, k) for k in kset)
 
 
 def test_round_trip_random_points():
@@ -131,7 +134,7 @@ def test_eval_expansion_matches_naive_sum():
     theta = H.cartesian_to_spherical(
         np.array([unit(rng, d) for _ in range(5)]))
     got = H.eval_expansion(d, coeffs, theta)
-    want = sum(c * H.eval_harmonic(d, n, k, theta) for (n, k), c in coeffs.items())
+    want = oracle.eval_sum(d, coeffs, theta)
     assert np.max(np.abs(got - want)) < 1e-13
 
 
@@ -162,12 +165,79 @@ def test_evaluator_theta1_free_paths_agree():
         assert np.max(np.abs(stacked[r] - ref)) < 1e-12
 
 
+def test_tiny_imaginary_coefficient_is_kept():
+    rng = np.random.default_rng(13)
+    theta = H.cartesian_to_spherical(np.array([unit(rng, 4) for _ in range(5)]))
+    c = 1 + 1e-9j
+    ev = H.ExpansionEvaluator(4, {(2, (1, 0)): c})
+    assert ev.theta1_free and not ev.real_output
+    want = c * oracle.eval_harmonic(4, 2, (1, 0), theta)
+    assert np.max(np.abs(ev.eval_angles(theta) - want)) < 1e-15
+
+
+@st.composite
+def tables(draw):
+    """A random table on S^{d-1} up to degree 4: real or complex
+    coefficients, with or without a term carrying k_{d-2} != 0."""
+    d = draw(st.sampled_from([3, 4, 5]))
+    keys = [(n, k) for n in range(5) for k in H.index_set(d, n)]
+    free = [key for key in keys if key[1][-1] == 0]
+    chosen = draw(st.lists(st.sampled_from(free), max_size=5, unique=True))
+    if draw(st.booleans()):
+        chosen.append(draw(st.sampled_from([key for key in keys if key[1][-1] != 0])))
+    is_complex = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coeffs = {}
+    for key in chosen:
+        c = complex(rng.standard_normal(), rng.standard_normal() if is_complex else 0.0)
+        coeffs[key] = c
+    return d, coeffs, rng
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables())
+def test_evaluator_entry_points_match_oracle(table):
+    d, coeffs, rng = table
+    ev = H.ExpansionEvaluator(d, coeffs)
+    assert ev.real_output == (ev.theta1_free
+                              and all(c.imag == 0.0 for c in coeffs.values()))
+    assert ev.theta1_free == all(k[-1] == 0 for _, k in coeffs)
+    pole = np.eye(d)[[d - 1, 0]]
+    points = np.vstack([[unit(rng, d) for _ in range(6)], pole, -pole])
+    rotations = np.stack([Q.random_rotation(d, rng) for _ in range(3)])
+    base = Q.random_rotation(d, rng)
+
+    def close(got, want):
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-12
+
+    for moved in [points] + [points @ g for g in rotations @ base]:
+        theta = H.cartesian_to_spherical(moved)
+        want = oracle.eval_sum(d, coeffs, theta)
+        close(ev.eval_angles(theta), want)
+        close(ev.eval_cartesian(moved), want)
+        for n in {n for n, _ in coeffs}:
+            rows = H.basis_matrix(d, n, theta)
+            for i, k in enumerate(H.index_set(d, n)):
+                close(rows[i], oracle.eval_harmonic(d, n, k, theta))
+    stacked = {}
+    for workers in (1, 2):
+        blocks = ev.rotated_apply(rotations, points, lambda vals, sl: vals.copy(),
+                                  base_rotation=base, max_block=len(points),
+                                  workers=workers)
+        assert len(blocks) == len(rotations)
+        stacked[workers] = np.vstack(blocks)
+    assert np.array_equal(stacked[1], stacked[2])
+    for r, g in enumerate(rotations @ base):
+        want = oracle.eval_sum(d, coeffs, H.cartesian_to_spherical(points @ g))
+        close(stacked[1][r], want)
+
+
 def test_matrix_function_identity_is_kronecker():
     rule = Q.sphere_rule(4, 3)
     kset = H.index_set(4, 3)
     for k in kset[:4]:
         for m in kset[:4]:
-            val = H.matrix_function_numeric(4, 3, k, m, np.eye(4), rule)
+            val = oracle.matrix_function_numeric(4, 3, k, m, np.eye(4), rule)
             want = 1.0 if k == m else 0.0
             assert abs(val - want) < 1e-12
 
@@ -201,8 +271,8 @@ def test_matrix_function_reproduces_rotation_of_harmonics():
 
 def test_matrix_function_requires_exact_rule():
     with pytest.raises(ExactnessError):
-        H.matrix_function_numeric(4, 5, (0, 0), (0, 0), np.eye(4),
-                                  Q.sphere_rule(4, 2))
+        oracle.matrix_function_numeric(4, 5, (0, 0), (0, 0), np.eye(4),
+                                       Q.sphere_rule(4, 2))
 
 
 def test_subgroup_block_structure():
