@@ -12,8 +12,8 @@ from .constructions import (PolarGrid, curvelet_eval_closed, curvelet_spec,
 from .diagnostics import (LocalizationRecord, ScaleAudit, StructureReport,
                           audit_conditions, autocorrelation,
                           autocorrelation_closed, localization_report,
-                          structure_report, uncertainty_product, var_momentum,
-                          var_space, xi0_d_spectral, xi0_numeric)
+                          structure_report, var_momentum, xi0_d_spectral,
+                          xi0_numeric)
 from .errors import (CapacityError, DegenerateSignalError, DomainError,
                      ExactnessError, FormatError, IndexSetError,
                      NotAFrameError, ParameterError, SphereFrameError,
@@ -29,7 +29,7 @@ from .harmonics import (ExpansionEvaluator, addition_kernel, basis_matrix,
                         spherical_to_cartesian, to_cartesian, to_spherical)
 from .quadrature import (RotationRule, Rule1D, SphereRule, circle_rule,
                          embed_rotation, embed_subsphere_rotation,
-                         gauss_symmetric_jacobi, random_rotation,
+                         gauss_symmetric_jacobi, polar_rule, random_rotation,
                          rotation_rule, section_rotation, sphere_rule)
 from .specfun import Q_d, gegenbauer, gegenbauer_table, log_norm_A, q_d
 

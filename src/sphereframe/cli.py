@@ -190,6 +190,7 @@ def cmd_localize(args) -> int:
 
 
 def cmd_autocorr(args) -> int:
+    _require(args.angles >= 1, f"--angles must be positive, got {args.angles}")
     spec = io.read_spec(args.spec)
     _require(0 <= args.j < len(spec.scales),
              f"--j {args.j} is outside 0..{len(spec.scales) - 1}")
@@ -253,7 +254,7 @@ def cmd_figure(args) -> int:
 
 
 def cmd_quadinfo(args) -> int:
-    outer = quadrature.sphere_rule(args.d, args.N)
+    outer = quadrature.sphere_rule(args.d, args.N, args.max_nodes)
     print(f"sphere rule S^{args.d - 1}, target degree {2 * args.N}: "
           f"{len(outer)} nodes, weight sum {outer.weights.sum():.15f}")
     rule = quadrature.rotation_rule(args.d, args.N, args.variant, K=args.K,

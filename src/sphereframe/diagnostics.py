@@ -20,7 +20,7 @@ from .errors import (DegenerateSignalError, ExactnessError, ParameterError,
                      TableShapeError, UndefinedVarianceError)
 from .frames import FrameSpec, Signal, invariance_order, steerable_order
 from .harmonics import ExpansionEvaluator, spherical_to_cartesian
-from .quadrature import SphereRule, gauss_symmetric_jacobi, sphere_rule
+from .quadrature import SphereRule, polar_rule, sphere_rule
 from .specfun import Q_d
 
 
@@ -62,73 +62,31 @@ def xi0_d_spectral(f: Signal) -> Xi0Spectral:
     return Xi0Spectral(float(total.real), float(total.real) / norm_sq)
 
 
-def _tail_rule(d: int, N: int):
-    """Product rule over (theta_2 .. theta_{d-1}) for azimuth-free integrands."""
-    axes_nodes, axes_weights = [], []
-    for ell in range(1, d - 1):
-        rule = gauss_symmetric_jacobi(N + 1, (ell - 1) / 2.0)
-        axes_nodes.append(np.arccos(rule.nodes))
-        axes_weights.append(rule.weights)
-    mesh = np.meshgrid(*axes_nodes, indexing="ij")
-    tail = np.stack([m.ravel() for m in mesh], axis=-1)
-    w = axes_weights[0]
-    for aw in axes_weights[1:]:
-        w = np.multiply.outer(w, aw)
-    weights = w.ravel()
-    angles = np.concatenate([np.zeros((tail.shape[0], 1)), tail], axis=1)
-    return angles, weights / weights.sum()
-
-
-def xi0_numeric(f: Signal, rule: SphereRule | None = None) -> np.ndarray:
+def xi0_numeric(f: Signal) -> np.ndarray:
     """Center of mass of |f|^2 by quadrature, the independent oracle for the
-    spectral route.  The integrand has degree 2*deg(f)+1, so the rule must be
-    exact through that; one is built when not supplied.
+    spectral route.  The integrand has degree 2*deg(f)+1, so the rule is
+    exact through 2*deg(f)+2.
 
     When the table does not involve theta_1 the azimuth average is exact by
     symmetry: the first two components vanish and the rest are computed on
-    the reduced polar grid.
+    the polar rule.
     """
     norm_sq = f.norm_sq()
     if norm_sq == 0.0:
         raise DegenerateSignalError("zero signal has no center of mass")
     ev = ExpansionEvaluator(f.d, f.coeffs)
-    if rule is None and ev.theta1_free:
-        angles, weights = _tail_rule(f.d, f.degree + 1)
+    if ev.theta1_free:
+        angles, weights = polar_rule(f.d, f.degree + 1)
         vals = ev.eval_angles(angles)
         dens = weights * np.abs(vals) ** 2
         pts = spherical_to_cartesian(angles)
         xi = np.zeros(f.d)
         xi[2:] = pts[:, 2:].T @ dens
         return xi / dens.sum()
-    if rule is None:
-        rule = sphere_rule(f.d, f.degree + 1)
-    if rule.exact_degree < 2 * f.degree + 1:
-        raise ExactnessError(
-            f"rule exact through {rule.exact_degree}, need {2 * f.degree + 1}")
+    rule = sphere_rule(f.d, f.degree + 1)
     vals = ev.eval_angles(rule.angles)
     dens = rule.weights * np.abs(vals) ** 2
     return (rule.points.T @ dens) / dens.sum()
-
-
-class VarSpace(NamedTuple):
-    exact: float
-    upper: float
-
-
-def var_space(f: Signal) -> VarSpace:
-    """Spatial variance (1 - |xi_0|^2)/|xi_0|^2.
-
-    `exact` uses the full quadrature vector; `upper` replaces |xi_0| by the
-    spectral polar component, an upper bound since |xi_0| >= |xi_0^d|.
-    """
-    xi = xi0_numeric(f)
-    s2 = float(xi @ xi)
-    if s2 == 0.0:
-        raise UndefinedVarianceError("center of mass vanishes")
-    exact = (1.0 - s2) / s2
-    sd = xi0_d_spectral(f).xi0d
-    upper = math.inf if sd == 0.0 else (1.0 - sd * sd) / (sd * sd)
-    return VarSpace(exact, upper)
 
 
 def var_momentum(f: Signal) -> float:
@@ -138,11 +96,6 @@ def var_momentum(f: Signal) -> float:
         raise DegenerateSignalError("zero signal has no momentum variance")
     total = sum(n * (n + f.d - 2) * abs(c) ** 2 for (n, _), c in f.coeffs.items())
     return float(total) / norm_sq
-
-
-def uncertainty_product(f: Signal) -> float:
-    """Var_S * Var_M; bounded below by (d-1)^2/4 for any admissible signal."""
-    return var_space(f).exact * var_momentum(f)
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._config import node_cap
-from .errors import CapacityError, NotAFrameError, ParameterError
+from .errors import NotAFrameError, ParameterError
 from .harmonics import (ExpansionEvaluator, basis_matrix, dim_harmonic,
                         index_set)
 from .quadrature import RotationRule, rotation_rule, sphere_rule
@@ -100,20 +99,27 @@ def random_signal(d: int, degree: int, seed=None) -> Signal:
 # spectral profiles, bounds, duality
 # ---------------------------------------------------------------------------
 
+def _cross_sums(scales_a, scales_b, n_max: int) -> np.ndarray:
+    """sum_j sum_k conj(A^j(n,k)) B^j(n,k) for n = 0..n_max, undivided."""
+    cross = np.zeros(n_max + 1, dtype=complex)
+    for sa, sb in zip(scales_a, scales_b):
+        for key, ca in sa.coeffs.items():
+            n = key[0]
+            if n <= n_max:
+                cb = sb.coeffs.get(key)
+                if cb is not None:
+                    cross[n] += np.conj(ca) * cb
+    return cross
+
+
 def sigma_profile(spec: FrameSpec, n_max: int) -> np.ndarray:
     """sigma_n = (dim H_n^d)^{-1} sum_j sum_k |Psi^j(n,k)|^2 for n = 0..n_max.
 
     Any base_rotation metadata is ignored: degree-wise coefficient energy is
     invariant under rotations.
     """
-    sigma = np.zeros(n_max + 1)
-    for scale in spec.scales:
-        for (n, _), c in scale.coeffs.items():
-            if n <= n_max:
-                sigma[n] += abs(c) ** 2
-    for n in range(n_max + 1):
-        sigma[n] /= dim_harmonic(spec.d, n)
-    return sigma
+    energy = _cross_sums(spec.scales, spec.scales, n_max).real
+    return energy / [float(dim_harmonic(spec.d, n)) for n in range(n_max + 1)]
 
 
 @dataclass(frozen=True)
@@ -140,14 +146,7 @@ def dual_residuals(spec_a: FrameSpec, spec_b: FrameSpec, n_max: int) -> np.ndarr
     """|(dim H_n)^{-1} sum_j sum_k conj(A^j(n,k)) B^j(n,k) - 1| per degree."""
     if spec_a.d != spec_b.d:
         raise ParameterError("dual check requires matching dimensions")
-    cross = np.zeros(n_max + 1, dtype=complex)
-    for sa, sb in zip(spec_a.scales, spec_b.scales):
-        for key, ca in sa.coeffs.items():
-            n = key[0]
-            if n <= n_max:
-                cb = sb.coeffs.get(key)
-                if cb is not None:
-                    cross[n] += np.conj(ca) * cb
+    cross = _cross_sums(spec_a.scales, spec_b.scales, n_max)
     for n in range(n_max + 1):
         cross[n] /= dim_harmonic(spec_a.d, n)
     return np.abs(cross - 1.0)
@@ -193,23 +192,18 @@ def sigma_J(spec_a: FrameSpec, spec_b: FrameSpec, J: int, n: int) -> complex:
     """Partial cross profile over scales j <= J at degree n."""
     if spec_a.d != spec_b.d:
         raise ParameterError("sigma_J requires matching dimensions")
-    total = 0.0 + 0.0j
-    for sa, sb in zip(spec_a.scales[: J + 1], spec_b.scales[: J + 1]):
-        for key, ca in sa.coeffs.items():
-            if key[0] == n:
-                cb = sb.coeffs.get(key)
-                if cb is not None:
-                    total += np.conj(ca) * cb
-    return complex(total / dim_harmonic(spec_a.d, n))
+    dim = dim_harmonic(spec_a.d, n)
+    total = _cross_sums(spec_a.scales[: J + 1], spec_b.scales[: J + 1], n)[n]
+    return complex(total / dim)
 
 
 def apply_Lambda_J(spec_a: FrameSpec, spec_b: FrameSpec, J: int, f: Signal) -> Signal:
     """Multiply each coefficient by sigma_J(n) and truncate to degree N_J."""
-    if f.d != spec_a.d:
-        raise ParameterError("signal dimension mismatch")
+    if f.d != spec_a.d or spec_b.d != spec_a.d:
+        raise ParameterError("apply_Lambda_J requires matching dimensions")
     n_j = spec_a.scales[J].bandwidth
-    degrees = sorted({n for (n, _) in f.coeffs if n <= n_j})
-    factors = {n: sigma_J(spec_a, spec_b, J, n) for n in degrees}
+    cross = _cross_sums(spec_a.scales[: J + 1], spec_b.scales[: J + 1], n_j)
+    factors = [complex(cross[n] / dim_harmonic(f.d, n)) for n in range(n_j + 1)]
     out = {}
     for (n, k), c in f.coeffs.items():
         if n <= n_j:
@@ -303,17 +297,6 @@ def build_system(spec: FrameSpec, variant: str = "auto", K: int | None = None,
     return system
 
 
-def _eval_rule(d: int, target_degree: int, max_nodes: int | None = None):
-    """Sphere rule exact on polynomials of degree target_degree, cap-checked."""
-    N = (target_degree + 1) // 2
-    count = (2 * N + 1) * (N + 1) ** (d - 2)
-    cap = node_cap(max_nodes)
-    if count > cap:
-        raise CapacityError(
-            f"evaluation rule needs {count} nodes, exceeding the cap {cap}")
-    return sphere_rule(d, N)
-
-
 def analysis(system: FrameSystem, f: Signal, j: int,
              max_nodes: int | None = None) -> np.ndarray:
     """Frame coefficients sqrt(mu_r) <f, Psi^j(g_r^{-1} .)> at scale j.
@@ -333,7 +316,8 @@ def analysis(system: FrameSystem, f: Signal, j: int,
     psi = ExpansionEvaluator(spec.d, visible)
     if psi.n_terms == 0:
         return np.zeros(len(grid.weights), dtype=complex)
-    rule = _eval_rule(spec.d, psi.degree + f.degree, max_nodes)
+    # exact on degree deg(psi) + deg(f), the degree of the integrand
+    rule = sphere_rule(spec.d, (psi.degree + f.degree + 1) // 2, max_nodes)
     f_vals = ExpansionEvaluator(spec.d, f.coeffs).eval_angles(rule.angles)
     v_conj = np.conj(rule.weights * f_vals)
     parts = psi.rotated_apply(grid.rotations, rule.points,
@@ -353,7 +337,7 @@ def synthesis(system: FrameSystem, dual_spec: FrameSpec, coefficients,
     if dual_spec.d != spec.d:
         raise ParameterError("dual spec dimension mismatch")
     d = spec.d
-    rule = _eval_rule(d, 2 * n_out, max_nodes)
+    rule = sphere_rule(d, n_out, max_nodes)
     total = np.zeros(len(rule.weights), dtype=complex)
     for j, scale in enumerate(dual_spec.scales):
         # degrees above n_out project to zero afterwards; drop them now

@@ -7,6 +7,7 @@ byte-identical.  Polar grids additionally export as CSV and as binary PGM.
 
 from __future__ import annotations
 
+import cmath
 import json
 from pathlib import Path
 
@@ -49,14 +50,18 @@ def _coeff_rows(coeffs: dict) -> list:
     return rows
 
 
-def _coeffs_from_rows(rows, path) -> dict:
+def _coeffs_from_rows(rows) -> dict:
+    """Parse coefficient rows; the callers prefix the file name to errors."""
     coeffs = {}
     for row in rows:
         try:
             n, k, re, im = row
-            coeffs[(int(n), tuple(int(v) for v in k))] = complex(float(re), float(im))
+            c = complex(float(re), float(im))
+            coeffs[(int(n), tuple(int(v) for v in k))] = c
         except (TypeError, ValueError) as exc:
-            raise FormatError(f"{path}: malformed coefficient row {row!r}") from exc
+            raise FormatError(f"malformed coefficient row {row!r}") from exc
+        if not cmath.isfinite(c):
+            raise FormatError(f"non-finite coefficient in row {row!r}")
     return coeffs
 
 
@@ -87,7 +92,7 @@ def spec_from_dict(doc: dict, path="<doc>") -> FrameSpec:
         d = int(doc["d"])
         meta = doc.get("metadata", {})
         scales = [Scale(int(s["j"]), int(s["N_j"]),
-                        _coeffs_from_rows(s["coeffs"], path))
+                        _coeffs_from_rows(s["coeffs"]))
                   for s in doc["scales"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed frame spec ({exc})") from exc
@@ -125,7 +130,7 @@ def signal_from_dict(doc: dict, path="<doc>") -> Signal:
     _expect(doc, "signal", path)
     try:
         return Signal(int(doc["d"]), int(doc["N_f"]),
-                      _coeffs_from_rows(doc["coeffs"], path))
+                      _coeffs_from_rows(doc["coeffs"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed signal ({exc})") from exc
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -73,32 +74,74 @@ class SphereRule:
         return self.weights.shape[0]
 
 
-def sphere_rule(d: int, N: int) -> SphereRule:
-    """Product rule exact on all polynomials of degree 2N on S^{d-1}.
+def _sphere_size(d: int, N: int) -> int:
+    """Node count of `sphere_rule(d, N)`."""
+    return (2 * N + 1) * (N + 1) ** (d - 2)
 
-    Composes an equispaced rule in theta_1 with Gauss rules for the weight
-    (1-t^2)^((ell-1)/2) in cos(theta_{ell+1}), matching the surface-measure
-    factorization sin^{d-2}(theta_{d-1}) ... sin(theta_2).
+
+def _check_cap(count: int, what: str, max_nodes: int | None) -> None:
+    """Raise before allocating a rule or grid of `count` nodes over the cap."""
+    cap = node_cap(max_nodes)
+    if count > cap:
+        raise CapacityError(
+            f"{what} would hold {count} nodes, exceeding the cap {cap}; "
+            f"raise --max-nodes or SPHEREFRAME_MAX_NODES to override")
+
+
+def _product(axes) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor product of 1-d (nodes, weights) axes, first axis slowest.
+
+    Returns the (R, len(axes)) node array and the product weights
+    normalized to sum to one.
     """
+    mesh = np.meshgrid(*(nodes for nodes, _ in axes), indexing="ij")
+    angles = np.stack([m.ravel() for m in mesh], axis=-1)
+    w = axes[0][1]
+    for _, aw in axes[1:]:
+        w = np.multiply.outer(w, aw)
+    weights = w.ravel()
+    return angles, weights / weights.sum()
+
+
+def _check_degree(d: int, N: int) -> None:
     if d < 2:
         raise ParameterError(f"sphere dimension d must be at least 2, got {d}")
     if N < 0:
         raise ParameterError(f"target degree must be nonnegative, got {N}")
-    circ = circle_rule(2 * N + 1)
-    axes_nodes = [circ.nodes]
-    axes_weights = [circ.weights]
+
+
+def _polar_axes(d: int, N: int) -> list:
+    """Gauss axes in theta_2 .. theta_{d-1}: the weight (1-t^2)^((ell-1)/2)
+    in cos(theta_{ell+1}), from sin^{d-2}(theta_{d-1}) ... sin(theta_2)."""
+    axes = []
     for ell in range(1, d - 1):
         rule = gauss_symmetric_jacobi(N + 1, (ell - 1) / 2.0)
-        axes_nodes.append(np.arccos(rule.nodes))
-        axes_weights.append(rule.weights)
-    mesh = np.meshgrid(*axes_nodes, indexing="ij")
-    angles = np.stack([m.ravel() for m in mesh], axis=-1)
-    w = axes_weights[0]
-    for aw in axes_weights[1:]:
-        w = np.multiply.outer(w, aw)
-    weights = w.ravel()
-    weights = weights / weights.sum()
+        axes.append((np.arccos(rule.nodes), rule.weights))
+    return axes
+
+
+def sphere_rule(d: int, N: int, max_nodes: int | None = None) -> SphereRule:
+    """Product rule exact on all polynomials of degree 2N on S^{d-1}.
+
+    Composes an equispaced rule in theta_1 with the Gauss axes of
+    `polar_rule`; the node count is checked against the cap first.
+    """
+    _check_degree(d, N)
+    _check_cap(_sphere_size(d, N), "sphere rule", max_nodes)
+    circ = circle_rule(2 * N + 1)
+    angles, weights = _product([(circ.nodes, circ.weights)] + _polar_axes(d, N))
     return SphereRule(d, angles, spherical_to_cartesian(angles), weights, 2 * N)
+
+
+def polar_rule(d: int, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """The theta_1 = 0 slab of `sphere_rule(d, N)` with weights summing to 1.
+
+    Exact on polynomials of degree 2N that do not depend on the azimuth
+    theta_1.  Returns (angles (R, d-1), weights (R,)).
+    """
+    _check_degree(d, N)
+    _check_cap((N + 1) ** (d - 2), "polar rule", None)
+    return _product([(np.zeros(1), np.ones(1))] + _polar_axes(d, N))
 
 
 # ---------------------------------------------------------------------------
@@ -228,36 +271,29 @@ def rotation_rule(d: int, N: int, variant: str = "general",
         raise ParameterError(f"variant {variant!r} requires the steerability order K")
     if d < 2:
         raise ParameterError(f"rotation group dimension must be >= 2, got {d}")
-    cap = node_cap(max_nodes)
     if d == 2:
+        _check_cap(2 * N + 1, "rotation grid", max_nodes)
         rots, w = _so2_rule(N)
         return RotationRule(2, rots, w, N, "general")
 
-    outer = sphere_rule(d, N)
-    sections = np.stack([section_from_angles(th) for th in outer.angles])
-
-    if variant == "general":
-        inner_rule = rotation_rule(d - 1, N, "general", max_nodes=max_nodes)
-        inner = np.stack([embed_rotation(h, d) for h in inner_rule.rotations])
-        inner_w = inner_rule.weights
-    elif variant == "steerable":
-        inner_rule = rotation_rule(d - 1, K, "general", max_nodes=max_nodes)
-        inner = np.stack([embed_rotation(h, d) for h in inner_rule.rotations])
-        inner_w = inner_rule.weights
-    elif variant == "zonal":
-        inner = np.eye(d)[None, :, :]
-        inner_w = np.ones(1)
+    # the inner factor's own call checks its size; outer x inner is checked
+    # before the outer rule, its sections or the product are allocated
+    embed = partial(embed_rotation, d=d)
+    if variant == "zonal":
+        factors, inner_w = np.eye(d)[None], np.ones(1)
+    elif variant in ("general", "steerable"):
+        sub = rotation_rule(d - 1, N if variant == "general" else K, "general",
+                            max_nodes=max_nodes)
+        factors, inner_w = sub.rotations, sub.weights
     else:  # so_d2_invariant / steerable_so_d2
-        sub_degree = N if variant == "so_d2_invariant" else K
-        sub = sphere_rule(d - 1, sub_degree)
-        inner = np.stack([embed_subsphere_rotation(p) for p in sub.points])
-        inner_w = sub.weights
-
-    total = len(outer) * inner.shape[0]
-    if total > cap:
-        raise CapacityError(
-            f"rotation grid would hold {total} nodes, exceeding the cap {cap}; "
-            f"raise --max-nodes or SPHEREFRAME_MAX_NODES to override")
+        sub = sphere_rule(d - 1, N if variant == "so_d2_invariant" else K, max_nodes)
+        factors, inner_w = sub.points, sub.weights
+        embed = embed_subsphere_rotation
+    total = _sphere_size(d, N) * len(inner_w)
+    _check_cap(total, "rotation grid", max_nodes)
+    inner = np.stack([embed(h) for h in factors])
+    outer = sphere_rule(d, N, max_nodes)
+    sections = np.stack([section_from_angles(th) for th in outer.angles])
     rotations = np.matmul(sections[:, None, :, :], inner[None, :, :, :])
     rotations = rotations.reshape(total, d, d)
     weights = (outer.weights[:, None] * inner_w[None, :]).reshape(total)

@@ -226,11 +226,9 @@ def test_criterion_09_localization_scaling(window, K):
         spec = C.wavelet_spec(4, K, j0 + 3, window)
     scaled = []
     min_product = math.inf
-    for j in range(j0, j0 + 4):
-        f = F.Signal(4, spec.scales[j].bandwidth, spec.scales[j].coeffs)
-        vs = D.var_space(f).exact
-        scaled.append(vs * 4.0 ** j)
-        min_product = min(min_product, vs * D.var_momentum(f))
+    for rec in D.localization_report(spec, range(j0, j0 + 4)):
+        scaled.append(rec.var_space * 4.0 ** rec.j)
+        min_product = min(min_product, rec.uncertainty_product)
     ratio = max(scaled) / min(scaled)
     bound_ok = min_product >= 2.25 * (1 - 1e-10)
     elapsed = time.time() - t0

@@ -1,10 +1,12 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from sphereframe import cli, io
 from sphereframe import constructions as C
+from sphereframe import frames as F
 
 
 def run(*argv):
@@ -108,7 +110,6 @@ def test_reconstruct_capacity_exit_code(tmp_path):
 
 
 def test_reconstruct_with_signal_file(tmp_path):
-    from sphereframe import frames as F
     spec_path = tmp_path / "z.json"
     sig_path = tmp_path / "f.json"
     assert run("build", "--kind", "zonal", "--d", "3", "--J", "3",
@@ -160,7 +161,6 @@ def test_figure_command_formats(tmp_path):
 
 
 def test_figure_warns_on_noninvariant_spec(tmp_path, capsys):
-    from sphereframe import frames as F
     spec_path = tmp_path / "odd.json"
     spec = F.FrameSpec(4, [F.Scale(0, 2, {(2, (2, 1)): 1.0})])
     io.write_spec(spec, spec_path)
@@ -180,6 +180,15 @@ def test_quadinfo_exports_grid(tmp_path):
 def test_quadinfo_capacity(tmp_path):
     assert run("quadinfo", "--d", "4", "--N", "8", "--variant", "general",
                "--max-nodes", "1000") == cli.EXIT_CAPACITY
+
+
+def test_quadinfo_caps_its_sphere_rule_before_printing(capsys, monkeypatch):
+    monkeypatch.setenv("SPHEREFRAME_MAX_NODES", "1000")
+    assert run("quadinfo", "--d", "4", "--N", "20",
+               "--variant", "zonal") == cli.EXIT_CAPACITY
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("capacity error: sphere rule would hold 18081")
 
 
 def test_missing_file_is_input_error(tmp_path):
@@ -203,11 +212,23 @@ def test_parse_error_is_input_error(tmp_path):
           "--out", "{tmp}/f.csv")),
     ({}, ("figure", "--spec", "{w}", "--j", "9", "--out", "{tmp}/f.csv")),
     ({}, ("reconstruct", "--spec", "{w}", "--random", "-1")),
+    ({}, ("check", "--spec", "{tmp}/nan.json", "--n-max", "8")),
+    ({}, ("check", "--spec", "{tmp}/inf.json", "--n-max", "8")),
+    ({}, ("reconstruct", "--spec", "{w}", "--signal", "{tmp}/nan_signal.json")),
+    ({}, ("reconstruct", "--spec", "{w}", "--signal", "{tmp}/inf_signal.json")),
+    ({}, ("autocorr", "--spec", "{w}", "--j", "1", "--angles", "0")),
+    ({}, ("autocorr", "--spec", "{w}", "--j", "1", "--angles", "-3")),
 ])
 def test_bad_input_is_one_line_input_error(tmp_path, capsys, monkeypatch, env, argv):
     spec_path = tmp_path / "w.json"
     assert run("build", "--kind", "wavelet", "--d", "4", "--K", "4",
                "--J", "3", "--window", "kappa2", "--out", spec_path) == 0
+    for name, bad in (("nan", math.nan), ("inf", math.inf)):
+        spec = io.read_spec(spec_path)
+        spec.scales[2].coeffs[next(iter(spec.scales[2].coeffs))] = bad
+        io.write_spec(spec, tmp_path / f"{name}.json")
+        io.write_signal(F.Signal(4, 0, {(0, (0, 0)): complex(1.0, bad)}),
+                        tmp_path / f"{name}_signal.json")
     capsys.readouterr()
     for name, value in env.items():
         monkeypatch.setenv(name, value)

@@ -70,15 +70,6 @@ def test_xi0_routes_agree_on_random_signals():
             assert abs(xi[-1] - D.xi0_d_spectral(f).xi0d) < 1e-12
 
 
-def test_xi0_numeric_honors_supplied_rule():
-    f = F.random_signal(3, 4, seed=5)
-    rule = Q.sphere_rule(3, 5)
-    assert np.max(np.abs(D.xi0_numeric(f, rule) - D.xi0_numeric(f))) < 1e-13
-    from sphereframe.errors import ExactnessError
-    with pytest.raises(ExactnessError):
-        D.xi0_numeric(f, Q.sphere_rule(3, 2))
-
-
 def test_wavelet_center_of_mass_points_at_pole():
     spec = C.wavelet_spec(4, 4, 4, "kappa1")
     f = F.Signal(4, 16, spec.scales[4].coeffs)
@@ -87,17 +78,23 @@ def test_wavelet_center_of_mass_points_at_pole():
     assert np.max(np.abs(xi[:-1])) < 1e-12
 
 
+def localization(f):
+    """The localization record of a signal wrapped as a one-scale spec."""
+    spec = F.FrameSpec(f.d, [F.Scale(0, f.degree, f.coeffs)])
+    return D.localization_report(spec)[0]
+
+
 def test_var_space_upper_dominates_exact():
     for seed in range(3):
-        f = F.random_signal(4, 5, seed=seed)
-        vs = D.var_space(f)
-        assert vs.upper >= vs.exact > 0
+        rec = localization(F.random_signal(4, 5, seed=seed))
+        assert rec.var_space_upper >= rec.var_space > 0
 
 
 def test_var_space_invariant_under_global_phase():
     f = F.random_signal(4, 5, seed=9)
     g = F.Signal(4, 5, {k: np.exp(0.7j) * c for k, c in f.coeffs.items()})
-    assert D.var_space(g).exact == pytest.approx(D.var_space(f).exact, rel=1e-10)
+    assert localization(g).var_space == pytest.approx(localization(f).var_space,
+                                                      rel=1e-10)
 
 
 def test_var_momentum_values():
@@ -131,8 +128,8 @@ def test_uncertainty_product_lower_bound():
     for d in (3, 4, 5):
         bound = (d - 1) ** 2 / 4.0
         for seed in range(3):
-            f = F.random_signal(d, 6, seed=seed)
-            assert D.uncertainty_product(f) >= bound * (1 - 1e-10)
+            rec = localization(F.random_signal(d, 6, seed=seed))
+            assert rec.uncertainty_product >= bound * (1 - 1e-10)
 
 
 def test_audit_conditions_wavelet():
@@ -187,9 +184,8 @@ def test_zeta_parity_decouples_degrees_below_K():
         assert D.xi0_d_spectral(upper).xi0d_times_normsq == pytest.approx(
             D.xi0_d_spectral(full).xi0d_times_normsq, rel=1e-12)
         j0 = min(j for j in range(4, 7) if spec.scales[j].support()[0] >= K)
-        scaled = {j: D.var_space(F.Signal(4, spec.scales[j].bandwidth,
-                                          spec.scales[j].coeffs)).exact * 4.0 ** j
-                  for j in (4, j0)}
+        scaled = {r.j: r.var_space * 4.0 ** r.j
+                  for r in D.localization_report(spec, [4, j0])}
         assert scaled[4] > 3.0 * scaled[j0], (window, scaled)
 
 
@@ -259,7 +255,7 @@ def test_var_space_invariant_under_rotations_about_center_axis():
     d = 4
     spec = C.wavelet_spec(d, 3, 3, "kappa1")
     f = F.Signal(d, 8, spec.scales[3].coeffs)
-    base = D.var_space(f).exact
+    base = localization(f).var_space
     h = Q.embed_rotation(Q.random_rotation(d - 1, rng), d)
     rule = Q.sphere_rule(d, 8)
     ev = H.ExpansionEvaluator(d, f.coeffs)
@@ -270,7 +266,7 @@ def test_var_space_invariant_under_rotations_about_center_axis():
         for i, k in enumerate(H.index_set(d, m)):
             if abs(proj[i]) > 1e-14:
                 rotated[(m, k)] = proj[i]
-    assert D.var_space(F.Signal(d, 8, rotated)).exact == pytest.approx(
+    assert localization(F.Signal(d, 8, rotated)).var_space == pytest.approx(
         base, rel=1e-9)
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -178,3 +179,44 @@ def test_decomposition_identity_against_finer_iterated_rule():
         return np.sum(rule.weights * np.abs(vals) ** 2)
 
     assert f_of(coarse) == pytest.approx(f_of(fine), rel=1e-10, abs=1e-12)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Q.rotation_rule(4, 20, "general", max_nodes=1000),
+    lambda: Q.rotation_rule(4, 30, "so_d2_invariant", max_nodes=1000),
+    lambda: Q.rotation_rule(3, 200, "zonal", max_nodes=1000),
+    lambda: Q.rotation_rule(2, 10 ** 6, max_nodes=1000),
+    lambda: Q.sphere_rule(4, 20, max_nodes=1000),
+    lambda: Q.polar_rule(5, 40),
+], ids=["general", "so_d2_invariant", "zonal", "so2", "sphere", "polar"])
+def test_capacity_fires_before_allocation(build, monkeypatch):
+    # each of these would allocate megabytes (or, for SO(2), a 2M-node
+    # circle) before an after-the-fact check could fire
+    monkeypatch.setenv("SPHEREFRAME_MAX_NODES", "1000")
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
+
+
+def test_capacity_admits_exact_count():
+    assert len(Q.sphere_rule(4, 3, max_nodes=7 * 16)) == 7 * 16
+    with pytest.raises(CapacityError):
+        Q.sphere_rule(4, 3, max_nodes=7 * 16 - 1)
+    assert len(Q.rotation_rule(3, 2, "zonal", max_nodes=15)) == 15
+    with pytest.raises(CapacityError):
+        Q.rotation_rule(3, 2, "zonal", max_nodes=14)
+
+
+def test_polar_rule_is_the_theta1_zero_slab():
+    for d, N in ((3, 4), (4, 3), (5, 2)):
+        sphere = Q.sphere_rule(d, N)
+        angles, weights = Q.polar_rule(d, N)
+        slab = sphere.angles[:, 0] == 0.0
+        assert np.array_equal(angles, sphere.angles[slab])
+        assert abs(weights.sum() - 1.0) < 1e-15
+        assert np.max(np.abs(weights - (2 * N + 1) * sphere.weights[slab])) < 1e-15
