@@ -24,13 +24,10 @@ from .frames import (FrameBounds, FrameSpec, FrameSystem, ParsevalGap, Scale,
                      invariance_order, parseval_check, random_signal, sigma_J,
                      sigma_profile, steerable_order, synthesis)
 from .harmonics import (ExpansionEvaluator, addition_kernel, basis_matrix,
-                        cartesian_to_spherical, dim_harmonic, eval_expansion,
-                        eval_harmonic, index_set, matrix_function_block,
-                        spherical_to_cartesian, to_cartesian, to_spherical)
+                        dim_harmonic, index_set, spherical_to_cartesian)
 from .quadrature import (RotationRule, Rule1D, SphereRule, circle_rule,
-                         embed_rotation, embed_subsphere_rotation,
-                         gauss_symmetric_jacobi, polar_rule, random_rotation,
-                         rotation_rule, section_rotation, sphere_rule)
+                         embed_rotation, gauss_symmetric_jacobi, polar_rule,
+                         rotation_rule, sections, sphere_rule)
 from .specfun import Q_d, gegenbauer, gegenbauer_table, log_norm_A, q_d
 
 __version__ = "0.1.0"

@@ -252,13 +252,6 @@ class FrameSystem:
     grids: list[RotationRule]
     variant: str
 
-    def validate(self) -> None:
-        for scale, grid in zip(self.spec.scales, self.grids):
-            if grid.class_degree < scale.bandwidth:
-                raise ParameterError(
-                    f"grid class {grid.class_degree} below scale bandwidth "
-                    f"{scale.bandwidth} at j={scale.j}")
-
 
 def build_system(spec: FrameSpec, variant: str = "auto", K: int | None = None,
                  max_nodes: int | None = None) -> FrameSystem:
@@ -292,9 +285,7 @@ def build_system(spec: FrameSpec, variant: str = "auto", K: int | None = None,
             raise ParameterError(f"variant {variant!r} needs a steerability order K")
     grids = [rotation_rule(d, scale.bandwidth, variant, K=K, max_nodes=max_nodes)
              for scale in spec.scales]
-    system = FrameSystem(spec, grids, variant)
-    system.validate()
-    return system
+    return FrameSystem(spec, grids, variant)
 
 
 def analysis(system: FrameSystem, f: Signal, j: int,
@@ -369,7 +360,7 @@ class ParsevalGap:
     rel_gap: float
 
 
-def parseval_check(spec: FrameSpec, f: Signal, grids,
+def parseval_check(spec: FrameSpec, f: Signal, system: FrameSystem,
                    coefficients=None) -> ParsevalGap:
     """Discrete frame energy against the profile-weighted spectral energy.
 
@@ -378,7 +369,6 @@ def parseval_check(spec: FrameSpec, f: Signal, grids,
     class and bandlimited f the two agree to rounding.  Precomputed analysis
     coefficients may be passed to avoid repeating the transform.
     """
-    system = grids if isinstance(grids, FrameSystem) else FrameSystem(spec, list(grids), "?")
     discrete = 0.0
     for j in range(len(spec.scales)):
         c = coefficients[j] if coefficients is not None else analysis(system, f, j)

@@ -25,12 +25,10 @@ from functools import lru_cache
 import numpy as np
 
 from . import _config
-from .errors import DomainError, ExactnessError, ParameterError
+from .errors import ParameterError
 from .specfun import gegenbauer_table, log_norm_A, validate_multi_index
 
-TWO_PI = 2.0 * math.pi
-EVAL_CHUNK = 16384     # points per block in eval_angles, eval_cartesian, basis_matrix
-ROTATION_CHUNK = 512   # rotations per block in matrix_function_block
+EVAL_CHUNK = 16384  # points per block in eval_angles, eval_cartesian, basis_matrix
 
 
 def dim_harmonic(d: int, n: int) -> int:
@@ -68,23 +66,6 @@ def index_set(d: int, n: int) -> tuple:
 # coordinate conversions
 # ---------------------------------------------------------------------------
 
-def cartesian_to_spherical(x: np.ndarray) -> np.ndarray:
-    """Batch conversion (..., d) -> (..., d-1); no norm validation.
-
-    At a coordinate singularity (some partial radius 0) every undetermined
-    lower angle comes out as 0, which makes round trips deterministic.
-    """
-    x = np.asarray(x, dtype=float)
-    d = x.shape[-1]
-    theta = np.empty(x.shape[:-1] + (d - 1,), dtype=float)
-    theta[..., 0] = np.mod(np.arctan2(x[..., 0], x[..., 1]), TWO_PI)
-    t = np.hypot(x[..., 0], x[..., 1])
-    for ell in range(2, d):
-        theta[..., ell - 1] = np.arctan2(t, x[..., ell])
-        t = np.hypot(t, x[..., ell])
-    return theta
-
-
 def spherical_to_cartesian(theta: np.ndarray) -> np.ndarray:
     """Batch conversion (..., d-1) -> (..., d)."""
     theta = np.asarray(theta, dtype=float)
@@ -103,19 +84,6 @@ def spherical_to_cartesian(theta: np.ndarray) -> np.ndarray:
     return x
 
 
-def to_spherical(x) -> np.ndarray:
-    """Spherical coordinates of a single on-sphere point."""
-    x = np.asarray(x, dtype=float)
-    nrm = np.linalg.norm(x)
-    if abs(nrm - 1.0) > 1e-8:
-        raise DomainError(f"point is not on the unit sphere: |x| = {nrm!r}")
-    return cartesian_to_spherical(x)
-
-
-def to_cartesian(theta) -> np.ndarray:
-    return spherical_to_cartesian(np.asarray(theta, dtype=float))
-
-
 def _blocks(total: int, size: int) -> list:
     return [slice(lo, min(lo + size, total)) for lo in range(0, total, size)]
 
@@ -123,15 +91,6 @@ def _blocks(total: int, size: int) -> list:
 # ---------------------------------------------------------------------------
 # basis evaluation
 # ---------------------------------------------------------------------------
-
-def eval_harmonic(d: int, n: int, k, theta):
-    """Evaluate the orthonormal harmonic Y_k^{d,n} at spherical points.
-
-    theta has shape (d-1,) or (M, d-1); the result is a complex scalar or a
-    complex array of length M.
-    """
-    return eval_expansion(d, {(n, validate_multi_index(d, n, k)): 1.0}, theta)
-
 
 def basis_matrix(d: int, n: int, theta: np.ndarray) -> np.ndarray:
     """All degree-n harmonics stacked: shape (dim H_n^d, M), index-set order."""
@@ -202,6 +161,8 @@ class ExpansionEvaluator:
             for mmax, (a, m) in zip(self._mmax, factors):
                 mmax[a] = max(mmax.get(a, 0), m)
             self._factors.append(factors)
+        # rows of the Gegenbauer tables built per point, at least 1
+        self._rows = max(1, sum(m + 1 for mmax in self._mmax for m in mmax.values()))
         coeff = np.array([c for _, _, c in entries], dtype=complex)
         self.theta1_free = not any(self._klast)
         self.real_output = self.theta1_free and not np.any(coeff.imag)
@@ -290,13 +251,16 @@ class ExpansionEvaluator:
         pre-rotation) and handed to reduce_fn(values, rows) where rows is the
         block's slice into the grid; the per-block results are returned in
         grid order.  Blocks are independent, so they may run on a thread pool.
+        max_block bounds the Gegenbauer-table entries of one block: points
+        times table rows, with at least one rotation per block.
         """
         rotations = np.asarray(rotations, dtype=float)
         points = np.asarray(points, dtype=float)
         P = points.shape[0]
         if base_rotation is not None:
             rotations = rotations @ np.asarray(base_rotation, dtype=float)
-        slices = _blocks(rotations.shape[0], max(1, max_block // max(1, P)))
+        slices = _blocks(rotations.shape[0],
+                         max(1, max_block // max(1, P * self._rows)))
 
         def run(sl):
             # the moved points are freed before the Gegenbauer tables are built
@@ -309,34 +273,3 @@ class ExpansionEvaluator:
             return [run(sl) for sl in slices]
         with ThreadPoolExecutor(max_workers=nworkers) as pool:
             return list(pool.map(run, slices))
-
-
-def eval_expansion(d: int, coeffs: dict, theta) -> np.ndarray:
-    """Evaluate sum_{n,k} c(n,k) Y_k^{d,n} at spherical points (M, d-1)."""
-    theta = np.asarray(theta, dtype=float)
-    values = ExpansionEvaluator(d, coeffs).eval_angles(np.atleast_2d(theta))
-    values = values.astype(complex, copy=False)
-    return complex(values[0]) if theta.ndim == 1 else values
-
-
-# ---------------------------------------------------------------------------
-# matrix functions of rotations
-# ---------------------------------------------------------------------------
-
-def matrix_function_block(d: int, n: int, rotations, rule) -> np.ndarray:
-    """All t_{k,m}^{d,n}(g) for a batch of rotations, shape (R, dim, dim)."""
-    if rule.exact_degree < 2 * n:
-        raise ExactnessError(
-            f"rule exact through degree {rule.exact_degree}, need {2 * n}")
-    rotations = np.asarray(rotations, dtype=float)
-    B = basis_matrix(d, n, rule.angles)          # (dim, nodes)
-    Bw = np.conj(B) * rule.weights[None, :]
-    dim = B.shape[0]
-    out = np.empty((rotations.shape[0], dim, dim), dtype=complex)
-    nodes = rule.points
-    for sl in _blocks(rotations.shape[0], ROTATION_CHUNK):
-        moved = np.matmul(nodes[None, :, :], rotations[sl])   # (c, nodes, d)
-        theta = cartesian_to_spherical(moved.reshape(-1, d))
-        C = basis_matrix(d, n, theta).reshape(dim, sl.stop - sl.start, -1)
-        out[sl] = np.einsum("kn,mcn->ckm", Bw, C)
-    return out

@@ -155,8 +155,8 @@ def grid_to_dict(rule: RotationRule) -> dict:
     }
     if rule.steer_K is not None:
         doc["steer_K"] = int(rule.steer_K)
-    doc["rotations"] = [[float(v) for v in g.ravel()] for g in rule.rotations]
-    doc["weights"] = [float(w) for w in rule.weights]
+    doc["rotations"] = rule.rotations.reshape(len(rule), -1).tolist()
+    doc["weights"] = rule.weights.tolist()
     return doc
 
 

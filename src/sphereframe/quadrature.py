@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from ._config import node_cap
 from .errors import CapacityError, ParameterError
-from .harmonics import spherical_to_cartesian, to_spherical
+from .harmonics import spherical_to_cartesian
 
 TWO_PI = 2.0 * math.pi
 
@@ -140,7 +139,8 @@ def polar_rule(d: int, N: int) -> tuple[np.ndarray, np.ndarray]:
     theta_1.  Returns (angles (R, d-1), weights (R,)).
     """
     _check_degree(d, N)
-    _check_cap((N + 1) ** (d - 2), "polar rule", None)
+    # at d = 3 the N+1 nodes come from an (N+1)^2 Golub-Welsch eigenvector matrix
+    _check_cap((N + 1) ** max(d - 2, 2), "polar rule", None)
     return _product([(np.zeros(1), np.ones(1))] + _polar_axes(d, N))
 
 
@@ -148,71 +148,35 @@ def polar_rule(d: int, N: int) -> tuple[np.ndarray, np.ndarray]:
 # rotation sections
 # ---------------------------------------------------------------------------
 
-def _givens(d: int, ell: int, theta: float) -> np.ndarray:
-    """Planar rotation in the (x_ell, x_{ell+1}) plane sending
-    e^{ell+1} -> sin(theta) e^ell + cos(theta) e^{ell+1}."""
-    g = np.eye(d)
-    c, s = math.cos(theta), math.sin(theta)
-    g[ell - 1, ell - 1] = c
-    g[ell, ell] = c
-    g[ell - 1, ell] = s
-    g[ell, ell - 1] = -s
-    return g
+def sections(angles) -> np.ndarray:
+    """Givens chains g with g e^d = point(theta), one per row of angles.
 
-
-def section_from_angles(theta: np.ndarray) -> np.ndarray:
-    """Givens chain with g e^d = point(theta); the planar factors are applied
-    from the polar angle inward so the chain reproduces the parameterization."""
-    theta = np.asarray(theta, dtype=float)
-    d = theta.shape[0] + 1
-    g = np.eye(d)
+    angles has shape (R, d-1); the result has shape (R, d, d).  The planar
+    rotations in the (x_ell, x_{ell+1}) planes, sending e^{ell+1} to
+    sin(theta_ell) e^ell + cos(theta_ell) e^{ell+1}, are applied from the
+    polar angle inward so the chain reproduces the parameterization.
+    """
+    angles = np.asarray(angles, dtype=float)
+    d = angles.shape[1] + 1
+    g = np.tile(np.eye(d), (angles.shape[0], 1, 1))
     for ell in range(1, d):
-        g = g @ _givens(d, ell, theta[ell - 1])
+        c = np.cos(angles[:, ell - 1])[:, None]
+        s = np.sin(angles[:, ell - 1])[:, None]
+        a, b = g[:, :, ell - 1], g[:, :, ell]
+        g[:, :, ell - 1], g[:, :, ell] = a * c - b * s, a * s + b * c
     return g
-
-
-def section_rotation(eta) -> np.ndarray:
-    """Deterministic g_eta in SO(d) with g_eta e^d = eta."""
-    return section_from_angles(to_spherical(eta))
 
 
 def embed_rotation(h: np.ndarray, d: int) -> np.ndarray:
-    """Embed a rotation of R^m as the SO(d) element fixing e^{m+1}, ..., e^d."""
+    """Embed rotations of R^m, shape (..., m, m), as the SO(d) elements
+    fixing e^{m+1}, ..., e^d."""
     h = np.asarray(h, dtype=float)
-    m = h.shape[0]
+    m = h.shape[-1]
     if m > d:
         raise ParameterError(f"cannot embed SO({m}) into SO({d})")
-    g = np.eye(d)
-    g[:m, :m] = h
+    g = np.broadcast_to(np.eye(d), h.shape[:-2] + (d, d)).copy()
+    g[..., :m, :m] = h
     return g
-
-
-def embed_subsphere_rotation(eta_prime) -> np.ndarray:
-    """h in SO(d-1) < SO(d) with h e^{d-1} = (eta', 0), for eta' on S^{d-2}."""
-    eta_prime = np.asarray(eta_prime, dtype=float)
-    d = eta_prime.shape[0] + 1
-    return embed_rotation(section_rotation(eta_prime), d)
-
-
-def validate_rotation(g: np.ndarray, tol: float = 1e-12) -> None:
-    g = np.asarray(g, dtype=float)
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
-        raise ParameterError(f"rotation must be a square matrix, got {g.shape}")
-    err = np.max(np.abs(g @ g.T - np.eye(g.shape[0])))
-    if err > tol:
-        raise ParameterError(f"matrix is not orthogonal within {tol}: residual {err}")
-    if abs(np.linalg.det(g) - 1.0) > max(tol, 1e-10):
-        raise ParameterError("matrix has determinant != +1")
-
-
-def random_rotation(d: int, rng) -> np.ndarray:
-    """Haar-ish random element of SO(d) from a QR factorization."""
-    a = rng.standard_normal((d, d))
-    q, r = np.linalg.qr(a)
-    q = q * np.sign(np.diag(r))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
-    return q
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +217,19 @@ def _so2_rule(N: int) -> tuple[np.ndarray, np.ndarray]:
     return rots, np.full(len(circ.nodes), 1.0 / len(circ.nodes))
 
 
+def _grid_size(d: int, N: int, variant: str, K: int | None = None) -> int:
+    """Rotation count of `rotation_rule(d, N, variant, K)`."""
+    if d == 2:
+        return 2 * N + 1
+    outer = _sphere_size(d, N)
+    M = K if variant in ("steerable", "steerable_so_d2") else N
+    if variant == "zonal":
+        return outer
+    if variant in ("general", "steerable"):
+        return outer * _grid_size(d - 1, M, "general")
+    return outer * _sphere_size(d - 1, M)
+
+
 def rotation_rule(d: int, N: int, variant: str = "general",
                   K: int | None = None, max_nodes: int | None = None) -> RotationRule:
     """Compose an SO(d) grid of class N from sphere rules.
@@ -264,6 +241,8 @@ def rotation_rule(d: int, N: int, variant: str = "general",
     so_d2_invariant  g_{eta_r} h_{eta'_s} with eta'_s a sphere rule on S^{d-2}
                      of matching degree
     steerable_so_d2  as above with the S^{d-2} rule exact on degree 2K only
+
+    The rotation count is checked against the cap before any factor is built.
     """
     if variant not in VARIANTS:
         raise ParameterError(f"unknown variant {variant!r}")
@@ -271,30 +250,23 @@ def rotation_rule(d: int, N: int, variant: str = "general",
         raise ParameterError(f"variant {variant!r} requires the steerability order K")
     if d < 2:
         raise ParameterError(f"rotation group dimension must be >= 2, got {d}")
+    _check_cap(_grid_size(d, N, variant, K), "rotation grid", max_nodes)
     if d == 2:
-        _check_cap(2 * N + 1, "rotation grid", max_nodes)
         rots, w = _so2_rule(N)
         return RotationRule(2, rots, w, N, "general")
 
-    # the inner factor's own call checks its size; outer x inner is checked
-    # before the outer rule, its sections or the product are allocated
-    embed = partial(embed_rotation, d=d)
+    M = K if variant in ("steerable", "steerable_so_d2") else N
     if variant == "zonal":
-        factors, inner_w = np.eye(d)[None], np.ones(1)
+        inner, inner_w = np.eye(d)[None], np.ones(1)
     elif variant in ("general", "steerable"):
-        sub = rotation_rule(d - 1, N if variant == "general" else K, "general",
-                            max_nodes=max_nodes)
-        factors, inner_w = sub.rotations, sub.weights
-    else:  # so_d2_invariant / steerable_so_d2
-        sub = sphere_rule(d - 1, N if variant == "so_d2_invariant" else K, max_nodes)
-        factors, inner_w = sub.points, sub.weights
-        embed = embed_subsphere_rotation
-    total = _sphere_size(d, N) * len(inner_w)
-    _check_cap(total, "rotation grid", max_nodes)
-    inner = np.stack([embed(h) for h in factors])
+        sub = rotation_rule(d - 1, M, "general", max_nodes=max_nodes)
+        inner, inner_w = embed_rotation(sub.rotations, d), sub.weights
+    else:  # so_d2_invariant / steerable_so_d2: h e^{d-1} = (eta', 0)
+        sub = sphere_rule(d - 1, M, max_nodes)
+        inner, inner_w = embed_rotation(sections(sub.angles), d), sub.weights
     outer = sphere_rule(d, N, max_nodes)
-    sections = np.stack([section_from_angles(th) for th in outer.angles])
-    rotations = np.matmul(sections[:, None, :, :], inner[None, :, :, :])
+    total = len(outer) * len(inner_w)
+    rotations = np.matmul(sections(outer.angles)[:, None], inner[None])
     rotations = rotations.reshape(total, d, d)
     weights = (outer.weights[:, None] * inner_w[None, :]).reshape(total)
     return RotationRule(d, rotations, weights, N, variant, K)

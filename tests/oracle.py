@@ -9,9 +9,50 @@ import math
 
 import numpy as np
 
-from sphereframe.errors import ExactnessError, IndexSetError
-from sphereframe.harmonics import cartesian_to_spherical
+from sphereframe.errors import ExactnessError, IndexSetError, ParameterError
+from sphereframe.harmonics import basis_matrix
 from sphereframe.specfun import gegenbauer_table, log_norm_A, validate_multi_index
+
+TWO_PI = 2.0 * math.pi
+ROTATION_CHUNK = 512  # rotations per block in matrix_function_block
+
+
+def cartesian_to_spherical(x: np.ndarray) -> np.ndarray:
+    """Batch conversion (..., d) -> (..., d-1); no norm validation.
+
+    At a coordinate singularity (some partial radius 0) every undetermined
+    lower angle comes out as 0, which makes round trips deterministic.
+    """
+    x = np.asarray(x, dtype=float)
+    d = x.shape[-1]
+    theta = np.empty(x.shape[:-1] + (d - 1,), dtype=float)
+    theta[..., 0] = np.mod(np.arctan2(x[..., 0], x[..., 1]), TWO_PI)
+    t = np.hypot(x[..., 0], x[..., 1])
+    for ell in range(2, d):
+        theta[..., ell - 1] = np.arctan2(t, x[..., ell])
+        t = np.hypot(t, x[..., ell])
+    return theta
+
+
+def random_rotation(d: int, rng) -> np.ndarray:
+    """Haar-ish random element of SO(d) from a QR factorization."""
+    a = rng.standard_normal((d, d))
+    q, r = np.linalg.qr(a)
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    return q
+
+
+def validate_rotation(g: np.ndarray, tol: float = 1e-12) -> None:
+    g = np.asarray(g, dtype=float)
+    if g.ndim != 2 or g.shape[0] != g.shape[1]:
+        raise ParameterError(f"rotation must be a square matrix, got {g.shape}")
+    err = np.max(np.abs(g @ g.T - np.eye(g.shape[0])))
+    if err > tol:
+        raise ParameterError(f"matrix is not orthogonal within {tol}: residual {err}")
+    if abs(np.linalg.det(g) - 1.0) > max(tol, 1e-10):
+        raise ParameterError("matrix has determinant != +1")
 
 
 def eval_harmonic(d: int, n: int, k, theta):
@@ -70,3 +111,22 @@ def matrix_function_numeric(d: int, n: int, k, m, g, rule) -> complex:
     y_m = eval_harmonic(d, n, m, cartesian_to_spherical(moved))
     y_k = eval_harmonic(d, n, k, rule.angles)
     return complex(np.sum(rule.weights * y_m * np.conj(y_k)))
+
+
+def matrix_function_block(d: int, n: int, rotations, rule) -> np.ndarray:
+    """All t_{k,m}^{d,n}(g) for a batch of rotations, shape (R, dim, dim)."""
+    if rule.exact_degree < 2 * n:
+        raise ExactnessError(
+            f"rule exact through degree {rule.exact_degree}, need {2 * n}")
+    rotations = np.asarray(rotations, dtype=float)
+    B = basis_matrix(d, n, rule.angles)          # (dim, nodes)
+    Bw = np.conj(B) * rule.weights[None, :]
+    dim = B.shape[0]
+    out = np.empty((rotations.shape[0], dim, dim), dtype=complex)
+    for lo in range(0, rotations.shape[0], ROTATION_CHUNK):
+        sl = slice(lo, min(lo + ROTATION_CHUNK, rotations.shape[0]))
+        moved = np.matmul(rule.points[None, :, :], rotations[sl])   # (c, nodes, d)
+        theta = cartesian_to_spherical(moved.reshape(-1, d))
+        C = basis_matrix(d, n, theta).reshape(dim, sl.stop - sl.start, -1)
+        out[sl] = np.einsum("kn,mcn->ckm", Bw, C)
+    return out

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracle
 from sphereframe import constructions as C
 from sphereframe import diagnostics as D
 from sphereframe import frames as F
@@ -112,9 +113,9 @@ def test_var_momentum_rotation_invariance():
     d, n = 4, 3
     rule = Q.sphere_rule(d, n)
     f = F.random_signal(d, n, seed=2)
-    g = Q.random_rotation(d, rng)
+    g = oracle.random_rotation(d, rng)
     ev = H.ExpansionEvaluator(d, f.coeffs)
-    vals = ev.eval_angles(H.cartesian_to_spherical(rule.points @ g))
+    vals = ev.eval_angles(oracle.cartesian_to_spherical(rule.points @ g))
     rotated = {}
     for m in range(n + 1):
         proj = np.conj(H.basis_matrix(d, m, rule.angles)) @ (rule.weights * vals)
@@ -200,7 +201,7 @@ def test_autocorrelation_zonal_constant_in_h():
     rng = np.random.default_rng(6)
     base = D.autocorrelation(spec, 2, np.eye(4))
     for _ in range(4):
-        h = Q.embed_rotation(Q.random_rotation(3, rng), 4)
+        h = Q.embed_rotation(oracle.random_rotation(3, rng), 4)
         val = D.autocorrelation(spec, 2, h)
         assert abs(val - base) < 1e-12 * abs(base)
 
@@ -209,14 +210,14 @@ def test_autocorrelation_rejects_pole_moving_rotation():
     spec = C.zonal_spec(4, 2)
     rng = np.random.default_rng(7)
     with pytest.raises(ParameterError):
-        D.autocorrelation(spec, 1, Q.random_rotation(4, rng))
+        D.autocorrelation(spec, 1, oracle.random_rotation(4, rng))
 
 
 def test_autocorrelation_closed_matches_numeric():
     spec = C.wavelet_spec(4, 4, 3, "kappa2")
     rng = np.random.default_rng(8)
     for _ in range(4):
-        h = Q.embed_rotation(Q.random_rotation(3, rng), 4)
+        h = Q.embed_rotation(oracle.random_rotation(3, rng), 4)
         s = float(h[2, 2])
         closed = D.autocorrelation_closed(spec, 3, s)
         numeric = D.autocorrelation(spec, 3, h)
@@ -256,10 +257,10 @@ def test_var_space_invariant_under_rotations_about_center_axis():
     spec = C.wavelet_spec(d, 3, 3, "kappa1")
     f = F.Signal(d, 8, spec.scales[3].coeffs)
     base = localization(f).var_space
-    h = Q.embed_rotation(Q.random_rotation(d - 1, rng), d)
+    h = Q.embed_rotation(oracle.random_rotation(d - 1, rng), d)
     rule = Q.sphere_rule(d, 8)
     ev = H.ExpansionEvaluator(d, f.coeffs)
-    vals = ev.eval_angles(H.cartesian_to_spherical(rule.points @ h))
+    vals = ev.eval_angles(oracle.cartesian_to_spherical(rule.points @ h))
     rotated = {}
     for m in range(9):
         proj = np.conj(H.basis_matrix(d, m, rule.angles)) @ (rule.weights * vals)

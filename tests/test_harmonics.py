@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,14 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
+from sphereframe import constructions as C
 from sphereframe import harmonics as H
 from sphereframe import quadrature as Q
-from sphereframe.errors import DomainError, ExactnessError, IndexSetError
+from sphereframe.errors import ExactnessError, IndexSetError
 
 
 def unit(rng, d):
     x = rng.standard_normal(d)
     return x / np.linalg.norm(x)
+
+
+def harmonic(d, n, k, theta):
+    """Y_k^{d,n} through the evaluator at one spherical point."""
+    return complex(H.ExpansionEvaluator(d, {(n, k): 1.0}).eval_angles(theta[None])[0])
 
 
 def test_dim_harmonic_values():
@@ -40,7 +47,7 @@ def test_round_trip_random_points():
     for d in (3, 4, 5, 7):
         for _ in range(20):
             x = unit(rng, d)
-            back = H.to_cartesian(H.to_spherical(x))
+            back = H.spherical_to_cartesian(oracle.cartesian_to_spherical(x))
             assert np.max(np.abs(back - x)) < 1e-12
 
 
@@ -48,40 +55,35 @@ def test_pole_convention():
     for d in (3, 4, 6):
         pole = np.zeros(d)
         pole[-1] = 1.0
-        assert np.all(H.to_spherical(pole) == 0.0)
+        assert np.all(oracle.cartesian_to_spherical(pole) == 0.0)
 
 
 def test_coordinate_example_d3():
-    theta = H.to_spherical(np.array([1.0, 0.0, 0.0]))
+    theta = oracle.cartesian_to_spherical(np.array([1.0, 0.0, 0.0]))
     assert theta[0] == pytest.approx(math.pi / 2)
     assert theta[1] == pytest.approx(math.pi / 2)
-
-
-def test_to_spherical_rejects_off_sphere():
-    with pytest.raises(DomainError):
-        H.to_spherical(np.array([1.0, 1.0, 1.0]))
 
 
 def test_constant_harmonic_is_one():
     rng = np.random.default_rng(2)
     for d in (3, 4, 5):
-        theta = H.to_spherical(unit(rng, d))
-        val = H.eval_harmonic(d, 0, (0,) * (d - 2), theta)
+        theta = oracle.cartesian_to_spherical(unit(rng, d))
+        val = harmonic(d, 0, (0,) * (d - 2), theta)
         assert val == pytest.approx(1.0, abs=1e-14)
 
 
 def test_eval_harmonic_rejects_bad_index():
     with pytest.raises(IndexSetError):
-        H.eval_harmonic(4, 2, (3, 0), np.zeros(3))
+        H.ExpansionEvaluator(4, {(2, (3, 0)): 1.0})
 
 
 def test_conjugation_flips_last_index():
     rng = np.random.default_rng(3)
     for d, n, k in ((3, 4, (-2,)), (4, 5, (3, 2)), (5, 4, (3, 1, -1))):
-        theta = H.to_spherical(unit(rng, d))
+        theta = oracle.cartesian_to_spherical(unit(rng, d))
         flipped = k[:-1] + (-k[-1],)
-        assert np.conj(H.eval_harmonic(d, n, k, theta)) == pytest.approx(
-            H.eval_harmonic(d, n, flipped, theta), abs=1e-13)
+        assert np.conj(harmonic(d, n, k, theta)) == pytest.approx(
+            harmonic(d, n, flipped, theta), abs=1e-13)
 
 
 def test_orthonormality_under_exact_rule():
@@ -97,7 +99,7 @@ def test_addition_theorem_at_coincidence():
     rng = np.random.default_rng(4)
     for d in (3, 4, 5):
         for n in (1, 4, 9):
-            theta = H.to_spherical(unit(rng, d))[None, :]
+            theta = oracle.cartesian_to_spherical(unit(rng, d))[None, :]
             block = H.basis_matrix(d, n, theta)[:, 0]
             total = float(np.sum(np.abs(block) ** 2))
             dim = H.dim_harmonic(d, n)
@@ -115,7 +117,7 @@ def test_addition_kernel_two_point_oracle():
     rng = np.random.default_rng(5)
     d, n = 4, 5
     nu, eta = unit(rng, d), unit(rng, d)
-    pts = np.vstack([H.to_spherical(nu), H.to_spherical(eta)])
+    pts = oracle.cartesian_to_spherical(np.vstack([nu, eta]))
     block = H.basis_matrix(d, n, pts)
     direct = complex(np.sum(np.conj(block[:, 0]) * block[:, 1]))
     kernel = H.addition_kernel(d, n, float(nu @ eta))
@@ -131,19 +133,20 @@ def test_eval_expansion_matches_naive_sum():
         kset = H.index_set(d, n)
         k = kset[int(rng.integers(0, len(kset)))]
         coeffs[(n, k)] = complex(rng.standard_normal(), rng.standard_normal())
-    theta = H.cartesian_to_spherical(
+    theta = oracle.cartesian_to_spherical(
         np.array([unit(rng, d) for _ in range(5)]))
-    got = H.eval_expansion(d, coeffs, theta)
+    got = H.ExpansionEvaluator(d, coeffs).eval_angles(theta)
     want = oracle.eval_sum(d, coeffs, theta)
     assert np.max(np.abs(got - want)) < 1e-13
 
 
 def test_eval_expansion_single_entry_and_empty():
     rng = np.random.default_rng(7)
-    theta = H.to_spherical(unit(rng, 4))
-    single = H.eval_expansion(4, {(3, (2, -1)): 1.0}, theta)
-    assert single == pytest.approx(H.eval_harmonic(4, 3, (2, -1), theta), abs=1e-14)
-    assert H.eval_expansion(4, {}, theta) == 0.0
+    theta = oracle.cartesian_to_spherical(unit(rng, 4))[None]
+    single = H.ExpansionEvaluator(4, {(3, (2, -1)): 1.0}).eval_angles(theta)
+    assert single[0] == pytest.approx(oracle.eval_harmonic(4, 3, (2, -1), theta)[0],
+                                      abs=1e-14)
+    assert np.array_equal(H.ExpansionEvaluator(4, {}).eval_angles(theta), [0.0])
 
 
 def test_evaluator_theta1_free_paths_agree():
@@ -157,17 +160,17 @@ def test_evaluator_theta1_free_paths_agree():
     ev = H.ExpansionEvaluator(d, coeffs)
     assert ev.theta1_free and ev.real_output
     pts = np.array([unit(rng, d) for _ in range(11)])
-    rots = np.stack([Q.random_rotation(d, rng) for _ in range(3)])
+    rots = np.stack([oracle.random_rotation(d, rng) for _ in range(3)])
     blocks = ev.rotated_apply(rots, pts, lambda vals, sl: vals.copy())
     stacked = np.vstack(blocks)
     for r in range(3):
-        ref = H.eval_expansion(d, coeffs, H.cartesian_to_spherical(pts @ rots[r]))
+        ref = ev.eval_angles(oracle.cartesian_to_spherical(pts @ rots[r]))
         assert np.max(np.abs(stacked[r] - ref)) < 1e-12
 
 
 def test_tiny_imaginary_coefficient_is_kept():
     rng = np.random.default_rng(13)
-    theta = H.cartesian_to_spherical(np.array([unit(rng, 4) for _ in range(5)]))
+    theta = oracle.cartesian_to_spherical(np.array([unit(rng, 4) for _ in range(5)]))
     c = 1 + 1e-9j
     ev = H.ExpansionEvaluator(4, {(2, (1, 0)): c})
     assert ev.theta1_free and not ev.real_output
@@ -204,14 +207,14 @@ def test_evaluator_entry_points_match_oracle(table):
     assert ev.theta1_free == all(k[-1] == 0 for _, k in coeffs)
     pole = np.eye(d)[[d - 1, 0]]
     points = np.vstack([[unit(rng, d) for _ in range(6)], pole, -pole])
-    rotations = np.stack([Q.random_rotation(d, rng) for _ in range(3)])
-    base = Q.random_rotation(d, rng)
+    rotations = np.stack([oracle.random_rotation(d, rng) for _ in range(3)])
+    base = oracle.random_rotation(d, rng)
 
     def close(got, want):
         assert np.max(np.abs(got - want), initial=0.0) <= 1e-12
 
     for moved in [points] + [points @ g for g in rotations @ base]:
-        theta = H.cartesian_to_spherical(moved)
+        theta = oracle.cartesian_to_spherical(moved)
         want = oracle.eval_sum(d, coeffs, theta)
         close(ev.eval_angles(theta), want)
         close(ev.eval_cartesian(moved), want)
@@ -228,8 +231,30 @@ def test_evaluator_entry_points_match_oracle(table):
         stacked[workers] = np.vstack(blocks)
     assert np.array_equal(stacked[1], stacked[2])
     for r, g in enumerate(rotations @ base):
-        want = oracle.eval_sum(d, coeffs, H.cartesian_to_spherical(points @ g))
+        want = oracle.eval_sum(d, coeffs, oracle.cartesian_to_spherical(points @ g))
         close(stacked[1][r], want)
+
+
+def test_rotated_apply_blocks_bound_table_entries():
+    # one block of the degree-32 zonal scale holds 33 table rows per point;
+    # blocks sized in points alone would build a 17 MB table here
+    psi = H.ExpansionEvaluator(3, C.zonal_spec(3, 5, "kappa2").scales[-1].coeffs)
+    assert psi.n_terms == 25
+    rotations = Q.rotation_rule(3, 4, "zonal").rotations
+    points = Q.sphere_rule(3, 32).points
+    tracemalloc.start()
+    try:
+        blocks = psi.rotated_apply(rotations, points, lambda vals, sl: vals.copy(),
+                                   max_block=1 << 16, workers=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000, peak
+    assert len(blocks) > 1
+    whole = psi.rotated_apply(rotations, points, lambda vals, sl: vals.copy(),
+                              max_block=1 << 40, workers=1)
+    assert len(whole) == 1
+    assert np.array_equal(np.vstack(blocks), whole[0])
 
 
 def test_matrix_function_identity_is_kronecker():
@@ -246,8 +271,8 @@ def test_matrix_function_rows_are_unit_vectors():
     rng = np.random.default_rng(9)
     rule = Q.sphere_rule(4, 4)
     for n in range(1, 5):
-        g = Q.random_rotation(4, rng)
-        block = H.matrix_function_block(4, n, g[None], rule)[0]
+        g = oracle.random_rotation(4, rng)
+        block = oracle.matrix_function_block(4, n, g[None], rule)[0]
         row_sums = np.sum(np.abs(block) ** 2, axis=0)
         assert np.max(np.abs(row_sums - 1.0)) < 1e-12
 
@@ -256,15 +281,15 @@ def test_matrix_function_reproduces_rotation_of_harmonics():
     rng = np.random.default_rng(10)
     d, n = 4, 3
     rule = Q.sphere_rule(d, n)
-    g = Q.random_rotation(d, rng)
+    g = oracle.random_rotation(d, rng)
     eta = unit(rng, d)
     kset = H.index_set(d, n)
-    block = H.matrix_function_block(d, n, g[None], rule)[0]
-    theta = H.to_spherical(eta)
-    y_at = np.array([H.eval_harmonic(d, n, k, theta) for k in kset])
-    moved = H.to_spherical(eta @ g)
+    block = oracle.matrix_function_block(d, n, g[None], rule)[0]
+    theta = oracle.cartesian_to_spherical(eta)
+    y_at = np.array([oracle.eval_harmonic(d, n, k, theta) for k in kset])
+    moved = oracle.cartesian_to_spherical(eta @ g)
     for mi, m in enumerate(kset):
-        lhs = H.eval_harmonic(d, n, m, moved)
+        lhs = oracle.eval_harmonic(d, n, m, moved)
         rhs = complex(block[:, mi] @ y_at)
         assert abs(lhs - rhs) < 1e-10
 
@@ -280,8 +305,8 @@ def test_subgroup_block_structure():
     rng = np.random.default_rng(11)
     d, n = 4, 3
     rule = Q.sphere_rule(d, n)
-    h = Q.embed_rotation(Q.random_rotation(d - 1, rng), d)
-    block = H.matrix_function_block(d, n, h[None], rule)[0]
+    h = Q.embed_rotation(oracle.random_rotation(d - 1, rng), d)
+    block = oracle.matrix_function_block(d, n, h[None], rule)[0]
     kset = H.index_set(d, n)
     for i, k in enumerate(kset):
         for m_i, m in enumerate(kset):
@@ -298,7 +323,7 @@ def test_planar_rotation_diagonal_phase_d3():
     h[0, 1] = -math.sin(gamma)
     n = 3
     kset = H.index_set(3, n)
-    block = H.matrix_function_block(3, n, h[None], rule)[0]
+    block = oracle.matrix_function_block(3, n, h[None], rule)[0]
     for i, k in enumerate(kset):
         for m_i, m in enumerate(kset):
             want = np.exp(1j * k[0] * gamma) if k == m else 0.0
@@ -311,11 +336,11 @@ def test_degree_energy_is_rotation_invariant():
     rule = Q.sphere_rule(d, n)
     kset = H.index_set(d, n)
     c = rng.standard_normal(len(kset)) + 1j * rng.standard_normal(len(kset))
-    g = Q.random_rotation(d, rng)
+    g = oracle.random_rotation(d, rng)
     # rotate the expansion by quadrature projection
     coeffs = {(n, k): c[i] for i, k in enumerate(kset)}
     ev = H.ExpansionEvaluator(d, coeffs)
-    moved = H.cartesian_to_spherical(rule.points @ g)
+    moved = oracle.cartesian_to_spherical(rule.points @ g)
     vals = ev.eval_angles(moved)
     basis = H.basis_matrix(d, n, rule.angles)
     rotated = np.conj(basis) @ (rule.weights * vals)

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import oracle
 from sphereframe import harmonics as H
 from sphereframe import quadrature as Q
 from sphereframe.errors import CapacityError, ParameterError
@@ -79,29 +80,30 @@ def test_sphere_rule_harmonic_means_vanish():
 
 def test_section_rotation_contract():
     rng = np.random.default_rng(0)
-    pole4 = np.array([0.0, 0.0, 0.0, 1.0])
-    assert np.allclose(Q.section_rotation(pole4), np.eye(4))
+    assert np.array_equal(Q.sections(np.zeros((1, 3))), np.eye(4)[None])
     for d in (3, 4, 6):
         e_d = np.eye(d)[:, -1]
-        for _ in range(10):
-            x = rng.standard_normal(d)
-            x /= np.linalg.norm(x)
-            g = Q.section_rotation(x)
-            assert np.max(np.abs(g @ e_d - x)) < 1e-12
+        x = rng.standard_normal((10, d))
+        angles = oracle.cartesian_to_spherical(x / np.linalg.norm(x, axis=1, keepdims=True))
+        gs = Q.sections(angles)
+        assert gs.shape == (10, d, d)
+        assert np.max(np.abs(gs @ e_d - H.spherical_to_cartesian(angles))) < 1e-12
+        for g in gs:
             assert np.linalg.det(g) == pytest.approx(1.0, abs=1e-12)
-            Q.validate_rotation(g, tol=1e-12)
+            oracle.validate_rotation(g, tol=1e-12)
 
 
 def test_embed_subsphere_rotation_contract():
     rng = np.random.default_rng(1)
-    sub_pole = np.array([0.0, 0.0, 1.0])
-    assert np.allclose(Q.embed_subsphere_rotation(sub_pole), np.eye(4))
-    for _ in range(5):
-        ep = rng.standard_normal(3)
-        ep /= np.linalg.norm(ep)
-        h = Q.embed_subsphere_rotation(ep)
-        assert np.max(np.abs(h @ np.array([0, 0, 1.0, 0]) - np.append(ep, 0))) < 1e-12
-        assert np.all(h @ np.array([0, 0, 0, 1.0]) == np.array([0, 0, 0, 1.0]))
+    pole = Q.embed_rotation(Q.sections(np.zeros((1, 2))), 4)
+    assert np.array_equal(pole, np.eye(4)[None])
+    x = rng.standard_normal((5, 3))
+    angles = oracle.cartesian_to_spherical(x / np.linalg.norm(x, axis=1, keepdims=True))
+    hs = Q.embed_rotation(Q.sections(angles), 4)
+    assert hs.shape == (5, 4, 4)
+    eta = np.hstack([H.spherical_to_cartesian(angles), np.zeros((5, 1))])
+    assert np.max(np.abs(hs @ np.array([0, 0, 1.0, 0]) - eta)) < 1e-12
+    assert np.all(hs @ np.array([0, 0, 0, 1.0]) == np.array([0, 0, 0, 1.0]))
 
 
 def test_rotation_rule_weights_normalized():
@@ -118,7 +120,7 @@ def test_rotation_rule_weights_normalized():
         assert abs(rule.weights.sum() - 1.0) < 1e-13, (variant,)
         assert np.all(rule.weights > 0)
         for g in rule.rotations[:: max(1, len(rule) // 7)]:
-            Q.validate_rotation(g, tol=1e-10)
+            oracle.validate_rotation(g, tol=1e-10)
 
 
 def test_rotation_rule_sizes():
@@ -151,7 +153,7 @@ def test_general_rule_integrates_matrix_functions_to_delta():
     constant_part = 0.0
     for n in range(N + 1):
         kset = H.index_set(d, n)
-        blocks = H.matrix_function_block(d, n, rule.rotations, sphere)
+        blocks = oracle.matrix_function_block(d, n, rule.rotations, sphere)
         c = rng.standard_normal((len(kset), len(kset))) \
             + 1j * rng.standard_normal((len(kset), len(kset)))
         total += np.einsum("km,rkm->r", c, blocks)
@@ -174,7 +176,7 @@ def test_decomposition_identity_against_finer_iterated_rule():
     c = rng.standard_normal((len(kset), len(kset)))
 
     def f_of(rule):
-        blocks = H.matrix_function_block(d, n, rule.rotations, sphere)
+        blocks = oracle.matrix_function_block(d, n, rule.rotations, sphere)
         vals = np.einsum("km,rkm->r", c, blocks)
         return np.sum(rule.weights * np.abs(vals) ** 2)
 
@@ -188,10 +190,16 @@ def test_decomposition_identity_against_finer_iterated_rule():
     lambda: Q.rotation_rule(2, 10 ** 6, max_nodes=1000),
     lambda: Q.sphere_rule(4, 20, max_nodes=1000),
     lambda: Q.polar_rule(5, 40),
-], ids=["general", "so_d2_invariant", "zonal", "so2", "sphere", "polar"])
+    lambda: Q.polar_rule(3, 900),
+    lambda: Q.rotation_rule(4, 20, "general", max_nodes=40000),
+    lambda: Q.rotation_rule(4, 20, "steerable", K=20, max_nodes=40000),
+], ids=["general", "so_d2_invariant", "zonal", "so2", "sphere", "polar",
+        "polar-eigenvectors", "general-inner-fits", "steerable-inner-fits"])
 def test_capacity_fires_before_allocation(build, monkeypatch):
     # each of these would allocate megabytes (or, for SO(2), a 2M-node
-    # circle) before an after-the-fact check could fire
+    # circle) before an after-the-fact check could fire; the d = 3 polar
+    # rule holds 901 nodes but its Gauss axis needs a 901^2 eigenvector
+    # matrix, and the inner SO(3) grids fit under their caps of 40000
     monkeypatch.setenv("SPHEREFRAME_MAX_NODES", "1000")
     tracemalloc.start()
     try:
@@ -207,9 +215,12 @@ def test_capacity_admits_exact_count():
     assert len(Q.sphere_rule(4, 3, max_nodes=7 * 16)) == 7 * 16
     with pytest.raises(CapacityError):
         Q.sphere_rule(4, 3, max_nodes=7 * 16 - 1)
-    assert len(Q.rotation_rule(3, 2, "zonal", max_nodes=15)) == 15
-    with pytest.raises(CapacityError):
-        Q.rotation_rule(3, 2, "zonal", max_nodes=14)
+    for d in (3, 4):
+        for variant in Q.VARIANTS:
+            size = len(Q.rotation_rule(d, 2, variant, K=1))
+            assert len(Q.rotation_rule(d, 2, variant, K=1, max_nodes=size)) == size
+            with pytest.raises(CapacityError):
+                Q.rotation_rule(d, 2, variant, K=1, max_nodes=size - 1)
 
 
 def test_polar_rule_is_the_theta1_zero_slab():
