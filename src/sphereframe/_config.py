@@ -1,4 +1,4 @@
-"""Process-wide knobs: worker threads for batched evaluation, node caps."""
+"""Process-wide knobs: worker threads for rotated-point evaluation, node caps."""
 
 from __future__ import annotations
 

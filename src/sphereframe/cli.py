@@ -274,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="rotated-polynomial frames on spheres: build, verify, "
                     "transform, and diagnose")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads for batched evaluation "
+                        help="worker threads for autocorr's rotated evaluation "
                              "(default: hardware parallelism)")
     sub = parser.add_subparsers(dest="command", required=True)
 

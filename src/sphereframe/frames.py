@@ -3,8 +3,14 @@
 The degree-wise energy profile sigma_n drives everything here: frame bounds
 are its extrema, the canonical dual is the per-degree rescale by 1/sigma_n,
 and dual pairs are recognized by the cross profile being identically one.
-Analysis and synthesis go through point evaluation plus exact quadrature,
-so for bandlimited signals the discrete sums equal their integrals.
+
+Analysis and synthesis stay in coefficient space.  T is a representation,
+so the rotate T(g) Psi_n has the coefficients D^n(g) psi_n, and a grid
+rotation g = S_eta H_h factors into Givens planes, one 1-d angle axis each.
+Per degree, the transforms apply the plane matrices D^n(G_ell(beta)) down
+the axes of the grid's factors and meet in one product over the outer and
+inner grid indices.  D^n(G_1) is a diagonal phase; the other planes come
+from exact quadrature, so the discrete sums equal their integrals.
 """
 
 from __future__ import annotations
@@ -15,10 +21,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotAFrameError, ParameterError
-from .harmonics import (ExpansionEvaluator, basis_matrix, dim_harmonic,
-                        index_set)
-from .quadrature import RotationRule, rotation_rule, sphere_rule
+from .harmonics import basis_matrix, dim_harmonic, index_set
+from .quadrature import RotationRule, rotation_rule, sections, sphere_rule
 from .specfun import validate_multi_index
+
+EVAL_BLOCK = 1 << 21  # rotated harmonic values per block in plane-matrix builds
 
 
 @dataclass
@@ -288,68 +295,217 @@ def build_system(spec: FrameSpec, variant: str = "auto", K: int | None = None,
     return FrameSystem(spec, grids, variant)
 
 
+def _by_degree(d: int, coeffs: dict, n_max: int | None = None) -> dict:
+    """Nonzero entries of a coefficient table grouped as n -> {k: c}, with
+    every multi-index validated."""
+    out: dict[int, dict] = {}
+    for (n, k), c in coeffs.items():
+        if c != 0 and (n_max is None or n <= n_max):
+            out.setdefault(n, {})[validate_multi_index(d, n, k)] = c
+    return out
+
+
+def _mixed(keys: tuple, support: list, pos: int) -> list:
+    """Indices of the keys that agree with some key of support everywhere
+    except at position pos: the rows a plane mixing that label can reach."""
+    stems = {keys[i][:pos] + keys[i][pos + 1:] for i in support}
+    return [i for i, k in enumerate(keys) if k[:pos] + k[pos + 1:] in stems]
+
+
+class _Degree:
+    """Representation matrices D^n(g)[k, k'] = <T(g) Y_k', Y_k> of one degree.
+
+    Columns come from exact quadrature on `sphere_rule(d, n)`: the harmonics
+    Y_k' at the moved nodes g^{-1} x_p, projected on every Y_k.  G_ell mixes
+    only the label k_{d-ell} (position d-ell-1 of k), so the plane matrices
+    are kept on index sets: columns where the vectors they act on live, rows
+    where those vectors can land.  G_1(alpha) is the diagonal phase
+    e^{-i k_{d-2} alpha}, kept as its diagonal.  Plane matrices are cached
+    per (plane, axis, columns) for the life of the object, which is one
+    degree of one call.
+    """
+
+    def __init__(self, d: int, n: int, max_nodes: int | None):
+        self.d, self.n = d, n
+        self.keys = index_set(d, n)
+        self.rule = sphere_rule(d, n, max_nodes)
+        self.proj = np.conj(basis_matrix(d, n, self.rule.angles)) * self.rule.weights
+        self._planes = {}
+
+    def columns(self, rotations: np.ndarray, cols: list) -> np.ndarray:
+        """D^n(g)[:, cols] for rotations (A, d, d): shape (A, dim, |cols|).
+
+        The moved harmonics are built a few rotations at a time, at most
+        EVAL_BLOCK values per block.
+        """
+        nodes = len(self.rule.weights)
+        keys = [self.keys[c] for c in cols]
+        out = np.empty((len(rotations), len(self.keys), len(cols)), dtype=complex)
+        step = max(1, EVAL_BLOCK // (nodes * len(cols)))
+        for lo in range(0, len(rotations), step):
+            g = rotations[lo:lo + step]
+            moved = np.matmul(self.rule.points[None], g)  # rows g^{-1} x_p
+            vals = basis_matrix(self.d, self.n, moved.reshape(-1, self.d), keys)
+            out[lo:lo + len(g)] = np.matmul(
+                self.proj, vals.reshape(len(cols), len(g), nodes).transpose(1, 2, 0))
+        return out
+
+    def plane(self, ell: int, axis: np.ndarray, rows: list, cols: list) -> np.ndarray:
+        """D^n(G_ell(beta))[rows, cols] for beta in axis, shape
+        (len(axis), |rows|, |cols|); for ell = 1 (rows = cols) only the
+        diagonal, shape (len(axis), |cols|)."""
+        if ell == 1:
+            klast = np.array([self.keys[c][-1] for c in cols])
+            return np.exp(-1j * np.outer(axis, klast))
+        key = (ell, axis.tobytes(), tuple(cols))
+        if key not in self._planes:
+            angles = np.zeros((len(axis), self.d - 1))
+            angles[:, ell - 1] = axis
+            self._planes[key] = self.columns(sections(angles), cols)
+        return self._planes[key][:, rows, :]
+
+    def reach(self, ell: int, support: list) -> list:
+        return support if ell == 1 else _mixed(self.keys, support, self.d - ell - 1)
+
+    def generator(self, table: dict, base_rotation) -> tuple[np.ndarray, list]:
+        """psi_n as a vector over index_set(d, n) and its support; a base
+        rotation g0 replaces it by D^n(g0) psi_n."""
+        index = {k: i for i, k in enumerate(self.keys)}
+        entries = {index[k]: c for k, c in table.items()}
+        support = sorted(entries)
+        psi = np.zeros(len(self.keys), dtype=complex)
+        psi[support] = [entries[i] for i in support]
+        if base_rotation is not None:
+            g0 = np.asarray(base_rotation, dtype=float)[None]
+            psi = self.columns(g0, support)[0] @ psi[support]
+            support = list(range(len(self.keys)))
+        return psi, support
+
+    def inner(self, factors: tuple, psi: np.ndarray, support: list):
+        """Rows D^n(H_h) psi over the grid of the inner factors, restricted to
+        the index set they reach; returns (B (R_in, |set|), set).
+
+        The planes are applied right to left, so each new axis is slower than
+        the ones already expanded, matching the flat grid order.
+        """
+        rows = psi[support][None, :]
+        for section in reversed(factors):
+            for ell in range(len(section.axes), 0, -1):
+                reached = self.reach(ell, support)
+                m = self.plane(ell, section.axes[ell - 1], reached, support)
+                if ell == 1:
+                    rows = m[:, None, :] * rows[None, :, :]
+                else:
+                    rows = np.tensordot(rows, m, axes=([1], [2])).transpose(1, 0, 2)
+                rows = rows.reshape(-1, len(reached))
+                support = reached
+        return rows, support
+
+    def _chain(self, section, target: list) -> list:
+        """Index sets T_0 .. T_{d-1} of the outer chain, back from T_{d-1} = target."""
+        sets = [target]
+        for ell in range(len(section.axes), 0, -1):
+            sets.append(self.reach(ell, sets[-1]))
+        return sets[::-1]
+
+    def outer_adjoint(self, section, f: np.ndarray, target: list) -> np.ndarray:
+        """Rows (D^n(S_eta)^H f)[target] over the outer factor's grid,
+        applying G_1^H first so that each new axis is the fastest."""
+        sets = self._chain(section, target)
+        rows = f[sets[0]][None, :]
+        for ell, axis in enumerate(section.axes, 1):
+            m = np.conj(self.plane(ell, axis, sets[ell - 1], sets[ell]))
+            if ell == 1:
+                rows = rows[:, None, :] * m[None, :, :]
+            else:
+                rows = np.tensordot(rows, m, axes=([1], [1]))
+            rows = rows.reshape(-1, len(sets[ell]))
+        return rows
+
+    def outer_apply(self, section, rows: np.ndarray, target: list) -> np.ndarray:
+        """sum_eta D^n(S_eta)[:, target] rows[eta], the adjoint of
+        `outer_adjoint`: the fastest axis is summed first."""
+        sets = self._chain(section, target)
+        for ell in range(len(section.axes), 0, -1):
+            axis = section.axes[ell - 1]
+            m = self.plane(ell, axis, sets[ell - 1], sets[ell])
+            rows = rows.reshape(-1, len(axis), len(sets[ell]))
+            if ell == 1:
+                rows = np.einsum("pak,ak->pk", rows, m)
+            else:
+                rows = np.tensordot(rows, m, axes=([1, 2], [0, 2]))
+        out = np.zeros(len(self.keys), dtype=complex)
+        out[sets[0]] = rows[0]
+        return out
+
+
 def analysis(system: FrameSystem, f: Signal, j: int,
              max_nodes: int | None = None) -> np.ndarray:
     """Frame coefficients sqrt(mu_r) <f, Psi^j(g_r^{-1} .)> at scale j.
 
-    Exact for bandlimited f: the evaluation rule integrates the product of
-    f with any rotate of Psi^j without error.  Generator degrees above the
-    signal degree cannot meet the signal (degree spaces are rotation
-    invariant and mutually orthogonal), so they are dropped up front.
+    With g = S_eta H_h the grid's outer section times its inner rotation,
+    per degree n
+        <f_n, T(g) Psi_n> = sum_k (D^n(S_eta)^H f_n)_k conj(D^n(H_h) psi_n)_k,
+    one (R_out x |supp|) @ (|supp| x R_in) product over the index set supp
+    that the inner rotations reach from psi_n.  Only degrees present in both
+    f and Psi^j contribute (degree spaces are rotation invariant and
+    mutually orthogonal).  Each degree builds `sphere_rule(d, n, max_nodes)`
+    for its plane matrices, the largest first, so the cap fires before any
+    work is done.
     """
     spec = system.spec
     if f.d != spec.d:
         raise ParameterError("signal dimension mismatch")
-    scale = spec.scales[j]
     grid = system.grids[j]
-    f_degrees = {n for (n, _), c in f.coeffs.items() if c != 0}
-    visible = {key: c for key, c in scale.coeffs.items() if key[0] in f_degrees}
-    psi = ExpansionEvaluator(spec.d, visible)
-    if psi.n_terms == 0:
-        return np.zeros(len(grid.weights), dtype=complex)
-    # exact on degree deg(psi) + deg(f), the degree of the integrand
-    rule = sphere_rule(spec.d, (psi.degree + f.degree + 1) // 2, max_nodes)
-    f_vals = ExpansionEvaluator(spec.d, f.coeffs).eval_angles(rule.angles)
-    v_conj = np.conj(rule.weights * f_vals)
-    parts = psi.rotated_apply(grid.rotations, rule.points,
-                              lambda vals, sl: vals @ v_conj,
-                              base_rotation=spec.base_rotation)
-    return np.sqrt(grid.weights) * np.conj(np.concatenate(parts))
+    outer, inner = grid.factors[0], grid.factors[1:]
+    f_tables = _by_degree(spec.d, f.coeffs)
+    psi_tables = _by_degree(spec.d, spec.scales[j].coeffs)
+    total = np.zeros((len(outer), len(grid) // len(outer)), dtype=complex)
+    for n in sorted(f_tables.keys() & psi_tables.keys(), reverse=True):
+        rep = _Degree(spec.d, n, max_nodes)
+        f_n, _ = rep.generator(f_tables[n], None)
+        psi, support = rep.generator(psi_tables[n], spec.base_rotation)
+        rows, support = rep.inner(inner, psi, support)
+        total += rep.outer_adjoint(outer, f_n, support) @ np.conj(rows).T
+    return np.sqrt(grid.weights) * total.reshape(-1)
 
 
 def synthesis(system: FrameSystem, dual_spec: FrameSpec, coefficients,
               n_out: int, max_nodes: int | None = None) -> Signal:
-    """Sum the weighted rotates of the dual generators and project.
+    """The degree-(n_out) truncation of sum_{j,r} sqrt(mu_r) c_{j,r} T(g_r) dual^j.
 
-    coefficients is the per-scale list produced by `analysis`; the result is
-    the degree-(n_out) truncation of sum_{j,r} sqrt(mu) c_{j,r} T(g) dual^j.
+    coefficients is the per-scale list produced by `analysis`.  This is the
+    exact adjoint of analysis: per degree n and scale j, with U the weighted
+    coefficients as an (R_out x R_in) array and B the rows D^n(H_h) psi_n,
+        out_n = sum_eta D^n(S_eta) (U @ B)[eta].
+    No signal is evaluated and nothing is projected.  Degrees run from the
+    largest down, so `sphere_rule(d, n, max_nodes)` fires its cap first.
     """
     spec = system.spec
     if dual_spec.d != spec.d:
         raise ParameterError("dual spec dimension mismatch")
     d = spec.d
-    rule = sphere_rule(d, n_out, max_nodes)
-    total = np.zeros(len(rule.weights), dtype=complex)
-    for j, scale in enumerate(dual_spec.scales):
-        # degrees above n_out project to zero afterwards; drop them now
-        visible = {key: c for key, c in scale.coeffs.items() if key[0] <= n_out}
-        ev = ExpansionEvaluator(d, visible)
-        if ev.n_terms == 0:
-            continue
-        grid = system.grids[j]
-        u = np.sqrt(grid.weights) * np.asarray(coefficients[j])
-        parts = ev.rotated_apply(grid.rotations, rule.points,
-                                 lambda vals, sl: u[sl] @ vals,
-                                 base_rotation=dual_spec.base_rotation)
-        for p in parts:
-            total += p
-    weighted = rule.weights * total
+    tables = [_by_degree(d, scale.coeffs, n_out) for scale in dual_spec.scales]
+    parts = {}
+    for n in sorted(set().union(*tables), reverse=True):
+        rep = _Degree(d, n, max_nodes)
+        out = np.zeros(len(rep.keys), dtype=complex)
+        for j, by_degree in enumerate(tables):
+            if n not in by_degree:
+                continue
+            grid = system.grids[j]
+            outer, inner = grid.factors[0], grid.factors[1:]
+            psi, support = rep.generator(by_degree[n], dual_spec.base_rotation)
+            rows, support = rep.inner(inner, psi, support)
+            u = np.sqrt(grid.weights) * np.asarray(coefficients[j])
+            out += rep.outer_apply(outer, u.reshape(len(outer), -1) @ rows, support)
+        parts[n] = (rep.keys, out)
     coeffs = {}
-    for n in range(n_out + 1):
-        proj = np.conj(basis_matrix(d, n, rule.angles)) @ weighted
-        for idx, k in enumerate(index_set(d, n)):
-            if proj[idx] != 0.0:
-                coeffs[(n, k)] = complex(proj[idx])
+    for n in sorted(parts):
+        keys, out = parts[n]
+        for k, v in zip(keys, out):
+            if v != 0.0:
+                coeffs[(n, k)] = complex(v)
     return Signal(d, n_out, coeffs)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from .constructions import PolarGrid
 from .errors import FormatError
 from .frames import FrameSpec, Scale, Signal
-from .quadrature import RotationRule
+from .quadrature import RotationRule, rotation_rule
 
 FORMAT_VERSION = 1
 
@@ -161,20 +161,24 @@ def grid_to_dict(rule: RotationRule) -> dict:
 
 
 def grid_from_dict(doc: dict, path="<doc>") -> RotationRule:
+    """Rebuild the rule a grid file declares and check the file against it.
+
+    A grid file is the export of `rotation_rule(d, class_degree, variant,
+    steer_K)`; the rebuilt rule keeps the factor structure that analysis and
+    synthesis need, so a file whose rotations or weights differ is rejected.
+    """
     _expect(doc, "rotation_grid", path)
     try:
-        d = int(doc["d"])
-        rotations = np.array([np.asarray(flat, dtype=float).reshape(d, d)
-                              for flat in doc["rotations"]])
+        rule = rotation_rule(int(doc["d"]), int(doc["class_degree"]), doc["variant"],
+                             K=doc.get("steer_K"))
+        rotations = np.asarray(doc["rotations"], dtype=float)
         weights = np.asarray(doc["weights"], dtype=float)
-        rule = RotationRule(d, rotations, weights, int(doc["class_degree"]),
-                            doc["variant"], doc.get("steer_K"))
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed rotation grid ({exc})") from exc
-    if rotations.shape[0] != weights.shape[0]:
-        raise FormatError(f"{path}: rotation/weight counts differ")
-    if np.any(weights <= 0):
-        raise FormatError(f"{path}: grid weights must be positive")
+    if not (np.array_equal(rotations, rule.rotations.reshape(len(rule), -1))
+            and np.array_equal(weights, rule.weights)):
+        raise FormatError(f"{path}: rotations or weights differ from the declared "
+                          f"{rule.variant} grid")
     return rule
 
 

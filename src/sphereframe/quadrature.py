@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -87,19 +88,23 @@ def _check_cap(count: int, what: str, max_nodes: int | None) -> None:
             f"raise --max-nodes or SPHEREFRAME_MAX_NODES to override")
 
 
+def _mesh(nodes) -> np.ndarray:
+    """Rows of the tensor product of 1-d node arrays, first axis slowest."""
+    mesh = np.meshgrid(*nodes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
 def _product(axes) -> tuple[np.ndarray, np.ndarray]:
     """Tensor product of 1-d (nodes, weights) axes, first axis slowest.
 
     Returns the (R, len(axes)) node array and the product weights
     normalized to sum to one.
     """
-    mesh = np.meshgrid(*(nodes for nodes, _ in axes), indexing="ij")
-    angles = np.stack([m.ravel() for m in mesh], axis=-1)
     w = axes[0][1]
     for _, aw in axes[1:]:
         w = np.multiply.outer(w, aw)
     weights = w.ravel()
-    return angles, weights / weights.sum()
+    return _mesh([nodes for nodes, _ in axes]), weights / weights.sum()
 
 
 def _check_degree(d: int, N: int) -> None:
@@ -127,9 +132,14 @@ def sphere_rule(d: int, N: int, max_nodes: int | None = None) -> SphereRule:
     """
     _check_degree(d, N)
     _check_cap(_sphere_size(d, N), "sphere rule", max_nodes)
-    circ = circle_rule(2 * N + 1)
-    angles, weights = _product([(circ.nodes, circ.weights)] + _polar_axes(d, N))
+    angles, weights = _product(_sphere_axes(d, N))
     return SphereRule(d, angles, spherical_to_cartesian(angles), weights, 2 * N)
+
+
+def _sphere_axes(d: int, N: int) -> list:
+    """The (nodes, weights) axes of `sphere_rule(d, N)`, theta_1 first."""
+    circ = circle_rule(2 * N + 1)
+    return [(circ.nodes, circ.weights)] + _polar_axes(d, N)
 
 
 def polar_rule(d: int, N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -187,34 +197,91 @@ VARIANTS = ("general", "steerable", "zonal", "so_d2_invariant", "steerable_so_d2
 
 
 @dataclass(frozen=True)
-class RotationRule:
-    """Weighted rotations discretizing integration over SO(d).
+class Section:
+    """One factor of a rotation grid: the Givens chains `sections(angles)`
+    over a tensor product of 1-d angle axes, one axis per plane 1..m-1,
+    slowest first, with normalized product weights."""
+    axes: tuple          # 1-d angle arrays
+    weights: np.ndarray  # (R_i,)
 
-    class_degree N declares exactness for products of two class-N matrix
-    functions; for the restricted variants that promise holds only against
-    generating functions with the matching structure (steerability and/or
-    SO(d-2)-invariance).
-    """
-    d: int
-    rotations: np.ndarray  # (R, d, d)
-    weights: np.ndarray    # (R,), positive, sums to 1
-    class_degree: int
-    variant: str
-    steer_K: int | None = None
+    @property
+    def angles(self) -> np.ndarray:
+        """The (R_i, m-1) angle rows, first axis slowest."""
+        return _mesh(self.axes)
 
     def __len__(self) -> int:
         return self.weights.shape[0]
 
 
-def _so2_rule(N: int) -> tuple[np.ndarray, np.ndarray]:
-    circ = circle_rule(2 * N + 1)
-    rots = np.empty((len(circ.nodes), 2, 2))
-    c, s = np.cos(circ.nodes), np.sin(circ.nodes)
+@dataclass(frozen=True)
+class RotationRule:
+    """Weighted rotations discretizing integration over SO(d).
+
+    Every rotation is the product of one Givens chain per factor, outermost
+    first, embedded in SO(d); the flat index runs over the factors with the
+    outermost slowest.  class_degree N declares exactness for products of
+    two class-N matrix functions; for the restricted variants that promise
+    holds only against generating functions with the matching structure
+    (steerability and/or SO(d-2)-invariance).
+    """
+    d: int
+    factors: tuple  # Section per factor, outermost first
+    class_degree: int
+    variant: str
+    steer_K: int | None = None
+
+    def __len__(self) -> int:
+        return math.prod(len(f) for f in self.factors)
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """(R,) positive Haar weights summing to 1, outer index slowest."""
+        w = self.factors[-1].weights
+        for f in reversed(self.factors[:-1]):
+            w = (f.weights[:, None] * w[None, :]).reshape(len(f) * len(w))
+        return w
+
+    @cached_property
+    def rotations(self) -> np.ndarray:
+        """The flat (R, d, d) array of rotations, outer index slowest."""
+        return _compose(self.d, self.factors, self.variant)
+
+
+def _so2_matrices(alpha: np.ndarray) -> np.ndarray:
+    """Rotations by alpha in the (x_1, x_2) plane: G_1(-alpha) of `sections`.
+
+    Built directly: sections(-alpha) writes +0.0 where this writes -0.0 at
+    alpha = 0, and exported SO(2) grids keep their bytes.
+    """
+    rots = np.empty((len(alpha), 2, 2))
+    c, s = np.cos(alpha), np.sin(alpha)
     rots[:, 0, 0] = c
     rots[:, 0, 1] = -s
     rots[:, 1, 0] = s
     rots[:, 1, 1] = c
-    return rots, np.full(len(circ.nodes), 1.0 / len(circ.nodes))
+    return rots
+
+
+def _compose(d: int, factors: tuple, variant: str) -> np.ndarray:
+    """Multiply out a factor chain: outer section times embedded inner grid."""
+    outer, *rest = factors
+    if d == 2:
+        return _so2_matrices(-outer.axes[0])
+    if not rest:
+        inner = np.eye(d)[None]
+    elif variant in ("so_d2_invariant", "steerable_so_d2"):
+        inner = embed_rotation(sections(rest[0].angles), d)
+    else:
+        inner = embed_rotation(_compose(d - 1, rest, "general"), d)
+    rotations = np.matmul(sections(outer.angles)[:, None], inner[None])
+    return rotations.reshape(len(outer) * len(inner), d, d)
+
+
+def _section(d: int, N: int) -> Section:
+    """The sections over the nodes of `sphere_rule(d, N)`."""
+    _check_degree(d, N)
+    axes = _sphere_axes(d, N)
+    return Section(tuple(nodes for nodes, _ in axes), _product(axes)[1])
 
 
 def _grid_size(d: int, N: int, variant: str, K: int | None = None) -> int:
@@ -242,7 +309,8 @@ def rotation_rule(d: int, N: int, variant: str = "general",
                      of matching degree
     steerable_so_d2  as above with the S^{d-2} rule exact on degree 2K only
 
-    The rotation count is checked against the cap before any factor is built.
+    Only the factors are built; the rotation count is checked against the
+    cap first.
     """
     if variant not in VARIANTS:
         raise ParameterError(f"unknown variant {variant!r}")
@@ -252,21 +320,16 @@ def rotation_rule(d: int, N: int, variant: str = "general",
         raise ParameterError(f"rotation group dimension must be >= 2, got {d}")
     _check_cap(_grid_size(d, N, variant, K), "rotation grid", max_nodes)
     if d == 2:
-        rots, w = _so2_rule(N)
-        return RotationRule(2, rots, w, N, "general")
+        # the equispaced SO(2) rule, as G_1(-alpha) in the convention of sections
+        M = 2 * N + 1
+        alpha = circle_rule(M).nodes
+        return RotationRule(2, (Section((-alpha,), np.full(M, 1.0 / M)),), N, "general")
 
     M = K if variant in ("steerable", "steerable_so_d2") else N
     if variant == "zonal":
-        inner, inner_w = np.eye(d)[None], np.ones(1)
+        inner = ()
     elif variant in ("general", "steerable"):
-        sub = rotation_rule(d - 1, M, "general", max_nodes=max_nodes)
-        inner, inner_w = embed_rotation(sub.rotations, d), sub.weights
+        inner = rotation_rule(d - 1, M, "general").factors
     else:  # so_d2_invariant / steerable_so_d2: h e^{d-1} = (eta', 0)
-        sub = sphere_rule(d - 1, M, max_nodes)
-        inner, inner_w = embed_rotation(sections(sub.angles), d), sub.weights
-    outer = sphere_rule(d, N, max_nodes)
-    total = len(outer) * len(inner_w)
-    rotations = np.matmul(sections(outer.angles)[:, None], inner[None])
-    rotations = rotations.reshape(total, d, d)
-    weights = (outer.weights[:, None] * inner_w[None, :]).reshape(total)
-    return RotationRule(d, rotations, weights, N, variant, K)
+        inner = (_section(d - 1, M),)
+    return RotationRule(d, (_section(d, N),) + inner, N, variant, K)

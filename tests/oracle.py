@@ -2,7 +2,10 @@
 
 `eval_harmonic` evaluates Y_k^{d,n} level by level, straight from the product
 formula, with none of the table sharing of `harmonics.ExpansionEvaluator`, so
-it stays an independent check of that kernel.
+it stays an independent check of that kernel.  `analysis` and `synthesis`
+are the brute-force transforms: they evaluate the generators at every
+rotated quadrature node, against which the coefficient-space transforms of
+`frames` are checked.
 """
 
 import math
@@ -10,7 +13,9 @@ import math
 import numpy as np
 
 from sphereframe.errors import ExactnessError, IndexSetError, ParameterError
-from sphereframe.harmonics import basis_matrix
+from sphereframe.frames import Signal
+from sphereframe.harmonics import ExpansionEvaluator, basis_matrix, index_set
+from sphereframe.quadrature import embed_rotation, sections, sphere_rule
 from sphereframe.specfun import gegenbauer_table, log_norm_A, validate_multi_index
 
 TWO_PI = 2.0 * math.pi
@@ -130,3 +135,89 @@ def matrix_function_block(d: int, n: int, rotations, rule) -> np.ndarray:
         C = basis_matrix(d, n, theta).reshape(dim, sl.stop - sl.start, -1)
         out[sl] = np.einsum("kn,mcn->ckm", Bw, C)
     return out
+
+
+def exact_sum(values: np.ndarray) -> np.ndarray:
+    """Correctly rounded sums of a complex array along its last axis."""
+    rows = values.reshape(-1, values.shape[-1])
+    sums = [complex(math.fsum(r.real), math.fsum(r.imag)) for r in rows]
+    return np.array(sums, dtype=complex).reshape(values.shape[:-1])
+
+
+def analysis(system, f, j: int) -> np.ndarray:
+    """Frame coefficients sqrt(mu_r) <f, Psi^j(g_r^{-1} .)> by point evaluation.
+
+    The rule integrates the product of f with any rotate of Psi^j exactly;
+    generator degrees f lacks are dropped first.  Sums are correctly rounded,
+    so the reference's own rounding stays well below the tested tolerance.
+    """
+    spec = system.spec
+    scale = spec.scales[j]
+    grid = system.grids[j]
+    f_degrees = {n for (n, _), c in f.coeffs.items() if c != 0}
+    visible = {key: c for key, c in scale.coeffs.items() if key[0] in f_degrees}
+    psi = ExpansionEvaluator(spec.d, visible)
+    if psi.n_terms == 0:
+        return np.zeros(len(grid.weights), dtype=complex)
+    rule = sphere_rule(spec.d, (psi.degree + f.degree + 1) // 2)
+    f_vals = ExpansionEvaluator(spec.d, f.coeffs).eval_angles(rule.angles)
+    v_conj = np.conj(rule.weights * f_vals)
+    parts = psi.rotated_apply(grid.rotations, rule.points,
+                              lambda vals, sl: exact_sum(vals * v_conj),
+                              base_rotation=spec.base_rotation)
+    return np.sqrt(grid.weights) * np.conj(np.concatenate(parts))
+
+
+def synthesis(system, dual_spec, coefficients, n_out: int) -> Signal:
+    """Sum the weighted rotates of the dual generators at the nodes of an
+    exact rule and project onto the harmonics of degree <= n_out, with
+    correctly rounded sums over rotations and nodes."""
+    d = system.spec.d
+    rule = sphere_rule(d, n_out)
+    terms = [np.zeros((1, len(rule.weights)), dtype=complex)]
+    for j, scale in enumerate(dual_spec.scales):
+        visible = {key: c for key, c in scale.coeffs.items() if key[0] <= n_out}
+        ev = ExpansionEvaluator(d, visible)
+        if ev.n_terms == 0:
+            continue
+        grid = system.grids[j]
+        u = np.sqrt(grid.weights) * np.asarray(coefficients[j])
+        terms += ev.rotated_apply(grid.rotations, rule.points,
+                                  lambda vals, sl: u[sl, None] * vals,
+                                  base_rotation=dual_spec.base_rotation)
+    weighted = rule.weights * exact_sum(np.vstack(terms).T)
+    coeffs = {}
+    for n in range(n_out + 1):
+        proj = exact_sum(np.conj(basis_matrix(d, n, rule.angles)) * weighted)
+        for idx, k in enumerate(index_set(d, n)):
+            if proj[idx] != 0.0:
+                coeffs[(n, k)] = complex(proj[idx])
+    return Signal(d, n_out, coeffs)
+
+
+def flat_rotation_rule(d: int, N: int, variant: str, K=None):
+    """(rotations, weights) of `rotation_rule` multiplied out eagerly, the way
+    the grids were built before they kept their factors."""
+    if d == 2:
+        alpha = TWO_PI * np.arange(2 * N + 1) / (2 * N + 1)
+        rots = np.empty((len(alpha), 2, 2))
+        c, s = np.cos(alpha), np.sin(alpha)
+        rots[:, 0, 0] = c
+        rots[:, 0, 1] = -s
+        rots[:, 1, 0] = s
+        rots[:, 1, 1] = c
+        return rots, np.full(len(alpha), 1.0 / len(alpha))
+    M = K if variant in ("steerable", "steerable_so_d2") else N
+    if variant == "zonal":
+        inner, inner_w = np.eye(d)[None], np.ones(1)
+    elif variant in ("general", "steerable"):
+        sub, inner_w = flat_rotation_rule(d - 1, M, "general")
+        inner = embed_rotation(sub, d)
+    else:
+        sub = sphere_rule(d - 1, M)
+        inner, inner_w = embed_rotation(sections(sub.angles), d), sub.weights
+    outer = sphere_rule(d, N)
+    total = len(outer) * len(inner_w)
+    rotations = np.matmul(sections(outer.angles)[:, None], inner[None])
+    weights = (outer.weights[:, None] * inner_w[None, :]).reshape(total)
+    return rotations.reshape(total, d, d), weights

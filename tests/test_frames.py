@@ -1,12 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracle
 from sphereframe import constructions as C
 from sphereframe import frames as F
 from sphereframe import harmonics as H
-from sphereframe.errors import NotAFrameError, ParameterError
+from sphereframe import quadrature as Q
+from sphereframe.errors import (CapacityError, IndexSetError, NotAFrameError,
+                               ParameterError)
 
 
 def parseval_zonal(d=3, J=4):
@@ -255,3 +261,193 @@ def test_random_signal_unit_energy_and_determinism():
     f2 = F.random_signal(4, 5, seed=42)
     assert f1.coeffs == f2.coeffs
     assert f1.norm_sq() == pytest.approx(1.0, rel=1e-12)
+
+
+# -- coefficient-space transforms against the point-space oracle -----------------
+
+def random_table(rng, d, n_max, size):
+    keys = [(n, k) for n in range(n_max + 1) for k in H.index_set(d, n)]
+    chosen = rng.choice(len(keys), size=min(size, len(keys)), replace=False)
+    return {keys[i]: complex(rng.standard_normal(), rng.standard_normal())
+            for i in chosen}
+
+
+@st.composite
+def systems(draw):
+    """A random one- or two-scale system on a grid of any variant, a sparse
+    random signal, and random frame coefficients."""
+    d = draw(st.sampled_from([3, 4, 5]))
+    N = draw(st.integers(0, {3: 3, 4: 2, 5: 1}[d]))
+    variant = draw(st.sampled_from(Q.VARIANTS))
+    K = draw(st.integers(0, N))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scales = [F.Scale(j, N, random_table(rng, d, N, draw(st.integers(1, 6))))
+              for j in range(draw(st.integers(1, 2)))]
+    base = oracle.random_rotation(d, rng) if draw(st.booleans()) else None
+    spec = F.FrameSpec(d, scales, base_rotation=base)
+    system = F.build_system(spec, variant=variant, K=K)
+    f_degree = draw(st.integers(0, N + 1))
+    f = F.Signal(d, f_degree, random_table(rng, d, f_degree, draw(st.integers(1, 8))))
+    coefficients = [rng.standard_normal(len(g)) + 1j * rng.standard_normal(len(g))
+                    for g in system.grids]
+    return spec, system, f, coefficients
+
+
+def norm(coeffs: dict) -> float:
+    return math.sqrt(sum(abs(c) ** 2 for c in coeffs.values()))
+
+
+def assert_close(got, want, scale):
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-14 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(systems())
+def test_transforms_match_point_space_oracle(case):
+    # tolerances are relative to the largest coefficient each transform can
+    # produce (Cauchy-Schwarz, T unitary), which stays meaningful when a
+    # coefficient vanishes by symmetry
+    spec, system, f, _ = case
+    coefficients = []
+    for j, grid in enumerate(system.grids):
+        want = oracle.analysis(system, f, j)
+        largest = math.sqrt(np.max(grid.weights)) * norm(f.coeffs) * norm(spec.scales[j].coeffs)
+        coefficients.append(F.analysis(system, f, j))
+        assert_close(coefficients[-1], want, largest)
+    n_out = spec.max_bandwidth()
+    got = F.synthesis(system, spec, coefficients, n_out)
+    want = oracle.synthesis(system, spec, coefficients, n_out)
+    keys = sorted(set(got.coeffs) | set(want.coeffs))
+    largest = sum(np.sum(np.sqrt(g.weights) * np.abs(c)) * norm(s.coeffs)
+                  for g, c, s in zip(system.grids, coefficients, spec.scales))
+    assert_close(np.array([got.coeffs.get(k, 0.0) for k in keys]),
+                 np.array([want.coeffs.get(k, 0.0) for k in keys]), largest)
+
+
+@settings(max_examples=40, deadline=None)
+@given(systems())
+def test_synthesis_is_the_adjoint_of_analysis(case):
+    # <analysis f, c> = <f, synthesis c> with <x, y> = sum x conj(y)
+    spec, system, f, coefficients = case
+    a = [F.analysis(system, f, j) for j in range(len(spec.scales))]
+    s = F.synthesis(system, spec, coefficients, max(f.degree, spec.max_bandwidth()))
+    lhs = sum(np.vdot(c, x) for c, x in zip(coefficients, a))
+    rhs = sum(c * np.conj(s.coeffs.get(key, 0.0)) for key, c in f.coeffs.items())
+    norm = math.sqrt(sum(np.vdot(c, c).real for c in coefficients)
+                     * sum(np.vdot(x, x).real for x in a))
+    assert abs(lhs - rhs) <= 1e-13 * max(norm, 1e-300)
+
+
+# -- per-plane representation matrices -------------------------------------------
+
+def plane_rotations(d, ell, beta):
+    angles = np.zeros((len(beta), d - 1))
+    angles[:, ell - 1] = beta
+    return Q.sections(angles)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_phase_plane_is_the_closed_form_diagonal(d):
+    rep = F._Degree(d, 3, None)
+    every = list(range(len(rep.keys)))
+    alpha = np.array([0.3, 2.1, 5.9])
+    dense = rep.columns(plane_rotations(d, 1, alpha), every)
+    klast = np.array([k[-1] for k in rep.keys])
+    for a, D in zip(alpha, dense):
+        assert np.max(np.abs(D - np.diag(np.exp(-1j * klast * a)))) < 1e-13
+    phases = rep.plane(1, alpha, every, every)
+    assert np.max(np.abs(np.stack([np.diag(p) for p in phases]) - dense)) < 1e-13
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_plane_matrices_are_unitary_and_mix_one_label(d):
+    rep = F._Degree(d, 3, None)
+    every = list(range(len(rep.keys)))
+    for ell in range(2, d):
+        pos = d - ell - 1  # G_ell mixes k_{d-ell} only
+        stems = [k[:pos] + k[pos + 1:] for k in rep.keys]
+        outside = np.array([[a != b for b in stems] for a in stems])
+        for D in rep.columns(plane_rotations(d, ell, np.array([0.4, 1.9, 3.0])), every):
+            assert np.max(np.abs(D.conj().T @ D - np.eye(len(every)))) < 1e-13
+            assert np.max(np.abs(D[outside]), initial=0.0) < 1e-14
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_plane_products_are_the_representation_of_section_chains(d):
+    # D^n(g1 g2) = D^n(g1) D^n(g2), each a product of plane matrices, against
+    # the dense quadrature build of the oracle
+    rng = np.random.default_rng(d)
+    n = 3
+    rep = F._Degree(d, n, None)
+    every = list(range(len(rep.keys)))
+    rule = Q.sphere_rule(d, n)
+
+    def chain(theta):
+        D = np.eye(len(every), dtype=complex)
+        for ell, beta in enumerate(theta, 1):
+            plane = rep.plane(ell, np.array([beta]), every, every)[0]
+            D = D @ (np.diag(plane) if ell == 1 else plane)
+        return D
+
+    for _ in range(3):
+        t1 = rng.uniform(0.0, math.pi, d - 1)
+        t2 = rng.uniform(0.0, math.pi, d - 2)
+        g1 = Q.sections(t1[None])[0]
+        g2 = Q.embed_rotation(Q.sections(t2[None]), d)[0]
+        for g, D in ((g1, chain(t1)), (g2, chain(t2)), (g1 @ g2, chain(t1) @ chain(t2))):
+            dense = oracle.matrix_function_block(d, n, g[None], rule)[0]
+            assert np.max(np.abs(D - dense)) < 1e-12
+
+
+# -- node caps --------------------------------------------------------------------
+
+def test_transforms_pass_the_cap_to_every_sphere_rule(monkeypatch):
+    seen = []
+    real = F.sphere_rule
+
+    def spy(d, N, max_nodes=None):
+        seen.append(max_nodes)
+        return real(d, N, max_nodes)
+
+    monkeypatch.setattr(F, "sphere_rule", spy)
+    spec = C.curvelet_spec(4, 2)
+    system = F.build_system(spec)
+    f = F.random_signal(4, 3, seed=5)
+    coeffs = [F.analysis(system, f, j, max_nodes=12345) for j in range(len(spec.scales))]
+    F.synthesis(system, spec, coeffs, 3, max_nodes=12345)
+    assert seen and set(seen) == {12345}
+
+
+@pytest.mark.parametrize("transform", ["analysis", "synthesis"])
+def test_transform_caps_fire_before_allocation(transform):
+    spec = C.wavelet_spec(4, 2, 3, "kappa2")
+    system = F.build_system(spec)
+    f = F.random_signal(4, 8, seed=4)
+    coefficients = [np.ones(len(g)) for g in system.grids]
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            if transform == "analysis":
+                F.analysis(system, f, 3, max_nodes=100)
+            else:
+                F.synthesis(system, spec, coefficients, 8, max_nodes=100)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
+
+
+def test_plane_builds_in_blocks_match_one_block(monkeypatch):
+    rep = F._Degree(4, 3, None)
+    every = list(range(len(rep.keys)))
+    rotations = np.stack([oracle.random_rotation(4, np.random.default_rng(s))
+                          for s in range(5)])
+    whole = rep.columns(rotations, every)
+    monkeypatch.setattr(F, "EVAL_BLOCK", 1)
+    assert np.array_equal(rep.columns(rotations, every), whole)
+
+
+def test_analysis_rejects_invalid_signal_indices():
+    system = F.build_system(parseval_zonal(3, 2))
+    with pytest.raises(IndexSetError):
+        F.analysis(system, F.Signal(3, 2, {(2, (3,)): 1.0}), 1)

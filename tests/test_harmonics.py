@@ -346,3 +346,21 @@ def test_degree_energy_is_rotation_invariant():
     rotated = np.conj(basis) @ (rule.weights * vals)
     assert np.sum(np.abs(rotated) ** 2) == pytest.approx(
         np.sum(np.abs(c) ** 2), rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 7), st.integers(0, 12))
+def test_index_set_size_is_the_harmonic_dimension(d, n):
+    assert len(H.index_set(d, n)) == H.dim_harmonic(d, n)
+
+
+def test_basis_matrix_key_subset_at_cartesian_points():
+    rng = np.random.default_rng(11)
+    for d, n in ((3, 4), (4, 3), (5, 2)):
+        x = np.stack([unit(rng, d) for _ in range(7)])
+        theta = oracle.cartesian_to_spherical(x)
+        full = H.basis_matrix(d, n, theta)
+        keys = H.index_set(d, n)
+        pick = [0, len(keys) // 2, len(keys) - 1]
+        got = H.basis_matrix(d, n, x, [keys[i] for i in pick])
+        assert np.max(np.abs(got - full[pick])) < 1e-12

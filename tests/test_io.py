@@ -61,6 +61,14 @@ def test_grid_rejects_nonpositive_weights(tmp_path):
         io.grid_from_dict(doc)
 
 
+def test_grid_rejects_rotations_off_the_declared_rule():
+    # a grid file is read back as the rule it declares
+    doc = io.grid_to_dict(Q.rotation_rule(3, 1, "zonal"))
+    doc["rotations"][1][0] += 1e-15
+    with pytest.raises(FormatError, match="differ from the declared zonal grid"):
+        io.grid_from_dict(doc)
+
+
 def test_report_round_trip(tmp_path):
     path = tmp_path / "r.json"
     io.write_report({"command": "check", "C1": 1.0}, path)

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
 from sphereframe import harmonics as H
@@ -231,3 +233,29 @@ def test_polar_rule_is_the_theta1_zero_slab():
         assert np.array_equal(angles, sphere.angles[slab])
         assert abs(weights.sum() - 1.0) < 1e-15
         assert np.max(np.abs(weights - (2 * N + 1) * sphere.weights[slab])) < 1e-15
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_factors_rebuild_flat_grids_bitwise(d):
+    for variant in Q.VARIANTS:
+        for N in range(3 if d < 5 else 2):
+            steer = variant in ("steerable", "steerable_so_d2")
+            for K in (range(3) if steer else (None,)):
+                rule = Q.rotation_rule(d, N, variant, K=K)
+                rotations, weights = oracle.flat_rotation_rule(d, N, variant, K)
+                assert len(rule) == len(weights)
+                assert rule.rotations.tobytes() == rotations.tobytes(), (variant, N, K)
+                assert rule.weights.tobytes() == weights.tobytes(), (variant, N, K)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 5), st.integers(0, 6), st.sampled_from(Q.VARIANTS),
+       st.integers(0, 6))
+def test_grid_size_is_the_rule_length_under_a_cap(d, N, variant, K):
+    cap = 20_000
+    size = Q._grid_size(d, N, variant, K)
+    if size > cap:
+        with pytest.raises(CapacityError):
+            Q.rotation_rule(d, N, variant, K=K, max_nodes=cap)
+    else:
+        assert len(Q.rotation_rule(d, N, variant, K=K, max_nodes=cap)) == size
