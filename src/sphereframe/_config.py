@@ -29,7 +29,10 @@ def node_cap(explicit=None) -> int:
     if not env:
         return DEFAULT_MAX_NODES
     try:
-        return int(env)
+        cap = int(env)
     except ValueError:
         raise ParameterError(
             f"{MAX_NODES_ENV} must be an integer, got {env!r}") from None
+    if cap < 1:
+        raise ParameterError(f"{MAX_NODES_ENV} must be positive, got {env!r}")
+    return cap

@@ -59,6 +59,11 @@ def _require(ok: bool, message: str) -> None:
         raise ParameterError(message)
 
 
+def _require_cap(max_nodes) -> None:
+    _require(max_nodes is None or max_nodes >= 1,
+             f"--max-nodes must be positive, got {max_nodes}")
+
+
 def cmd_check(args) -> int:
     _require(args.n_max >= 0, f"--n-max must be nonnegative, got {args.n_max}")
     spec = io.read_spec(args.spec)
@@ -94,6 +99,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_dual(args) -> int:
+    _require(args.n_max is None or args.n_max >= 0,
+             f"--n-max must be nonnegative, got {args.n_max}")
     spec = io.read_spec(args.spec)
     dual = frames.canonical_dual(spec, n_max=args.n_max)
     io.write_spec(dual, args.out)
@@ -104,7 +111,14 @@ def cmd_dual(args) -> int:
 def cmd_reconstruct(args) -> int:
     _require(args.random is None or args.random >= 0,
              f"--random must be a nonnegative degree, got {args.random}")
+    _require(args.n_out is None or args.n_out >= 0,
+             f"--n-out must be a nonnegative degree, got {args.n_out}")
+    _require_cap(args.max_nodes)
     spec = io.read_spec(args.spec)
+    _require(frames.admits(spec, args.grid, args.K),
+             f"the spec does not admit --grid {args.grid}"
+             + ("" if args.K is None else f" --K {args.K}")
+             + "; its grids would not reconstruct (use --grid auto)")
     if args.signal:
         signal = io.read_signal(args.signal)
         seed = None
@@ -158,6 +172,7 @@ def _parse_scales(text, n_scales):
     except ValueError:
         raise ParameterError(
             f"--scales must look like 4..7 or 4,5,6, got {text!r}") from None
+    _require(bool(scales), f"--scales {text!r} selects no scale")
     for j in scales:
         _require(0 <= j < n_scales, f"scale {j} is outside 0..{n_scales - 1}")
     return scales
@@ -228,6 +243,8 @@ def cmd_autocorr(args) -> int:
 def cmd_figure(args) -> int:
     _require(args.resolution >= 1,
              f"--resolution must be positive, got {args.resolution}")
+    _require(math.isfinite(args.t_max) and args.t_max > 0,
+             f"--t-max must be positive and finite, got {args.t_max}")
     spec = io.read_spec(args.spec)
     _require(0 <= args.j < len(spec.scales),
              f"--j {args.j} is outside 0..{len(spec.scales) - 1}")
@@ -254,6 +271,7 @@ def cmd_figure(args) -> int:
 
 
 def cmd_quadinfo(args) -> int:
+    _require_cap(args.max_nodes)
     outer = quadrature.sphere_rule(args.d, args.N, args.max_nodes)
     print(f"sphere rule S^{args.d - 1}, target degree {2 * args.N}: "
           f"{len(outer)} nodes, weight sum {outer.weights.sum():.15f}")

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -252,30 +253,68 @@ def invariance_order(spec: FrameSpec) -> int | None:
     return None
 
 
+def _structure(spec: FrameSpec) -> tuple[int | None, int | None]:
+    """(invariance order, steerability order) that grids may rely on.
+
+    Tags are trusted when present: they describe the function after any base
+    rotation.  Otherwise the table is inspected, unless a base rotation moves
+    it, in which case no structure is assumed.
+    """
+    if spec.invariant_m is not None or spec.steerable_K is not None:
+        return spec.invariant_m, spec.steerable_K
+    if spec.base_rotation is not None:
+        return None, None
+    return invariance_order(spec), steerable_order(spec)
+
+
+def admits(spec: FrameSpec, variant: str, K: int | None = None) -> bool:
+    """Whether grids of this variant reconstruct every signal from the spec's
+    coefficients: zonal grids need SO(d-1)-invariance, the so_d2 variants
+    SO(d-2)-invariance (trivial at d = 3), the steerable ones a steerability
+    order of at most K (K defaults to the spec's tag, as in `build_system`).
+    "general" and "auto" fit every spec.
+    """
+    inv, steer = _structure(spec)
+    d = spec.d
+    if variant in ("steerable", "steerable_so_d2"):
+        K = spec.steerable_K if K is None else K
+        if steer is None or K is None or steer > K:
+            return False
+    if variant == "zonal":
+        return inv == d - 1
+    if variant in ("so_d2_invariant", "steerable_so_d2"):
+        return d == 3 or (inv is not None and inv >= d - 2)
+    return True
+
+
 @dataclass
 class FrameSystem:
-    """A spec paired with per-scale rotation grids of matching class."""
+    """A spec paired with per-scale rotation grids of matching class.
+
+    The system also owns the representation tables that `analysis` and
+    `synthesis` build: per degree, the plane matrices D^n(G_ell(beta)) on
+    their index sets and the base-rotation blocks D^n(g0)[:, support].  They
+    live exactly as long as the system, so one round trip builds each table
+    once; the quadrature that builds them is rebuilt per call and dropped.
+    """
     spec: FrameSpec
     grids: list[RotationRule]
     variant: str
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def build_system(spec: FrameSpec, variant: str = "auto", K: int | None = None,
                  max_nodes: int | None = None) -> FrameSystem:
     """Choose and construct per-scale rotation grids for a spec.
 
-    With variant="auto" the cheapest grid consistent with the spec's
-    structure is selected: metadata tags are trusted when present (they
-    describe the function after any base rotation), otherwise the
-    coefficient tables are inspected directly.
+    With variant="auto" the cheapest grid the spec admits is selected, from
+    the structure `_structure` reads off its tags or table.  Any other
+    variant is built as asked, whether or not the spec admits it: the
+    transforms are exact on every grid, only reconstruction needs `admits`.
     """
     d = spec.d
     if variant == "auto":
-        inv = spec.invariant_m
-        steer = spec.steerable_K
-        if inv is None and steer is None and spec.base_rotation is None:
-            inv = invariance_order(spec)
-            steer = steerable_order(spec)
+        inv, steer = _structure(spec)
         if inv == d - 1:
             variant = "zonal"
         elif inv == d - 2 and steer is not None:
@@ -320,17 +359,31 @@ class _Degree:
     only the label k_{d-ell} (position d-ell-1 of k), so the plane matrices
     are kept on index sets: columns where the vectors they act on live, rows
     where those vectors can land.  G_1(alpha) is the diagonal phase
-    e^{-i k_{d-2} alpha}, kept as its diagonal.  Plane matrices are cached
-    per (plane, axis, columns) for the life of the object, which is one
-    degree of one call.
+    e^{-i k_{d-2} alpha}, kept as its diagonal.
+
+    An object serves one degree of one call and builds its rule at once, so
+    the node cap fires before any work; the projection `proj` is built only
+    when a block is missing.  The blocks themselves go into `tables`, the
+    degree's entry of the owning `FrameSystem`, keyed by (plane, axis,
+    columns); plane 0 is the base rotation, keyed by its matrix.
     """
 
-    def __init__(self, d: int, n: int, max_nodes: int | None):
+    def __init__(self, d: int, n: int, max_nodes: int | None, tables: dict | None = None):
         self.d, self.n = d, n
         self.keys = index_set(d, n)
         self.rule = sphere_rule(d, n, max_nodes)
-        self.proj = np.conj(basis_matrix(d, n, self.rule.angles)) * self.rule.weights
-        self._planes = {}
+        self.tables = {} if tables is None else tables
+
+    @cached_property
+    def proj(self) -> np.ndarray:
+        return np.conj(basis_matrix(self.d, self.n, self.rule.angles)) * self.rule.weights
+
+    def _block(self, plane: int, label: bytes, rotations: np.ndarray, cols: list) -> np.ndarray:
+        """`columns(rotations, cols)` from the tables, built on first use."""
+        key = (plane, label, tuple(cols))
+        if key not in self.tables:
+            self.tables[key] = self.columns(rotations, cols)
+        return self.tables[key]
 
     def columns(self, rotations: np.ndarray, cols: list) -> np.ndarray:
         """D^n(g)[:, cols] for rotations (A, d, d): shape (A, dim, |cols|).
@@ -338,6 +391,7 @@ class _Degree:
         The moved harmonics are built a few rotations at a time, at most
         EVAL_BLOCK values per block.
         """
+        proj = self.proj  # before the block buffers, so its temporaries never meet them
         nodes = len(self.rule.weights)
         keys = [self.keys[c] for c in cols]
         out = np.empty((len(rotations), len(self.keys), len(cols)), dtype=complex)
@@ -347,7 +401,7 @@ class _Degree:
             moved = np.matmul(self.rule.points[None], g)  # rows g^{-1} x_p
             vals = basis_matrix(self.d, self.n, moved.reshape(-1, self.d), keys)
             out[lo:lo + len(g)] = np.matmul(
-                self.proj, vals.reshape(len(cols), len(g), nodes).transpose(1, 2, 0))
+                proj, vals.reshape(len(cols), len(g), nodes).transpose(1, 2, 0))
         return out
 
     def plane(self, ell: int, axis: np.ndarray, rows: list, cols: list) -> np.ndarray:
@@ -357,12 +411,9 @@ class _Degree:
         if ell == 1:
             klast = np.array([self.keys[c][-1] for c in cols])
             return np.exp(-1j * np.outer(axis, klast))
-        key = (ell, axis.tobytes(), tuple(cols))
-        if key not in self._planes:
-            angles = np.zeros((len(axis), self.d - 1))
-            angles[:, ell - 1] = axis
-            self._planes[key] = self.columns(sections(angles), cols)
-        return self._planes[key][:, rows, :]
+        angles = np.zeros((len(axis), self.d - 1))
+        angles[:, ell - 1] = axis
+        return self._block(ell, axis.tobytes(), sections(angles), cols)[:, rows, :]
 
     def reach(self, ell: int, support: list) -> list:
         return support if ell == 1 else _mixed(self.keys, support, self.d - ell - 1)
@@ -376,8 +427,8 @@ class _Degree:
         psi = np.zeros(len(self.keys), dtype=complex)
         psi[support] = [entries[i] for i in support]
         if base_rotation is not None:
-            g0 = np.asarray(base_rotation, dtype=float)[None]
-            psi = self.columns(g0, support)[0] @ psi[support]
+            g0 = np.asarray(base_rotation, dtype=float)
+            psi = self._block(0, g0.tobytes(), g0[None], support)[0] @ psi[support]
             support = list(range(len(self.keys)))
         return psi, support
 
@@ -451,7 +502,7 @@ def analysis(system: FrameSystem, f: Signal, j: int,
     f and Psi^j contribute (degree spaces are rotation invariant and
     mutually orthogonal).  Each degree builds `sphere_rule(d, n, max_nodes)`
     for its plane matrices, the largest first, so the cap fires before any
-    work is done.
+    work is done; the matrices stay in the system's tables for later calls.
     """
     spec = system.spec
     if f.d != spec.d:
@@ -462,7 +513,7 @@ def analysis(system: FrameSystem, f: Signal, j: int,
     psi_tables = _by_degree(spec.d, spec.scales[j].coeffs)
     total = np.zeros((len(outer), len(grid) // len(outer)), dtype=complex)
     for n in sorted(f_tables.keys() & psi_tables.keys(), reverse=True):
-        rep = _Degree(spec.d, n, max_nodes)
+        rep = _Degree(spec.d, n, max_nodes, system._tables.setdefault(n, {}))
         f_n, _ = rep.generator(f_tables[n], None)
         psi, support = rep.generator(psi_tables[n], spec.base_rotation)
         rows, support = rep.inner(inner, psi, support)
@@ -478,8 +529,11 @@ def synthesis(system: FrameSystem, dual_spec: FrameSpec, coefficients,
     exact adjoint of analysis: per degree n and scale j, with U the weighted
     coefficients as an (R_out x R_in) array and B the rows D^n(H_h) psi_n,
         out_n = sum_eta D^n(S_eta) (U @ B)[eta].
-    No signal is evaluated and nothing is projected.  Degrees run from the
-    largest down, so `sphere_rule(d, n, max_nodes)` fires its cap first.
+    No signal is evaluated.  After `analysis` of a signal with every degree
+    up to n_out, a dual with the analysed spec's supports (the canonical
+    dual) finds every plane matrix in the system's tables, so nothing is
+    projected either.  Degrees run from the largest down, so
+    `sphere_rule(d, n, max_nodes)` fires its cap first.
     """
     spec = system.spec
     if dual_spec.d != spec.d:
@@ -488,7 +542,7 @@ def synthesis(system: FrameSystem, dual_spec: FrameSpec, coefficients,
     tables = [_by_degree(d, scale.coeffs, n_out) for scale in dual_spec.scales]
     parts = {}
     for n in sorted(set().union(*tables), reverse=True):
-        rep = _Degree(d, n, max_nodes)
+        rep = _Degree(d, n, max_nodes, system._tables.setdefault(n, {}))
         out = np.zeros(len(rep.keys), dtype=complex)
         for j, by_degree in enumerate(tables):
             if n not in by_degree:

@@ -32,15 +32,14 @@ EVAL_CHUNK = 16384  # points per block in eval_angles, eval_cartesian, basis_mat
 
 
 def dim_harmonic(d: int, n: int) -> int:
-    """dim of the degree-n harmonic space, (2n+d-2)(n+d-3)! / ((d-2)! n!)."""
+    """dim of the degree-n harmonic space: the homogeneous degree-n
+    polynomials in d variables, C(n+d-1, d-1), less |x|^2 times those of
+    degree n-2, C(n+d-3, d-1)."""
     if d < 3:
         raise ParameterError(f"dimension must be at least 3, got d={d}")
     if n < 0:
         raise ParameterError(f"degree must be nonnegative, got {n}")
-    num = (2 * n + d - 2) * math.factorial(n + d - 3)
-    den = math.factorial(d - 2) * math.factorial(n)
-    assert num % den == 0
-    return num // den
+    return math.comb(n + d - 1, d - 1) - math.comb(n + d - 3, d - 1)
 
 
 @lru_cache(maxsize=4096)

@@ -145,21 +145,6 @@ def read_signal(path) -> Signal:
 
 # -- rotation grids ----------------------------------------------------------
 
-def grid_to_dict(rule: RotationRule) -> dict:
-    doc = {
-        "version": FORMAT_VERSION,
-        "kind": "rotation_grid",
-        "d": int(rule.d),
-        "class_degree": int(rule.class_degree),
-        "variant": rule.variant,
-    }
-    if rule.steer_K is not None:
-        doc["steer_K"] = int(rule.steer_K)
-    doc["rotations"] = rule.rotations.reshape(len(rule), -1).tolist()
-    doc["weights"] = rule.weights.tolist()
-    return doc
-
-
 def grid_from_dict(doc: dict, path="<doc>") -> RotationRule:
     """Rebuild the rule a grid file declares and check the file against it.
 
@@ -182,8 +167,43 @@ def grid_from_dict(doc: dict, path="<doc>") -> RotationRule:
     return rule
 
 
+def _float_block(values: np.ndarray, indent: str) -> str:
+    """The `json.dumps(values.tolist(), indent=2)` text of a 1-d or 2-d float
+    array whose opening bracket sits `indent` deep.  Each distinct bit
+    pattern is rendered once, with `float.__repr__` as the encoder does;
+    keyed by bits, -0.0 keeps its sign."""
+    bits, inverse = np.unique(np.ascontiguousarray(values, dtype=float).view(np.uint64),
+                              return_inverse=True)
+    text = np.array([float.__repr__(v) for v in bits.view(float).tolist()], dtype=object)
+    text = text[inverse.reshape(-1)].reshape(values.shape).tolist()
+    inner = indent + "  "
+    if values.ndim == 1:
+        return "[\n" + inner + (",\n" + inner).join(text) + "\n" + indent + "]"
+    leaf = inner + "  "
+    rows = ((",\n" + leaf).join(row) for row in text)
+    return ("[\n" + inner + "[\n" + leaf
+            + ("\n" + inner + "],\n" + inner + "[\n" + leaf).join(rows)
+            + "\n" + inner + "]\n" + indent + "]")
+
+
 def write_grid(rule: RotationRule, path) -> None:
-    _dump(grid_to_dict(rule), path)
+    """Write the grid as `_dump` would write its document, byte for byte,
+    with the float arrays rendered by `_float_block` rather than the
+    pure-Python encoder that `indent` selects."""
+    doc = {
+        "version": FORMAT_VERSION,
+        "kind": "rotation_grid",
+        "d": int(rule.d),
+        "class_degree": int(rule.class_degree),
+        "variant": rule.variant,
+    }
+    if rule.steer_K is not None:
+        doc["steer_K"] = int(rule.steer_K)
+    head = json.dumps(doc, indent=2)[:-2]  # without the closing "\n}"
+    Path(path).write_text(
+        head + ',\n  "rotations": '
+        + _float_block(rule.rotations.reshape(len(rule), -1), "  ")
+        + ',\n  "weights": ' + _float_block(rule.weights, "  ") + "\n}\n")
 
 
 def read_grid(path) -> RotationRule:

@@ -39,6 +39,30 @@ def cartesian_to_spherical(x: np.ndarray) -> np.ndarray:
     return theta
 
 
+def dim_harmonic(d: int, n: int) -> int:
+    """(2n+d-2)(n+d-3)! / ((d-2)! n!), straight from the factorials."""
+    num = (2 * n + d - 2) * math.factorial(n + d - 3)
+    den = math.factorial(d - 2) * math.factorial(n)
+    assert num % den == 0
+    return num // den
+
+
+def grid_to_dict(rule) -> dict:
+    """The document `io.write_grid` writes, as plain JSON values."""
+    doc = {
+        "version": 1,
+        "kind": "rotation_grid",
+        "d": int(rule.d),
+        "class_degree": int(rule.class_degree),
+        "variant": rule.variant,
+    }
+    if rule.steer_K is not None:
+        doc["steer_K"] = int(rule.steer_K)
+    doc["rotations"] = rule.rotations.reshape(len(rule), -1).tolist()
+    doc["weights"] = rule.weights.tolist()
+    return doc
+
+
 def random_rotation(d: int, rng) -> np.ndarray:
     """Haar-ish random element of SO(d) from a QR factorization."""
     a = rng.standard_normal((d, d))

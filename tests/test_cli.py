@@ -218,6 +218,21 @@ def test_parse_error_is_input_error(tmp_path):
     ({}, ("reconstruct", "--spec", "{w}", "--signal", "{tmp}/inf_signal.json")),
     ({}, ("autocorr", "--spec", "{w}", "--j", "1", "--angles", "0")),
     ({}, ("autocorr", "--spec", "{w}", "--j", "1", "--angles", "-3")),
+    ({}, ("dual", "--spec", "{w}", "--n-max", "-1", "--out", "{tmp}/d.json")),
+    ({}, ("reconstruct", "--spec", "{w}", "--random", "2", "--n-out", "-1")),
+    ({}, ("localize", "--spec", "{w}", "--scales", "3..1")),
+    ({}, ("figure", "--spec", "{w}", "--j", "1", "--t-max", "nan", "--out", "{tmp}/f.csv")),
+    ({}, ("figure", "--spec", "{w}", "--j", "1", "--t-max", "inf", "--out", "{tmp}/f.csv")),
+    ({}, ("figure", "--spec", "{w}", "--j", "1", "--t-max", "0", "--out", "{tmp}/f.csv")),
+    ({}, ("figure", "--spec", "{w}", "--j", "1", "--t-max", "-1", "--out", "{tmp}/f.csv")),
+    ({}, ("reconstruct", "--spec", "{w}", "--random", "2", "--max-nodes", "0")),
+    ({}, ("quadinfo", "--d", "4", "--N", "2", "--max-nodes", "0")),
+    ({"SPHEREFRAME_MAX_NODES": "0"}, ("quadinfo", "--d", "4", "--N", "2")),
+    ({}, ("reconstruct", "--spec", "{w}", "--random", "2", "--grid", "zonal")),
+    ({}, ("reconstruct", "--spec", "{w}", "--random", "2", "--grid", "steerable",
+          "--K", "1")),
+    ({}, ("reconstruct", "--spec", "{w}", "--random", "2", "--grid", "steerable_so_d2",
+          "--K", "2")),
 ])
 def test_bad_input_is_one_line_input_error(tmp_path, capsys, monkeypatch, env, argv):
     spec_path = tmp_path / "w.json"
@@ -236,3 +251,18 @@ def test_bad_input_is_one_line_input_error(tmp_path, capsys, monkeypatch, env, a
     assert run(*argv) == cli.EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_reconstruct_checks_the_grid_before_building(tmp_path, capsys, monkeypatch):
+    spec_path = tmp_path / "w.json"
+    assert run("build", "--kind", "wavelet", "--d", "4", "--K", "2", "--J", "2",
+               "--window", "kappa2", "--out", spec_path) == 0
+    report = tmp_path / "r.json"
+    assert run("reconstruct", "--spec", spec_path, "--random", "3", "--grid",
+               "so_d2_invariant", "--out", report) == 0
+    assert io.read_report(report)["relative_coefficient_error"] < 1e-12
+    capsys.readouterr()
+    monkeypatch.setattr(F, "build_system", lambda *a, **k: pytest.fail("built a system"))
+    assert run("reconstruct", "--spec", spec_path, "--random", "3",
+               "--grid", "steerable", "--K", "1") == cli.EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: the spec does not admit")

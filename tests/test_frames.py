@@ -451,3 +451,112 @@ def test_analysis_rejects_invalid_signal_indices():
     system = F.build_system(parseval_zonal(3, 2))
     with pytest.raises(IndexSetError):
         F.analysis(system, F.Signal(3, 2, {(2, (3,)): 1.0}), 1)
+
+
+# -- representation tables owned by the system ------------------------------------
+
+def round_trip_systems():
+    # zonal (no inner factor), directional, and base-rotated (plane-0 blocks)
+    return [C.zonal_spec(3, 3, "kappa2"), C.wavelet_spec(4, 2, 2, "kappa2"),
+            C.curvelet_spec(4, 2)]
+
+
+@pytest.mark.parametrize("spec", round_trip_systems(), ids=["zonal", "wavelet", "curvelet"])
+def test_synthesis_reuses_the_tables_analysis_built(spec, monkeypatch):
+    f = F.random_signal(spec.d, 3, seed=6)
+    dual = F.canonical_dual(spec, n_max=f.degree)
+    warm = F.build_system(spec)
+    coeffs = [F.analysis(warm, f, j) for j in range(len(spec.scales))]
+    want = F.synthesis(F.build_system(spec), dual, coeffs, f.degree)
+    calls = []
+    real = F.basis_matrix
+    monkeypatch.setattr(F, "basis_matrix", lambda *a: calls.append(a) or real(*a))
+    got = F.synthesis(warm, dual, coeffs, f.degree)
+    assert calls == []  # no projection and no plane built
+    assert got.coeffs.keys() == want.coeffs.keys()
+    assert all(got.coeffs[key] == c for key, c in want.coeffs.items())
+
+
+def test_tables_are_built_once_per_system(monkeypatch):
+    spec = C.wavelet_spec(4, 2, 2, "kappa2")
+    f = F.random_signal(4, 4, seed=7)
+    system = F.build_system(spec)
+    first = [F.analysis(system, f, j) for j in range(len(spec.scales))]
+    monkeypatch.setattr(F._Degree, "columns", None)  # any build would fail
+    again = [F.analysis(system, f, j) for j in range(len(spec.scales))]
+    assert all(np.array_equal(a, b) for a, b in zip(first, again))
+
+
+@pytest.mark.parametrize("transform", ["analysis", "synthesis"])
+def test_warmed_system_still_caps_before_allocation(transform):
+    spec = C.wavelet_spec(4, 2, 3, "kappa2")
+    system = F.build_system(spec)
+    f = F.random_signal(4, 8, seed=4)
+    coefficients = [F.analysis(system, f, j) for j in range(len(spec.scales))]
+    F.synthesis(system, spec, coefficients, 8)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            if transform == "analysis":
+                F.analysis(system, f, 3, max_nodes=100)
+            else:
+                F.synthesis(system, spec, coefficients, 8, max_nodes=100)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
+
+
+# -- which grids a spec admits ------------------------------------------------------
+
+@pytest.mark.parametrize("variant, K, ok", [
+    ("auto", None, True), ("general", None, True), ("steerable", None, True),
+    ("steerable", 4, True), ("steerable", 1, False), ("steerable_so_d2", 2, False),
+    ("steerable_so_d2", 5, True), ("so_d2_invariant", None, True), ("zonal", None, False),
+])
+def test_admits_follows_the_tags(variant, K, ok):
+    assert F.admits(C.wavelet_spec(4, 4, 3, "kappa2"), variant, K) is ok
+
+
+def test_admits_untagged_base_rotated_spec_only_general():
+    spec = C.zonal_spec(4, 2, "kappa1")
+    moved = F.FrameSpec(4, spec.scales, base_rotation=C.make_g0(4))
+    bare = F.FrameSpec(4, spec.scales)
+    for variant in Q.VARIANTS:
+        assert F.admits(moved, variant, 2) is (variant == "general")
+        assert F.admits(bare, variant, 0)  # the inspected table is zonal
+    assert F.build_system(moved).variant == "general"
+
+
+@settings(max_examples=30, deadline=None)
+@given(systems(), st.sampled_from(Q.VARIANTS), st.integers(0, 3))
+def test_admitted_grids_reconstruct(case, variant, K):
+    spec = case[0]
+    auto = F.build_system(spec)
+    assert F.admits(spec, auto.variant, auto.grids[0].steer_K)
+    if not F.admits(spec, variant, K):
+        return
+    system = F.build_system(spec, variant, K=K)
+    f = F.random_signal(spec.d, spec.max_bandwidth(), seed=K)
+    dual = F.canonical_dual(spec)
+    sigma = F.sigma_profile(spec, f.degree)
+    coeffs = [F.analysis(system, f, j) for j in range(len(spec.scales))]
+    got = F.synthesis(system, dual, coeffs, f.degree)
+    for (n, k), c in f.coeffs.items():
+        want = c if sigma[n] > 0 else 0.0
+        assert abs(got.coeffs.get((n, k), 0.0) - want) < 1e-11
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([3, 4, 5]), st.integers(0, 8), st.integers(1, 3),
+       st.integers(0, 2 ** 32 - 1))
+def test_canonical_dual_residual_on_random_tables(d, n_max, n_scales, seed):
+    rng = np.random.default_rng(seed)
+    scales = [F.Scale(j, n_max, {key: c * 10.0 ** rng.uniform(-3, 3)
+                                 for key, c in random_table(rng, d, n_max, 12).items()})
+              for j in range(n_scales)]
+    spec = F.FrameSpec(d, scales)
+    residuals = F.dual_residuals(spec, F.canonical_dual(spec), n_max)
+    carried = F.sigma_profile(spec, n_max) > 0
+    assert np.max(residuals[carried], initial=0.0) <= 1e-12
+    assert np.all(residuals[~carried] == 1.0)

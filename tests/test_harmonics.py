@@ -30,6 +30,12 @@ def test_dim_harmonic_values():
         assert H.dim_harmonic(d, 0) == 1
 
 
+def test_dim_harmonic_matches_the_factorial_formula():
+    for d in range(3, 9):
+        for n in range(300):
+            assert H.dim_harmonic(d, n) == oracle.dim_harmonic(d, n)
+
+
 def test_index_set_enumeration():
     assert H.index_set(3, 1) == ((-1,), (0,), (1,))
     assert H.index_set(4, 1) == ((0, 0), (1, -1), (1, 0), (1, 1))

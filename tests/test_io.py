@@ -1,8 +1,14 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracle
 from sphereframe import constructions as C
 from sphereframe import frames as F
+from sphereframe import harmonics as H
 from sphereframe import io
 from sphereframe import quadrature as Q
 from sphereframe.errors import FormatError
@@ -53,9 +59,29 @@ def test_grid_round_trip(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def grid_cases():
+    for d in (2, 3, 4, 5):
+        for variant in Q.VARIANTS if d > 2 else ("general",):
+            for N in range(3 if d < 5 else 2):
+                for K in range(N + 1) if variant.startswith("steerable") else (None,):
+                    yield d, variant, N, K
+
+
+def test_grid_writer_matches_the_json_encoder(tmp_path):
+    path = tmp_path / "g.json"
+    signed_zero = False
+    for d, variant, N, K in grid_cases():
+        rule = Q.rotation_rule(d, N, variant, K=K)
+        io.write_grid(rule, path)
+        assert path.read_text() == json.dumps(oracle.grid_to_dict(rule), indent=2) + "\n", \
+            (d, variant, N, K)
+        signed_zero |= bool(np.any(np.signbit(rule.rotations) & (rule.rotations == 0)))
+    assert signed_zero  # the d=2 general grids export a -0.0
+
+
 def test_grid_rejects_nonpositive_weights(tmp_path):
     rule = Q.rotation_rule(3, 1, "zonal")
-    doc = io.grid_to_dict(rule)
+    doc = oracle.grid_to_dict(rule)
     doc["weights"][0] = 0.0
     with pytest.raises(FormatError):
         io.grid_from_dict(doc)
@@ -63,7 +89,7 @@ def test_grid_rejects_nonpositive_weights(tmp_path):
 
 def test_grid_rejects_rotations_off_the_declared_rule():
     # a grid file is read back as the rule it declares
-    doc = io.grid_to_dict(Q.rotation_rule(3, 1, "zonal"))
+    doc = oracle.grid_to_dict(Q.rotation_rule(3, 1, "zonal"))
     doc["rotations"][1][0] += 1e-15
     with pytest.raises(FormatError, match="differ from the declared zonal grid"):
         io.grid_from_dict(doc)
@@ -121,3 +147,58 @@ def test_pgm_rounding_half_away_from_zero(tmp_path):
     vals = np.frombuffer(path.read_bytes().split(b"255\n", 1)[1], dtype=np.uint8)
     # (1/255 + 1) * 127.5 = 128.0 exactly -> rounds to 128
     assert list(vals) == [0, 128, 255]
+
+
+# -- write -> read -> write of random documents --------------------------------------
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def specs(draw):
+    d = draw(st.sampled_from([3, 4, 5]))
+    keys = [(n, k) for n in range(4) for k in H.index_set(d, n)]
+    scales = []
+    for j in range(draw(st.integers(0, 3))):
+        chosen = draw(st.lists(st.sampled_from(keys), max_size=6, unique=True))
+        scales.append(F.Scale(j, 3, {key: complex(draw(finite), draw(finite))
+                                     for key in chosen}))
+    tag = st.none() | st.integers(0, d)
+    base = None
+    if draw(st.booleans()):
+        base = oracle.random_rotation(d, np.random.default_rng(draw(st.integers(0, 99))))
+    return F.FrameSpec(d, scales, draw(tag), draw(tag), base)
+
+
+@st.composite
+def signals(draw):
+    d = draw(st.sampled_from([3, 4, 5]))
+    degree = draw(st.integers(0, 4))
+    keys = [(n, k) for n in range(degree + 1) for k in H.index_set(d, n)]
+    chosen = draw(st.lists(st.sampled_from(keys), max_size=8, unique=True))
+    return F.Signal(d, degree, {key: complex(draw(finite), draw(finite))
+                                for key in chosen})
+
+
+@settings(max_examples=50, deadline=None)
+@given(specs())
+def test_random_spec_write_read_write_is_byte_identical(tmp_path_factory, spec):
+    tmp = tmp_path_factory.mktemp("spec")
+    io.write_spec(spec, tmp / "a.json")
+    back = io.read_spec(tmp / "a.json")
+    io.write_spec(back, tmp / "b.json")
+    assert (tmp / "a.json").read_bytes() == (tmp / "b.json").read_bytes()
+    assert back.scales == [F.Scale(s.j, s.bandwidth, {k: complex(c) for k, c in
+                                                      s.coeffs.items()})
+                           for s in spec.scales]
+
+
+@settings(max_examples=50, deadline=None)
+@given(signals())
+def test_random_signal_write_read_write_is_byte_identical(tmp_path_factory, signal):
+    tmp = tmp_path_factory.mktemp("signal")
+    io.write_signal(signal, tmp / "a.json")
+    back = io.read_signal(tmp / "a.json")
+    io.write_signal(back, tmp / "b.json")
+    assert (tmp / "a.json").read_bytes() == (tmp / "b.json").read_bytes()
+    assert back.coeffs == signal.coeffs and back.degree == signal.degree
