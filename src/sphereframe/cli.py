@@ -66,6 +66,8 @@ def _require_cap(max_nodes) -> None:
 
 def cmd_check(args) -> int:
     _require(args.n_max >= 0, f"--n-max must be nonnegative, got {args.n_max}")
+    _require(math.isfinite(args.tol) and args.tol >= 0,
+             f"--tol must be nonnegative and finite, got {args.tol}")
     spec = io.read_spec(args.spec)
     bounds = frames.frame_bounds(spec, args.n_max)
     sigma = frames.sigma_profile(spec, args.n_max)
@@ -257,7 +259,10 @@ def cmd_figure(args) -> int:
               file=sys.stderr)
     eta = None
     if args.eta_dprime:
-        eta = np.array([float(v) for v in args.eta_dprime.split(",")])
+        try:
+            eta = np.array(args.eta_dprime.split(","), dtype=float)
+        except ValueError:
+            raise ParameterError(f"--eta-dprime must be numbers, got {args.eta_dprime!r}") from None
     grid = constructions.polar_sample(
         spec, args.j, t_res=args.resolution, phi_res=args.resolution,
         t_max=args.t_max, eta_dprime=eta)

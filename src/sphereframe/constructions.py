@@ -19,6 +19,7 @@ import numpy as np
 from .errors import ParameterError
 from .frames import FrameSpec, Scale
 from .harmonics import ExpansionEvaluator, dim_harmonic
+from .quadrature import check_cap
 from .specfun import log_norm_A, validate_multi_index
 
 
@@ -263,8 +264,9 @@ def polar_sample(spec: FrameSpec, j: int, t_res: int = 256, phi_res: int = 256,
         eta_dprime = np.zeros(d - 2)
         eta_dprime[-1] = 1.0
     eta_dprime = np.asarray(eta_dprime, dtype=float)
-    if eta_dprime.shape != (d - 2,) or abs(np.linalg.norm(eta_dprime) - 1.0) > 1e-8:
+    if eta_dprime.shape != (d - 2,) or not abs(np.linalg.norm(eta_dprime) - 1.0) <= 1e-8:
         raise ParameterError("eta'' must be a unit vector of length d-2")
+    check_cap(t_res * phi_res, "polar sample", None)
     v = np.zeros(d)
     v[: d - 2] = eta_dprime
     t = np.linspace(0.0, t_max, t_res)

@@ -9,8 +9,9 @@ so the rotate T(g) Psi_n has the coefficients D^n(g) psi_n, and a grid
 rotation g = S_eta H_h factors into Givens planes, one 1-d angle axis each.
 Per degree, the transforms apply the plane matrices D^n(G_ell(beta)) down
 the axes of the grid's factors and meet in one product over the outer and
-inner grid indices.  D^n(G_1) is a diagonal phase; the other planes come
-from exact quadrature, so the discrete sums equal their integrals.
+inner grid indices.  D^n(G_1) is a diagonal phase, and every other plane
+matrix is that phase conjugated by one fixed D^n(P_ell), built by exact
+quadrature, so the discrete sums equal their integrals.
 """
 
 from __future__ import annotations
@@ -23,10 +24,8 @@ import numpy as np
 
 from .errors import NotAFrameError, ParameterError
 from .harmonics import basis_matrix, dim_harmonic, index_set
-from .quadrature import RotationRule, rotation_rule, sections, sphere_rule
+from .quadrature import RotationRule, rotation_rule, sphere_rule
 from .specfun import validate_multi_index
-
-EVAL_BLOCK = 1 << 21  # rotated harmonic values per block in plane-matrix builds
 
 
 @dataclass
@@ -79,6 +78,10 @@ class FrameSpec:
             g = np.asarray(self.base_rotation, dtype=float)
             if g.shape != (self.d, self.d):
                 raise ParameterError("base_rotation has the wrong shape")
+            defect = np.max(np.abs(g @ g.T - np.eye(self.d)))
+            if not defect <= 1e-12:  # a non-finite entry gives a non-finite defect
+                raise ParameterError(f"base_rotation is not a rotation: "
+                                     f"max |g g^T - I| = {defect:.3e}")
 
 
 @dataclass
@@ -291,11 +294,10 @@ def admits(spec: FrameSpec, variant: str, K: int | None = None) -> bool:
 class FrameSystem:
     """A spec paired with per-scale rotation grids of matching class.
 
-    The system also owns the representation tables that `analysis` and
-    `synthesis` build: per degree, the plane matrices D^n(G_ell(beta)) on
-    their index sets and the base-rotation blocks D^n(g0)[:, support].  They
-    live exactly as long as the system, so one round trip builds each table
-    once; the quadrature that builds them is rebuilt per call and dropped.
+    The system also owns the tables that `analysis` and `synthesis` build:
+    per degree n, the dense D^n(g) of the plane shifts P_ell and of a base
+    rotation g0, keyed by g.tobytes().  They live as long as the system, so
+    one round trip builds each once.
     """
     spec: FrameSpec
     grids: list[RotationRule]
@@ -354,23 +356,26 @@ def _mixed(keys: tuple, support: list, pos: int) -> list:
 class _Degree:
     """Representation matrices D^n(g)[k, k'] = <T(g) Y_k', Y_k> of one degree.
 
-    Columns come from exact quadrature on `sphere_rule(d, n)`: the harmonics
-    Y_k' at the moved nodes g^{-1} x_p, projected on every Y_k.  G_ell mixes
-    only the label k_{d-ell} (position d-ell-1 of k), so the plane matrices
-    are kept on index sets: columns where the vectors they act on live, rows
-    where those vectors can land.  G_1(alpha) is the diagonal phase
-    e^{-i k_{d-2} alpha}, kept as its diagonal.
+    `matrix(g)` builds D^n(g) densely by exact quadrature on
+    `sphere_rule(d, n)`: the harmonics Y_k' at the moved nodes g^{-1} x_p,
+    projected on every Y_k.  D^n(G_1(alpha)) is the phase
+    diag(e^{-i k_{d-2} alpha}), and G_ell = P G_1 P^T with P the cyclic shift
+    of the first ell+1 coordinates by two places (P e^1 = e^ell), so
+    D^n(G_ell(beta)) is that phase conjugated by D^n(P).  G_ell mixes only
+    k_{d-ell} (position d-ell-1 of k), so plane matrices are formed on index
+    sets: columns where the vectors they act on live, rows where those
+    vectors can land.
 
     An object serves one degree of one call and builds its rule at once, so
-    the node cap fires before any work; the projection `proj` is built only
-    when a block is missing.  The blocks themselves go into `tables`, the
-    degree's entry of the owning `FrameSystem`, keyed by (plane, axis,
-    columns); plane 0 is the base rotation, keyed by its matrix.
+    the node cap fires before any work; `proj` is built only when a matrix
+    is missing.  The matrices go into `tables`, the degree's entry of the
+    owning `FrameSystem`, keyed by the rotation's bytes.
     """
 
     def __init__(self, d: int, n: int, max_nodes: int | None, tables: dict | None = None):
         self.d, self.n = d, n
         self.keys = index_set(d, n)
+        self.klast = np.array([k[-1] for k in self.keys])
         self.rule = sphere_rule(d, n, max_nodes)
         self.tables = {} if tables is None else tables
 
@@ -378,42 +383,27 @@ class _Degree:
     def proj(self) -> np.ndarray:
         return np.conj(basis_matrix(self.d, self.n, self.rule.angles)) * self.rule.weights
 
-    def _block(self, plane: int, label: bytes, rotations: np.ndarray, cols: list) -> np.ndarray:
-        """`columns(rotations, cols)` from the tables, built on first use."""
-        key = (plane, label, tuple(cols))
+    def matrix(self, g: np.ndarray) -> np.ndarray:
+        """D^n(g) for one rotation (d, d), from the tables or built on first use."""
+        key = g.tobytes()
         if key not in self.tables:
-            self.tables[key] = self.columns(rotations, cols)
+            D = self.proj @ basis_matrix(self.d, self.n, self.rule.points @ g).T
+            # quadrature leaves |D^H D - I| near 1e-14; a Newton-Schulz step fixes it
+            self.tables[key] = D @ (3.0 * np.eye(len(D)) - D.conj().T @ D) / 2.0
         return self.tables[key]
-
-    def columns(self, rotations: np.ndarray, cols: list) -> np.ndarray:
-        """D^n(g)[:, cols] for rotations (A, d, d): shape (A, dim, |cols|).
-
-        The moved harmonics are built a few rotations at a time, at most
-        EVAL_BLOCK values per block.
-        """
-        proj = self.proj  # before the block buffers, so its temporaries never meet them
-        nodes = len(self.rule.weights)
-        keys = [self.keys[c] for c in cols]
-        out = np.empty((len(rotations), len(self.keys), len(cols)), dtype=complex)
-        step = max(1, EVAL_BLOCK // (nodes * len(cols)))
-        for lo in range(0, len(rotations), step):
-            g = rotations[lo:lo + step]
-            moved = np.matmul(self.rule.points[None], g)  # rows g^{-1} x_p
-            vals = basis_matrix(self.d, self.n, moved.reshape(-1, self.d), keys)
-            out[lo:lo + len(g)] = np.matmul(
-                proj, vals.reshape(len(cols), len(g), nodes).transpose(1, 2, 0))
-        return out
 
     def plane(self, ell: int, axis: np.ndarray, rows: list, cols: list) -> np.ndarray:
         """D^n(G_ell(beta))[rows, cols] for beta in axis, shape
         (len(axis), |rows|, |cols|); for ell = 1 (rows = cols) only the
         diagonal, shape (len(axis), |cols|)."""
+        phases = np.exp(-1j * np.outer(axis, self.klast))
         if ell == 1:
-            klast = np.array([self.keys[c][-1] for c in cols])
-            return np.exp(-1j * np.outer(axis, klast))
-        angles = np.zeros((len(axis), self.d - 1))
-        angles[:, ell - 1] = axis
-        return self._block(ell, axis.tobytes(), sections(angles), cols)[:, rows, :]
+            return phases[:, cols]
+        shift = np.eye(self.d)
+        shift[:ell + 1, :ell + 1] = np.roll(np.eye(ell + 1), -2, axis=0)
+        delta = self.matrix(shift)
+        # rows, the reach of cols, are never fewer: the phase scales the smaller factor
+        return delta[rows] @ (phases[:, :, None] * delta[cols].conj().T)
 
     def reach(self, ell: int, support: list) -> list:
         return support if ell == 1 else _mixed(self.keys, support, self.d - ell - 1)
@@ -427,8 +417,7 @@ class _Degree:
         psi = np.zeros(len(self.keys), dtype=complex)
         psi[support] = [entries[i] for i in support]
         if base_rotation is not None:
-            g0 = np.asarray(base_rotation, dtype=float)
-            psi = self._block(0, g0.tobytes(), g0[None], support)[0] @ psi[support]
+            psi = self.matrix(np.asarray(base_rotation, dtype=float))[:, support] @ psi[support]
             support = list(range(len(self.keys)))
         return psi, support
 
@@ -529,11 +518,10 @@ def synthesis(system: FrameSystem, dual_spec: FrameSpec, coefficients,
     exact adjoint of analysis: per degree n and scale j, with U the weighted
     coefficients as an (R_out x R_in) array and B the rows D^n(H_h) psi_n,
         out_n = sum_eta D^n(S_eta) (U @ B)[eta].
-    No signal is evaluated.  After `analysis` of a signal with every degree
-    up to n_out, a dual with the analysed spec's supports (the canonical
-    dual) finds every plane matrix in the system's tables, so nothing is
-    projected either.  Degrees run from the largest down, so
-    `sphere_rule(d, n, max_nodes)` fires its cap first.
+    No signal is evaluated.  After `analysis` of every degree up to n_out, a
+    dual with the same base rotation (the canonical dual) finds every matrix
+    in the system's tables, so nothing is projected either.  Degrees run
+    from the largest down, so `sphere_rule(d, n, max_nodes)` fires its cap first.
     """
     spec = system.spec
     if dual_spec.d != spec.d:

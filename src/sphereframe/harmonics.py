@@ -91,15 +91,13 @@ def _blocks(total: int, size: int) -> list:
 # basis evaluation
 # ---------------------------------------------------------------------------
 
-def basis_matrix(d: int, n: int, points: np.ndarray, keys=None) -> np.ndarray:
-    """Degree-n harmonics stacked: shape (len(keys), M), in index-set order.
+def basis_matrix(d: int, n: int, points: np.ndarray) -> np.ndarray:
+    """Degree-n harmonics stacked: shape (dim H_n, M), in index-set order.
 
-    points holds spherical angles (M, d-1) or cartesian unit vectors (M, d);
-    keys, a subsequence of index_set(d, n), picks the rows (default: all).
+    points holds spherical angles (M, d-1) or cartesian unit vectors (M, d).
     """
     points = np.asarray(points, dtype=float)
-    keys = index_set(d, n) if keys is None else keys
-    ev = ExpansionEvaluator(d, {(n, k): 1.0 for k in keys})
+    ev = ExpansionEvaluator(d, {(n, k): 1.0 for k in index_set(d, n)})
     levels_of = ev._cartesian_levels if points.shape[1] == d else ev._angle_levels
     out = np.empty((ev.n_terms, points.shape[0]), dtype=complex)
     for sl in _blocks(points.shape[0], EVAL_CHUNK):

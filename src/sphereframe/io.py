@@ -129,10 +129,16 @@ def signal_to_dict(signal: Signal) -> dict:
 def signal_from_dict(doc: dict, path="<doc>") -> Signal:
     _expect(doc, "signal", path)
     try:
-        return Signal(int(doc["d"]), int(doc["N_f"]),
-                      _coeffs_from_rows(doc["coeffs"]))
+        signal = Signal(int(doc["d"]), int(doc["N_f"]),
+                        _coeffs_from_rows(doc["coeffs"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed signal ({exc})") from exc
+    if signal.degree < 0:
+        raise FormatError(f"{path}: N_f must be nonnegative, got {signal.degree}")
+    top = max((n for n, _ in signal.coeffs), default=0)
+    if top > signal.degree:
+        raise FormatError(f"{path}: coefficient at degree {top} exceeds N_f {signal.degree}")
+    return signal
 
 
 def write_signal(signal: Signal, path) -> None:

@@ -79,7 +79,7 @@ def _sphere_size(d: int, N: int) -> int:
     return (2 * N + 1) * (N + 1) ** (d - 2)
 
 
-def _check_cap(count: int, what: str, max_nodes: int | None) -> None:
+def check_cap(count: int, what: str, max_nodes: int | None) -> None:
     """Raise before allocating a rule or grid of `count` nodes over the cap."""
     cap = node_cap(max_nodes)
     if count > cap:
@@ -131,7 +131,7 @@ def sphere_rule(d: int, N: int, max_nodes: int | None = None) -> SphereRule:
     `polar_rule`; the node count is checked against the cap first.
     """
     _check_degree(d, N)
-    _check_cap(_sphere_size(d, N), "sphere rule", max_nodes)
+    check_cap(_sphere_size(d, N), "sphere rule", max_nodes)
     angles, weights = _product(_sphere_axes(d, N))
     return SphereRule(d, angles, spherical_to_cartesian(angles), weights, 2 * N)
 
@@ -150,7 +150,7 @@ def polar_rule(d: int, N: int) -> tuple[np.ndarray, np.ndarray]:
     """
     _check_degree(d, N)
     # at d = 3 the N+1 nodes come from an (N+1)^2 Golub-Welsch eigenvector matrix
-    _check_cap((N + 1) ** max(d - 2, 2), "polar rule", None)
+    check_cap((N + 1) ** max(d - 2, 2), "polar rule", None)
     return _product([(np.zeros(1), np.ones(1))] + _polar_axes(d, N))
 
 
@@ -318,7 +318,7 @@ def rotation_rule(d: int, N: int, variant: str = "general",
         raise ParameterError(f"variant {variant!r} requires the steerability order K")
     if d < 2:
         raise ParameterError(f"rotation group dimension must be >= 2, got {d}")
-    _check_cap(_grid_size(d, N, variant, K), "rotation grid", max_nodes)
+    check_cap(_grid_size(d, N, variant, K), "rotation grid", max_nodes)
     if d == 2:
         # the equispaced SO(2) rule, as G_1(-alpha) in the convention of sections
         M = 2 * N + 1

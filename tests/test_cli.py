@@ -177,6 +177,21 @@ def test_quadinfo_exports_grid(tmp_path):
     assert len(rule) > 0 and abs(rule.weights.sum() - 1.0) < 1e-13
 
 
+def test_figure_caps_its_sample_before_evaluating(tmp_path, capsys, monkeypatch):
+    spec_path = tmp_path / "w.json"
+    assert run("build", "--kind", "wavelet", "--d", "4", "--K", "2", "--J", "2",
+               "--out", spec_path) == 0
+    capsys.readouterr()
+    monkeypatch.setenv("SPHEREFRAME_MAX_NODES", "1000")
+    monkeypatch.setattr(C, "ExpansionEvaluator", lambda *a: pytest.fail("evaluated"))
+    assert run("figure", "--spec", spec_path, "--j", "1", "--resolution", "64",
+               "--out", tmp_path / "f.csv") == cli.EXIT_CAPACITY
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("capacity error: polar sample would hold 4096")
+    assert not (tmp_path / "f.csv").exists()
+
+
 def test_quadinfo_capacity(tmp_path):
     assert run("quadinfo", "--d", "4", "--N", "8", "--variant", "general",
                "--max-nodes", "1000") == cli.EXIT_CAPACITY
@@ -233,6 +248,19 @@ def test_parse_error_is_input_error(tmp_path):
           "--K", "1")),
     ({}, ("reconstruct", "--spec", "{w}", "--random", "2", "--grid", "steerable_so_d2",
           "--K", "2")),
+    ({}, ("reconstruct", "--spec", "{tmp}/scaled.json", "--random", "2",
+          "--grid", "general")),
+    ({}, ("localize", "--spec", "{tmp}/nan_rotation.json")),
+    ({}, ("reconstruct", "--spec", "{w}", "--signal", "{tmp}/low_signal.json")),
+    ({}, ("reconstruct", "--spec", "{w}", "--signal", "{tmp}/negative_signal.json")),
+    ({}, ("figure", "--spec", "{w}", "--j", "1", "--eta-dprime", "a,b",
+          "--out", "{tmp}/f.csv")),
+    ({}, ("figure", "--spec", "{w}", "--j", "1", "--eta-dprime", "nan,1",
+          "--out", "{tmp}/f.csv")),
+    ({}, ("check", "--spec", "{w}", "--dual", "{tmp}/dual.json", "--n-max", "8",
+          "--tol", "-1")),
+    ({}, ("check", "--spec", "{w}", "--dual", "{tmp}/dual.json", "--n-max", "8",
+          "--tol", "nan")),
 ])
 def test_bad_input_is_one_line_input_error(tmp_path, capsys, monkeypatch, env, argv):
     spec_path = tmp_path / "w.json"
@@ -243,6 +271,16 @@ def test_bad_input_is_one_line_input_error(tmp_path, capsys, monkeypatch, env, a
         spec.scales[2].coeffs[next(iter(spec.scales[2].coeffs))] = bad
         io.write_spec(spec, tmp_path / f"{name}.json")
         io.write_signal(F.Signal(4, 0, {(0, (0, 0)): complex(1.0, bad)}),
+                        tmp_path / f"{name}_signal.json")
+    spec = io.read_spec(spec_path)
+    io.write_spec(F.canonical_dual(spec), tmp_path / "dual.json")
+    nan_rotation = np.eye(4)
+    nan_rotation[0, 1] = math.nan
+    for name, g in (("scaled", np.diag([2.0, 1.0, 1.0, 1.0])), ("nan_rotation", nan_rotation)):
+        spec.base_rotation = g
+        io.write_spec(spec, tmp_path / f"{name}.json")
+    for name, degree in (("low", 1), ("negative", -2)):
+        io.write_signal(F.Signal(4, degree, {(3, (1, 0)): 1.0}),
                         tmp_path / f"{name}_signal.json")
     capsys.readouterr()
     for name, value in env.items():

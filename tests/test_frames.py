@@ -351,7 +351,7 @@ def test_phase_plane_is_the_closed_form_diagonal(d):
     rep = F._Degree(d, 3, None)
     every = list(range(len(rep.keys)))
     alpha = np.array([0.3, 2.1, 5.9])
-    dense = rep.columns(plane_rotations(d, 1, alpha), every)
+    dense = oracle.matrix_function_block(d, 3, plane_rotations(d, 1, alpha), rep.rule)
     klast = np.array([k[-1] for k in rep.keys])
     for a, D in zip(alpha, dense):
         assert np.max(np.abs(D - np.diag(np.exp(-1j * klast * a)))) < 1e-13
@@ -367,7 +367,7 @@ def test_plane_matrices_are_unitary_and_mix_one_label(d):
         pos = d - ell - 1  # G_ell mixes k_{d-ell} only
         stems = [k[:pos] + k[pos + 1:] for k in rep.keys]
         outside = np.array([[a != b for b in stems] for a in stems])
-        for D in rep.columns(plane_rotations(d, ell, np.array([0.4, 1.9, 3.0])), every):
+        for D in rep.plane(ell, np.array([0.4, 1.9, 3.0]), every, every):
             assert np.max(np.abs(D.conj().T @ D - np.eye(len(every)))) < 1e-13
             assert np.max(np.abs(D[outside]), initial=0.0) < 1e-14
 
@@ -437,16 +437,6 @@ def test_transform_caps_fire_before_allocation(transform):
     assert peak < 1_000_000, peak
 
 
-def test_plane_builds_in_blocks_match_one_block(monkeypatch):
-    rep = F._Degree(4, 3, None)
-    every = list(range(len(rep.keys)))
-    rotations = np.stack([oracle.random_rotation(4, np.random.default_rng(s))
-                          for s in range(5)])
-    whole = rep.columns(rotations, every)
-    monkeypatch.setattr(F, "EVAL_BLOCK", 1)
-    assert np.array_equal(rep.columns(rotations, every), whole)
-
-
 def test_analysis_rejects_invalid_signal_indices():
     system = F.build_system(parseval_zonal(3, 2))
     with pytest.raises(IndexSetError):
@@ -482,9 +472,34 @@ def test_tables_are_built_once_per_system(monkeypatch):
     f = F.random_signal(4, 4, seed=7)
     system = F.build_system(spec)
     first = [F.analysis(system, f, j) for j in range(len(spec.scales))]
-    monkeypatch.setattr(F._Degree, "columns", None)  # any build would fail
+    calls = []
+    real = F.basis_matrix
+    monkeypatch.setattr(F, "basis_matrix", lambda *a: calls.append(a) or real(*a))
     again = [F.analysis(system, f, j) for j in range(len(spec.scales))]
+    assert calls == []
     assert all(np.array_equal(a, b) for a, b in zip(first, again))
+
+
+@pytest.mark.parametrize("spec", [
+    C.zonal_spec(3, 3, "kappa2"),
+    F.FrameSpec(3, C.zonal_spec(3, 2, "kappa2").scales, base_rotation=C.make_g0(3)),
+    C.wavelet_spec(4, 2, 2, "kappa2"), C.curvelet_spec(4, 2),
+    C.wavelet_spec(5, 1, 1, "kappa2"), C.curvelet_spec(5, 1),
+], ids=["zonal-d3", "moved-d3", "wavelet-d4", "curvelet-d4", "wavelet-d5", "curvelet-d5"])
+def test_tables_hold_one_unitary_matrix_per_plane(spec):
+    # one dense D^n(P_ell) per plane ell = 2..d-1, plus D^n(g0) with a base rotation
+    d = spec.d
+    f = F.random_signal(d, spec.max_bandwidth(), seed=8)
+    system = F.build_system(spec)
+    coeffs = [F.analysis(system, f, j) for j in range(len(spec.scales))]
+    F.synthesis(system, F.canonical_dual(spec), coeffs, f.degree)
+    assert system._tables
+    for n, tables in system._tables.items():
+        assert 1 <= len(tables) <= d - 2 + (spec.base_rotation is not None)
+        dim = H.dim_harmonic(d, n)
+        for D in tables.values():
+            assert D.shape == (dim, dim)
+            assert np.max(np.abs(D.conj().T @ D - np.eye(dim))) <= 1e-15
 
 
 @pytest.mark.parametrize("transform", ["analysis", "synthesis"])
