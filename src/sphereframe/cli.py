@@ -215,16 +215,19 @@ def cmd_autocorr(args) -> int:
     scale = spec.scales[args.j]
     rule = quadrature.sphere_rule(d, scale.bandwidth)
     alphas = np.linspace(0.0, math.pi, args.angles)
-    rows = []
-    closed_ok = True
-    for alpha in alphas:
-        h = np.eye(d)
+    hs = np.tile(np.eye(d), (len(alphas), 1, 1))
+    for h, alpha in zip(hs, alphas):
         c, s = math.cos(alpha), math.sin(alpha)
         h[d - 3, d - 3] = c
         h[d - 2, d - 2] = c
         h[d - 3, d - 2] = -s
         h[d - 2, d - 3] = s
-        value = diagnostics.autocorrelation(spec, args.j, h, rule)
+    values = diagnostics.autocorrelation(spec, args.j, hs, rule)
+    rows = []
+    closed_ok = True
+    for alpha, value in zip(alphas, values):
+        value = complex(value)
+        c = math.cos(alpha)
         row = {"alpha": float(alpha), "s": float(c),
                "numeric_re": value.real, "numeric_im": value.imag}
         if closed_ok:
@@ -385,7 +388,10 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except CapacityError as exc:
-        print(f"capacity error: {exc}", file=sys.stderr)
+        # name only the overrides this command accepts
+        flag = "--max-nodes or " if hasattr(args, "max_nodes") else ""
+        override = flag + _config.MAX_NODES_ENV
+        print(f"capacity error: {exc}; raise {override} to override", file=sys.stderr)
         return EXIT_CAPACITY
     except NotAFrameError as exc:
         print(f"validation failure: {exc}", file=sys.stderr)

@@ -152,18 +152,21 @@ def audit_conditions(spec: FrameSpec) -> list[ScaleAudit]:
 
 
 def autocorrelation(spec: FrameSpec, j: int, h: np.ndarray,
-                    rule: SphereRule | None = None) -> complex:
+                    rule: SphereRule | None = None) -> complex | np.ndarray:
     """<T(h) Psi^j, Psi^j> by quadrature over a rule exact on degree 2 N_j.
 
     h must fix the pole (an element of the embedded SO(d-1)); any base
     rotation in the spec is applied, so this measures the frame function as
-    used, not the stored table.
+    used, not the stored table.  A stack of rotations, shape (m, d, d), gives
+    the m values as an array from one evaluation of Psi^j at the rule and at
+    its images under every h; a single (d, d) rotation gives one complex.
     """
     d = spec.d
     h = np.asarray(h, dtype=float)
+    hs = h.reshape(-1, d, d)
     pole = np.zeros(d)
     pole[-1] = 1.0
-    if np.max(np.abs(h @ pole - pole)) > 1e-10:
+    if np.max(np.abs(hs @ pole - pole)) > 1e-10:
         raise ParameterError("h must fix the pole (lie in the embedded SO(d-1))")
     scale = spec.scales[j]
     if rule is None:
@@ -173,11 +176,12 @@ def autocorrelation(spec: FrameSpec, j: int, h: np.ndarray,
             f"rule exact through {rule.exact_degree}, need {2 * scale.bandwidth}")
     ev = ExpansionEvaluator(d, scale.coeffs)
     base = spec.base_rotation
-    rots = np.stack([np.eye(d), h])
+    rots = np.concatenate([np.eye(d)[None], hs])
     blocks = ev.rotated_apply(rots, rule.points,
                               lambda vals, sl: vals.copy(), base_rotation=base)
     vals = np.vstack(blocks)
-    return complex(np.sum(rule.weights * vals[1] * np.conj(vals[0])))
+    values = np.sum(rule.weights * vals[1:] * np.conj(vals[0]), axis=1)
+    return complex(values[0]) if h.ndim == 2 else values
 
 
 def autocorrelation_closed(spec: FrameSpec, j: int, s: float) -> float:

@@ -10,8 +10,10 @@ rotation g = S_eta H_h factors into Givens planes, one 1-d angle axis each.
 Per degree, the transforms apply the plane matrices D^n(G_ell(beta)) down
 the axes of the grid's factors and meet in one product over the outer and
 inner grid indices.  D^n(G_1) is a diagonal phase, and every other plane
-matrix is that phase conjugated by one fixed D^n(P_ell), built by exact
-quadrature, so the discrete sums equal their integrals.
+matrix is that phase conjugated by one fixed unitary Delta_ell.  Delta_2,
+the SO(3) plane, comes from the eigenvectors of its closed-form generator;
+Delta_ell for ell >= 3 and the dense D^n(g0) of a base rotation are built
+by exact quadrature, so the discrete sums equal their integrals.
 """
 
 from __future__ import annotations
@@ -21,10 +23,12 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
 from .errors import NotAFrameError, ParameterError
 from .harmonics import basis_matrix, dim_harmonic, index_set
-from .quadrature import RotationRule, rotation_rule, sphere_rule
+from .quadrature import (RotationRule, check_cap, rotation_rule, sphere_rule,
+                         sphere_size)
 from .specfun import validate_multi_index
 
 
@@ -295,9 +299,9 @@ class FrameSystem:
     """A spec paired with per-scale rotation grids of matching class.
 
     The system also owns the tables that `analysis` and `synthesis` build:
-    per degree n, the dense D^n(g) of the plane shifts P_ell and of a base
-    rotation g0, keyed by g.tobytes().  They live as long as the system, so
-    one round trip builds each once.
+    per degree n, the dense unitary Delta_ell of each plane ell >= 2, keyed by
+    ell, and D^n(g0) of a base rotation, keyed by g0.tobytes().  They live as
+    long as the system, so one round trip builds each once.
     """
     spec: FrameSpec
     grids: list[RotationRule]
@@ -353,44 +357,102 @@ def _mixed(keys: tuple, support: list, pos: int) -> list:
     return [i for i, k in enumerate(keys) if k[:pos] + k[pos + 1:] in stems]
 
 
+def _shift(d: int, ell: int) -> np.ndarray:
+    """P_ell: the cyclic shift of the first ell+1 coordinates by two places
+    (P e^1 = e^ell, P e^2 = e^{ell+1}), so that G_ell = P G_1 P^T."""
+    shift = np.eye(d)
+    shift[:ell + 1, :ell + 1] = np.roll(np.eye(ell + 1), -2, axis=0)
+    return shift
+
+
+def _unitarize(D: np.ndarray) -> np.ndarray:
+    """One Newton-Schulz step D(3I - D^H D)/2 toward the unitary polar factor."""
+    return D @ (3.0 * np.eye(len(D)) - D.conj().T @ D) / 2.0
+
+
 class _Degree:
     """Representation matrices D^n(g)[k, k'] = <T(g) Y_k', Y_k> of one degree.
 
-    `matrix(g)` builds D^n(g) densely by exact quadrature on
-    `sphere_rule(d, n)`: the harmonics Y_k' at the moved nodes g^{-1} x_p,
-    projected on every Y_k.  D^n(G_1(alpha)) is the phase
-    diag(e^{-i k_{d-2} alpha}), and G_ell = P G_1 P^T with P the cyclic shift
-    of the first ell+1 coordinates by two places (P e^1 = e^ell), so
-    D^n(G_ell(beta)) is that phase conjugated by D^n(P).  G_ell mixes only
-    k_{d-ell} (position d-ell-1 of k), so plane matrices are formed on index
-    sets: columns where the vectors they act on live, rows where those
-    vectors can land.
+    D^n(G_1(alpha)) is the phase diag(e^{-i k_{d-2} alpha}), and every other
+    plane matrix is that phase conjugated by a unitary Delta_ell:
+    D^n(G_ell(beta)) = Delta_ell diag(e^{-i k_{d-2} beta}) Delta_ell^H.
+    G_ell mixes only k_{d-ell} (position d-ell-1 of k), so plane matrices are
+    formed on index sets: columns where the vectors they act on live, rows
+    where those vectors can land.
 
-    An object serves one degree of one call and builds its rule at once, so
-    the node cap fires before any work; `proj` is built only when a matrix
-    is missing.  The matrices go into `tables`, the degree's entry of the
-    owning `FrameSystem`, keyed by the rotation's bytes.
+    Delta_2 needs no quadrature.  The generator X = d/dbeta D^n(G_2(beta))
+    at 0 is real, antisymmetric and tridiagonal on each stem (every label
+    but M = k_{d-2} fixed, M = -N..N with N = k_{d-3}, or n at d = 3):
+    X[M, M+1] = (1/2) sqrt((N-M)(N+M+1)) for M < 0 and minus that for
+    M >= 0, the angular-momentum ladder.  iX = Delta_2 diag(k_{d-2})
+    Delta_2^H, so the columns of Delta_2 are its eigenvectors, ordered by
+    eigenvalue; each is fixed up to a phase, which the conjugation cancels.
+
+    Every other dense D^n(g) is built by exact quadrature on
+    `sphere_rule(d, n)`: the harmonics Y_k' at the moved nodes g^{-1} x_p,
+    projected on every Y_k.  That gives Delta_ell = D^n(P_ell) for ell >= 3
+    (`delta`, with `_shift`) and D^n(g0) for a base rotation (`matrix`).
+    The node count is checked against the cap when the object is made, so
+    the cap fires before any work; the rule itself is built only when a
+    quadrature matrix is missing.  An object serves one degree of one call.
+    Its matrices go into `tables`, the degree's entry of the owning
+    `FrameSystem`: Delta_ell keyed by ell, D^n(g) keyed by the rotation's
+    bytes.
     """
 
     def __init__(self, d: int, n: int, max_nodes: int | None, tables: dict | None = None):
         self.d, self.n = d, n
+        self.max_nodes = max_nodes
         self.keys = index_set(d, n)
         self.klast = np.array([k[-1] for k in self.keys])
-        self.rule = sphere_rule(d, n, max_nodes)
+        check_cap(sphere_size(d, n), "sphere rule", max_nodes)
         self.tables = {} if tables is None else tables
+
+    @cached_property
+    def rule(self):
+        return sphere_rule(self.d, self.n, self.max_nodes)
 
     @cached_property
     def proj(self) -> np.ndarray:
         return np.conj(basis_matrix(self.d, self.n, self.rule.angles)) * self.rule.weights
 
+    def _quadrature(self, g: np.ndarray) -> np.ndarray:
+        D = self.proj @ basis_matrix(self.d, self.n, self.rule.points @ g).T
+        # quadrature leaves |D^H D - I| near 1e-14; a Newton-Schulz step fixes it
+        return _unitarize(D)
+
     def matrix(self, g: np.ndarray) -> np.ndarray:
         """D^n(g) for one rotation (d, d), from the tables or built on first use."""
         key = g.tobytes()
         if key not in self.tables:
-            D = self.proj @ basis_matrix(self.d, self.n, self.rule.points @ g).T
-            # quadrature leaves |D^H D - I| near 1e-14; a Newton-Schulz step fixes it
-            self.tables[key] = D @ (3.0 * np.eye(len(D)) - D.conj().T @ D) / 2.0
+            self.tables[key] = self._quadrature(g)
         return self.tables[key]
+
+    def delta(self, ell: int) -> np.ndarray:
+        """Delta_ell for a plane ell >= 2, from the tables or built on first use."""
+        if ell not in self.tables:
+            self.tables[ell] = (self._ladder_basis() if ell == 2
+                                else self._quadrature(_shift(self.d, ell)))
+        return self.tables[ell]
+
+    def _ladder_basis(self) -> np.ndarray:
+        """Delta_2 from the eigenvectors of the generator of plane 2, one
+        stem at a time.  The stems are contiguous runs M = -N..N of the index
+        set.  With S = diag(i^p), S^H iX S is real symmetric tridiagonal with
+        the off-diagonal -X[M, M+1], so its eigenvectors V give iX's as S V."""
+        out = np.zeros((len(self.keys), len(self.keys)), dtype=complex)
+        lo = 0
+        while lo < len(self.keys):
+            N = -self.keys[lo][-1]
+            M = np.arange(-N, N)
+            off = 0.5 * np.sqrt((N - M) * (N + M + 1.0)) * np.where(M < 0, -1.0, 1.0)
+            _, V = eigh_tridiagonal(np.zeros(2 * N + 1), off)  # eigenvalues -N..N
+            # the eigenvectors leave |V^T V - I| up to 6e-14 at N = 64
+            S = np.array([1, 1j, -1, -1j])[np.arange(2 * N + 1) % 4]
+            stem = slice(lo, lo + 2 * N + 1)
+            out[stem, stem] = S[:, None] * _unitarize(V)
+            lo += 2 * N + 1
+        return out
 
     def plane(self, ell: int, axis: np.ndarray, rows: list, cols: list) -> np.ndarray:
         """D^n(G_ell(beta))[rows, cols] for beta in axis, shape
@@ -399,9 +461,7 @@ class _Degree:
         phases = np.exp(-1j * np.outer(axis, self.klast))
         if ell == 1:
             return phases[:, cols]
-        shift = np.eye(self.d)
-        shift[:ell + 1, :ell + 1] = np.roll(np.eye(ell + 1), -2, axis=0)
-        delta = self.matrix(shift)
+        delta = self.delta(ell)
         # rows, the reach of cols, are never fewer: the phase scales the smaller factor
         return delta[rows] @ (phases[:, :, None] * delta[cols].conj().T)
 
@@ -489,9 +549,10 @@ def analysis(system: FrameSystem, f: Signal, j: int,
     one (R_out x |supp|) @ (|supp| x R_in) product over the index set supp
     that the inner rotations reach from psi_n.  Only degrees present in both
     f and Psi^j contribute (degree spaces are rotation invariant and
-    mutually orthogonal).  Each degree builds `sphere_rule(d, n, max_nodes)`
-    for its plane matrices, the largest first, so the cap fires before any
-    work is done; the matrices stay in the system's tables for later calls.
+    mutually orthogonal).  Each degree checks the node count of
+    `sphere_rule(d, n)` against the cap, the largest first, so the cap fires
+    before any work is done, though only planes ell >= 3 and a base rotation
+    build the rule; the matrices stay in the system's tables for later calls.
     """
     spec = system.spec
     if f.d != spec.d:
@@ -521,7 +582,7 @@ def synthesis(system: FrameSystem, dual_spec: FrameSpec, coefficients,
     No signal is evaluated.  After `analysis` of every degree up to n_out, a
     dual with the same base rotation (the canonical dual) finds every matrix
     in the system's tables, so nothing is projected either.  Degrees run
-    from the largest down, so `sphere_rule(d, n, max_nodes)` fires its cap first.
+    from the largest down, so the cap on `sphere_rule(d, n)` fires first.
     """
     spec = system.spec
     if dual_spec.d != spec.d:

@@ -74,18 +74,17 @@ class SphereRule:
         return self.weights.shape[0]
 
 
-def _sphere_size(d: int, N: int) -> int:
+def sphere_size(d: int, N: int) -> int:
     """Node count of `sphere_rule(d, N)`."""
     return (2 * N + 1) * (N + 1) ** (d - 2)
 
 
 def check_cap(count: int, what: str, max_nodes: int | None) -> None:
-    """Raise before allocating a rule or grid of `count` nodes over the cap."""
+    """Raise before allocating a rule or grid of `count` nodes over the cap
+    (`max_nodes`, else SPHEREFRAME_MAX_NODES, else the default)."""
     cap = node_cap(max_nodes)
     if count > cap:
-        raise CapacityError(
-            f"{what} would hold {count} nodes, exceeding the cap {cap}; "
-            f"raise --max-nodes or SPHEREFRAME_MAX_NODES to override")
+        raise CapacityError(f"{what} would hold {count} nodes, exceeding the cap {cap}")
 
 
 def _mesh(nodes) -> np.ndarray:
@@ -131,7 +130,7 @@ def sphere_rule(d: int, N: int, max_nodes: int | None = None) -> SphereRule:
     `polar_rule`; the node count is checked against the cap first.
     """
     _check_degree(d, N)
-    check_cap(_sphere_size(d, N), "sphere rule", max_nodes)
+    check_cap(sphere_size(d, N), "sphere rule", max_nodes)
     angles, weights = _product(_sphere_axes(d, N))
     return SphereRule(d, angles, spherical_to_cartesian(angles), weights, 2 * N)
 
@@ -288,13 +287,13 @@ def _grid_size(d: int, N: int, variant: str, K: int | None = None) -> int:
     """Rotation count of `rotation_rule(d, N, variant, K)`."""
     if d == 2:
         return 2 * N + 1
-    outer = _sphere_size(d, N)
+    outer = sphere_size(d, N)
     M = K if variant in ("steerable", "steerable_so_d2") else N
     if variant == "zonal":
         return outer
     if variant in ("general", "steerable"):
         return outer * _grid_size(d - 1, M, "general")
-    return outer * _sphere_size(d - 1, M)
+    return outer * sphere_size(d - 1, M)
 
 
 def rotation_rule(d: int, N: int, variant: str = "general",

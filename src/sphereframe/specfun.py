@@ -50,7 +50,10 @@ def gegenbauer(lam: float, n: int, t):
 
 def validate_multi_index(d: int, n: int, k) -> tuple:
     """Membership test for the degree-n multi-index chain (k_0 = n)."""
-    k = tuple(int(v) for v in np.atleast_1d(k))
+    if type(k) is int:
+        k = (k,)
+    elif not (type(k) is tuple and all(type(v) is int for v in k)):
+        k = tuple(int(v) for v in np.atleast_1d(k))
     if len(k) != d - 2:
         raise IndexSetError(f"multi-index length {len(k)} does not match d={d}")
     chain = (n,) + k

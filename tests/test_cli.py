@@ -206,6 +206,28 @@ def test_quadinfo_caps_its_sphere_rule_before_printing(capsys, monkeypatch):
     assert captured.err.startswith("capacity error: sphere rule would hold 18081")
 
 
+@pytest.mark.parametrize("argv", [
+    ("figure", "--spec", "{w}", "--j", "1", "--resolution", "64", "--out", "{tmp}/f.csv"),
+    ("localize", "--spec", "{w}", "--scales", "2"),
+    ("autocorr", "--spec", "{w}", "--j", "2"),
+    ("reconstruct", "--spec", "{w}", "--random", "4"),
+])
+def test_capacity_error_names_only_the_overrides_the_command_accepts(
+        tmp_path, capsys, monkeypatch, argv):
+    spec_path = tmp_path / "w.json"
+    assert run("build", "--kind", "wavelet", "--d", "4", "--K", "2", "--J", "2",
+               "--out", spec_path) == 0
+    capsys.readouterr()
+    monkeypatch.setenv("SPHEREFRAME_MAX_NODES", "30")  # the polar rule of scale 2 has 36
+    assert run(*[a.format(w=spec_path, tmp=tmp_path) for a in argv]) == cli.EXIT_CAPACITY
+    err = capsys.readouterr().err
+    assert err.startswith("capacity error: ") and err.count("\n") == 1, err
+    if argv[0] == "reconstruct":
+        assert err.endswith("; raise --max-nodes or SPHEREFRAME_MAX_NODES to override\n")
+    else:
+        assert err.endswith("; raise SPHEREFRAME_MAX_NODES to override\n")
+
+
 def test_missing_file_is_input_error(tmp_path):
     assert run("check", "--spec", tmp_path / "nope.json",
                "--n-max", "4") == cli.EXIT_INPUT

@@ -213,6 +213,21 @@ def test_autocorrelation_rejects_pole_moving_rotation():
         D.autocorrelation(spec, 1, oracle.random_rotation(4, rng))
 
 
+def test_autocorrelation_of_a_stack_matches_one_call_per_rotation():
+    # base-rotated curvelet, so the stack also carries g0
+    spec = C.curvelet_spec(4, 3)
+    rng = np.random.default_rng(10)
+    hs = Q.embed_rotation(np.stack([oracle.random_rotation(3, rng) for _ in range(5)]), 4)
+    values = D.autocorrelation(spec, 2, hs)
+    assert values.shape == (5,)
+    for h, value in zip(hs, values):
+        single = D.autocorrelation(spec, 2, h)
+        assert isinstance(single, complex)
+        assert abs(value - single) <= 1e-15 * abs(single)
+    with pytest.raises(ParameterError):
+        D.autocorrelation(spec, 2, np.stack([hs[0], oracle.random_rotation(4, rng)]))
+
+
 def test_autocorrelation_closed_matches_numeric():
     spec = C.wavelet_spec(4, 4, 3, "kappa2")
     rng = np.random.default_rng(8)

@@ -399,6 +399,22 @@ def test_plane_products_are_the_representation_of_section_chains(d):
             assert np.max(np.abs(D - dense)) < 1e-12
 
 
+@pytest.mark.parametrize("d, n_max", [(3, 40), (4, 10), (5, 7)])
+def test_generator_planes_match_quadrature(d, n_max):
+    # plane 2 from the eigenvectors of its generator against the conjugated
+    # phase of the quadrature-built D^n(P_2); d = 5 stops at n = 7, where the
+    # dense quadrature reference already holds 25 MB per array
+    beta = np.array([0.4, 1.9, 3.0, -2.2])
+    for n in range(n_max + 1):
+        rep = F._Degree(d, n, None)
+        every = list(range(len(rep.keys)))
+        delta = rep.matrix(F._shift(d, 2))
+        phases = np.exp(-1j * np.outer(beta, rep.klast))
+        want = delta @ (phases[:, :, None] * delta.conj().T)
+        got = rep.plane(2, beta, every, every)
+        assert np.max(np.abs(got - want)) < 1e-14, n
+
+
 # -- node caps --------------------------------------------------------------------
 
 def test_transforms_pass_the_cap_to_every_sphere_rule(monkeypatch):
@@ -431,6 +447,28 @@ def test_transform_caps_fire_before_allocation(transform):
                 F.analysis(system, f, 3, max_nodes=100)
             else:
                 F.synthesis(system, spec, coefficients, 8, max_nodes=100)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
+
+
+def test_zonal_d3_round_trip_builds_no_rule_and_projects_nothing(monkeypatch):
+    spec = C.zonal_spec(3, 3, "kappa2")
+    f = F.random_signal(3, spec.max_bandwidth(), seed=9)
+    system = F.build_system(spec)
+    dual = F.canonical_dual(spec)
+    for name in ("sphere_rule", "basis_matrix"):
+        monkeypatch.setattr(F, name, lambda *a, name=name: pytest.fail(f"called {name}"))
+    coeffs = [F.analysis(system, f, j) for j in range(len(spec.scales))]
+    got = F.synthesis(system, dual, coeffs, f.degree)
+    err = math.sqrt(sum(abs(got.coeffs.get(key, 0.0) - c) ** 2
+                        for key, c in f.coeffs.items()))
+    assert err < 1e-13
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            F.analysis(F.build_system(spec), f, len(spec.scales) - 1, max_nodes=100)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

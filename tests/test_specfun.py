@@ -60,6 +60,26 @@ def test_log_norm_A_rejects_bad_index():
         specfun.log_norm_A(4, 2, (3, 0))  # k_1 > n
 
 
+@pytest.mark.parametrize("d, n, k", [
+    (3, 2, (1,)), (3, 2, 1), (3, 2, -2), (3, 2, (3,)), (3, 2, 3), (3, 2, (1, 0)),
+    (4, 3, (2, -2)), (4, 3, (1, 2)), (4, 2, (3, 0)), (4, 3, (-1, 0)), (4, 3, (2,)),
+    (5, 4, (3, 2, -1)), (5, 4, (2, 3, 0)), (5, 4, (4, 4, 5)),
+])
+def test_multi_index_check_is_the_same_for_every_key_type(d, n, k):
+    # tuples and ints take a pure-Python path; lists, numpy integers and
+    # arrays of the same key must pass or raise alike
+    forms = [k, np.array(k), list(np.atleast_1d(k)), tuple(np.atleast_1d(k)),
+             tuple(float(v) for v in np.atleast_1d(k))]
+    results = []
+    for form in forms:
+        try:
+            results.append(specfun.validate_multi_index(d, n, form))
+        except IndexSetError:
+            results.append(IndexSetError)
+    assert results == [results[0]] * len(forms)
+    assert results[0] is IndexSetError or all(type(v) is int for v in results[0])
+
+
 def _norm_factor_by_quadrature(d, n, k):
     """1-d quadrature oracle for the normalization: the squared reciprocal is
     Gamma(d/2)/pi^{(d-2)/2} * prod_j int C^2 (1-t^2)^{lam_j - 1/2} dt."""
