@@ -383,9 +383,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads is not None:
-        _config.set_workers(args.threads)
     try:
+        if args.threads is not None:
+            _require(args.threads >= 1, f"--threads must be positive, got {args.threads}")
+            _config.set_workers(args.threads)
         return args.func(args)
     except CapacityError as exc:
         # name only the overrides this command accepts
@@ -396,7 +397,7 @@ def main(argv=None) -> int:
     except NotAFrameError as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (SphereFrameError, FileNotFoundError) as exc:
+    except (SphereFrameError, OSError) as exc:  # OSError: missing, directory, unreadable
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -139,6 +139,8 @@ def wavelet_spec(d: int, K: int, J: int, window: str = "kappa1") -> FrameSpec:
         raise ParameterError(
             "wavelet tables need the built-in directionality components (d >= 4); "
             "for d = 3 load an externally supplied table instead")
+    if K < 0:
+        raise ParameterError(f"K must be nonnegative, got {K}")
     if J < 0:
         raise ParameterError("J must be nonnegative")
     if window not in _WINDOWS:
@@ -165,6 +167,8 @@ def zonal_spec(d: int, J: int, window: str = "kappa1") -> FrameSpec:
     With the kappa1 window the squared filters telescope, giving sigma_n = 1
     for 1 <= n <= 2^{J-1} (a Parseval frame on that range).
     """
+    if J < 0:
+        raise ParameterError("J must be nonnegative")
     if window not in _WINDOWS:
         raise ParameterError(f"unknown window kind {window!r}")
     zero_k = (0,) * (d - 2)

@@ -23,12 +23,11 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import NotAFrameError, ParameterError
 from .harmonics import basis_matrix, dim_harmonic, index_set
-from .quadrature import (RotationRule, check_cap, rotation_rule, sphere_rule,
-                         sphere_size)
+from .quadrature import (RotationRule, check_cap, eigh_tridiagonal, rotation_rule,
+                         sphere_rule, sphere_size)
 from .specfun import validate_multi_index
 
 
@@ -68,6 +67,10 @@ class FrameSpec:
     def validate(self) -> None:
         if self.d < 3:
             raise ParameterError(f"dimension must be at least 3, got d={self.d}")
+        for name, value in (("steerable_K", self.steerable_K),
+                            ("invariant_m", self.invariant_m)):
+            if value is not None and value < 0:
+                raise ParameterError(f"{name} must be nonnegative, got {value}")
         prev = -1
         for s in self.scales:
             if s.bandwidth < prev:
@@ -301,12 +304,16 @@ class FrameSystem:
     The system also owns the tables that `analysis` and `synthesis` build:
     per degree n, the dense unitary Delta_ell of each plane ell >= 2, keyed by
     ell, and D^n(g0) of a base rotation, keyed by g0.tobytes().  They live as
-    long as the system, so one round trip builds each once.
+    long as the system, so one round trip builds each once.  `_keys` holds
+    the coefficient keys (n, k) already validated, with their normalized k
+    (see `_by_degree`), so a round trip checks each distinct key once, not
+    once per scale.
     """
     spec: FrameSpec
     grids: list[RotationRule]
     variant: str
     _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _keys: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def build_system(spec: FrameSpec, variant: str = "auto", K: int | None = None,
@@ -340,13 +347,33 @@ def build_system(spec: FrameSpec, variant: str = "auto", K: int | None = None,
     return FrameSystem(spec, grids, variant)
 
 
-def _by_degree(d: int, coeffs: dict, n_max: int | None = None) -> dict:
+def _plain(n, k) -> bool:
+    """Whether n is an int and k an int or a tuple of ints, exactly: no other
+    key type (bool, float, numpy integer) may share a memo entry with them."""
+    return type(n) is int and (type(k) is int
+                               or type(k) is tuple and all(type(v) is int for v in k))
+
+
+def _by_degree(d: int, coeffs: dict, valid: dict, n_max: int | None = None) -> dict:
     """Nonzero entries of a coefficient table grouped as n -> {k: c}, with
-    every multi-index validated."""
+    every multi-index validated.
+
+    `valid` maps each plain key (`_plain`) already validated to the key
+    object and its normalized k.  A key found there is not checked again if
+    it is that same object or plain itself; any other key is checked anew.
+    """
     out: dict[int, dict] = {}
-    for (n, k), c in coeffs.items():
+    for key, c in coeffs.items():
+        n, k = key
         if c != 0 and (n_max is None or n <= n_max):
-            out.setdefault(n, {})[validate_multi_index(d, n, k)] = c
+            seen = valid.get(key)
+            if seen is not None and (seen[0] is key or _plain(n, k)):
+                k_valid = seen[1]
+            else:
+                k_valid = validate_multi_index(d, n, k)
+                if _plain(n, k):
+                    valid[key] = (key, k_valid)
+            out.setdefault(n, {})[k_valid] = c
     return out
 
 
@@ -559,8 +586,8 @@ def analysis(system: FrameSystem, f: Signal, j: int,
         raise ParameterError("signal dimension mismatch")
     grid = system.grids[j]
     outer, inner = grid.factors[0], grid.factors[1:]
-    f_tables = _by_degree(spec.d, f.coeffs)
-    psi_tables = _by_degree(spec.d, spec.scales[j].coeffs)
+    f_tables = _by_degree(spec.d, f.coeffs, system._keys)
+    psi_tables = _by_degree(spec.d, spec.scales[j].coeffs, system._keys)
     total = np.zeros((len(outer), len(grid) // len(outer)), dtype=complex)
     for n in sorted(f_tables.keys() & psi_tables.keys(), reverse=True):
         rep = _Degree(spec.d, n, max_nodes, system._tables.setdefault(n, {}))
@@ -588,7 +615,8 @@ def synthesis(system: FrameSystem, dual_spec: FrameSpec, coefficients,
     if dual_spec.d != spec.d:
         raise ParameterError("dual spec dimension mismatch")
     d = spec.d
-    tables = [_by_degree(d, scale.coeffs, n_out) for scale in dual_spec.scales]
+    tables = [_by_degree(d, scale.coeffs, system._keys, n_out)
+              for scale in dual_spec.scales]
     parts = {}
     for n in sorted(set().union(*tables), reverse=True):
         rep = _Degree(d, n, max_nodes, system._tables.setdefault(n, {}))

@@ -1,6 +1,12 @@
 """Quadrature: 1-d Gauss-Jacobi rules, exact product rules on spheres,
 deterministic rotation sections, and composed rotation-group grids.
 
+This module owns the package's one use of scipy, the symmetric tridiagonal
+eigensolver `eigh_tridiagonal` behind the Gauss rules and the SO(3) plane
+basis of `frames`.  scipy is imported the first time it is called, so the
+commands that build no Gauss rule (`build`, `check`, `dual`, `figure`)
+never load it.
+
 All sphere rules are positive product rules with weights normalized to sum
 to one (the surface measure here is a probability measure); rotation grids
 carry normalized Haar weights.  Product rules are deliberately simple:
@@ -15,7 +21,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from ._config import node_cap
 from .errors import CapacityError, ParameterError
@@ -29,6 +34,14 @@ class Rule1D:
     nodes: np.ndarray
     weights: np.ndarray
     exact_degree: int  # algebraic degree for Jacobi rules, trig degree for circle rules
+
+
+def eigh_tridiagonal(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvectors of the real symmetric
+    tridiagonal matrix with diagonal d and off-diagonal e: the result of
+    `scipy.linalg.eigh_tridiagonal(d, e)`, with scipy imported on first use."""
+    from scipy.linalg import eigh_tridiagonal as eigh
+    return eigh(d, e)
 
 
 def gauss_symmetric_jacobi(m: int, alpha: float) -> Rule1D:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -283,6 +284,15 @@ def test_parse_error_is_input_error(tmp_path):
           "--tol", "-1")),
     ({}, ("check", "--spec", "{w}", "--dual", "{tmp}/dual.json", "--n-max", "8",
           "--tol", "nan")),
+    ({}, ("build", "--kind", "zonal", "--d", "3", "--J", "2", "--out", "{tmp}")),
+    ({}, ("check", "--spec", "{w}", "--n-max", "4", "--out", "{tmp}")),
+    ({}, ("localize", "--spec", "{tmp}")),
+    ({}, ("build", "--kind", "zonal", "--J", "-1", "--out", "{tmp}/z.json")),
+    ({}, ("build", "--kind", "wavelet", "--K", "-1", "--J", "2", "--out", "{tmp}/k.json")),
+    ({}, ("check", "--spec", "{tmp}/negative_K.json", "--n-max", "8")),
+    ({}, ("check", "--spec", "{tmp}/negative_m.json", "--n-max", "8")),
+    ({}, ("--threads", "0", "check", "--spec", "{w}", "--n-max", "4")),
+    ({}, ("--threads", "-1", "check", "--spec", "{w}", "--n-max", "4")),
 ])
 def test_bad_input_is_one_line_input_error(tmp_path, capsys, monkeypatch, env, argv):
     spec_path = tmp_path / "w.json"
@@ -296,6 +306,8 @@ def test_bad_input_is_one_line_input_error(tmp_path, capsys, monkeypatch, env, a
                         tmp_path / f"{name}_signal.json")
     spec = io.read_spec(spec_path)
     io.write_spec(F.canonical_dual(spec), tmp_path / "dual.json")
+    for name, tag in (("negative_K", "steerable_K"), ("negative_m", "invariant_m")):
+        io.write_spec(dataclasses.replace(spec, **{tag: -1}), tmp_path / f"{name}.json")
     nan_rotation = np.eye(4)
     nan_rotation[0, 1] = math.nan
     for name, g in (("scaled", np.diag([2.0, 1.0, 1.0, 1.0])), ("nan_rotation", nan_rotation)):

@@ -481,6 +481,27 @@ def test_analysis_rejects_invalid_signal_indices():
         F.analysis(system, F.Signal(3, 2, {(2, (3,)): 1.0}), 1)
 
 
+def test_round_trip_validates_each_key_once(monkeypatch):
+    spec = C.zonal_spec(3, 3, "kappa2")
+    f = F.random_signal(3, 8, seed=2)
+    dual = F.canonical_dual(spec, n_max=f.degree)
+    system = F.build_system(spec)
+    calls = []
+    check = F.validate_multi_index
+    monkeypatch.setattr(F, "validate_multi_index",
+                        lambda d, n, k: calls.append((n, k)) or check(d, n, k))
+    coeffs = [F.analysis(system, f, j) for j in range(len(spec.scales))]
+    F.synthesis(system, dual, coeffs, f.degree)
+    # the spec's and the dual's keys are among the signal's
+    assert sorted(calls) == sorted(f.coeffs)
+    # a key equal to a validated one but of another type is checked again
+    F.analysis(system, F.Signal(3, 2, {(2, (np.int64(1),)): 1.0}), 1)
+    assert len(calls) == len(f.coeffs) + 1
+    # and a bad key is rejected at a degree the scale lacks
+    with pytest.raises(IndexSetError):
+        F.analysis(system, F.Signal(3, 8, {**f.coeffs, (8, (9,)): 1.0}), 1)
+
+
 # -- representation tables owned by the system ------------------------------------
 
 def round_trip_systems():

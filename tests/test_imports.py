@@ -1,6 +1,10 @@
 """Layout rules of the package source, checked on its syntax trees."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -36,3 +40,88 @@ def test_private_import_rule_catches_both_forms():
               "from numpy import _core\n")
     assert private_imports(source) == [(1, "quadrature", "_grid_size"),
                                        (2, "sphereframe.frames", "_Degree")]
+
+
+def scipy_imports(source: str) -> list:
+    """(line, at module level) of every import of scipy or a scipy submodule.
+    Imports inside a function body run when it is called; any other import,
+    class bodies and conditional blocks included, runs on import."""
+    out = []
+
+    def visit(node, in_function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                names = [child.module]
+            else:
+                names = []
+            if any(name == "scipy" or name.startswith("scipy.") for name in names):
+                out.append((child.lineno, not in_function))
+            visit(child, in_function or isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)))
+
+    visit(ast.parse(source), False)
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_scipy_is_imported_only_on_first_use_and_only_by_quadrature(path):
+    found = scipy_imports(path.read_text())
+    if path.name == "quadrature.py":
+        assert [line for line, module_level in found if module_level] == []
+    else:
+        assert found == []
+
+
+def test_scipy_import_rule_catches_every_form():
+    source = ("import scipy\n"
+              "import numpy, scipy.linalg as la\n"
+              "from scipy.linalg import eigh_tridiagonal\n"
+              "from numpy import scipy\n"
+              "from . import scipy\n"
+              "import scipyx\n"
+              "if True:\n"
+              "    from scipy import special\n"
+              "class A:\n"
+              "    import scipy.fft\n"
+              "def f():\n"
+              "    from scipy.linalg import eigh\n"
+              "    def g():\n"
+              "        import scipy\n"
+              "    return lambda: __import__('scipy')\n")
+    assert scipy_imports(source) == [(1, True), (2, True), (3, True), (8, True),
+                                     (10, True), (12, False), (14, False)]
+
+
+# Runs in a fresh interpreter: which commands load scipy.
+SCIPY_CHILD = """\
+import contextlib, io, json, sys
+from sphereframe import cli
+loaded = {"import": "scipy" in sys.modules}
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    loaded[argv[0]] = (code, "scipy" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def test_only_gauss_rules_load_scipy(tmp_path):
+    commands = [
+        ["build", "--kind", "wavelet", "--d", "4", "--K", "4", "--J", "3", "--window", "kappa2",
+         "--out", "w.json"],
+        ["check", "--spec", "w.json", "--n-max", "8"],
+        ["dual", "--spec", "w.json", "--out", "dual.json"],
+        ["figure", "--spec", "w.json", "--j", "2", "--resolution", "16",
+         "--format", "pgm", "--out", "f.pgm"],
+        ["quadinfo", "--d", "3", "--N", "2"],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-c", SCIPY_CHILD, json.dumps(commands)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "import": False, "build": [0, False], "check": [0, False],
+        "dual": [0, False], "figure": [0, False], "quadinfo": [0, True]}
