@@ -259,7 +259,10 @@ def polar_sample(spec: FrameSpec, j: int, t_res: int = 256, phi_res: int = 256,
     The sampled point is cos(t) e^d + sin(t) (cos(phi) e^{d-1} + sin(phi) v)
     where v embeds eta'' in the coordinates orthogonal to e^{d-1} and e^d.
     For tables invariant under the subgroup fixing those two axes the grid
-    does not depend on the choice of eta''.
+    does not depend on the choice of eta''.  Without a base rotation the grid
+    is one `eval_polar` product of the t axis and the directions
+    cos(phi) e^{d-1} + sin(phi) v; a base rotation moves every point off that
+    split, so such specs are evaluated point by point.
     """
     d = spec.d
     if d < 4:
@@ -275,18 +278,18 @@ def polar_sample(spec: FrameSpec, j: int, t_res: int = 256, phi_res: int = 256,
     v[: d - 2] = eta_dprime
     t = np.linspace(0.0, t_max, t_res)
     ph = np.linspace(0.0, 2.0 * math.pi, phi_res, endpoint=False)
-    tt, pp = np.meshgrid(t, ph, indexing="ij")
-    pole = np.zeros(d)
-    pole[d - 1] = 1.0
     side = np.zeros(d)
     side[d - 2] = 1.0
-    pts = (np.cos(tt)[..., None] * pole
-           + np.sin(tt)[..., None] * (np.cos(pp)[..., None] * side
-                                      + np.sin(pp)[..., None] * v))
-    flat = pts.reshape(-1, d)
-    if spec.base_rotation is not None:
-        flat = flat @ np.asarray(spec.base_rotation, dtype=float)
-    vals = ExpansionEvaluator(d, spec.scales[j].coeffs).eval_cartesian(flat)
+    u = np.cos(ph)[:, None] * side + np.sin(ph)[:, None] * v  # last coordinate 0
+    ev = ExpansionEvaluator(d, spec.scales[j].coeffs)
+    if spec.base_rotation is None:
+        vals = ev.eval_polar(t, u[:, : d - 1])
+    else:
+        pole = np.zeros(d)
+        pole[d - 1] = 1.0
+        pts = np.cos(t)[:, None, None] * pole + np.sin(t)[:, None, None] * u
+        flat = pts.reshape(-1, d) @ np.asarray(spec.base_rotation, dtype=float)
+        vals = ev.eval_cartesian(flat)
     vals = np.real(vals).reshape(t_res, phi_res)
     peak = float(np.max(np.abs(vals)))
     factor = peak if peak > 0 else 1.0

@@ -20,7 +20,8 @@ from .errors import (DegenerateSignalError, ExactnessError, ParameterError,
                      TableShapeError, UndefinedVarianceError)
 from .frames import FrameSpec, Signal, invariance_order, steerable_order
 from .harmonics import ExpansionEvaluator, spherical_to_cartesian
-from .quadrature import SphereRule, polar_rule, sphere_rule
+from .quadrature import (SphereRule, polar_axes, product_rule, sphere_axes,
+                         sphere_rule)
 from .specfun import Q_d
 
 
@@ -46,47 +47,64 @@ class Xi0Spectral(NamedTuple):
 def xi0_d_spectral(f: Signal) -> Xi0Spectral:
     """Polar component of the center of mass from coefficients alone:
     sum over (n,k) of f(n,k) [conj(f(n+1,k)) Q_d^{k1}(n) +
-    conj(f(n-1,k)) Q_d^{k1}(n-1)], with out-of-range coefficients zero."""
+    conj(f(n-1,k)) Q_d^{k1}(n-1)], with out-of-range coefficients zero.
+
+    The couplings come from one array call of Q_d per k1, over the degrees
+    of its adjacent pairs; the values, and the order of the sum, are those
+    of one scalar call per pair.
+    """
     norm_sq = f.norm_sq()
     if norm_sq == 0.0:
         raise DegenerateSignalError("zero signal has no center of mass")
+    pairs: dict[int, list] = {}  # k1 -> n of every pair (n, k), (n+1, k)
+    for n, k in f.coeffs:
+        if (n + 1, k) in f.coeffs:
+            pairs.setdefault(k[0], []).append(n)
+    coupling = {}
+    for k1, ns in pairs.items():
+        lo = min(ns)
+        values = Q_d(f.d, k1, np.arange(lo, max(ns) + 1)).tolist()
+        coupling.update(((k1, n), v) for n, v in enumerate(values, lo))
     total = 0.0 + 0.0j
     for (n, k), c in f.coeffs.items():
         up = f.coeffs.get((n + 1, k))
         if up is not None:
-            total += c * np.conj(up) * Q_d(f.d, k[0], n)
+            total += c * np.conj(up) * coupling[(k[0], n)]
         if n >= 1:
             down = f.coeffs.get((n - 1, k))
             if down is not None:
-                total += c * np.conj(down) * Q_d(f.d, k[0], n - 1)
+                total += c * np.conj(down) * coupling[(k[0], n - 1)]
     return Xi0Spectral(float(total.real), float(total.real) / norm_sq)
 
 
 def xi0_numeric(f: Signal) -> np.ndarray:
-    """Center of mass of |f|^2 by quadrature, the independent oracle for the
+    """Center of mass of |f|^2 by quadrature, the independent check of the
     spectral route.  The integrand has degree 2*deg(f)+1, so the rule is
     exact through 2*deg(f)+2.
 
-    When the table does not involve theta_1 the azimuth average is exact by
-    symmetry: the first two components vanish and the rest are computed on
-    the polar rule.
+    The rule is `sphere_rule(d, deg(f)+1)`, or, when the table does not
+    involve theta_1, its theta_1 = 0 slab `polar_rule`: the azimuth average
+    is exact by symmetry, so the first two components vanish.  Either rule is
+    taken apart as its Gauss axis in theta_{d-1} times the product of the
+    other axes, the directions u on S^{d-2}, and f is evaluated on that
+    split by `ExpansionEvaluator.eval_polar`.  The cap check of the rule
+    comes first.
     """
     norm_sq = f.norm_sq()
     if norm_sq == 0.0:
         raise DegenerateSignalError("zero signal has no center of mass")
     ev = ExpansionEvaluator(f.d, f.coeffs)
+    axes = polar_axes if ev.theta1_free else sphere_axes
+    *inner, (t, t_weights) = axes(f.d, f.degree + 1)
+    angles, u_weights = product_rule(inner)
+    u = spherical_to_cartesian(angles)
+    dens = np.multiply.outer(t_weights, u_weights) * np.abs(ev.eval_polar(t, u)) ** 2
+    xi = np.empty(f.d)
+    xi[-1] = np.cos(t) @ dens.sum(axis=1)
+    xi[:-1] = (np.sin(t) @ dens) @ u
     if ev.theta1_free:
-        angles, weights = polar_rule(f.d, f.degree + 1)
-        vals = ev.eval_angles(angles)
-        dens = weights * np.abs(vals) ** 2
-        pts = spherical_to_cartesian(angles)
-        xi = np.zeros(f.d)
-        xi[2:] = pts[:, 2:].T @ dens
-        return xi / dens.sum()
-    rule = sphere_rule(f.d, f.degree + 1)
-    vals = ev.eval_angles(rule.angles)
-    dens = rule.weights * np.abs(vals) ** 2
-    return (rule.points.T @ dens) / dens.sum()
+        xi[:2] = 0.0
+    return xi / dens.sum()
 
 
 def var_momentum(f: Signal) -> float:

@@ -9,7 +9,8 @@ Conventions used throughout the package:
       x_2 = sin(theta_{d-1}) ... sin(theta_2) cos(theta_1)
       ...
       x_d = cos(theta_{d-1}),
-  so theta_1 is recovered as atan2(x_1, x_2).
+  so e^{i theta_1} = (x_2 + i x_1) / |(x_1, x_2)|, the unit complex whose
+  powers the evaluator takes as its phases.
 * A degree-n multi-index is a tuple (k_1, ..., k_{d-2}) of integers with
   n >= k_1 >= ... >= k_{d-3} >= |k_{d-2}|; only the last entry is signed.
 * Coefficient tables are sparse dicts mapping (n, k) -> complex; iteration
@@ -28,7 +29,14 @@ from . import _config
 from .errors import ParameterError
 from .specfun import gegenbauer_table, log_norm_A, validate_multi_index
 
-EVAL_CHUNK = 16384  # points per block in eval_angles, eval_cartesian, basis_matrix
+EVAL_CHUNK = 16384  # points per block of eval_angles, eval_cartesian and basis_matrix;
+                    # values per (t, u) block of eval_polar
+# Points per chunk of rotated_apply.  Its tables have few terms over many
+# points, so its speed is set by how much of a chunk's Gegenbauer tables and
+# phases (about 2 MB at 8192 points and 30 table rows) stays in a core's
+# cache.  At 4096 points two workers contend for the interpreter lock and
+# run slower than one.
+ROTATED_CHUNK = 8192
 
 
 def dim_harmonic(d: int, n: int) -> int:
@@ -119,6 +127,29 @@ def addition_kernel(d: int, n: int, s):
     return value
 
 
+def _unit_phase(c, s, r):
+    """(c + i s)/r, with 1 where r = 0."""
+    safe = np.where(r == 0.0, 1.0, r)
+    z = np.empty(r.shape, dtype=complex)
+    np.divide(c, safe, out=z.real)
+    np.divide(s, safe, out=z.imag)
+    z[r == 0.0] = 1.0
+    return z
+
+
+def _phase_powers(z, ks) -> dict:
+    """a -> z^a for each a = |k|, k in ks nonzero, by repeated products of
+    the unit complex z; z^{-a} is the conjugate of z^a."""
+    wanted = {abs(k) for k in ks}
+    out = {}
+    power = None
+    for a in range(1, max(wanted, default=0) + 1):
+        power = z if power is None else power * z
+        if a in wanted:
+            out[a] = power
+    return out
+
+
 # ---------------------------------------------------------------------------
 # compiled sparse expansions
 # ---------------------------------------------------------------------------
@@ -132,13 +163,17 @@ class ExpansionEvaluator:
     over the levels j = 0..d-3, with t_j = theta_{d-1-j}, a_j = |k_{j+1}|,
     m_j = k_j - a_j (k_0 = n) and lam_j = (d-j-2)/2 + a_j.  Points arrive as
     angles or as cartesian vectors and become per-level (cos t_j, sin t_j)
-    pairs; theta_1 is only formed when some k_{d-2} != 0.  One Gegenbauer
-    table times its sine power is built per distinct (level, a_j) pair and
-    shared by all terms.  `_terms` yields each term's level product times its
-    phase: `_eval_core` sums them with the weights c(n,k) A_k^n and
-    `basis_matrix` stacks them scaled by A_k^n.  The weights, and so the
-    output, are real exactly when no term depends on theta_1 and every
-    coefficient has a zero imaginary part.
+    pairs and, only when some k_{d-2} != 0, the unit complex
+    z = e^{i theta_1}, whose powers are the phases.  One Gegenbauer table
+    times its sine power is built per distinct (level, a_j) pair and shared
+    by all terms.  `_terms` yields each term's level product times its phase:
+    `_eval_core` sums them with the weights c(n,k) A_k^n and `basis_matrix`
+    stacks them scaled by A_k^n.  `eval_polar` splits off level 0 instead:
+    on a product of a t axis and a set of directions u it builds level 0 on
+    the axis alone and sums the rest per (a_0, m_0) row, so the points meet
+    in one matrix product.  The weights, and so the output, are real exactly
+    when no term depends on theta_1 and every coefficient has a zero
+    imaginary part.
     """
 
     def __init__(self, d: int, coeffs: dict):
@@ -166,6 +201,10 @@ class ExpansionEvaluator:
             self._factors.append(factors)
         # rows of the Gegenbauer tables built per point, at least 1
         self._rows = max(1, sum(m + 1 for mmax in self._mmax for m in mmax.values()))
+        # the distinct level-0 factors (a_0, m_0), and each term's among them
+        self._rows0 = sorted({factors[0] for factors in self._factors})
+        row_of = {am: r for r, am in enumerate(self._rows0)}
+        self._row0 = [row_of[factors[0]] for factors in self._factors]
         coeff = np.array([c for _, _, c in entries], dtype=complex)
         self.theta1_free = not any(self._klast)
         self.real_output = self.theta1_free and not np.any(coeff.imag)
@@ -175,63 +214,87 @@ class ExpansionEvaluator:
     # -- core ---------------------------------------------------------------
 
     def _angle_levels(self, theta):
-        """Per-level (cos, sin) pairs and theta_1 of spherical points (M, d-1)."""
+        """Per-level (cos, sin) pairs and z = e^{i theta_1} of spherical points
+        (M, d-1)."""
         levels = [(np.cos(theta[:, i]), np.sin(theta[:, i]))
                   for i in range(self.d - 2, 0, -1)]
-        return levels, None if self.theta1_free else theta[:, 0]
+        return levels, None if self.theta1_free else np.exp(1j * theta[:, 0])
 
     def _cartesian_levels(self, x):
         """The same for cartesian points (M, d): cos theta_l = x_{l+1}/r_{l+1}
-        and sin theta_l = r_l/r_{l+1}, with r_l = |(x_1, ..., x_l)|.
+        and sin theta_l = r_l/r_{l+1}, with r_l = |(x_1, ..., x_l)|, and
+        z = (x_2 + i x_1)/r_2.  Points x of R^D, D < d, give the levels
+        j = d-D .. d-3 of any point whose first D coordinates are a positive
+        multiple of x.
 
-        Where r_{l+1} = 0 both come out 0.  No value depends on them: the
-        nearest level above with a nonzero radius has sine 0, and a term
-        either carries a positive power of that sine or has only constant
-        factors below it.
+        Where r_{l+1} = 0 both come out 0, and z is 1 where r_2 = 0.  No value
+        depends on them: the nearest level above with a nonzero radius has
+        sine 0, and a term either carries a positive power of that sine or has
+        only constant factors below it.
         """
         r = np.hypot(x[:, 0], x[:, 1])
+        z = None if self.theta1_free else _unit_phase(x[:, 1], x[:, 0], r)
         levels = []
-        for ell in range(2, self.d):
+        for ell in range(2, x.shape[1]):
             r_next = np.hypot(r, x[:, ell])
             safe = np.where(r_next == 0.0, 1.0, r_next)
             levels.append((x[:, ell] / safe, r / safe))
             r = r_next
         levels.reverse()
-        return levels, None if self.theta1_free else np.arctan2(x[:, 0], x[:, 1])
+        return levels, z
 
-    def _tables(self, levels):
-        """Per level, a -> C_m^{lam}(cos) sin^a for m = 0..max m_j."""
+    def _tables(self, levels, first=0):
+        """Per level from `first` on, a -> C_m^{lam}(cos) sin^a for
+        m = 0..max m_j, with the sine powers built by repeated products."""
         tables = []
-        for j, ((t, s), mmax) in enumerate(zip(levels, self._mmax)):
+        for j, ((t, s), mmax) in enumerate(zip(levels, self._mmax[first:]), first):
             per_a = {}
-            for a, m in mmax.items():
-                tab = gegenbauer_table(0.5 * (self.d - j - 2) + a, m, t)
+            power, power_a = np.ones_like(s), 0
+            for a in sorted(mmax):
+                tab = gegenbauer_table(0.5 * (self.d - j - 2) + a, mmax[a], t)
                 if a:
-                    tab *= s ** a
+                    for _ in range(power_a, a):
+                        power *= s
+                    power_a = a
+                    tab *= power
                 per_a[a] = tab
             tables.append(per_a)
         return tables
 
-    def _terms(self, levels, theta1):
-        """Each term's level product times its phase e^{i k_{d-2} theta_1}."""
-        tables = self._tables(levels)
-        phases = {kl: np.exp((1j * kl) * theta1) for kl in set(self._klast) if kl}
-        for factors, kl in zip(self._factors, self._klast):
-            (a, m), *rest = factors
-            v = tables[0][a][m]
-            for table, (a, m) in zip(tables[1:], rest):
-                v = v * table[a][m]
-            yield v * phases[kl] if kl else v
+    def _terms(self, levels, z, first=0):
+        """Each term's product over the levels from `first` on, times its
+        phase z^{k_{d-2}}; 1.0 for a term with neither.
 
-    def _eval_core(self, levels, theta1):
+        The products run in two reused buffers (real, complex), so a yielded
+        array is only valid until the next one is drawn.
+        """
+        tables = self._tables(levels, first)
+        phases = {} if z is None else _phase_powers(z, self._klast)
+        shape = levels[0][0].shape if levels else (() if z is None else z.shape)
+        real = np.empty(shape)
+        cplx = np.empty(shape, dtype=complex) if phases else None
+        for factors, kl in zip(self._factors, self._klast):
+            v = None
+            for table, (a, m) in zip(tables, factors[first:]):
+                tab = table[a][m]
+                v = tab if v is None else np.multiply(v, tab, out=real)
+            if kl:
+                # v is real, so v z^{-a} = conj(v z^a): a negative k conjugates in place
+                v = np.multiply(phases[abs(kl)], 1.0 if v is None else v, out=cplx)
+                if kl < 0:
+                    np.conjugate(v, out=v)
+            yield 1.0 if v is None else v
+
+    def _eval_core(self, levels, z):
         acc = np.zeros(levels[0][0].shape, dtype=self._weight.dtype)
-        for w, v in zip(self._weight, self._terms(levels, theta1)):
-            acc += w * v
+        term = np.empty_like(acc)
+        for w, v in zip(self._weight, self._terms(levels, z)):
+            acc += np.multiply(w, v, out=term)
         return acc
 
-    def _eval_blocks(self, pts, levels_of):
+    def _eval_blocks(self, pts, levels_of, chunk=EVAL_CHUNK):
         out = np.empty(pts.shape[0], dtype=self._weight.dtype)
-        for sl in _blocks(pts.shape[0], EVAL_CHUNK):
+        for sl in _blocks(pts.shape[0], chunk):
             out[sl] = self._eval_core(*levels_of(pts[sl]))
         return out
 
@@ -245,6 +308,41 @@ class ExpansionEvaluator:
         """Evaluate at cartesian points, shape (M, d) -> (M,)."""
         return self._eval_blocks(np.asarray(x, dtype=float), self._cartesian_levels)
 
+    def eval_polar(self, t: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Evaluate at cos(t) e^d + sin(t) u for every t and every u: t has
+        shape (T,), u holds unit vectors of R^{d-1} (the span of
+        e^1..e^{d-1}), shape (P, d-1); the result has shape (T, P).
+
+        Level 0 is built on the t axis alone, with the signed sin t: at
+        sin t < 0 the point lies in direction -u, and the rest of each term is
+        a harmonic of degree a_0 on S^{d-2}, so the two signs cancel exactly.
+        The other levels and the phases are built per block of u and summed
+        into one row per level-0 factor (a_0, m_0); each block is then one
+        (T x rows) @ (rows x block) product, with blocks of at most
+        EVAL_CHUNK values.
+        """
+        t = np.asarray(t, dtype=float)
+        u = np.asarray(u, dtype=float)
+        T, P = t.shape[0], u.shape[0]
+        level0 = self._tables([(np.cos(t), np.sin(t))])[0]
+        left = np.zeros((len(self._rows0), T))
+        for r, (a, m) in enumerate(self._rows0):
+            left[r] = level0[a][m]
+        left = left.T
+        out = np.empty((T, P), dtype=self._weight.dtype)
+        for sl in _blocks(P, max(1, EVAL_CHUNK // max(1, T))):
+            levels, z = self._cartesian_levels(u[sl])
+            right = np.zeros((len(self._rows0), sl.stop - sl.start),
+                             dtype=self._weight.dtype)
+            term = np.empty(right.shape[1:], dtype=right.dtype)
+            for w, r, v in zip(self._weight, self._row0, self._terms(levels, z, 1)):
+                right[r] += np.multiply(w, v, out=term)
+            if right.dtype == complex:  # real left factor: two real products
+                out[:, sl] = (left @ right.view(float)).view(complex)
+            else:
+                out[:, sl] = left @ right
+        return out
+
     def rotated_apply(self, rotations, points, reduce_fn, base_rotation=None,
                       max_block: int = 1 << 21, workers: int | None = None):
         """Evaluate the expansion at g^{-1} x over a rotation grid.
@@ -254,8 +352,9 @@ class ExpansionEvaluator:
         pre-rotation) and handed to reduce_fn(values, rows) where rows is the
         block's slice into the grid; the per-block results are returned in
         grid order.  Blocks are independent, so they may run on a thread pool.
-        max_block bounds the Gegenbauer-table entries of one block: points
-        times table rows, with at least one rotation per block.
+        max_block bounds points times table rows of one block, with at least
+        one rotation per block; within a block the moved points are evaluated
+        ROTATED_CHUNK at a time.
         """
         rotations = np.asarray(rotations, dtype=float)
         points = np.asarray(points, dtype=float)
@@ -267,8 +366,9 @@ class ExpansionEvaluator:
 
         def run(sl):
             # the moved points are freed before the Gegenbauer tables are built
-            vals = self._eval_core(*self._cartesian_levels(
-                np.matmul(points[None, :, :], rotations[sl]).reshape(-1, self.d)))
+            vals = self._eval_blocks(
+                np.matmul(points[None, :, :], rotations[sl]).reshape(-1, self.d),
+                self._cartesian_levels, ROTATED_CHUNK)
             return reduce_fn(vals.reshape(sl.stop - sl.start, P), sl)
 
         nworkers = _config.get_workers() if workers is None else max(1, workers)

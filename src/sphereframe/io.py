@@ -50,6 +50,14 @@ def _coeff_rows(coeffs: dict) -> list:
     return rows
 
 
+def _index(v) -> int:
+    """A coefficient index as read from JSON: an integer, or a float with an
+    integral value.  Anything else, a bool included, raises ValueError."""
+    if type(v) is int or (type(v) is float and v.is_integer()):
+        return int(v)
+    raise ValueError(f"index {v!r} is not an integer")
+
+
 def _coeffs_from_rows(rows) -> dict:
     """Parse coefficient rows; the callers prefix the file name to errors."""
     coeffs = {}
@@ -57,9 +65,9 @@ def _coeffs_from_rows(rows) -> dict:
         try:
             n, k, re, im = row
             c = complex(float(re), float(im))
-            coeffs[(int(n), tuple(int(v) for v in k))] = c
+            coeffs[(_index(n), tuple(_index(v) for v in k))] = c
         except (TypeError, ValueError) as exc:
-            raise FormatError(f"malformed coefficient row {row!r}") from exc
+            raise FormatError(f"malformed coefficient row {row!r} ({exc})") from exc
         if not cmath.isfinite(c):
             raise FormatError(f"non-finite coefficient in row {row!r}")
     return coeffs
@@ -173,29 +181,37 @@ def grid_from_dict(doc: dict, path="<doc>") -> RotationRule:
     return rule
 
 
-def _float_block(values: np.ndarray, indent: str) -> str:
-    """The `json.dumps(values.tolist(), indent=2)` text of a 1-d or 2-d float
-    array whose opening bracket sits `indent` deep.  Each distinct bit
+GRID_BLOCK_ROWS = 4096  # rows of a grid array rendered and written at a time
+
+
+def _write_floats(fh, values: np.ndarray, indent: str) -> None:
+    """Write the `json.dumps(values.tolist(), indent=2)` text of a non-empty
+    1-d or 2-d float array whose opening bracket sits `indent` deep, a block
+    of GRID_BLOCK_ROWS rows at a time.  In each block every distinct bit
     pattern is rendered once, with `float.__repr__` as the encoder does;
     keyed by bits, -0.0 keeps its sign."""
-    bits, inverse = np.unique(np.ascontiguousarray(values, dtype=float).view(np.uint64),
-                              return_inverse=True)
-    text = np.array([float.__repr__(v) for v in bits.view(float).tolist()], dtype=object)
-    text = text[inverse.reshape(-1)].reshape(values.shape).tolist()
     inner = indent + "  "
-    if values.ndim == 1:
-        return "[\n" + inner + (",\n" + inner).join(text) + "\n" + indent + "]"
-    leaf = inner + "  "
-    rows = ((",\n" + leaf).join(row) for row in text)
-    return ("[\n" + inner + "[\n" + leaf
-            + ("\n" + inner + "],\n" + inner + "[\n" + leaf).join(rows)
-            + "\n" + inner + "]\n" + indent + "]")
+    sep = ",\n" + inner + "  "
+    fh.write("[\n")
+    for lo in range(0, len(values), GRID_BLOCK_ROWS):
+        block = np.ascontiguousarray(values[lo:lo + GRID_BLOCK_ROWS], dtype=float)
+        bits, inverse = np.unique(block.view(np.uint64), return_inverse=True)
+        text = np.array([float.__repr__(v) for v in bits.view(float).tolist()], dtype=object)
+        rows = text[inverse.reshape(block.shape)].tolist()
+        if block.ndim == 1:
+            items = [inner + v for v in rows]
+        else:
+            items = [inner + "[" + sep[1:] + sep.join(row) + "\n" + inner + "]"
+                     for row in rows]
+        fh.write((",\n" if lo else "") + ",\n".join(items))
+    fh.write("\n" + indent + "]")
 
 
 def write_grid(rule: RotationRule, path) -> None:
     """Write the grid as `_dump` would write its document, byte for byte,
-    with the float arrays rendered by `_float_block` rather than the
-    pure-Python encoder that `indent` selects."""
+    with the float arrays rendered by `_write_floats` rather than the
+    pure-Python encoder that `indent` selects, and streamed to the file a
+    block of rows at a time."""
     doc = {
         "version": FORMAT_VERSION,
         "kind": "rotation_grid",
@@ -206,10 +222,12 @@ def write_grid(rule: RotationRule, path) -> None:
     if rule.steer_K is not None:
         doc["steer_K"] = int(rule.steer_K)
     head = json.dumps(doc, indent=2)[:-2]  # without the closing "\n}"
-    Path(path).write_text(
-        head + ',\n  "rotations": '
-        + _float_block(rule.rotations.reshape(len(rule), -1), "  ")
-        + ',\n  "weights": ' + _float_block(rule.weights, "  ") + "\n}\n")
+    with Path(path).open("w") as fh:
+        fh.write(head + ',\n  "rotations": ')
+        _write_floats(fh, rule.rotations.reshape(len(rule), -1), "  ")
+        fh.write(',\n  "weights": ')
+        _write_floats(fh, rule.weights, "  ")
+        fh.write("\n}\n")
 
 
 def read_grid(path) -> RotationRule:

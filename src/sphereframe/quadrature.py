@@ -106,7 +106,30 @@ def _mesh(nodes) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
-def _product(axes) -> tuple[np.ndarray, np.ndarray]:
+def _check_degree(d: int, N: int) -> None:
+    if d < 2:
+        raise ParameterError(f"sphere dimension d must be at least 2, got {d}")
+    if N < 0:
+        raise ParameterError(f"target degree must be nonnegative, got {N}")
+
+
+def _gauss_axes(d: int, N: int) -> list:
+    """Gauss axes in theta_2 .. theta_{d-1}: the weight (1-t^2)^((ell-1)/2)
+    in cos(theta_{ell+1}), from sin^{d-2}(theta_{d-1}) ... sin(theta_2)."""
+    axes = []
+    for ell in range(1, d - 1):
+        rule = gauss_symmetric_jacobi(N + 1, (ell - 1) / 2.0)
+        axes.append((np.arccos(rule.nodes), rule.weights))
+    return axes
+
+
+def _sphere_axes(d: int, N: int) -> list:
+    """The (nodes, weights) axes of `sphere_rule(d, N)`, theta_1 first."""
+    circ = circle_rule(2 * N + 1)
+    return [(circ.nodes, circ.weights)] + _gauss_axes(d, N)
+
+
+def product_rule(axes) -> tuple[np.ndarray, np.ndarray]:
     """Tensor product of 1-d (nodes, weights) axes, first axis slowest.
 
     Returns the (R, len(axes)) node array and the product weights
@@ -119,21 +142,21 @@ def _product(axes) -> tuple[np.ndarray, np.ndarray]:
     return _mesh([nodes for nodes, _ in axes]), weights / weights.sum()
 
 
-def _check_degree(d: int, N: int) -> None:
-    if d < 2:
-        raise ParameterError(f"sphere dimension d must be at least 2, got {d}")
-    if N < 0:
-        raise ParameterError(f"target degree must be nonnegative, got {N}")
+def sphere_axes(d: int, N: int, max_nodes: int | None = None) -> list:
+    """The 1-d (nodes, weights) axes of `sphere_rule(d, N)`, theta_1 first,
+    after the same cap check; `product_rule` of them is the rule."""
+    _check_degree(d, N)
+    check_cap(sphere_size(d, N), "sphere rule", max_nodes)
+    return _sphere_axes(d, N)
 
 
-def _polar_axes(d: int, N: int) -> list:
-    """Gauss axes in theta_2 .. theta_{d-1}: the weight (1-t^2)^((ell-1)/2)
-    in cos(theta_{ell+1}), from sin^{d-2}(theta_{d-1}) ... sin(theta_2)."""
-    axes = []
-    for ell in range(1, d - 1):
-        rule = gauss_symmetric_jacobi(N + 1, (ell - 1) / 2.0)
-        axes.append((np.arccos(rule.nodes), rule.weights))
-    return axes
+def polar_axes(d: int, N: int) -> list:
+    """The 1-d (nodes, weights) axes of `polar_rule(d, N)`, the single
+    theta_1 = 0 node first, after the same cap check."""
+    _check_degree(d, N)
+    # at d = 3 the N+1 nodes come from an (N+1)^2 Golub-Welsch eigenvector matrix
+    check_cap((N + 1) ** max(d - 2, 2), "polar rule", None)
+    return [(np.zeros(1), np.ones(1))] + _gauss_axes(d, N)
 
 
 def sphere_rule(d: int, N: int, max_nodes: int | None = None) -> SphereRule:
@@ -142,16 +165,8 @@ def sphere_rule(d: int, N: int, max_nodes: int | None = None) -> SphereRule:
     Composes an equispaced rule in theta_1 with the Gauss axes of
     `polar_rule`; the node count is checked against the cap first.
     """
-    _check_degree(d, N)
-    check_cap(sphere_size(d, N), "sphere rule", max_nodes)
-    angles, weights = _product(_sphere_axes(d, N))
+    angles, weights = product_rule(sphere_axes(d, N, max_nodes))
     return SphereRule(d, angles, spherical_to_cartesian(angles), weights, 2 * N)
-
-
-def _sphere_axes(d: int, N: int) -> list:
-    """The (nodes, weights) axes of `sphere_rule(d, N)`, theta_1 first."""
-    circ = circle_rule(2 * N + 1)
-    return [(circ.nodes, circ.weights)] + _polar_axes(d, N)
 
 
 def polar_rule(d: int, N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -160,10 +175,7 @@ def polar_rule(d: int, N: int) -> tuple[np.ndarray, np.ndarray]:
     Exact on polynomials of degree 2N that do not depend on the azimuth
     theta_1.  Returns (angles (R, d-1), weights (R,)).
     """
-    _check_degree(d, N)
-    # at d = 3 the N+1 nodes come from an (N+1)^2 Golub-Welsch eigenvector matrix
-    check_cap((N + 1) ** max(d - 2, 2), "polar rule", None)
-    return _product([(np.zeros(1), np.ones(1))] + _polar_axes(d, N))
+    return product_rule(polar_axes(d, N))
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +305,7 @@ def _section(d: int, N: int) -> Section:
     """The sections over the nodes of `sphere_rule(d, N)`."""
     _check_degree(d, N)
     axes = _sphere_axes(d, N)
-    return Section(tuple(nodes for nodes, _ in axes), _product(axes)[1])
+    return Section(tuple(nodes for nodes, _ in axes), product_rule(axes)[1])
 
 
 def _grid_size(d: int, N: int, variant: str, K: int | None = None) -> int:

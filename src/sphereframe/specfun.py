@@ -20,7 +20,8 @@ def gegenbauer_table(lam: float, n_max: int, t) -> np.ndarray:
     Uses the three-term recurrence
         C_0 = 1,  C_1 = 2*lam*t,
         m*C_m = 2*(m+lam-1)*t*C_{m-1} - (m+2*lam-2)*C_{m-2},
-    which is forward-stable on [-1, 1] for lam > 0.
+    which is forward-stable on [-1, 1] for lam > 0.  Each step runs in the
+    output rows and one scratch row, in the order the formula is written.
 
     Returns an array of shape (n_max+1,) + shape(t), degree on the first axis.
     """
@@ -33,9 +34,14 @@ def gegenbauer_table(lam: float, n_max: int, t) -> np.ndarray:
     out[0] = 1.0
     if n_max >= 1:
         out[1] = 2.0 * lam * t
+    scratch = np.empty(t.shape)
     for m in range(2, n_max + 1):
-        out[m] = (2.0 * (m + lam - 1.0) * t * out[m - 1]
-                  - (m + 2.0 * lam - 2.0) * out[m - 2]) / m
+        row = out[m, ...]  # a view, also for scalar t
+        np.multiply(2.0 * (m + lam - 1.0), t, out=scratch)
+        np.multiply(scratch, out[m - 1], out=scratch)
+        np.multiply(m + 2.0 * lam - 2.0, out[m - 2], out=row)
+        np.subtract(scratch, row, out=row)
+        np.divide(row, m, out=row)
     return out
 
 

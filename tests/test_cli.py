@@ -293,6 +293,9 @@ def test_parse_error_is_input_error(tmp_path):
     ({}, ("check", "--spec", "{tmp}/negative_m.json", "--n-max", "8")),
     ({}, ("--threads", "0", "check", "--spec", "{w}", "--n-max", "4")),
     ({}, ("--threads", "-1", "check", "--spec", "{w}", "--n-max", "4")),
+    ({}, ("check", "--spec", "{tmp}/float_n.json", "--n-max", "8")),
+    ({}, ("check", "--spec", "{tmp}/float_k.json", "--n-max", "8")),
+    ({}, ("check", "--spec", "{tmp}/bool_k.json", "--n-max", "8")),
 ])
 def test_bad_input_is_one_line_input_error(tmp_path, capsys, monkeypatch, env, argv):
     spec_path = tmp_path / "w.json"
@@ -316,6 +319,12 @@ def test_bad_input_is_one_line_input_error(tmp_path, capsys, monkeypatch, env, a
     for name, degree in (("low", 1), ("negative", -2)):
         io.write_signal(F.Signal(4, degree, {(3, (1, 0)): 1.0}),
                         tmp_path / f"{name}_signal.json")
+    # indices that int() would read as a valid key: n 1.7, k_1 0.4 or true
+    for name, (n, k1) in (("float_n", (1.7, 1)), ("float_k", (1, 0.4)),
+                          ("bool_k", (1, True))):
+        doc = json.loads(spec_path.read_text())
+        doc["scales"][2]["coeffs"][0][:2] = [n, [k1, 0]]
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
     capsys.readouterr()
     for name, value in env.items():
         monkeypatch.setenv(name, value)

@@ -69,6 +69,33 @@ def test_xi0_routes_agree_on_random_signals():
             f = F.random_signal(d, 8, seed=seed)
             xi = D.xi0_numeric(f)
             assert abs(xi[-1] - D.xi0_d_spectral(f).xi0d) < 1e-12
+            assert np.max(np.abs(xi - oracle.xi0_numeric_flat(f))) < 1e-14
+
+
+def test_xi0_polar_split_matches_the_flat_rule_without_theta1():
+    for d in (3, 4, 5):
+        coeffs = {key: c for key, c in F.random_signal(d, 7, seed=d).coeffs.items()
+                  if key[1][-1] == 0}
+        f = F.Signal(d, 7, coeffs)
+        xi = D.xi0_numeric(f)
+        assert np.array_equal(xi[:2], [0.0, 0.0])
+        assert np.max(np.abs(xi - oracle.xi0_numeric_flat(f))) < 1e-14
+
+
+def test_xi0_spectral_is_the_sum_of_one_scalar_coupling_per_pair():
+    # the array couplings equal scalar Q_d calls, summed in the same order
+    for d in (3, 4, 5):
+        f = F.random_signal(d, 9, seed=d)
+        total = 0.0 + 0.0j
+        for (n, k), c in f.coeffs.items():
+            up = f.coeffs.get((n + 1, k))
+            if up is not None:
+                total += c * np.conj(up) * Q_d(d, k[0], n)
+            if n >= 1:
+                down = f.coeffs.get((n - 1, k))
+                if down is not None:
+                    total += c * np.conj(down) * Q_d(d, k[0], n - 1)
+        assert D.xi0_d_spectral(f).xi0d_times_normsq == float(total.real)
 
 
 def test_wavelet_center_of_mass_points_at_pole():

@@ -11,6 +11,7 @@ from sphereframe import constructions as C
 from sphereframe import harmonics as H
 from sphereframe import quadrature as Q
 from sphereframe.errors import ExactnessError, IndexSetError
+from sphereframe.specfun import log_norm_A
 
 
 def unit(rng, d):
@@ -239,6 +240,86 @@ def test_evaluator_entry_points_match_oracle(table):
     for r, g in enumerate(rotations @ base):
         want = oracle.eval_sum(d, coeffs, oracle.cartesian_to_spherical(points @ g))
         close(stacked[1][r], want)
+
+
+def polar_table(d, is_complex, theta1):
+    """A degree-6 table on S^{d-1} with every key, or only the keys with
+    k_{d-2} = 0; real or complex coefficients."""
+    rng = np.random.default_rng(40 + d)
+    coeffs = {}
+    for n in range(7):
+        for k in H.index_set(d, n):
+            if theta1 or k[-1] == 0:
+                imag = rng.standard_normal() if is_complex else 0.0
+                coeffs[(n, k)] = complex(rng.standard_normal(), imag)
+    return coeffs
+
+
+@pytest.mark.parametrize("theta1", [False, True], ids=["theta1_free", "theta1"])
+@pytest.mark.parametrize("is_complex", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_eval_polar_matches_eval_cartesian(d, is_complex, theta1):
+    ev = H.ExpansionEvaluator(d, polar_table(d, is_complex, theta1))
+    assert ev.theta1_free == (not theta1)
+    assert ev.real_output == (not theta1 and not is_complex)
+    rng = np.random.default_rng(d)
+    # the poles, and t_max > pi, where sin t < 0 puts the point at -u
+    t = np.concatenate([[0.0, math.pi, 2 * math.pi],
+                        np.linspace(0.0, 2 * math.pi + 1.0, 29)])
+    u = np.array([unit(rng, d - 1) for _ in range(40)])
+    u[0] = np.eye(d - 1)[-1]  # every inner radius 0
+    u[1] = -u[0]
+    if d > 3:
+        u[2] = np.eye(d - 1)[2]  # r_2 = 0 only
+    got = ev.eval_polar(t, u)
+    assert got.shape == (len(t), len(u))
+    assert got.dtype == (float if ev.real_output else complex)
+    u_full = np.hstack([u, np.zeros((len(u), 1))])
+    points = np.cos(t)[:, None, None] * np.eye(d)[-1] + np.sin(t)[:, None, None] * u_full
+    want = ev.eval_cartesian(points.reshape(-1, d)).reshape(got.shape)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_eval_polar_blocks_and_empty_table(monkeypatch):
+    ev = H.ExpansionEvaluator(4, polar_table(4, True, True))
+    rng = np.random.default_rng(5)
+    t = np.linspace(0.0, 1.0, 7)
+    u = np.array([unit(rng, 3) for _ in range(23)])
+    whole = ev.eval_polar(t, u)
+    monkeypatch.setattr(H, "EVAL_CHUNK", 7 * 5)  # blocks of 5 directions
+    assert np.array_equal(ev.eval_polar(t, u), whole)
+    assert np.array_equal(H.ExpansionEvaluator(4, {}).eval_polar(t, u),
+                          np.zeros((7, 23)))
+
+
+def test_phases_are_powers_of_e_i_theta1():
+    # at theta_2 = pi/2 the d=3 harmonic of degree |k| is A e^{i k theta_1}
+    theta1 = np.linspace(0.0, 2 * math.pi, 257)
+    theta = np.stack([theta1, np.full_like(theta1, math.pi / 2)], axis=1)
+    x = H.spherical_to_cartesian(theta)
+    for k in range(-64, 65):
+        ev = H.ExpansionEvaluator(3, {(abs(k), (k,)): 1.0})
+        amp = math.exp(log_norm_A(3, abs(k), (k,)))
+        want = np.exp(1j * k * theta1)
+        for got in (ev.eval_angles(theta), ev.eval_cartesian(x)):
+            assert np.max(np.abs(got / amp - want)) < 1e-13, k
+
+
+@pytest.mark.filterwarnings("error")  # no 0/0 on the way either
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_kernel_is_finite_at_the_poles(d):
+    coeffs = polar_table(d, True, True)
+    ev = H.ExpansionEvaluator(d, coeffs)
+    axes = np.vstack([np.eye(d), -np.eye(d)])  # every partial radius 0 somewhere
+    theta = np.zeros((2, d - 1))
+    theta[1, -1] = math.pi
+    assert np.all(np.isfinite(ev.eval_cartesian(axes)))
+    assert np.all(np.isfinite(ev.eval_angles(theta)))
+    assert np.all(np.isfinite(ev.eval_polar(np.array([0.0, math.pi]),
+                                            axes[:d - 1, :d - 1])))
+    assert np.all(np.isfinite(H.basis_matrix(d, 3, axes)))
+    want = oracle.eval_sum(d, coeffs, oracle.cartesian_to_spherical(axes))
+    assert np.max(np.abs(ev.eval_cartesian(axes) - want)) < 1e-12
 
 
 def test_rotated_apply_blocks_bound_table_entries():

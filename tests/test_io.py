@@ -202,3 +202,13 @@ def test_random_signal_write_read_write_is_byte_identical(tmp_path_factory, sign
     io.write_signal(back, tmp / "b.json")
     assert (tmp / "a.json").read_bytes() == (tmp / "b.json").read_bytes()
     assert back.coeffs == signal.coeffs and back.degree == signal.degree
+
+
+@pytest.mark.parametrize("block", [1, 3, 7])
+def test_grid_writer_blocks_join_to_the_encoder_bytes(tmp_path, monkeypatch, block):
+    # 75 rotations: full blocks, a short last block, and single-row blocks
+    monkeypatch.setattr(io, "GRID_BLOCK_ROWS", block)
+    rule = Q.rotation_rule(3, 2, "general")
+    path = tmp_path / "g.json"
+    io.write_grid(rule, path)
+    assert path.read_text() == json.dumps(oracle.grid_to_dict(rule), indent=2) + "\n"
