@@ -14,7 +14,7 @@ import numpy as np
 
 from . import _config, constructions, diagnostics, frames, io, quadrature
 from .errors import (CapacityError, NotAFrameError, ParameterError,
-                     SphereFrameError)
+                     SphereFrameError, UndefinedVarianceError)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -183,14 +183,24 @@ def _parse_scales(text, n_scales):
 def cmd_localize(args) -> int:
     spec = io.read_spec(args.spec)
     scales = _parse_scales(args.scales, len(spec.scales))
-    records = diagnostics.localization_report(spec, scales)
+    records = []
+    for j in scales:  # a scale whose variance is undefined gets a row of its own
+        try:
+            records += diagnostics.localization_report(spec, [j])
+        except UndefinedVarianceError as exc:
+            records.append(exc.record)
     rows = []
     print(f"{'j':>3} {'N_j':>6} {'|Psi|^2':>14} {'xi0_d':>12} "
           f"{'Var_S':>12} {'Var_S*N^2':>12} {'Var_M':>14} {'VarS*VarM':>12}")
     for r in records:
+        if r.var_space is None:
+            var_s = scaled = product = f"{'undefined':>12}"
+        else:
+            var_s = f"{r.var_space:>12.4e}"
+            scaled = f"{r.var_space * r.bandwidth**2:>12.6f}"
+            product = f"{r.uncertainty_product:>12.6f}"
         print(f"{r.j:>3} {r.bandwidth:>6} {r.norm_sq:>14.6e} {r.xi0_d:>12.8f} "
-              f"{r.var_space:>12.4e} {r.var_space * r.bandwidth**2:>12.6f} "
-              f"{r.var_momentum:>14.6e} {r.uncertainty_product:>12.6f}")
+              f"{var_s} {scaled} {r.var_momentum:>14.6e} {product}")
         rows.append({
             "j": r.j, "N_j": r.bandwidth, "norm_sq": r.norm_sq,
             "xi0_d": r.xi0_d, "xi0_vec": [float(v) for v in r.xi0_vec],
@@ -213,6 +223,9 @@ def cmd_autocorr(args) -> int:
              f"--j {args.j} is outside 0..{len(spec.scales) - 1}")
     d = spec.d
     scale = spec.scales[args.j]
+    # the sweep evaluates the scale at the rule and at its image under each angle
+    quadrature.check_cap((args.angles + 1) * quadrature.sphere_size(d, scale.bandwidth),
+                         "autocorrelation sweep", None)
     rule = quadrature.sphere_rule(d, scale.bandwidth)
     alphas = np.linspace(0.0, math.pi, args.angles)
     hs = np.tile(np.eye(d), (len(alphas), 1, 1))
@@ -281,10 +294,10 @@ def cmd_figure(args) -> int:
 def cmd_quadinfo(args) -> int:
     _require_cap(args.max_nodes)
     outer = quadrature.sphere_rule(args.d, args.N, args.max_nodes)
-    print(f"sphere rule S^{args.d - 1}, target degree {2 * args.N}: "
-          f"{len(outer)} nodes, weight sum {outer.weights.sum():.15f}")
     rule = quadrature.rotation_rule(args.d, args.N, args.variant, K=args.K,
                                     max_nodes=args.max_nodes)
+    print(f"sphere rule S^{args.d - 1}, target degree {2 * args.N}: "
+          f"{len(outer)} nodes, weight sum {outer.weights.sum():.15f}")
     print(f"rotation rule variant={rule.variant} class={rule.class_degree}"
           + (f" K={rule.steer_K}" if rule.steer_K is not None else "")
           + f": {len(rule)} rotations, weight sum {rule.weights.sum():.15f}")

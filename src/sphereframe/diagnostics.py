@@ -243,10 +243,13 @@ class LocalizationRecord:
     norm_sq: float
     xi0_d: float
     xi0_vec: np.ndarray
-    var_space: float
+    var_space: float | None
     var_space_upper: float
     var_momentum: float
-    uncertainty_product: float
+    uncertainty_product: float | None
+
+
+_XI_ZERO = 1e-12  # a center of mass this short is zero up to rounding
 
 
 def localization_report(spec: FrameSpec, scales=None) -> list[LocalizationRecord]:
@@ -254,7 +257,10 @@ def localization_report(spec: FrameSpec, scales=None) -> list[LocalizationRecord
 
     The reported center-of-mass vector refers to the frame function as used:
     for tables stored pre-rotation the quadrature vector is rotated before
-    its polar component is read off.
+    its polar component is read off.  A scale whose center of mass has
+    length at most 1e-12 has no spatial variance: rounding alone would set
+    its value.  It raises `UndefinedVarianceError`, whose `record` is the
+    scale's record with `var_space` and `uncertainty_product` None.
     """
     if scales is None:
         scales = range(len(spec.scales))
@@ -266,17 +272,20 @@ def localization_report(spec: FrameSpec, scales=None) -> list[LocalizationRecord
         if spec.base_rotation is not None:
             xi = np.asarray(spec.base_rotation, dtype=float) @ xi
         s2 = float(xi @ xi)
-        if s2 == 0.0:
-            raise UndefinedVarianceError(f"scale {j} has vanishing center of mass")
-        vs = (1.0 - s2) / s2
+        xi_len = math.sqrt(s2)
+        vs = (1.0 - s2) / s2 if xi_len > _XI_ZERO else None
         if spec.base_rotation is None:
             xid = xi0_d_spectral(f).xi0d
         else:
             xid = float(xi[-1])
         upper = math.inf if xid == 0.0 else (1.0 - xid * xid) / (xid * xid)
         vm = var_momentum(f)
-        out.append(LocalizationRecord(
+        record = LocalizationRecord(
             j=scale.j, bandwidth=scale.bandwidth, norm_sq=f.norm_sq(),
             xi0_d=xid, xi0_vec=xi, var_space=vs, var_space_upper=upper,
-            var_momentum=vm, uncertainty_product=vs * vm))
+            var_momentum=vm, uncertainty_product=None if vs is None else vs * vm)
+        if vs is None:
+            raise UndefinedVarianceError(
+                f"scale {j} has vanishing center of mass (|xi| = {xi_len:.3e})", record)
+        out.append(record)
     return out

@@ -42,4 +42,12 @@ class DegenerateSignalError(SphereFrameError, ValueError):
 
 
 class UndefinedVarianceError(SphereFrameError, ValueError):
-    """The center of mass vanishes, so the spatial variance is undefined."""
+    """The center of mass vanishes, so the spatial variance is undefined.
+
+    `record`, when given, holds what is still defined for the scale, with
+    the variance fields None.
+    """
+
+    def __init__(self, message: str, record=None):
+        super().__init__(message)
+        self.record = record

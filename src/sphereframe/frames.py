@@ -103,12 +103,15 @@ class Signal:
 
 
 def random_signal(d: int, degree: int, seed=None) -> Signal:
-    """Unit-energy signal with complex-Gaussian coefficients per (n, k)."""
-    rng = np.random.default_rng(seed)
-    coeffs = {}
-    for n in range(degree + 1):
-        for k in index_set(d, n):
-            coeffs[(n, k)] = complex(rng.standard_normal(), rng.standard_normal())
+    """Unit-energy signal with complex-Gaussian coefficients per (n, k).
+
+    The normals come from one draw, real and imaginary part of each key in
+    turn, keys by degree and then in `index_set` order: the stream that one
+    scalar draw per part would give.
+    """
+    keys = [(n, k) for n in range(degree + 1) for k in index_set(d, n)]
+    z = np.random.default_rng(seed).standard_normal(2 * len(keys)).tolist()
+    coeffs = {key: complex(re, im) for key, re, im in zip(keys, z[0::2], z[1::2])}
     scale = 1.0 / math.sqrt(sum(abs(c) ** 2 for c in coeffs.values()))
     return Signal(d, degree, {key: c * scale for key, c in coeffs.items()})
 
@@ -307,12 +310,17 @@ class FrameSystem:
     long as the system, so one round trip builds each once.  `_keys` holds
     the coefficient keys (n, k) already validated, with their normalized k
     (see `_by_degree`), so a round trip checks each distinct key once, not
-    once per scale.
+    once per scale.  `_phases` holds one phase table per grid axis, keyed by
+    the axis's bytes: e^{-i k beta} for beta in the axis and k = -M..M, with
+    M the largest degree the axis has served.  The phases depend on the axis
+    node and the label k_{d-2} only, not on the degree, so every degree and
+    plane that runs down the axis gathers its columns from the one table.
     """
     spec: FrameSpec
     grids: list[RotationRule]
     variant: str
     _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _phases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _keys: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
@@ -424,16 +432,21 @@ class _Degree:
     quadrature matrix is missing.  An object serves one degree of one call.
     Its matrices go into `tables`, the degree's entry of the owning
     `FrameSystem`: Delta_ell keyed by ell, D^n(g) keyed by the rotation's
-    bytes.
+    bytes.  The phases come from `phases`, the system's per-axis tables
+    shared by all degrees (see `FrameSystem`); a table is built, or widened
+    to columns -n..n, the first time this degree needs it, so after the cap
+    check.  Without an owner both dicts are the object's own.
     """
 
-    def __init__(self, d: int, n: int, max_nodes: int | None, tables: dict | None = None):
+    def __init__(self, d: int, n: int, max_nodes: int | None, tables: dict | None = None,
+                 phases: dict | None = None):
         self.d, self.n = d, n
         self.max_nodes = max_nodes
         self.keys = index_set(d, n)
         self.klast = np.array([k[-1] for k in self.keys])
         check_cap(sphere_size(d, n), "sphere rule", max_nodes)
         self.tables = {} if tables is None else tables
+        self.phases = {} if phases is None else phases
 
     @cached_property
     def rule(self):
@@ -481,13 +494,24 @@ class _Degree:
             lo += 2 * N + 1
         return out
 
+    def _phase_table(self, axis: np.ndarray) -> tuple[np.ndarray, int]:
+        """(e^{-i k beta} for beta in axis and k = -M..M, M) from the phase
+        tables, with M >= n; built, or rebuilt wider, on first use."""
+        key = axis.tobytes()
+        table = self.phases.get(key)
+        if table is None or table.shape[1] < 2 * self.n + 1:
+            table = np.exp(-1j * np.outer(axis, np.arange(-self.n, self.n + 1)))
+            self.phases[key] = table
+        return table, table.shape[1] // 2
+
     def plane(self, ell: int, axis: np.ndarray, rows: list, cols: list) -> np.ndarray:
         """D^n(G_ell(beta))[rows, cols] for beta in axis, shape
         (len(axis), |rows|, |cols|); for ell = 1 (rows = cols) only the
         diagonal, shape (len(axis), |cols|)."""
-        phases = np.exp(-1j * np.outer(axis, self.klast))
+        table, M = self._phase_table(axis)
         if ell == 1:
-            return phases[:, cols]
+            return table[:, self.klast[cols] + M]
+        phases = table[:, self.klast + M]
         delta = self.delta(ell)
         # rows, the reach of cols, are never fewer: the phase scales the smaller factor
         return delta[rows] @ (phases[:, :, None] * delta[cols].conj().T)
@@ -590,7 +614,7 @@ def analysis(system: FrameSystem, f: Signal, j: int,
     psi_tables = _by_degree(spec.d, spec.scales[j].coeffs, system._keys)
     total = np.zeros((len(outer), len(grid) // len(outer)), dtype=complex)
     for n in sorted(f_tables.keys() & psi_tables.keys(), reverse=True):
-        rep = _Degree(spec.d, n, max_nodes, system._tables.setdefault(n, {}))
+        rep = _Degree(spec.d, n, max_nodes, system._tables.setdefault(n, {}), system._phases)
         f_n, _ = rep.generator(f_tables[n], None)
         psi, support = rep.generator(psi_tables[n], spec.base_rotation)
         rows, support = rep.inner(inner, psi, support)
@@ -619,7 +643,7 @@ def synthesis(system: FrameSystem, dual_spec: FrameSpec, coefficients,
               for scale in dual_spec.scales]
     parts = {}
     for n in sorted(set().union(*tables), reverse=True):
-        rep = _Degree(d, n, max_nodes, system._tables.setdefault(n, {}))
+        rep = _Degree(d, n, max_nodes, system._tables.setdefault(n, {}), system._phases)
         out = np.zeros(len(rep.keys), dtype=complex)
         for j, by_degree in enumerate(tables):
             if n not in by_degree:

@@ -38,10 +38,21 @@ class Rule1D:
 
 def eigh_tridiagonal(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and eigenvectors of the real symmetric
-    tridiagonal matrix with diagonal d and off-diagonal e: the result of
-    `scipy.linalg.eigh_tridiagonal(d, e)`, with scipy imported on first use."""
-    from scipy.linalg import eigh_tridiagonal as eigh
-    return eigh(d, e)
+    tridiagonal matrix with float64 diagonal d and off-diagonal e.
+
+    This is LAPACK `dstevd`, the driver `scipy.linalg.eigh_tridiagonal(d, e)`
+    runs for the full spectrum, called without that wrapper's argument
+    checks, so the result is the wrapper's bit for bit; a 1x1 matrix is
+    answered directly, as there.  scipy is imported on first use.
+    """
+    if len(d) == 1:
+        return np.array([d[0]]), np.array([[1.0]])
+    from scipy.linalg import get_lapack_funcs
+    stevd, = get_lapack_funcs(("stevd",), (d, e))
+    w, v, info = stevd(d, e, compute_v=True)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK stevd returned info {info}")
+    return w, v
 
 
 def gauss_symmetric_jacobi(m: int, alpha: float) -> Rule1D:
@@ -340,6 +351,8 @@ def rotation_rule(d: int, N: int, variant: str = "general",
         raise ParameterError(f"unknown variant {variant!r}")
     if variant in ("steerable", "steerable_so_d2") and K is None:
         raise ParameterError(f"variant {variant!r} requires the steerability order K")
+    if K is not None and K < 0:
+        raise ParameterError(f"K must be nonnegative, got {K}")
     if d < 2:
         raise ParameterError(f"rotation group dimension must be >= 2, got {d}")
     check_cap(_grid_size(d, N, variant, K), "rotation grid", max_nodes)

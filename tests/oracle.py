@@ -7,7 +7,10 @@ center of mass by quadrature on the flat rule, the route that
 `diagnostics.xi0_numeric` splits at the polar angle.  `analysis` and `synthesis`
 are the brute-force transforms: they evaluate the generators at every
 rotated quadrature node, against which the coefficient-space transforms of
-`frames` are checked.
+`frames` are checked.  `random_signal` draws one normal per call, and `plane`
+exponentiates its phases in every call: the straightforward forms of
+`frames.random_signal` and `frames._Degree.plane`, which must equal them bit
+for bit.
 """
 
 import math
@@ -272,3 +275,24 @@ def flat_rotation_rule(d: int, N: int, variant: str, K=None):
     rotations = np.matmul(sections(outer.angles)[:, None], inner[None])
     weights = (outer.weights[:, None] * inner_w[None, :]).reshape(total)
     return rotations.reshape(total, d, d), weights
+
+
+def random_signal(d: int, degree: int, seed=None) -> Signal:
+    """`frames.random_signal` with one scalar draw per real or imaginary part."""
+    rng = np.random.default_rng(seed)
+    coeffs = {}
+    for n in range(degree + 1):
+        for k in index_set(d, n):
+            coeffs[(n, k)] = complex(rng.standard_normal(), rng.standard_normal())
+    scale = 1.0 / math.sqrt(sum(abs(c) ** 2 for c in coeffs.values()))
+    return Signal(d, degree, {key: c * scale for key, c in coeffs.items()})
+
+
+def plane(rep, ell: int, axis, rows, cols) -> np.ndarray:
+    """`rep.plane(ell, axis, rows, cols)` with the phases of the degree's own
+    labels exponentiated anew."""
+    phases = np.exp(-1j * np.outer(axis, rep.klast))
+    if ell == 1:
+        return phases[:, cols]
+    delta = rep.delta(ell)
+    return delta[rows] @ (phases[:, :, None] * delta[cols].conj().T)

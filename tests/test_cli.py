@@ -1,13 +1,15 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from sphereframe import cli, io
+from sphereframe import cli, diagnostics, io
 from sphereframe import constructions as C
 from sphereframe import frames as F
+from sphereframe import quadrature as Q
 
 
 def run(*argv):
@@ -147,6 +149,52 @@ def test_autocorr_command(tmp_path):
     assert all(abs(r["gap"]) < 1e-8 for r in rows if "gap" in r)
 
 
+def test_autocorr_caps_its_sweep_before_allocation(tmp_path, capsys, monkeypatch):
+    # the sweep evaluates the scale at (angles + 1) copies of its rule
+    spec_path = tmp_path / "w.json"
+    assert run("build", "--kind", "wavelet", "--d", "4", "--K", "2", "--J", "2",
+               "--out", spec_path) == 0
+    count = 6 * Q.sphere_size(4, io.read_spec(spec_path).scales[1].bandwidth)
+    capsys.readouterr()
+    monkeypatch.setenv("SPHEREFRAME_MAX_NODES", str(count - 1))
+    tracemalloc.start()
+    try:
+        code = run("autocorr", "--spec", spec_path, "--j", "1", "--angles", "5")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == cli.EXIT_CAPACITY
+    err = capsys.readouterr().err
+    assert err == (f"capacity error: autocorrelation sweep would hold {count} nodes, "
+                   f"exceeding the cap {count - 1}; raise SPHEREFRAME_MAX_NODES to override\n")
+    assert peak < 1_000_000, peak
+    monkeypatch.setenv("SPHEREFRAME_MAX_NODES", str(count))
+    assert run("autocorr", "--spec", spec_path, "--j", "1", "--angles", "5") == 0
+
+
+def test_localize_marks_an_undefined_variance_per_scale(tmp_path, capsys):
+    spec_path = tmp_path / "w.json"
+    report = tmp_path / "loc.json"
+    assert run("build", "--kind", "wavelet", "--d", "4", "--K", "4",
+               "--J", "7", "--window", "kappa1", "--out", spec_path) == 0
+    capsys.readouterr()
+    assert run("localize", "--spec", spec_path, "--scales", "0..2",
+               "--out", report) == 0
+    table = capsys.readouterr().out.splitlines()[1:]
+    rows = io.read_report(report)["scales"]
+    assert [r["j"] for r in rows] == [0, 1, 2]
+    for line, r in zip(table[:2], rows[:2]):
+        assert r["var_space"] is None and r["uncertainty_product"] is None
+        assert r["var_momentum"] is not None and len(r["xi0_vec"]) == 4
+        assert line.split()[4:6] == ["undefined", "undefined"]
+        assert line.split()[-1] == "undefined"
+    # a defined scale reads as it does on its own
+    (record,) = diagnostics.localization_report(io.read_spec(spec_path), [2])
+    assert rows[2]["var_space"] == record.var_space
+    assert rows[2]["uncertainty_product"] == record.uncertainty_product
+    assert "undefined" not in table[2]
+
+
 def test_figure_command_formats(tmp_path):
     spec_path = tmp_path / "w.json"
     assert run("build", "--kind", "wavelet", "--d", "4", "--K", "4",
@@ -196,6 +244,14 @@ def test_figure_caps_its_sample_before_evaluating(tmp_path, capsys, monkeypatch)
 def test_quadinfo_capacity(tmp_path):
     assert run("quadinfo", "--d", "4", "--N", "8", "--variant", "general",
                "--max-nodes", "1000") == cli.EXIT_CAPACITY
+
+
+def test_quadinfo_checks_K_before_printing(capsys):
+    assert run("quadinfo", "--d", "4", "--N", "3", "--variant", "steerable",
+               "--K", "-2") == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: K must be nonnegative, got -2\n"
 
 
 def test_quadinfo_caps_its_sphere_rule_before_printing(capsys, monkeypatch):
@@ -296,6 +352,9 @@ def test_parse_error_is_input_error(tmp_path):
     ({}, ("check", "--spec", "{tmp}/float_n.json", "--n-max", "8")),
     ({}, ("check", "--spec", "{tmp}/float_k.json", "--n-max", "8")),
     ({}, ("check", "--spec", "{tmp}/bool_k.json", "--n-max", "8")),
+    ({}, ("quadinfo", "--d", "4", "--N", "3", "--variant", "steerable", "--K", "-2")),
+    ({}, ("reconstruct", "--spec", "{tmp}/zonal.json", "--random", "2", "--grid", "zonal",
+          "--K", "-3")),
 ])
 def test_bad_input_is_one_line_input_error(tmp_path, capsys, monkeypatch, env, argv):
     spec_path = tmp_path / "w.json"
@@ -309,6 +368,7 @@ def test_bad_input_is_one_line_input_error(tmp_path, capsys, monkeypatch, env, a
                         tmp_path / f"{name}_signal.json")
     spec = io.read_spec(spec_path)
     io.write_spec(F.canonical_dual(spec), tmp_path / "dual.json")
+    io.write_spec(C.zonal_spec(3, 2, "kappa2"), tmp_path / "zonal.json")
     for name, tag in (("negative_K", "steerable_K"), ("negative_m", "invariant_m")):
         io.write_spec(dataclasses.replace(spec, **{tag: -1}), tmp_path / f"{name}.json")
     nan_rotation = np.eye(4)

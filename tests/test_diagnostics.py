@@ -10,7 +10,7 @@ from sphereframe import frames as F
 from sphereframe import harmonics as H
 from sphereframe import quadrature as Q
 from sphereframe.errors import (DegenerateSignalError, ParameterError,
-                                TableShapeError)
+                                TableShapeError, UndefinedVarianceError)
 from sphereframe.specfun import Q_d
 
 
@@ -104,6 +104,21 @@ def test_wavelet_center_of_mass_points_at_pole():
     xi = D.xi0_numeric(f)
     assert xi[-1] > 0.8
     assert np.max(np.abs(xi[:-1])) < 1e-12
+
+
+@pytest.mark.parametrize("j", [0, 1])
+def test_a_center_of_mass_zero_up_to_rounding_has_no_variance(j):
+    # |xi| is about 5e-17 at j = 0 and 3e-16 at j = 1; 1/|xi|^2 would be noise
+    spec = C.wavelet_spec(4, 4, 7, "kappa1")
+    with pytest.raises(UndefinedVarianceError) as caught:
+        D.localization_report(spec, [j])
+    r = caught.value.record
+    assert r.j == j and r.var_space is None and r.uncertainty_product is None
+    assert np.linalg.norm(r.xi0_vec) <= 1e-12
+    assert r.var_momentum == D.var_momentum(F.Signal(4, r.bandwidth, spec.scales[j].coeffs))
+    # the next scale has a center of mass and keeps its value
+    (defined,) = D.localization_report(spec, [2])
+    assert defined.var_space > 0 and defined.uncertainty_product >= 2.25
 
 
 def localization(f):

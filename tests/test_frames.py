@@ -263,6 +263,17 @@ def test_random_signal_unit_energy_and_determinism():
     assert f1.norm_sq() == pytest.approx(1.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_random_signal_is_the_scalar_draw_stream(d):
+    # one array draw yields the stream of one scalar draw per part
+    for seed in (0, 1, 5, 123, 2 ** 31 - 1):
+        for degree in range(9):
+            want = oracle.random_signal(d, degree, seed=seed)
+            got = F.random_signal(d, degree, seed=seed)
+            assert got.degree == want.degree and got.coeffs == want.coeffs
+            assert list(got.coeffs) == list(want.coeffs)
+
+
 # -- coefficient-space transforms against the point-space oracle -----------------
 
 def random_table(rng, d, n_max, size):
@@ -415,6 +426,29 @@ def test_generator_planes_match_quadrature(d, n_max):
         assert np.max(np.abs(got - want)) < 1e-14, n
 
 
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_planes_from_phase_tables_equal_the_per_call_phases(d):
+    # the gathered table columns are the phases exponentiated per call, bit for
+    # bit, also after a lower degree built the table and a higher one widened it
+    axis = np.array([0.4, 1.9, 3.0, -2.2, 5.5])
+    phases = {}
+    low, high = F._Degree(d, 2, None, phases=phases), F._Degree(d, 4, None, phases=phases)
+    for rep, width in ((low, 5), (high, 9), (low, 9)):
+        every = list(range(len(rep.keys)))
+        support = every[1::3]
+        for ell in range(1, d):
+            reached = rep.reach(ell, support)
+            for rows, cols in ((every, every), (reached, support)):
+                got = rep.plane(ell, axis, rows, cols)
+                assert np.array_equal(got, oracle.plane(rep, ell, axis, rows, cols)), (
+                    rep.n, ell)
+        assert list(phases) == [axis.tobytes()]
+        assert phases[axis.tobytes()].shape == (len(axis), width)
+    # a degree made without an owner keeps its own tables
+    assert F._Degree(d, 2, None).phases == {}
+    assert F._Degree(d, 2, None).phases is not F._Degree(d, 2, None).phases
+
+
 # -- node caps --------------------------------------------------------------------
 
 def test_transforms_pass_the_cap_to_every_sphere_rule(monkeypatch):
@@ -537,6 +571,29 @@ def test_tables_are_built_once_per_system(monkeypatch):
     again = [F.analysis(system, f, j) for j in range(len(spec.scales))]
     assert calls == []
     assert all(np.array_equal(a, b) for a, b in zip(first, again))
+
+
+@pytest.mark.parametrize("spec", round_trip_systems(), ids=["zonal", "wavelet", "curvelet"])
+def test_a_warmed_system_adds_no_phase_table(spec):
+    # one table per distinct grid axis, as wide as the largest degree it served
+    f = F.random_signal(spec.d, 3, seed=6)
+    dual = F.canonical_dual(spec, n_max=f.degree)
+    system = F.build_system(spec)
+
+    def round_trip():
+        coeffs = [F.analysis(system, f, j) for j in range(len(spec.scales))]
+        return F.synthesis(system, dual, coeffs, f.degree)
+
+    want = round_trip()
+    tables = dict(system._phases)
+    axes = {axis.tobytes() for g in system.grids for section in g.factors
+            for axis in section.axes}
+    assert tables and set(tables) <= axes
+    assert all(t.shape[1] <= 2 * f.degree + 1 for t in tables.values())
+    got = round_trip()
+    assert system._phases.keys() == tables.keys()
+    assert all(system._phases[key] is t for key, t in tables.items())
+    assert got.coeffs == want.coeffs
 
 
 @pytest.mark.parametrize("spec", [

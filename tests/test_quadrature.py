@@ -259,3 +259,33 @@ def test_grid_size_is_the_rule_length_under_a_cap(d, N, variant, K):
             Q.rotation_rule(d, N, variant, K=K, max_nodes=cap)
     else:
         assert len(Q.rotation_rule(d, N, variant, K=K, max_nodes=cap)) == size
+
+
+def ladder_stem(N):
+    """The tridiagonal of the SO(3) plane's generator on a stem of length 2N+1."""
+    M = np.arange(-N, N)
+    return np.zeros(2 * N + 1), 0.5 * np.sqrt((N - M) * (N + M + 1.0)) * np.where(M < 0, -1.0, 1.0)
+
+
+def jacobi_matrix(m, alpha):
+    """The Golub-Welsch matrix of `gauss_symmetric_jacobi(m, alpha)`."""
+    k = np.arange(1, m, dtype=float)
+    return np.zeros(m), np.sqrt(k * (k + 2.0 * alpha)
+                                / ((2.0 * k + 2.0 * alpha + 1.0) * (2.0 * k + 2.0 * alpha - 1.0)))
+
+
+def test_eigh_tridiagonal_is_scipys_bit_for_bit():
+    from scipy.linalg import eigh_tridiagonal
+    cases = ([ladder_stem(N) for N in range(65)]
+             + [jacobi_matrix(m, alpha) for m in range(1, 65) for alpha in (0.0, 1.0)]
+             + [(np.array([-0.7]), np.array([]))])
+    for diag, off in cases:
+        got = Q.eigh_tridiagonal(diag, off)
+        want = eigh_tridiagonal(diag, off)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want)), len(diag)
+
+
+def test_rotation_rule_rejects_a_negative_K():
+    for variant in Q.VARIANTS:
+        with pytest.raises(ParameterError, match="K must be nonnegative, got -2"):
+            Q.rotation_rule(4, 3, variant, K=-2)
