@@ -20,7 +20,7 @@ from .errors import (CapacityError, DegenerateSignalError, DomainError,
                      TableShapeError, UndefinedVarianceError)
 from .frames import (FrameBounds, FrameSpec, FrameSystem, ParsevalGap, Scale,
                      Signal, analysis, apply_Lambda_J, build_system,
-                     canonical_dual, check_dual, dual_residuals, frame_bounds,
+                     canonical_dual, dual_residuals, frame_bounds,
                      invariance_order, parseval_check, random_signal, sigma_J,
                      sigma_profile, steerable_order, synthesis)
 from .harmonics import (ExpansionEvaluator, addition_kernel, basis_matrix,

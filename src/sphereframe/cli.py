@@ -121,19 +121,20 @@ def cmd_reconstruct(args) -> int:
              f"the spec does not admit --grid {args.grid}"
              + ("" if args.K is None else f" --K {args.K}")
              + "; its grids would not reconstruct (use --grid auto)")
-    if args.signal:
-        signal = io.read_signal(args.signal)
-        seed = None
-    else:
-        if args.random is None:
-            raise SphereFrameError("give --signal FILE or --random DEGREE")
-        seed = args.seed
-        signal = frames.random_signal(spec.d, args.random, seed=seed)
+    if not args.signal and args.random is None:
+        raise SphereFrameError("give --signal FILE or --random DEGREE")
+    signal = io.read_signal(args.signal) if args.signal else None
     system = frames.build_system(spec, variant=args.grid, K=args.K,
                                  max_nodes=args.max_nodes)
+    seed = None if args.signal else args.seed
+    if signal is None:
+        # sum_{n <= N} dim H_n^d = C(N+d-1, d-1) + C(N+d-2, d-1) coefficients
+        N, d = args.random, spec.d
+        quadrature.check_cap(math.comb(N + d - 1, d - 1) + math.comb(N + d - 2, d - 1),
+                             "random signal", args.max_nodes)
+        signal = frames.random_signal(d, N, seed=seed)
     dual = frames.canonical_dual(spec, n_max=signal.degree)
-    coeffs = [frames.analysis(system, signal, j, max_nodes=args.max_nodes)
-              for j in range(len(spec.scales))]
+    coeffs = frames.analysis(system, signal, max_nodes=args.max_nodes)
     n_out = signal.degree if args.n_out is None else args.n_out
     recovered = frames.synthesis(system, dual, coeffs, n_out,
                                  max_nodes=args.max_nodes)
@@ -141,7 +142,7 @@ def cmd_reconstruct(args) -> int:
     for key in set(signal.coeffs) | set(recovered.coeffs):
         err_sq += abs(recovered.coeffs.get(key, 0.0) - signal.coeffs.get(key, 0.0)) ** 2
     rel_err = math.sqrt(err_sq / signal.norm_sq()) if signal.norm_sq() else 0.0
-    gap = frames.parseval_check(spec, signal, system, coefficients=coeffs)
+    gap = frames.parseval_check(system, signal, coefficients=coeffs)
     report = {
         "command": "reconstruct",
         "d": spec.d,

@@ -128,6 +128,13 @@ def zeta_table(d: int, n: int, K: int) -> dict:
     return table
 
 
+def _check_scales(J: int) -> None:
+    """Reject a negative J, and cap the 2^{J+1} - 1 degrees scales 0..J visit."""
+    if J < 0:
+        raise ParameterError("J must be nonnegative")
+    check_cap(2 ** (J + 1) - 1, f"scales 0..{J}", None)
+
+
 def wavelet_spec(d: int, K: int, J: int, window: str = "kappa1") -> FrameSpec:
     """Directional wavelet table: scale 0 is the constant, scale j >= 1 has
     coefficients (band filter at n) x (directionality component at k).
@@ -141,8 +148,7 @@ def wavelet_spec(d: int, K: int, J: int, window: str = "kappa1") -> FrameSpec:
             "for d = 3 load an externally supplied table instead")
     if K < 0:
         raise ParameterError(f"K must be nonnegative, got {K}")
-    if J < 0:
-        raise ParameterError("J must be nonnegative")
+    _check_scales(J)
     if window not in _WINDOWS:
         raise ParameterError(f"unknown window kind {window!r}")
     win = _WINDOWS[window]
@@ -167,8 +173,7 @@ def zonal_spec(d: int, J: int, window: str = "kappa1") -> FrameSpec:
     With the kappa1 window the squared filters telescope, giving sigma_n = 1
     for 1 <= n <= 2^{J-1} (a Parseval frame on that range).
     """
-    if J < 0:
-        raise ParameterError("J must be nonnegative")
+    _check_scales(J)
     if window not in _WINDOWS:
         raise ParameterError(f"unknown window kind {window!r}")
     zero_k = (0,) * (d - 2)
@@ -204,8 +209,7 @@ def curvelet_spec(d: int, J: int) -> FrameSpec:
     """Curvelet table: per degree the two extreme indices (n, ..., n, +-n),
     each weighted by (band filter)/sqrt(2), stored pre-rotation with the
     axis-moving rotation g0 attached as metadata."""
-    if J < 0:
-        raise ParameterError("J must be nonnegative")
+    _check_scales(J)
     zero_k = (0,) * (d - 2)
     scales = [Scale(0, 0, {(0, zero_k): 1.0 + 0.0j})]
     for j in range(1, J + 1):

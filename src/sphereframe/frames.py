@@ -9,7 +9,8 @@ so the rotate T(g) Psi_n has the coefficients D^n(g) psi_n, and a grid
 rotation g = S_eta H_h factors into Givens planes, one 1-d angle axis each.
 Per degree, the transforms apply the plane matrices D^n(G_ell(beta)) down
 the axes of the grid's factors and meet in one product over the outer and
-inner grid indices.  D^n(G_1) is a diagonal phase, and every other plane
+inner grid indices.  The frame coefficients of all scales form one vector,
+scale after scale, each in its grid's flat order.  D^n(G_1) is a diagonal phase, and every other plane
 matrix is that phase conjugated by one fixed unitary Delta_ell.  Delta_2,
 the SO(3) plane, comes from the eigenvectors of its closed-form generator;
 Delta_ell for ell >= 3 and the dense D^n(g0) of a base rotation are built
@@ -121,7 +122,10 @@ def random_signal(d: int, degree: int, seed=None) -> Signal:
 # ---------------------------------------------------------------------------
 
 def _cross_sums(scales_a, scales_b, n_max: int) -> np.ndarray:
-    """sum_j sum_k conj(A^j(n,k)) B^j(n,k) for n = 0..n_max, undivided."""
+    """sum_j sum_k conj(A^j(n,k)) B^j(n,k) for n = 0..n_max, undivided.
+
+    The n_max + 1 entries are checked against the node cap first."""
+    check_cap(n_max + 1, "degree profile", None)
     cross = np.zeros(n_max + 1, dtype=complex)
     for sa, sb in zip(scales_a, scales_b):
         for key, ca in sa.coeffs.items():
@@ -167,17 +171,12 @@ def dual_residuals(spec_a: FrameSpec, spec_b: FrameSpec, n_max: int) -> np.ndarr
     """|(dim H_n)^{-1} sum_j sum_k conj(A^j(n,k)) B^j(n,k) - 1| per degree."""
     if spec_a.d != spec_b.d:
         raise ParameterError("dual check requires matching dimensions")
+    if len(spec_a.scales) != len(spec_b.scales):
+        raise ParameterError("dual check requires matching scale counts")
     cross = _cross_sums(spec_a.scales, spec_b.scales, n_max)
     for n in range(n_max + 1):
         cross[n] /= dim_harmonic(spec_a.d, n)
     return np.abs(cross - 1.0)
-
-
-def check_dual(spec_a: FrameSpec, spec_b: FrameSpec, n_max: int,
-               tol: float = 1e-12) -> bool:
-    if len(spec_a.scales) != len(spec_b.scales):
-        raise ParameterError("dual check requires matching scale counts")
-    return bool(np.all(dual_residuals(spec_a, spec_b, n_max) <= tol))
 
 
 def canonical_dual(spec: FrameSpec, n_max: int | None = None) -> FrameSpec:
@@ -307,21 +306,18 @@ class FrameSystem:
     The system also owns the tables that `analysis` and `synthesis` build:
     per degree n, the dense unitary Delta_ell of each plane ell >= 2, keyed by
     ell, and D^n(g0) of a base rotation, keyed by g0.tobytes().  They live as
-    long as the system, so one round trip builds each once.  `_keys` holds
-    the coefficient keys (n, k) already validated, with their normalized k
-    (see `_by_degree`), so a round trip checks each distinct key once, not
-    once per scale.  `_phases` holds one phase table per grid axis, keyed by
-    the axis's bytes: e^{-i k beta} for beta in the axis and k = -M..M, with
-    M the largest degree the axis has served.  The phases depend on the axis
-    node and the label k_{d-2} only, not on the degree, so every degree and
-    plane that runs down the axis gathers its columns from the one table.
+    long as the system, so one round trip builds each once.  `_phases` holds
+    one phase table per grid axis, keyed by the axis's bytes: e^{-i k beta}
+    for beta in the axis and k = -M..M, with M the largest degree the axis
+    has served.  The phases depend on the axis node and the label k_{d-2}
+    only, not on the degree, so every degree and plane that runs down the
+    axis gathers its columns from the one table.
     """
     spec: FrameSpec
     grids: list[RotationRule]
     variant: str
     _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _phases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _keys: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def build_system(spec: FrameSpec, variant: str = "auto", K: int | None = None,
@@ -355,34 +351,24 @@ def build_system(spec: FrameSpec, variant: str = "auto", K: int | None = None,
     return FrameSystem(spec, grids, variant)
 
 
-def _plain(n, k) -> bool:
-    """Whether n is an int and k an int or a tuple of ints, exactly: no other
-    key type (bool, float, numpy integer) may share a memo entry with them."""
-    return type(n) is int and (type(k) is int
-                               or type(k) is tuple and all(type(v) is int for v in k))
-
-
-def _by_degree(d: int, coeffs: dict, valid: dict, n_max: int | None = None) -> dict:
+def _by_degree(d: int, coeffs: dict, n_max: int | None = None) -> dict:
     """Nonzero entries of a coefficient table grouped as n -> {k: c}, with
-    every multi-index validated.
-
-    `valid` maps each plain key (`_plain`) already validated to the key
-    object and its normalized k.  A key found there is not checked again if
-    it is that same object or plain itself; any other key is checked anew.
-    """
+    every multi-index validated."""
     out: dict[int, dict] = {}
-    for key, c in coeffs.items():
-        n, k = key
+    for (n, k), c in coeffs.items():
         if c != 0 and (n_max is None or n <= n_max):
-            seen = valid.get(key)
-            if seen is not None and (seen[0] is key or _plain(n, k)):
-                k_valid = seen[1]
-            else:
-                k_valid = validate_multi_index(d, n, k)
-                if _plain(n, k):
-                    valid[key] = (key, k_valid)
-            out.setdefault(n, {})[k_valid] = c
+            out.setdefault(n, {})[validate_multi_index(d, n, k)] = c
     return out
+
+
+def _by_scale(system: FrameSystem, coefficients: np.ndarray) -> list:
+    """Views of a frame-coefficient vector, one per scale, by grid size."""
+    sizes = [len(grid) for grid in system.grids]
+    shape = getattr(coefficients, "shape", None)
+    if shape != (sum(sizes),):
+        raise ParameterError(f"expected one array of {sum(sizes)} frame coefficients, "
+                             f"got shape {shape}")
+    return np.split(coefficients, np.cumsum(sizes)[:-1])
 
 
 def _mixed(keys: tuple, support: list, pos: int) -> list:
@@ -590,45 +576,54 @@ class _Degree:
         return out
 
 
-def analysis(system: FrameSystem, f: Signal, j: int,
-             max_nodes: int | None = None) -> np.ndarray:
-    """Frame coefficients sqrt(mu_r) <f, Psi^j(g_r^{-1} .)> at scale j.
+def analysis(system: FrameSystem, f: Signal, max_nodes: int | None = None) -> np.ndarray:
+    """Frame coefficients sqrt(mu_r) <f, Psi^j(g_r^{-1} .)> of every scale.
 
-    With g = S_eta H_h the grid's outer section times its inner rotation,
-    per degree n
+    The vector holds the scales in order, each in its grid's flat order, so
+    it has sum_j |grid_j| entries.  With g = S_eta H_h the grid's outer
+    section times its inner rotation, per degree n
         <f_n, T(g) Psi_n> = sum_k (D^n(S_eta)^H f_n)_k conj(D^n(H_h) psi_n)_k,
     one (R_out x |supp|) @ (|supp| x R_in) product over the index set supp
     that the inner rotations reach from psi_n.  Only degrees present in both
     f and Psi^j contribute (degree spaces are rotation invariant and
-    mutually orthogonal).  Each degree checks the node count of
-    `sphere_rule(d, n)` against the cap, the largest first, so the cap fires
-    before any work is done, though only planes ell >= 3 and a base rotation
-    build the rule; the matrices stay in the system's tables for later calls.
+    mutually orthogonal).  Degrees run in the outer loop and scales in the
+    inner one, so f_n is formed once per degree.  Each degree checks the
+    node count of `sphere_rule(d, n)` against the cap, the largest first, so
+    the cap fires before any work is done, though only planes ell >= 3 and
+    a base rotation build the rule; the matrices stay in the system's
+    tables for later calls.
     """
     spec = system.spec
     if f.d != spec.d:
         raise ParameterError("signal dimension mismatch")
-    grid = system.grids[j]
-    outer, inner = grid.factors[0], grid.factors[1:]
-    f_tables = _by_degree(spec.d, f.coeffs, system._keys)
-    psi_tables = _by_degree(spec.d, spec.scales[j].coeffs, system._keys)
-    total = np.zeros((len(outer), len(grid) // len(outer)), dtype=complex)
-    for n in sorted(f_tables.keys() & psi_tables.keys(), reverse=True):
-        rep = _Degree(spec.d, n, max_nodes, system._tables.setdefault(n, {}), system._phases)
+    d = spec.d
+    f_tables = _by_degree(d, f.coeffs)
+    psi_tables = [_by_degree(d, scale.coeffs) for scale in spec.scales]
+    out = np.zeros(sum(len(grid) for grid in system.grids), dtype=complex)
+    parts = _by_scale(system, out)
+    for n in sorted(f_tables.keys() & set().union(*psi_tables), reverse=True):
+        rep = _Degree(d, n, max_nodes, system._tables.setdefault(n, {}), system._phases)
         f_n, _ = rep.generator(f_tables[n], None)
-        psi, support = rep.generator(psi_tables[n], spec.base_rotation)
-        rows, support = rep.inner(inner, psi, support)
-        total += rep.outer_adjoint(outer, f_n, support) @ np.conj(rows).T
-    return np.sqrt(grid.weights) * total.reshape(-1)
+        for grid, by_degree, part in zip(system.grids, psi_tables, parts):
+            if n in by_degree:
+                psi, support = rep.generator(by_degree[n], spec.base_rotation)
+                rows, support = rep.inner(grid.factors[1:], psi, support)
+                # (R_out x R_in) in the grid's flat order, outer index slowest
+                part += (rep.outer_adjoint(grid.factors[0], f_n, support)
+                         @ np.conj(rows).T).reshape(-1)
+    for grid, part in zip(system.grids, parts):
+        part *= np.sqrt(grid.weights)
+    return out
 
 
 def synthesis(system: FrameSystem, dual_spec: FrameSpec, coefficients,
               n_out: int, max_nodes: int | None = None) -> Signal:
     """The degree-(n_out) truncation of sum_{j,r} sqrt(mu_r) c_{j,r} T(g_r) dual^j.
 
-    coefficients is the per-scale list produced by `analysis`.  This is the
-    exact adjoint of analysis: per degree n and scale j, with U the weighted
-    coefficients as an (R_out x R_in) array and B the rows D^n(H_h) psi_n,
+    coefficients is the vector produced by `analysis`, split by grid size.
+    This is the exact adjoint of analysis: per degree n and scale j, with U
+    the weighted coefficients as an (R_out x R_in) array and B the rows
+    D^n(H_h) psi_n,
         out_n = sum_eta D^n(S_eta) (U @ B)[eta].
     No signal is evaluated.  After `analysis` of every degree up to n_out, a
     dual with the same base rotation (the canonical dual) finds every matrix
@@ -639,21 +634,18 @@ def synthesis(system: FrameSystem, dual_spec: FrameSpec, coefficients,
     if dual_spec.d != spec.d:
         raise ParameterError("dual spec dimension mismatch")
     d = spec.d
-    tables = [_by_degree(d, scale.coeffs, system._keys, n_out)
-              for scale in dual_spec.scales]
+    tables = [_by_degree(d, scale.coeffs, n_out) for scale in dual_spec.scales]
+    weighted = [(np.sqrt(grid.weights) * part).reshape(len(grid.factors[0]), -1)
+                for grid, part in zip(system.grids, _by_scale(system, coefficients))]
     parts = {}
     for n in sorted(set().union(*tables), reverse=True):
         rep = _Degree(d, n, max_nodes, system._tables.setdefault(n, {}), system._phases)
         out = np.zeros(len(rep.keys), dtype=complex)
-        for j, by_degree in enumerate(tables):
-            if n not in by_degree:
-                continue
-            grid = system.grids[j]
-            outer, inner = grid.factors[0], grid.factors[1:]
-            psi, support = rep.generator(by_degree[n], dual_spec.base_rotation)
-            rows, support = rep.inner(inner, psi, support)
-            u = np.sqrt(grid.weights) * np.asarray(coefficients[j])
-            out += rep.outer_apply(outer, u.reshape(len(outer), -1) @ rows, support)
+        for grid, by_degree, u in zip(system.grids, tables, weighted):
+            if n in by_degree:
+                psi, support = rep.generator(by_degree[n], dual_spec.base_rotation)
+                rows, support = rep.inner(grid.factors[1:], psi, support)
+                out += rep.outer_apply(grid.factors[0], u @ rows, support)
         parts[n] = (rep.keys, out)
     coeffs = {}
     for n in sorted(parts):
@@ -671,20 +663,21 @@ class ParsevalGap:
     rel_gap: float
 
 
-def parseval_check(spec: FrameSpec, f: Signal, system: FrameSystem,
-                   coefficients=None) -> ParsevalGap:
+def parseval_check(system: FrameSystem, f: Signal, coefficients=None) -> ParsevalGap:
     """Discrete frame energy against the profile-weighted spectral energy.
 
     discrete = sum_{j,r} mu |<f, T(g) Psi^j>|^2 computed by quadrature;
     spectral = sum_n sigma_n sum_l |f(n,l)|^2.  With grids of sufficient
     class and bandlimited f the two agree to rounding.  Precomputed analysis
-    coefficients may be passed to avoid repeating the transform.
+    coefficients may be passed to avoid repeating the transform.  sigma is
+    taken only up to the highest degree that carries a coefficient of f.
     """
+    if coefficients is None:
+        coefficients = analysis(system, f)
     discrete = 0.0
-    for j in range(len(spec.scales)):
-        c = coefficients[j] if coefficients is not None else analysis(system, f, j)
-        discrete += float(np.sum(np.abs(c) ** 2))
-    sigma = sigma_profile(spec, max(spec.max_bandwidth(), f.degree))
+    for part in _by_scale(system, coefficients):
+        discrete += float(np.sum(np.abs(part) ** 2))
+    sigma = sigma_profile(system.spec, max((n for n, _ in f.coeffs), default=0))
     spectral = 0.0
     for (n, _), c in f.coeffs.items():
         spectral += sigma[n] * abs(c) ** 2

@@ -112,6 +112,102 @@ def test_reconstruct_capacity_exit_code(tmp_path):
                "--max-nodes", "100") == cli.EXIT_CAPACITY
 
 
+def peak_of(call):
+    """(result, tracemalloc peak in bytes) of call()."""
+    tracemalloc.start()
+    try:
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_check_caps_its_profile_before_allocation(tmp_path, capsys, monkeypatch):
+    # the profile holds n_max + 1 degrees; the zonal spec has bandwidth 32, so
+    # the profile vanishes above it and check reports no frame
+    spec_path = tmp_path / "z.json"
+    io.write_spec(C.zonal_spec(3, 5, "kappa1"), spec_path)
+    n_max = 100_000
+    for argv in (("check", "--spec", spec_path, "--n-max", n_max),
+                 ("check", "--spec", spec_path, "--dual", spec_path, "--n-max", n_max)):
+        monkeypatch.setenv("SPHEREFRAME_MAX_NODES", str(n_max))
+        code, peak = peak_of(lambda: run(*argv))
+        assert code == cli.EXIT_CAPACITY
+        assert capsys.readouterr().err == (
+            f"capacity error: degree profile would hold {n_max + 1} nodes, exceeding the "
+            f"cap {n_max}; raise SPHEREFRAME_MAX_NODES to override\n")
+        assert peak < 1_000_000, peak
+        monkeypatch.setenv("SPHEREFRAME_MAX_NODES", str(n_max + 1))
+        assert run(*argv) == cli.EXIT_VALIDATION
+        assert capsys.readouterr().out.startswith(
+            f"C1=0.000000e+00 C2=1.000000e+00 frame on 0..{n_max}: False\n")
+
+
+def test_reconstruct_caps_the_random_signal_before_drawing(tmp_path, capsys):
+    # degree N at d = 3 has sum_{n <= N} (2n + 1) = (N + 1)^2 coefficients; the
+    # grids and rules of this spec stay far below that
+    spec_path = tmp_path / "z.json"
+    io.write_spec(C.zonal_spec(3, 1, "kappa2"), spec_path)
+    N = 200
+    count = (N + 1) ** 2
+    argv = ("reconstruct", "--spec", spec_path, "--random", N, "--seed", 3)
+    code, peak = peak_of(lambda: run(*argv, "--max-nodes", count - 1))
+    assert code == cli.EXIT_CAPACITY
+    assert capsys.readouterr().err == (
+        f"capacity error: random signal would hold {count} nodes, exceeding the cap "
+        f"{count - 1}; raise --max-nodes or SPHEREFRAME_MAX_NODES to override\n")
+    assert peak < 1_000_000, peak
+    assert run(*argv, "--max-nodes", count, "--out", tmp_path / "at_cap.json") == 0
+    assert run(*argv, "--out", tmp_path / "uncapped.json") == 0
+    assert ((tmp_path / "at_cap.json").read_bytes()
+            == (tmp_path / "uncapped.json").read_bytes())
+
+
+def test_reconstruct_takes_sigma_only_up_to_the_signal_coefficients(tmp_path, monkeypatch):
+    # a sparse signal of huge N_f: the profile is taken up to degree 2 only
+    spec_path = tmp_path / "z.json"
+    sig_path = tmp_path / "f.json"
+    io.write_spec(C.zonal_spec(3, 2, "kappa2"), spec_path)
+    io.write_signal(F.Signal(3, 10 ** 6, {(1, (0,)): 0.6, (2, (-1,)): 0.8j}), sig_path)
+    monkeypatch.setenv("SPHEREFRAME_MAX_NODES", "100000")
+    report = tmp_path / "rec.json"
+    assert run("reconstruct", "--spec", spec_path, "--signal", sig_path, "--out", report) == 0
+    doc = io.read_report(report)
+    assert doc["signal_degree"] == 10 ** 6
+    assert doc["relative_coefficient_error"] < 1e-12
+    assert doc["parseval_rel_gap"] < 1e-12
+
+
+@pytest.mark.parametrize("argv", [
+    ("build", "--kind", "zonal", "--d", "3", "--J", "64"),
+    ("build", "--kind", "wavelet", "--d", "4", "--K", "2", "--J", "40"),
+    ("build", "--kind", "curvelet", "--d", "4", "--J", "64"),
+])
+def test_build_caps_its_scales_before_building(tmp_path, capsys, argv):
+    # scales 0..J visit about 2^(J+1) degrees, far over the default cap
+    code, peak = peak_of(lambda: run(*argv, "--out", tmp_path / "s.json"))
+    assert code == cli.EXIT_CAPACITY
+    J = int(argv[-1])
+    assert capsys.readouterr().err == (
+        f"capacity error: scales 0..{J} would hold {2 ** (J + 1) - 1} nodes, exceeding "
+        f"the cap 10000000; raise SPHEREFRAME_MAX_NODES to override\n")
+    assert peak < 1_000_000, peak
+    assert not (tmp_path / "s.json").exists()
+
+
+def test_build_runs_at_its_cap(tmp_path, monkeypatch):
+    want = tmp_path / "want.json"
+    assert run("build", "--kind", "zonal", "--d", "3", "--J", "5", "--out", want) == 0
+    monkeypatch.setenv("SPHEREFRAME_MAX_NODES", "63")  # 2^6 - 1 degrees
+    assert run("build", "--kind", "zonal", "--d", "3", "--J", "5",
+               "--out", tmp_path / "got.json") == 0
+    assert (tmp_path / "got.json").read_bytes() == want.read_bytes()
+    monkeypatch.setenv("SPHEREFRAME_MAX_NODES", "62")
+    assert run("build", "--kind", "zonal", "--d", "3", "--J", "5",
+               "--out", tmp_path / "over.json") == cli.EXIT_CAPACITY
+
+
 def test_reconstruct_with_signal_file(tmp_path):
     spec_path = tmp_path / "z.json"
     sig_path = tmp_path / "f.json"
@@ -268,6 +364,7 @@ def test_quadinfo_caps_its_sphere_rule_before_printing(capsys, monkeypatch):
     ("localize", "--spec", "{w}", "--scales", "2"),
     ("autocorr", "--spec", "{w}", "--j", "2"),
     ("reconstruct", "--spec", "{w}", "--random", "4"),
+    ("build", "--kind", "zonal", "--J", "5", "--out", "{tmp}/z.json"),
 ])
 def test_capacity_error_names_only_the_overrides_the_command_accepts(
         tmp_path, capsys, monkeypatch, argv):
@@ -355,6 +452,7 @@ def test_parse_error_is_input_error(tmp_path):
     ({}, ("quadinfo", "--d", "4", "--N", "3", "--variant", "steerable", "--K", "-2")),
     ({}, ("reconstruct", "--spec", "{tmp}/zonal.json", "--random", "2", "--grid", "zonal",
           "--K", "-3")),
+    ({}, ("check", "--spec", "{w}", "--dual", "{tmp}/short_dual.json", "--n-max", "8")),
 ])
 def test_bad_input_is_one_line_input_error(tmp_path, capsys, monkeypatch, env, argv):
     spec_path = tmp_path / "w.json"
@@ -368,6 +466,8 @@ def test_bad_input_is_one_line_input_error(tmp_path, capsys, monkeypatch, env, a
                         tmp_path / f"{name}_signal.json")
     spec = io.read_spec(spec_path)
     io.write_spec(F.canonical_dual(spec), tmp_path / "dual.json")
+    short = C.wavelet_spec(4, 4, 2, "kappa2")  # one scale fewer than w
+    io.write_spec(F.canonical_dual(short), tmp_path / "short_dual.json")
     io.write_spec(C.zonal_spec(3, 2, "kappa2"), tmp_path / "zonal.json")
     for name, tag in (("negative_K", "steerable_K"), ("negative_m", "invariant_m")):
         io.write_spec(dataclasses.replace(spec, **{tag: -1}), tmp_path / f"{name}.json")

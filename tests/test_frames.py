@@ -19,6 +19,11 @@ def parseval_zonal(d=3, J=4):
     return C.zonal_spec(d, J, "kappa1")
 
 
+def by_scale(system, coefficients):
+    """The per-scale slices of a frame-coefficient vector."""
+    return np.split(coefficients, np.cumsum([len(g) for g in system.grids])[:-1])
+
+
 def test_sigma_profile_zonal_is_one():
     spec = parseval_zonal(3, 5)
     sigma = F.sigma_profile(spec, 16)
@@ -43,13 +48,16 @@ def test_frame_bounds_parseval_and_gap():
     assert bounds.c1 == 0.0 and not bounds.is_frame_on_range
 
 
-def test_check_dual_parseval_self_and_scaled():
+def test_dual_residuals_parseval_self_and_scaled():
     spec = parseval_zonal(3, 4)
-    assert F.check_dual(spec, spec, 8, tol=1e-12)
+    assert np.all(F.dual_residuals(spec, spec, 8) <= 1e-12)
     doubled = F.FrameSpec(3, [F.Scale(s.j, s.bandwidth,
                                       {k: 2.0 * c for k, c in s.coeffs.items()})
                               for s in spec.scales])
-    assert not F.check_dual(spec, doubled, 8, tol=1e-12)
+    assert not np.all(F.dual_residuals(spec, doubled, 8) <= 1e-12)
+    # the scales pair up one to one: a dual with another scale count is no dual
+    with pytest.raises(ParameterError, match="matching scale counts"):
+        F.dual_residuals(spec, parseval_zonal(3, 3), 8)
 
 
 def test_canonical_dual_identities():
@@ -116,11 +124,41 @@ def test_lambda_J_is_degree_diagonal():
             assert all(key == (n, k) for key in out.coeffs)
 
 
+def test_degree_profiles_cap_before_allocation(monkeypatch):
+    spec = parseval_zonal(3, 2)
+    monkeypatch.setenv("SPHEREFRAME_MAX_NODES", "1000")
+    calls = [lambda: F.sigma_profile(spec, 10 ** 6),
+             lambda: F.frame_bounds(spec, 1000),
+             lambda: F.dual_residuals(spec, spec, 10 ** 6),
+             lambda: F.sigma_J(spec, spec, 1, 10 ** 6)]
+    tracemalloc.start()
+    try:
+        for call in calls:
+            with pytest.raises(CapacityError, match="degree profile would hold"):
+                call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
+    assert len(F.sigma_profile(spec, 999)) == 1000
+
+
+def test_parseval_check_takes_sigma_up_to_the_signal_coefficients(monkeypatch):
+    # N_f plays no part: only the degrees that carry a coefficient of f
+    spec = parseval_zonal(3, 2)
+    system = F.build_system(spec)
+    coeffs = {(1, (0,)): 0.6, (2, (-1,)): 0.8j, (4, (3,)): 0.0}
+    want = F.parseval_check(system, F.Signal(3, 4, coeffs))
+    monkeypatch.setenv("SPHEREFRAME_MAX_NODES", "1000")
+    assert F.parseval_check(system, F.Signal(3, 10 ** 6, coeffs)) == want
+    assert want.rel_gap < 1e-14
+
+
 def test_analysis_constant_scale_zero():
     spec = parseval_zonal(3, 2)
     system = F.build_system(spec)
     f = F.Signal(3, 0, {(0, (0,)): 1.0})
-    c = F.analysis(system, f, 0)
+    c = by_scale(system, F.analysis(system, f))[0]
     grid = system.grids[0]
     want = np.sqrt(grid.weights) * np.conj(spec.scales[0].coeffs[(0, (0,))])
     assert np.max(np.abs(c - want)) < 1e-14
@@ -130,8 +168,7 @@ def test_analysis_disjoint_spectra_gives_zero():
     spec = parseval_zonal(3, 2)  # scale 1 has bandwidth 2
     system = F.build_system(spec)
     f = F.Signal(3, 5, {(5, (1,)): 1.0})
-    c = F.analysis(system, f, 1)
-    assert np.max(np.abs(c)) < 1e-12
+    assert np.max(np.abs(F.analysis(system, f))) < 1e-12
 
 
 def test_single_scale_roundtrip_degree_diagonal():
@@ -144,9 +181,11 @@ def test_single_scale_roundtrip_degree_diagonal():
         F.FrameSpec(4, [spec.scales[j]]), 8)
     k = H.index_set(4, n)[1]
     f = F.Signal(4, n, {(n, k): 1.0})
-    c = F.analysis(system, f, j)
-    out = F.synthesis(system, dual, [np.zeros(len(g.weights)) if i != j else c
-                                     for i, g in enumerate(system.grids)], n)
+    c = F.analysis(system, f)
+    for i, part in enumerate(by_scale(system, c)):
+        if i != j:
+            part[:] = 0.0
+    out = F.synthesis(system, dual, c, n)
     got = out.coeffs.get((n, k), 0.0)
     assert got == pytest.approx(scale_only[n] / sigma[n], rel=1e-10)
     others = {key: v for key, v in out.coeffs.items()
@@ -159,17 +198,17 @@ def test_parseval_check_cases():
     system = F.build_system(spec)
     # single harmonic: both sums equal sigma_n
     f = F.Signal(3, 2, {(2, (1,)): 1.0})
-    gap = F.parseval_check(spec, f, system)
+    gap = F.parseval_check(system, f)
     assert gap.discrete_sum == pytest.approx(1.0, rel=1e-10)
     assert gap.spectral_sum == pytest.approx(1.0, rel=1e-12)
     # random signal against a Parseval spec: energy is preserved
     f = F.random_signal(3, 4, seed=0)
-    gap = F.parseval_check(spec, f, system)
+    gap = F.parseval_check(system, f)
     assert gap.rel_gap < 1e-10
     assert gap.discrete_sum == pytest.approx(f.norm_sq(), rel=1e-10)
     # zero signal
     zero = F.Signal(3, 2, {})
-    gap = F.parseval_check(spec, zero, system)
+    gap = F.parseval_check(system, zero)
     assert gap == F.ParsevalGap(0.0, 0.0, 0.0)
 
 
@@ -178,7 +217,7 @@ def test_reconstruction_zonal_d3():
     system = F.build_system(spec)
     assert system.variant == "zonal"
     f = F.random_signal(3, 8, seed=1)
-    coeffs = [F.analysis(system, f, j) for j in range(len(spec.scales))]
+    coeffs = F.analysis(system, f)
     dual = F.canonical_dual(spec, n_max=8)
     rec = F.synthesis(system, dual, coeffs, 8)
     err = math.sqrt(sum(abs(rec.coeffs.get(key, 0.0) - c) ** 2
@@ -191,7 +230,7 @@ def test_reconstruction_wavelet_d4():
     system = F.build_system(spec)
     assert system.variant == "steerable_so_d2"
     f = F.random_signal(4, 4, seed=2)
-    coeffs = [F.analysis(system, f, j) for j in range(len(spec.scales))]
+    coeffs = F.analysis(system, f)
     dual = F.canonical_dual(spec, n_max=4)
     rec = F.synthesis(system, dual, coeffs, 4)
     err = math.sqrt(sum(abs(rec.coeffs.get(key, 0.0) - c) ** 2
@@ -204,7 +243,7 @@ def test_reconstruction_curvelet_uses_invariant_grid():
     system = F.build_system(spec)
     assert system.variant == "so_d2_invariant"
     f = F.random_signal(4, 3, seed=3)
-    coeffs = [F.analysis(system, f, j) for j in range(len(spec.scales))]
+    coeffs = F.analysis(system, f)
     dual = F.canonical_dual(spec, n_max=3)
     rec = F.synthesis(system, dual, coeffs, 3)
     err = math.sqrt(sum(abs(rec.coeffs.get(key, 0.0) - c) ** 2
@@ -215,9 +254,13 @@ def test_reconstruction_curvelet_uses_invariant_grid():
 def test_synthesis_of_zero_coefficients_is_zero():
     spec = parseval_zonal(3, 2)
     system = F.build_system(spec)
-    zeros = [np.zeros(len(g.weights)) for g in system.grids]
+    zeros = np.zeros(sum(len(g) for g in system.grids))
     out = F.synthesis(system, F.canonical_dual(spec), zeros, 4)
     assert all(abs(v) == 0.0 for v in out.coeffs.values())
+    # one vector of every scale's coefficients, nothing shorter or per scale
+    for bad in (zeros[:-1], by_scale(system, zeros)):
+        with pytest.raises(ParameterError, match="frame coefficients"):
+            F.synthesis(system, F.canonical_dual(spec), bad, 4)
 
 
 def test_analysis_deterministic_across_worker_counts():
@@ -228,9 +271,9 @@ def test_analysis_deterministic_across_worker_counts():
     saved = _config.get_workers()
     try:
         _config.set_workers(1)
-        c1 = F.analysis(system, f, 2)
+        c1 = F.analysis(system, f)
         _config.set_workers(2)
-        c2 = F.analysis(system, f, 2)
+        c2 = F.analysis(system, f)
     finally:
         _config.set_workers(saved)
     assert np.array_equal(c1, c2)
@@ -246,7 +289,7 @@ def test_build_system_validates_dimension_match():
     spec = parseval_zonal(3, 2)
     system = F.build_system(spec)
     with pytest.raises(ParameterError):
-        F.analysis(system, F.Signal(4, 1, {(0, (0, 0)): 1.0}), 0)
+        F.analysis(system, F.Signal(4, 1, {(0, (0, 0)): 1.0}))
 
 
 def test_spec_validation_rejects_malformed():
@@ -299,8 +342,8 @@ def systems(draw):
     system = F.build_system(spec, variant=variant, K=K)
     f_degree = draw(st.integers(0, N + 1))
     f = F.Signal(d, f_degree, random_table(rng, d, f_degree, draw(st.integers(1, 8))))
-    coefficients = [rng.standard_normal(len(g)) + 1j * rng.standard_normal(len(g))
-                    for g in system.grids]
+    coefficients = np.concatenate([rng.standard_normal(len(g)) + 1j * rng.standard_normal(len(g))
+                                   for g in system.grids])
     return spec, system, f, coefficients
 
 
@@ -319,18 +362,18 @@ def test_transforms_match_point_space_oracle(case):
     # produce (Cauchy-Schwarz, T unitary), which stays meaningful when a
     # coefficient vanishes by symmetry
     spec, system, f, _ = case
-    coefficients = []
-    for j, grid in enumerate(system.grids):
-        want = oracle.analysis(system, f, j)
+    coefficients = F.analysis(system, f)
+    assert coefficients.shape == (sum(len(g) for g in system.grids),)
+    parts = by_scale(system, coefficients)
+    for j, (grid, got) in enumerate(zip(system.grids, parts)):
         largest = math.sqrt(np.max(grid.weights)) * norm(f.coeffs) * norm(spec.scales[j].coeffs)
-        coefficients.append(F.analysis(system, f, j))
-        assert_close(coefficients[-1], want, largest)
+        assert_close(got, oracle.analysis(system, f, j), largest)
     n_out = spec.max_bandwidth()
     got = F.synthesis(system, spec, coefficients, n_out)
-    want = oracle.synthesis(system, spec, coefficients, n_out)
+    want = oracle.synthesis(system, spec, parts, n_out)
     keys = sorted(set(got.coeffs) | set(want.coeffs))
     largest = sum(np.sum(np.sqrt(g.weights) * np.abs(c)) * norm(s.coeffs)
-                  for g, c, s in zip(system.grids, coefficients, spec.scales))
+                  for g, c, s in zip(system.grids, parts, spec.scales))
     assert_close(np.array([got.coeffs.get(k, 0.0) for k in keys]),
                  np.array([want.coeffs.get(k, 0.0) for k in keys]), largest)
 
@@ -340,12 +383,11 @@ def test_transforms_match_point_space_oracle(case):
 def test_synthesis_is_the_adjoint_of_analysis(case):
     # <analysis f, c> = <f, synthesis c> with <x, y> = sum x conj(y)
     spec, system, f, coefficients = case
-    a = [F.analysis(system, f, j) for j in range(len(spec.scales))]
+    a = F.analysis(system, f)
     s = F.synthesis(system, spec, coefficients, max(f.degree, spec.max_bandwidth()))
-    lhs = sum(np.vdot(c, x) for c, x in zip(coefficients, a))
+    lhs = np.vdot(coefficients, a)
     rhs = sum(c * np.conj(s.coeffs.get(key, 0.0)) for key, c in f.coeffs.items())
-    norm = math.sqrt(sum(np.vdot(c, c).real for c in coefficients)
-                     * sum(np.vdot(x, x).real for x in a))
+    norm = np.linalg.norm(coefficients) * np.linalg.norm(a)
     assert abs(lhs - rhs) <= 1e-13 * max(norm, 1e-300)
 
 
@@ -463,7 +505,7 @@ def test_transforms_pass_the_cap_to_every_sphere_rule(monkeypatch):
     spec = C.curvelet_spec(4, 2)
     system = F.build_system(spec)
     f = F.random_signal(4, 3, seed=5)
-    coeffs = [F.analysis(system, f, j, max_nodes=12345) for j in range(len(spec.scales))]
+    coeffs = F.analysis(system, f, max_nodes=12345)
     F.synthesis(system, spec, coeffs, 3, max_nodes=12345)
     assert seen and set(seen) == {12345}
 
@@ -473,12 +515,12 @@ def test_transform_caps_fire_before_allocation(transform):
     spec = C.wavelet_spec(4, 2, 3, "kappa2")
     system = F.build_system(spec)
     f = F.random_signal(4, 8, seed=4)
-    coefficients = [np.ones(len(g)) for g in system.grids]
+    coefficients = np.ones(sum(len(g) for g in system.grids))
     tracemalloc.start()
     try:
         with pytest.raises(CapacityError):
             if transform == "analysis":
-                F.analysis(system, f, 3, max_nodes=100)
+                F.analysis(system, f, max_nodes=100)
             else:
                 F.synthesis(system, spec, coefficients, 8, max_nodes=100)
         _, peak = tracemalloc.get_traced_memory()
@@ -494,7 +536,7 @@ def test_zonal_d3_round_trip_builds_no_rule_and_projects_nothing(monkeypatch):
     dual = F.canonical_dual(spec)
     for name in ("sphere_rule", "basis_matrix"):
         monkeypatch.setattr(F, name, lambda *a, name=name: pytest.fail(f"called {name}"))
-    coeffs = [F.analysis(system, f, j) for j in range(len(spec.scales))]
+    coeffs = F.analysis(system, f)
     got = F.synthesis(system, dual, coeffs, f.degree)
     err = math.sqrt(sum(abs(got.coeffs.get(key, 0.0) - c) ** 2
                         for key, c in f.coeffs.items()))
@@ -502,7 +544,7 @@ def test_zonal_d3_round_trip_builds_no_rule_and_projects_nothing(monkeypatch):
     tracemalloc.start()
     try:
         with pytest.raises(CapacityError):
-            F.analysis(F.build_system(spec), f, len(spec.scales) - 1, max_nodes=100)
+            F.analysis(F.build_system(spec), f, max_nodes=100)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -512,7 +554,7 @@ def test_zonal_d3_round_trip_builds_no_rule_and_projects_nothing(monkeypatch):
 def test_analysis_rejects_invalid_signal_indices():
     system = F.build_system(parseval_zonal(3, 2))
     with pytest.raises(IndexSetError):
-        F.analysis(system, F.Signal(3, 2, {(2, (3,)): 1.0}), 1)
+        F.analysis(system, F.Signal(3, 2, {(2, (3,)): 1.0}))
 
 
 def test_round_trip_validates_each_key_once(monkeypatch):
@@ -520,20 +562,25 @@ def test_round_trip_validates_each_key_once(monkeypatch):
     f = F.random_signal(3, 8, seed=2)
     dual = F.canonical_dual(spec, n_max=f.degree)
     system = F.build_system(spec)
-    calls = []
-    check = F.validate_multi_index
+    calls, degrees = [], []
+    check, make = F.validate_multi_index, F._Degree
     monkeypatch.setattr(F, "validate_multi_index",
                         lambda d, n, k: calls.append((n, k)) or check(d, n, k))
-    coeffs = [F.analysis(system, f, j) for j in range(len(spec.scales))]
+    monkeypatch.setattr(F, "_Degree", lambda d, n, *a: degrees.append(n) or make(d, n, *a))
+    coeffs = F.analysis(system, f)
+    # one degree object per degree that f shares with some scale, largest first
+    shared = {n for scale in spec.scales for n, _ in scale.coeffs} & {n for n, _ in f.coeffs}
+    assert degrees == sorted(shared, reverse=True)
+    degrees.clear()
     F.synthesis(system, dual, coeffs, f.degree)
-    # the spec's and the dual's keys are among the signal's
-    assert sorted(calls) == sorted(f.coeffs)
-    # a key equal to a validated one but of another type is checked again
-    F.analysis(system, F.Signal(3, 2, {(2, (np.int64(1),)): 1.0}), 1)
-    assert len(calls) == len(f.coeffs) + 1
-    # and a bad key is rejected at a degree the scale lacks
+    assert degrees == sorted({n for scale in dual.scales for n, _ in scale.coeffs},
+                             reverse=True)
+    # the keys of f, of each scale and of each dual scale, once per table
+    tables = [f.coeffs] + [s.coeffs for s in spec.scales + dual.scales]
+    assert sorted(calls) == sorted(key for table in tables for key in table)
+    # and a bad key is rejected at a degree no scale reaches
     with pytest.raises(IndexSetError):
-        F.analysis(system, F.Signal(3, 8, {**f.coeffs, (8, (9,)): 1.0}), 1)
+        F.analysis(system, F.Signal(3, 9, {**f.coeffs, (9, (10,)): 1.0}))
 
 
 # -- representation tables owned by the system ------------------------------------
@@ -549,7 +596,7 @@ def test_synthesis_reuses_the_tables_analysis_built(spec, monkeypatch):
     f = F.random_signal(spec.d, 3, seed=6)
     dual = F.canonical_dual(spec, n_max=f.degree)
     warm = F.build_system(spec)
-    coeffs = [F.analysis(warm, f, j) for j in range(len(spec.scales))]
+    coeffs = F.analysis(warm, f)
     want = F.synthesis(F.build_system(spec), dual, coeffs, f.degree)
     calls = []
     real = F.basis_matrix
@@ -564,13 +611,13 @@ def test_tables_are_built_once_per_system(monkeypatch):
     spec = C.wavelet_spec(4, 2, 2, "kappa2")
     f = F.random_signal(4, 4, seed=7)
     system = F.build_system(spec)
-    first = [F.analysis(system, f, j) for j in range(len(spec.scales))]
+    first = F.analysis(system, f)
     calls = []
     real = F.basis_matrix
     monkeypatch.setattr(F, "basis_matrix", lambda *a: calls.append(a) or real(*a))
-    again = [F.analysis(system, f, j) for j in range(len(spec.scales))]
+    again = F.analysis(system, f)
     assert calls == []
-    assert all(np.array_equal(a, b) for a, b in zip(first, again))
+    assert np.array_equal(first, again)
 
 
 @pytest.mark.parametrize("spec", round_trip_systems(), ids=["zonal", "wavelet", "curvelet"])
@@ -581,7 +628,7 @@ def test_a_warmed_system_adds_no_phase_table(spec):
     system = F.build_system(spec)
 
     def round_trip():
-        coeffs = [F.analysis(system, f, j) for j in range(len(spec.scales))]
+        coeffs = F.analysis(system, f)
         return F.synthesis(system, dual, coeffs, f.degree)
 
     want = round_trip()
@@ -607,7 +654,7 @@ def test_tables_hold_one_unitary_matrix_per_plane(spec):
     d = spec.d
     f = F.random_signal(d, spec.max_bandwidth(), seed=8)
     system = F.build_system(spec)
-    coeffs = [F.analysis(system, f, j) for j in range(len(spec.scales))]
+    coeffs = F.analysis(system, f)
     F.synthesis(system, F.canonical_dual(spec), coeffs, f.degree)
     assert system._tables
     for n, tables in system._tables.items():
@@ -623,13 +670,13 @@ def test_warmed_system_still_caps_before_allocation(transform):
     spec = C.wavelet_spec(4, 2, 3, "kappa2")
     system = F.build_system(spec)
     f = F.random_signal(4, 8, seed=4)
-    coefficients = [F.analysis(system, f, j) for j in range(len(spec.scales))]
+    coefficients = F.analysis(system, f)
     F.synthesis(system, spec, coefficients, 8)
     tracemalloc.start()
     try:
         with pytest.raises(CapacityError):
             if transform == "analysis":
-                F.analysis(system, f, 3, max_nodes=100)
+                F.analysis(system, f, max_nodes=100)
             else:
                 F.synthesis(system, spec, coefficients, 8, max_nodes=100)
         _, peak = tracemalloc.get_traced_memory()
@@ -671,7 +718,7 @@ def test_admitted_grids_reconstruct(case, variant, K):
     f = F.random_signal(spec.d, spec.max_bandwidth(), seed=K)
     dual = F.canonical_dual(spec)
     sigma = F.sigma_profile(spec, f.degree)
-    coeffs = [F.analysis(system, f, j) for j in range(len(spec.scales))]
+    coeffs = F.analysis(system, f)
     got = F.synthesis(system, dual, coeffs, f.degree)
     for (n, k), c in f.coeffs.items():
         want = c if sigma[n] > 0 else 0.0
