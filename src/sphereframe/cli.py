@@ -223,11 +223,6 @@ def cmd_autocorr(args) -> int:
     _require(0 <= args.j < len(spec.scales),
              f"--j {args.j} is outside 0..{len(spec.scales) - 1}")
     d = spec.d
-    scale = spec.scales[args.j]
-    # the sweep evaluates the scale at the rule and at its image under each angle
-    quadrature.check_cap((args.angles + 1) * quadrature.sphere_size(d, scale.bandwidth),
-                         "autocorrelation sweep", None)
-    rule = quadrature.sphere_rule(d, scale.bandwidth)
     alphas = np.linspace(0.0, math.pi, args.angles)
     hs = np.tile(np.eye(d), (len(alphas), 1, 1))
     for h, alpha in zip(hs, alphas):
@@ -236,7 +231,7 @@ def cmd_autocorr(args) -> int:
         h[d - 2, d - 2] = c
         h[d - 3, d - 2] = -s
         h[d - 2, d - 3] = s
-    values = diagnostics.autocorrelation(spec, args.j, hs, rule)
+    values = diagnostics.autocorrelation(spec, args.j, hs)
     rows = []
     closed_ok = True
     for alpha, value in zip(alphas, values):
@@ -255,7 +250,7 @@ def cmd_autocorr(args) -> int:
         print(f"alpha={alpha:.4f} s={c:+.4f} numeric={value.real:+.6e}{closed_txt}")
     if args.out:
         io.write_report({"command": "autocorr", "d": d, "j": args.j,
-                         "norm_sq": scale.norm_sq(), "rows": rows}, args.out)
+                         "norm_sq": spec.scales[args.j].norm_sq(), "rows": rows}, args.out)
     return EXIT_OK
 
 
@@ -267,10 +262,7 @@ def cmd_figure(args) -> int:
     spec = io.read_spec(args.spec)
     _require(0 <= args.j < len(spec.scales),
              f"--j {args.j} is outside 0..{len(spec.scales) - 1}")
-    inv = spec.invariant_m
-    if inv is None:
-        inv = frames.invariance_order(spec)
-    if inv is None or inv < spec.d - 2:
+    if not frames.admits(spec, "so_d2_invariant"):
         print("warning: spec is not invariant under the subgroup fixing the "
               "last two axes; the sampled section depends on eta''",
               file=sys.stderr)

@@ -16,12 +16,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .constructions import zeta_table
-from .errors import (DegenerateSignalError, ExactnessError, ParameterError,
-                     TableShapeError, UndefinedVarianceError)
+from .errors import (DegenerateSignalError, ParameterError, TableShapeError,
+                     UndefinedVarianceError)
 from .frames import FrameSpec, Signal, invariance_order, steerable_order
-from .harmonics import ExpansionEvaluator, spherical_to_cartesian
-from .quadrature import (SphereRule, polar_axes, product_rule, sphere_axes,
-                         sphere_rule)
+from .harmonics import ExpansionEvaluator
+from .quadrature import check_cap, polar_rule, product_rule, sphere_rule, sphere_size
 from .specfun import Q_d
 
 
@@ -94,14 +93,13 @@ def xi0_numeric(f: Signal) -> np.ndarray:
     if norm_sq == 0.0:
         raise DegenerateSignalError("zero signal has no center of mass")
     ev = ExpansionEvaluator(f.d, f.coeffs)
-    axes = polar_axes if ev.theta1_free else sphere_axes
-    *inner, (t, t_weights) = axes(f.d, f.degree + 1)
-    angles, u_weights = product_rule(inner)
-    u = spherical_to_cartesian(angles)
-    dens = np.multiply.outer(t_weights, u_weights) * np.abs(ev.eval_polar(t, u)) ** 2
+    rule = (polar_rule if ev.theta1_free else sphere_rule)(f.d, f.degree + 1)
+    *inner, polar = rule.axes
+    t, u = polar.nodes, product_rule(inner, rule.exact_degree)
+    dens = np.multiply.outer(polar.weights, u.weights) * np.abs(ev.eval_polar(t, u.points)) ** 2
     xi = np.empty(f.d)
     xi[-1] = np.cos(t) @ dens.sum(axis=1)
-    xi[:-1] = (np.sin(t) @ dens) @ u
+    xi[:-1] = (np.sin(t) @ dens) @ u.points
     if ev.theta1_free:
         xi[:2] = 0.0
     return xi / dens.sum()
@@ -169,29 +167,28 @@ def audit_conditions(spec: FrameSpec) -> list[ScaleAudit]:
     return reports
 
 
-def autocorrelation(spec: FrameSpec, j: int, h: np.ndarray,
-                    rule: SphereRule | None = None) -> complex | np.ndarray:
-    """<T(h) Psi^j, Psi^j> by quadrature over a rule exact on degree 2 N_j.
+def autocorrelation(spec: FrameSpec, j: int, h: np.ndarray) -> complex | np.ndarray:
+    """<T(h) Psi^j, Psi^j> by quadrature over `sphere_rule(d, N_j)`, exact
+    on degree 2 N_j.
 
     h must fix the pole (an element of the embedded SO(d-1)); any base
     rotation in the spec is applied, so this measures the frame function as
     used, not the stored table.  A stack of rotations, shape (m, d, d), gives
     the m values as an array from one evaluation of Psi^j at the rule and at
     its images under every h; a single (d, d) rotation gives one complex.
+    The sweep, (m + 1) times the rule's node count, is checked against the
+    cap before anything is allocated.
     """
     d = spec.d
     h = np.asarray(h, dtype=float)
     hs = h.reshape(-1, d, d)
+    scale = spec.scales[j]
+    check_cap((len(hs) + 1) * sphere_size(d, scale.bandwidth), "autocorrelation sweep", None)
     pole = np.zeros(d)
     pole[-1] = 1.0
     if np.max(np.abs(hs @ pole - pole)) > 1e-10:
         raise ParameterError("h must fix the pole (lie in the embedded SO(d-1))")
-    scale = spec.scales[j]
-    if rule is None:
-        rule = sphere_rule(d, scale.bandwidth)
-    if rule.exact_degree < 2 * scale.bandwidth:
-        raise ExactnessError(
-            f"rule exact through {rule.exact_degree}, need {2 * scale.bandwidth}")
+    rule = sphere_rule(d, scale.bandwidth)
     ev = ExpansionEvaluator(d, scale.coeffs)
     base = spec.base_rotation
     rots = np.concatenate([np.eye(d)[None], hs])

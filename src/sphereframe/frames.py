@@ -66,12 +66,18 @@ class FrameSpec:
         return max((s.bandwidth for s in self.scales), default=0)
 
     def validate(self) -> None:
+        """Check the table and its tags.  Without a base rotation the tags must
+        agree with the table, so that no grid chosen from them is too coarse:
+        steerable_K at least `steerable_order`, invariant_m at most
+        `invariance_order`, or 1 (the trivial SO(1), which curvelets claim at
+        d = 3).  A base-rotated table cannot be checked so; its tags are trusted."""
         if self.d < 3:
             raise ParameterError(f"dimension must be at least 3, got d={self.d}")
-        for name, value in (("steerable_K", self.steerable_K),
-                            ("invariant_m", self.invariant_m)):
-            if value is not None and value < 0:
-                raise ParameterError(f"{name} must be nonnegative, got {value}")
+        if self.steerable_K is not None and self.steerable_K < 0:
+            raise ParameterError(f"steerable_K must be nonnegative, got {self.steerable_K}")
+        if self.invariant_m is not None and not 1 <= self.invariant_m <= self.d - 1:
+            raise ParameterError(
+                f"invariant_m must lie in 1..{self.d - 1}, got {self.invariant_m}")
         prev = -1
         for s in self.scales:
             if s.bandwidth < prev:
@@ -90,6 +96,15 @@ class FrameSpec:
             if not defect <= 1e-12:  # a non-finite entry gives a non-finite defect
                 raise ParameterError(f"base_rotation is not a rotation: "
                                      f"max |g g^T - I| = {defect:.3e}")
+            return
+        K = steerable_order(self)
+        if self.steerable_K is not None and K is not None and self.steerable_K < K:
+            raise ParameterError(f"steerable_K {self.steerable_K} is below the "
+                                 f"table's steerability order {K}")
+        m = invariance_order(self) or 1
+        if self.invariant_m is not None and self.invariant_m > m:
+            raise ParameterError(f"invariant_m {self.invariant_m} exceeds the "
+                                 f"table's invariance order {m}")
 
 
 @dataclass
@@ -269,8 +284,9 @@ def _structure(spec: FrameSpec) -> tuple[int | None, int | None]:
     """(invariance order, steerability order) that grids may rely on.
 
     Tags are trusted when present: they describe the function after any base
-    rotation.  Otherwise the table is inspected, unless a base rotation moves
-    it, in which case no structure is assumed.
+    rotation (`FrameSpec.validate` checks those of an unrotated table against
+    it).  Otherwise the table is inspected, unless a base rotation moves it,
+    in which case no structure is assumed.
     """
     if spec.invariant_m is not None or spec.steerable_K is not None:
         return spec.invariant_m, spec.steerable_K
@@ -529,7 +545,7 @@ class _Degree:
         for section in reversed(factors):
             for ell in range(len(section.axes), 0, -1):
                 reached = self.reach(ell, support)
-                m = self.plane(ell, section.axes[ell - 1], reached, support)
+                m = self.plane(ell, section.axes[ell - 1].nodes, reached, support)
                 if ell == 1:
                     rows = m[:, None, :] * rows[None, :, :]
                 else:
@@ -551,7 +567,7 @@ class _Degree:
         sets = self._chain(section, target)
         rows = f[sets[0]][None, :]
         for ell, axis in enumerate(section.axes, 1):
-            m = np.conj(self.plane(ell, axis, sets[ell - 1], sets[ell]))
+            m = np.conj(self.plane(ell, axis.nodes, sets[ell - 1], sets[ell]))
             if ell == 1:
                 rows = rows[:, None, :] * m[None, :, :]
             else:
@@ -564,7 +580,7 @@ class _Degree:
         `outer_adjoint`: the fastest axis is summed first."""
         sets = self._chain(section, target)
         for ell in range(len(section.axes), 0, -1):
-            axis = section.axes[ell - 1]
+            axis = section.axes[ell - 1].nodes
             m = self.plane(ell, axis, sets[ell - 1], sets[ell])
             rows = rows.reshape(-1, len(axis), len(sets[ell]))
             if ell == 1:

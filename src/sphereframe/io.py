@@ -51,11 +51,16 @@ def _coeff_rows(coeffs: dict) -> list:
 
 
 def _index(v) -> int:
-    """A coefficient index as read from JSON: an integer, or a float with an
-    integral value.  Anything else, a bool included, raises ValueError."""
+    """An integer field or coefficient index as read from JSON: an integer,
+    or a float with an integral value.  Anything else, a bool or a string
+    included, raises ValueError."""
     if type(v) is int or (type(v) is float and v.is_integer()):
         return int(v)
-    raise ValueError(f"index {v!r} is not an integer")
+    raise ValueError(f"{v!r} is not an integer")
+
+
+def _optional_index(v) -> int | None:
+    return None if v is None else _index(v)
 
 
 def _coeffs_from_rows(rows) -> dict:
@@ -97,19 +102,19 @@ def spec_to_dict(spec: FrameSpec) -> dict:
 def spec_from_dict(doc: dict, path="<doc>") -> FrameSpec:
     _expect(doc, "frame_spec", path)
     try:
-        d = int(doc["d"])
-        meta = doc.get("metadata", {})
-        scales = [Scale(int(s["j"]), int(s["N_j"]),
+        d = _index(doc["d"])
+        meta = doc.get("metadata", {})  # not an object: AttributeError at .get
+        scales = [Scale(_index(s["j"]), _index(s["N_j"]),
                         _coeffs_from_rows(s["coeffs"]))
                   for s in doc["scales"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        steerable_K = _optional_index(meta.get("steerable_K"))
+        invariant_m = _optional_index(meta.get("invariant_m"))
+        base = meta.get("base_rotation")
+        base_rotation = None if base is None else np.asarray(base, dtype=float)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed frame spec ({exc})") from exc
-    base = meta.get("base_rotation")
-    spec = FrameSpec(
-        d, scales,
-        steerable_K=None if meta.get("steerable_K") is None else int(meta["steerable_K"]),
-        invariant_m=None if meta.get("invariant_m") is None else int(meta["invariant_m"]),
-        base_rotation=None if base is None else np.asarray(base, dtype=float))
+    spec = FrameSpec(d, scales, steerable_K=steerable_K, invariant_m=invariant_m,
+                     base_rotation=base_rotation)
     spec.validate()
     return spec
 
@@ -137,7 +142,7 @@ def signal_to_dict(signal: Signal) -> dict:
 def signal_from_dict(doc: dict, path="<doc>") -> Signal:
     _expect(doc, "signal", path)
     try:
-        signal = Signal(int(doc["d"]), int(doc["N_f"]),
+        signal = Signal(_index(doc["d"]), _index(doc["N_f"]),
                         _coeffs_from_rows(doc["coeffs"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed signal ({exc})") from exc
@@ -168,8 +173,8 @@ def grid_from_dict(doc: dict, path="<doc>") -> RotationRule:
     """
     _expect(doc, "rotation_grid", path)
     try:
-        rule = rotation_rule(int(doc["d"]), int(doc["class_degree"]), doc["variant"],
-                             K=doc.get("steer_K"))
+        rule = rotation_rule(_index(doc["d"]), _index(doc["class_degree"]), doc["variant"],
+                             K=_optional_index(doc.get("steer_K")))
         rotations = np.asarray(doc["rotations"], dtype=float)
         weights = np.asarray(doc["weights"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:

@@ -87,12 +87,28 @@ def circle_rule(M: int) -> Rule1D:
 
 @dataclass(frozen=True)
 class SphereRule:
-    """Positive rule on S^{d-1}, exact on polynomials up to exact_degree."""
-    d: int
-    angles: np.ndarray   # (R, d-1) spherical coordinates
-    points: np.ndarray   # (R, d) cartesian nodes
+    """Positive product rule on S^{d-1}, exact on polynomials up to
+    exact_degree: one 1-d rule per angle, theta_1 first, and the normalized
+    product weights, first axis slowest.  The angle rows and cartesian
+    nodes are built on first use."""
+    axes: tuple          # Rule1D per angle theta_1 .. theta_{d-1}
     weights: np.ndarray  # (R,), positive, sums to 1
     exact_degree: int
+
+    @property
+    def d(self) -> int:
+        return len(self.axes) + 1
+
+    @cached_property
+    def angles(self) -> np.ndarray:
+        """The (R, d-1) spherical coordinates, first axis slowest."""
+        mesh = np.meshgrid(*(axis.nodes for axis in self.axes), indexing="ij")
+        return np.stack([m.ravel() for m in mesh], axis=-1)
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        """The (R, d) cartesian nodes."""
+        return spherical_to_cartesian(self.angles)
 
     def __len__(self) -> int:
         return self.weights.shape[0]
@@ -111,17 +127,21 @@ def check_cap(count: int, what: str, max_nodes: int | None) -> None:
         raise CapacityError(f"{what} would hold {count} nodes, exceeding the cap {cap}")
 
 
-def _mesh(nodes) -> np.ndarray:
-    """Rows of the tensor product of 1-d node arrays, first axis slowest."""
-    mesh = np.meshgrid(*nodes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
-
-
 def _check_degree(d: int, N: int) -> None:
     if d < 2:
         raise ParameterError(f"sphere dimension d must be at least 2, got {d}")
     if N < 0:
         raise ParameterError(f"target degree must be nonnegative, got {N}")
+
+
+def product_rule(axes, exact_degree: int) -> SphereRule:
+    """Tensor product of 1-d rules, first axis slowest, with the product
+    weights normalized to sum to one."""
+    w = axes[0].weights
+    for axis in axes[1:]:
+        w = np.multiply.outer(w, axis.weights)
+    weights = w.ravel()
+    return SphereRule(tuple(axes), weights / weights.sum(), exact_degree)
 
 
 def _gauss_axes(d: int, N: int) -> list:
@@ -130,44 +150,14 @@ def _gauss_axes(d: int, N: int) -> list:
     axes = []
     for ell in range(1, d - 1):
         rule = gauss_symmetric_jacobi(N + 1, (ell - 1) / 2.0)
-        axes.append((np.arccos(rule.nodes), rule.weights))
+        axes.append(Rule1D(np.arccos(rule.nodes), rule.weights, rule.exact_degree))
     return axes
 
 
-def _sphere_axes(d: int, N: int) -> list:
-    """The (nodes, weights) axes of `sphere_rule(d, N)`, theta_1 first."""
-    circ = circle_rule(2 * N + 1)
-    return [(circ.nodes, circ.weights)] + _gauss_axes(d, N)
-
-
-def product_rule(axes) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor product of 1-d (nodes, weights) axes, first axis slowest.
-
-    Returns the (R, len(axes)) node array and the product weights
-    normalized to sum to one.
-    """
-    w = axes[0][1]
-    for _, aw in axes[1:]:
-        w = np.multiply.outer(w, aw)
-    weights = w.ravel()
-    return _mesh([nodes for nodes, _ in axes]), weights / weights.sum()
-
-
-def sphere_axes(d: int, N: int, max_nodes: int | None = None) -> list:
-    """The 1-d (nodes, weights) axes of `sphere_rule(d, N)`, theta_1 first,
-    after the same cap check; `product_rule` of them is the rule."""
+def _sphere_rule(d: int, N: int) -> SphereRule:
+    """`sphere_rule(d, N)` without the cap check."""
     _check_degree(d, N)
-    check_cap(sphere_size(d, N), "sphere rule", max_nodes)
-    return _sphere_axes(d, N)
-
-
-def polar_axes(d: int, N: int) -> list:
-    """The 1-d (nodes, weights) axes of `polar_rule(d, N)`, the single
-    theta_1 = 0 node first, after the same cap check."""
-    _check_degree(d, N)
-    # at d = 3 the N+1 nodes come from an (N+1)^2 Golub-Welsch eigenvector matrix
-    check_cap((N + 1) ** max(d - 2, 2), "polar rule", None)
-    return [(np.zeros(1), np.ones(1))] + _gauss_axes(d, N)
+    return product_rule([circle_rule(2 * N + 1)] + _gauss_axes(d, N), 2 * N)
 
 
 def sphere_rule(d: int, N: int, max_nodes: int | None = None) -> SphereRule:
@@ -176,17 +166,22 @@ def sphere_rule(d: int, N: int, max_nodes: int | None = None) -> SphereRule:
     Composes an equispaced rule in theta_1 with the Gauss axes of
     `polar_rule`; the node count is checked against the cap first.
     """
-    angles, weights = product_rule(sphere_axes(d, N, max_nodes))
-    return SphereRule(d, angles, spherical_to_cartesian(angles), weights, 2 * N)
+    _check_degree(d, N)
+    check_cap(sphere_size(d, N), "sphere rule", max_nodes)
+    return _sphere_rule(d, N)
 
 
-def polar_rule(d: int, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """The theta_1 = 0 slab of `sphere_rule(d, N)` with weights summing to 1.
+def polar_rule(d: int, N: int) -> SphereRule:
+    """The theta_1 = 0 slab of `sphere_rule(d, N)` with weights summing to 1:
+    its theta_1 axis is the single node 0.
 
     Exact on polynomials of degree 2N that do not depend on the azimuth
-    theta_1.  Returns (angles (R, d-1), weights (R,)).
+    theta_1.  The node count is checked against the cap first.
     """
-    return product_rule(polar_axes(d, N))
+    _check_degree(d, N)
+    # at d = 3 the N+1 nodes come from an (N+1)^2 Golub-Welsch eigenvector matrix
+    check_cap((N + 1) ** max(d - 2, 2), "polar rule", None)
+    return product_rule([Rule1D(np.zeros(1), np.ones(1), 0)] + _gauss_axes(d, N), 2 * N)
 
 
 # ---------------------------------------------------------------------------
@@ -232,23 +227,6 @@ VARIANTS = ("general", "steerable", "zonal", "so_d2_invariant", "steerable_so_d2
 
 
 @dataclass(frozen=True)
-class Section:
-    """One factor of a rotation grid: the Givens chains `sections(angles)`
-    over a tensor product of 1-d angle axes, one axis per plane 1..m-1,
-    slowest first, with normalized product weights."""
-    axes: tuple          # 1-d angle arrays
-    weights: np.ndarray  # (R_i,)
-
-    @property
-    def angles(self) -> np.ndarray:
-        """The (R_i, m-1) angle rows, first axis slowest."""
-        return _mesh(self.axes)
-
-    def __len__(self) -> int:
-        return self.weights.shape[0]
-
-
-@dataclass(frozen=True)
 class RotationRule:
     """Weighted rotations discretizing integration over SO(d).
 
@@ -260,7 +238,7 @@ class RotationRule:
     (steerability and/or SO(d-2)-invariance).
     """
     d: int
-    factors: tuple  # Section per factor, outermost first
+    factors: tuple  # SphereRule per factor, outermost first
     class_degree: int
     variant: str
     steer_K: int | None = None
@@ -301,7 +279,7 @@ def _compose(d: int, factors: tuple, variant: str) -> np.ndarray:
     """Multiply out a factor chain: outer section times embedded inner grid."""
     outer, *rest = factors
     if d == 2:
-        return _so2_matrices(-outer.axes[0])
+        return _so2_matrices(-outer.axes[0].nodes)
     if not rest:
         inner = np.eye(d)[None]
     elif variant in ("so_d2_invariant", "steerable_so_d2"):
@@ -310,13 +288,6 @@ def _compose(d: int, factors: tuple, variant: str) -> np.ndarray:
         inner = embed_rotation(_compose(d - 1, rest, "general"), d)
     rotations = np.matmul(sections(outer.angles)[:, None], inner[None])
     return rotations.reshape(len(outer) * len(inner), d, d)
-
-
-def _section(d: int, N: int) -> Section:
-    """The sections over the nodes of `sphere_rule(d, N)`."""
-    _check_degree(d, N)
-    axes = _sphere_axes(d, N)
-    return Section(tuple(nodes for nodes, _ in axes), product_rule(axes)[1])
 
 
 def _grid_size(d: int, N: int, variant: str, K: int | None = None) -> int:
@@ -357,10 +328,12 @@ def rotation_rule(d: int, N: int, variant: str = "general",
         raise ParameterError(f"rotation group dimension must be >= 2, got {d}")
     check_cap(_grid_size(d, N, variant, K), "rotation grid", max_nodes)
     if d == 2:
-        # the equispaced SO(2) rule, as G_1(-alpha) in the convention of sections
+        # the equispaced SO(2) rule, as G_1(-alpha) in the convention of sections,
+        # weighted 1/M, not normalized, so that exported grids keep their bytes
         M = 2 * N + 1
-        alpha = circle_rule(M).nodes
-        return RotationRule(2, (Section((-alpha,), np.full(M, 1.0 / M)),), N, "general")
+        circle = circle_rule(M)
+        axis = Rule1D(-circle.nodes, circle.weights, circle.exact_degree)
+        return RotationRule(2, (SphereRule((axis,), np.full(M, 1.0 / M), 2 * N),), N, "general")
 
     M = K if variant in ("steerable", "steerable_so_d2") else N
     if variant == "zonal":
@@ -368,5 +341,5 @@ def rotation_rule(d: int, N: int, variant: str = "general",
     elif variant in ("general", "steerable"):
         inner = rotation_rule(d - 1, M, "general").factors
     else:  # so_d2_invariant / steerable_so_d2: h e^{d-1} = (eta', 0)
-        inner = (_section(d - 1, M),)
-    return RotationRule(d, (_section(d, N),) + inner, N, variant, K)
+        inner = (_sphere_rule(d - 1, M),)
+    return RotationRule(d, (_sphere_rule(d, N),) + inner, N, variant, K)

@@ -20,8 +20,7 @@ import numpy as np
 from sphereframe.errors import (DegenerateSignalError, ExactnessError, IndexSetError,
                                ParameterError)
 from sphereframe.frames import Signal
-from sphereframe.harmonics import (ExpansionEvaluator, basis_matrix, index_set,
-                                   spherical_to_cartesian)
+from sphereframe.harmonics import ExpansionEvaluator, basis_matrix, index_set
 from sphereframe.quadrature import embed_rotation, polar_rule, sections, sphere_rule
 from sphereframe.specfun import gegenbauer_table, log_norm_A, validate_multi_index
 
@@ -178,12 +177,11 @@ def xi0_numeric_flat(f: Signal) -> np.ndarray:
         raise DegenerateSignalError("zero signal has no center of mass")
     ev = ExpansionEvaluator(f.d, f.coeffs)
     if ev.theta1_free:
-        angles, weights = polar_rule(f.d, f.degree + 1)
-        vals = ev.eval_angles(angles)
-        dens = weights * np.abs(vals) ** 2
-        pts = spherical_to_cartesian(angles)
+        rule = polar_rule(f.d, f.degree + 1)
+        vals = ev.eval_angles(rule.angles)
+        dens = rule.weights * np.abs(vals) ** 2
         xi = np.zeros(f.d)
-        xi[2:] = pts[:, 2:].T @ dens
+        xi[2:] = rule.points[:, 2:].T @ dens
         return xi / dens.sum()
     rule = sphere_rule(f.d, f.degree + 1)
     vals = ev.eval_angles(rule.angles)

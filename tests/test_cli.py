@@ -314,6 +314,24 @@ def test_figure_warns_on_noninvariant_spec(tmp_path, capsys):
     assert "warning" in capsys.readouterr().err
 
 
+def test_figure_warns_from_the_structure_its_grids_use(tmp_path, capsys):
+    # w3 moved by a signed permutation, untagged: its invariance is unknown,
+    # and its section does depend on eta''
+    spec = C.wavelet_spec(4, 4, 3, "kappa2")
+    io.write_spec(spec, tmp_path / "w3.json")
+    io.write_spec(F.FrameSpec(4, spec.scales, base_rotation=C.make_g0(4)),
+                  tmp_path / "moved.json")
+    capsys.readouterr()
+    for name, warns in (("w3", False), ("moved", True)):
+        for eta in ("1,0", "0,1"):
+            assert run("figure", "--spec", tmp_path / f"{name}.json", "--j", "3",
+                       "--resolution", "16", f"--eta-dprime={eta}",
+                       "--out", tmp_path / f"{name}_{eta}.csv") == 0
+            assert ("warning" in capsys.readouterr().err) == warns
+        first, second = ((tmp_path / f"{name}_{eta}.csv").read_bytes() for eta in ("1,0", "0,1"))
+        assert (first != second) == warns
+
+
 def test_quadinfo_exports_grid(tmp_path):
     grid_path = tmp_path / "g.json"
     assert run("quadinfo", "--d", "4", "--N", "2", "--variant",
@@ -453,6 +471,15 @@ def test_parse_error_is_input_error(tmp_path):
     ({}, ("reconstruct", "--spec", "{tmp}/zonal.json", "--random", "2", "--grid", "zonal",
           "--K", "-3")),
     ({}, ("check", "--spec", "{w}", "--dual", "{tmp}/short_dual.json", "--n-max", "8")),
+    ({}, ("reconstruct", "--spec", "{tmp}/steer_1.json", "--random", "4")),
+    ({}, ("reconstruct", "--spec", "{tmp}/inv_3.json", "--random", "4")),
+    ({}, ("reconstruct", "--spec", "{tmp}/inv_7.json", "--random", "2",
+          "--grid", "so_d2_invariant")),
+    ({}, ("check", "--spec", "{tmp}/float_d.json", "--n-max", "8")),
+    ({}, ("check", "--spec", "{tmp}/float_N.json", "--n-max", "8")),
+    ({}, ("reconstruct", "--spec", "{tmp}/bool_K.json", "--random", "2")),
+    ({}, ("check", "--spec", "{tmp}/list_meta.json", "--n-max", "8")),
+    ({}, ("check", "--spec", "{tmp}/text_g0.json", "--n-max", "8")),
 ])
 def test_bad_input_is_one_line_input_error(tmp_path, capsys, monkeypatch, env, argv):
     spec_path = tmp_path / "w.json"
@@ -484,6 +511,19 @@ def test_bad_input_is_one_line_input_error(tmp_path, capsys, monkeypatch, env, a
                           ("bool_k", (1, True))):
         doc = json.loads(spec_path.read_text())
         doc["scales"][2]["coeffs"][0][:2] = [n, [k1, 0]]
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    # tags the table contradicts, and integer fields that int() would read as valid
+    edits = {"steer_1": lambda doc: doc["metadata"].update(steerable_K=1),
+             "inv_3": lambda doc: doc["metadata"].update(invariant_m=3),
+             "inv_7": lambda doc: doc["metadata"].update(invariant_m=7),
+             "float_d": lambda doc: doc.update(d=4.5),
+             "float_N": lambda doc: doc["scales"][1].update(N_j=2.9),
+             "bool_K": lambda doc: doc["metadata"].update(steerable_K=True),
+             "list_meta": lambda doc: doc.update(metadata=[]),
+             "text_g0": lambda doc: doc["metadata"].update(base_rotation="abc")}
+    for name, edit in edits.items():
+        doc = json.loads(spec_path.read_text())
+        edit(doc)
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))
     capsys.readouterr()
     for name, value in env.items():

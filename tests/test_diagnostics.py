@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from sphereframe import diagnostics as D
 from sphereframe import frames as F
 from sphereframe import harmonics as H
 from sphereframe import quadrature as Q
-from sphereframe.errors import (DegenerateSignalError, ParameterError,
+from sphereframe.errors import (CapacityError, DegenerateSignalError, ParameterError,
                                 TableShapeError, UndefinedVarianceError)
 from sphereframe.specfun import Q_d
 
@@ -268,6 +269,25 @@ def test_autocorrelation_of_a_stack_matches_one_call_per_rotation():
         assert abs(value - single) <= 1e-15 * abs(single)
     with pytest.raises(ParameterError):
         D.autocorrelation(spec, 2, np.stack([hs[0], oracle.random_rotation(4, rng)]))
+
+
+def test_autocorrelation_caps_its_sweep_before_allocation(monkeypatch):
+    # the sweep evaluates the scale at (m + 1) copies of sphere_rule(d, N_j)
+    spec = C.wavelet_spec(4, 4, 3, "kappa2")
+    hs = np.tile(np.eye(4), (50, 1, 1))
+    count = 51 * Q.sphere_size(4, spec.scales[3].bandwidth)
+    monkeypatch.setenv("SPHEREFRAME_MAX_NODES", str(count - 1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError,
+                           match=f"autocorrelation sweep would hold {count} nodes"):
+            D.autocorrelation(spec, 3, hs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
+    monkeypatch.setenv("SPHEREFRAME_MAX_NODES", str(count))
+    assert D.autocorrelation(spec, 3, hs).shape == (50,)
 
 
 def test_autocorrelation_closed_matches_numeric():

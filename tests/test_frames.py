@@ -633,7 +633,7 @@ def test_a_warmed_system_adds_no_phase_table(spec):
 
     want = round_trip()
     tables = dict(system._phases)
-    axes = {axis.tobytes() for g in system.grids for section in g.factors
+    axes = {axis.nodes.tobytes() for g in system.grids for section in g.factors
             for axis in section.axes}
     assert tables and set(tables) <= axes
     assert all(t.shape[1] <= 2 * f.degree + 1 for t in tables.values())

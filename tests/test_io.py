@@ -163,11 +163,16 @@ def specs(draw):
         chosen = draw(st.lists(st.sampled_from(keys), max_size=6, unique=True))
         scales.append(F.Scale(j, 3, {key: complex(draw(finite), draw(finite))
                                      for key in chosen}))
-    tag = st.none() | st.integers(0, d)
     base = None
     if draw(st.booleans()):
         base = oracle.random_rotation(d, np.random.default_rng(draw(st.integers(0, 99))))
-    return F.FrameSpec(d, scales, draw(tag), draw(tag), base)
+    spec = F.FrameSpec(d, scales, base_rotation=base)
+    # tags that agree with the table; those of a base-rotated table are trusted
+    K = 0 if base is not None else F.steerable_order(spec) or 0
+    m = d - 1 if base is not None else F.invariance_order(spec) or 1
+    spec.steerable_K = draw(st.none() | st.integers(K, d))
+    spec.invariant_m = draw(st.none() | st.integers(1, m))
+    return spec
 
 
 @st.composite

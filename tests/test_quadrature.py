@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -228,19 +229,36 @@ def test_capacity_admits_exact_count():
 def test_polar_rule_is_the_theta1_zero_slab():
     for d, N in ((3, 4), (4, 3), (5, 2)):
         sphere = Q.sphere_rule(d, N)
-        angles, weights = Q.polar_rule(d, N)
+        polar = Q.polar_rule(d, N)
         slab = sphere.angles[:, 0] == 0.0
-        assert np.array_equal(angles, sphere.angles[slab])
-        assert abs(weights.sum() - 1.0) < 1e-15
-        assert np.max(np.abs(weights - (2 * N + 1) * sphere.weights[slab])) < 1e-15
+        assert np.array_equal(polar.angles, sphere.angles[slab])
+        assert abs(polar.weights.sum() - 1.0) < 1e-15
+        assert np.max(np.abs(polar.weights - (2 * N + 1) * sphere.weights[slab])) < 1e-15
+
+
+def test_sphere_rule_arrays_are_the_tensor_product_of_its_axes():
+    for rule in (Q.sphere_rule(3, 4), Q.sphere_rule(5, 2), Q.polar_rule(4, 3)):
+        # the length and the weights come without either array
+        assert len(rule) == math.prod(len(axis.nodes) for axis in rule.axes)
+        assert "angles" not in vars(rule) and "points" not in vars(rule)
+        weights = np.array([math.prod(w) for w in
+                            itertools.product(*(axis.weights for axis in rule.axes))])
+        assert rule.weights.tobytes() == (weights / weights.sum()).tobytes()
+        angles = np.array(list(itertools.product(*(axis.nodes for axis in rule.axes))))
+        assert rule.d == angles.shape[1] + 1
+        assert rule.angles.tobytes() == angles.tobytes()
+        assert rule.points.tobytes() == H.spherical_to_cartesian(angles).tobytes()
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_factors_rebuild_flat_grids_bitwise(d):
+    # at d <= 3 the SO(2) factors reach 11 nodes (N or K = 5), the first count
+    # at which normalized circle weights differ from 1/M in the last bit
+    top = {2: 6, 3: 6, 4: 3, 5: 2}[d]
     for variant in Q.VARIANTS:
-        for N in range(3 if d < 5 else 2):
+        for N in range(top):
             steer = variant in ("steerable", "steerable_so_d2")
-            for K in (range(3) if steer else (None,)):
+            for K in (range(6 if d == 3 else 3) if steer else (None,)):
                 rule = Q.rotation_rule(d, N, variant, K=K)
                 rotations, weights = oracle.flat_rotation_rule(d, N, variant, K)
                 assert len(rule) == len(weights)
