@@ -223,6 +223,9 @@ def cmd_autocorr(args) -> int:
     _require(0 <= args.j < len(spec.scales),
              f"--j {args.j} is outside 0..{len(spec.scales) - 1}")
     d = spec.d
+    # the library checks this sweep too, but only after the d x d stack per angle exists
+    size = quadrature.sphere_size(d, spec.scales[args.j].bandwidth)
+    quadrature.check_cap((args.angles + 1) * size, "autocorrelation sweep", None)
     alphas = np.linspace(0.0, math.pi, args.angles)
     hs = np.tile(np.eye(d), (len(alphas), 1, 1))
     for h, alpha in zip(hs, alphas):

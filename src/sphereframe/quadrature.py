@@ -155,8 +155,7 @@ def _gauss_axes(d: int, N: int) -> list:
 
 
 def _sphere_rule(d: int, N: int) -> SphereRule:
-    """`sphere_rule(d, N)` without the cap check."""
-    _check_degree(d, N)
+    """`sphere_rule(d, N)` without the argument and cap checks."""
     return product_rule([circle_rule(2 * N + 1)] + _gauss_axes(d, N), 2 * N)
 
 
@@ -329,12 +328,14 @@ def rotation_rule(d: int, N: int, variant: str = "general",
     check_cap(_grid_size(d, N, variant, K), "rotation grid", max_nodes)
     if d == 2:
         # the equispaced SO(2) rule, as G_1(-alpha) in the convention of sections,
-        # weighted 1/M, not normalized, so that exported grids keep their bytes
+        # axis and rule weighted 1/M, not normalized, so exported grids keep their bytes
         M = 2 * N + 1
         circle = circle_rule(M)
-        axis = Rule1D(-circle.nodes, circle.weights, circle.exact_degree)
-        return RotationRule(2, (SphereRule((axis,), np.full(M, 1.0 / M), 2 * N),), N, "general")
+        w = np.full(M, 1.0 / M)
+        axis = Rule1D(-circle.nodes, w, circle.exact_degree)
+        return RotationRule(2, (SphereRule((axis,), w, 2 * N),), N, "general")
 
+    _check_degree(d, N)
     M = K if variant in ("steerable", "steerable_so_d2") else N
     if variant == "zonal":
         inner = ()

@@ -266,6 +266,19 @@ def test_autocorr_caps_its_sweep_before_allocation(tmp_path, capsys, monkeypatch
     assert peak < 1_000_000, peak
     monkeypatch.setenv("SPHEREFRAME_MAX_NODES", str(count))
     assert run("autocorr", "--spec", spec_path, "--j", "1", "--angles", "5") == 0
+    # a million angles would need a 128 MB rotation stack: the cap comes first
+    count = (10**6 + 1) * (count // 6)
+    monkeypatch.setenv("SPHEREFRAME_MAX_NODES", str(count - 1))
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = run("autocorr", "--spec", spec_path, "--j", "1", "--angles", str(10**6))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == cli.EXIT_CAPACITY
+    assert f"autocorrelation sweep would hold {count} nodes" in capsys.readouterr().err
+    assert peak < 1_000_000, peak
 
 
 def test_localize_marks_an_undefined_variance_per_scale(tmp_path, capsys):

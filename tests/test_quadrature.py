@@ -264,6 +264,9 @@ def test_factors_rebuild_flat_grids_bitwise(d):
                 assert len(rule) == len(weights)
                 assert rule.rotations.tobytes() == rotations.tobytes(), (variant, N, K)
                 assert rule.weights.tobytes() == weights.tobytes(), (variant, N, K)
+                if d == 2 or variant in ("general", "steerable"):
+                    so2 = rule.factors[-1]  # its axis holds the rule's 1/M weights
+                    assert so2.axes[0].weights.tobytes() == so2.weights.tobytes()
 
 
 @settings(max_examples=80, deadline=None)
