@@ -133,7 +133,9 @@ def cmd_reconstruct(args) -> int:
         quadrature.check_cap(math.comb(N + d - 1, d - 1) + math.comb(N + d - 2, d - 1),
                              "random signal", args.max_nodes)
         signal = frames.random_signal(d, N, seed=seed)
-    dual = frames.canonical_dual(spec, n_max=signal.degree)
+    # certified up to the highest degree the signal uses, not its declared degree
+    highest = max((n for (n, _), c in signal.coeffs.items() if c != 0), default=0)
+    dual = frames.canonical_dual(spec, n_max=highest)
     coeffs = frames.analysis(system, signal, max_nodes=args.max_nodes)
     n_out = signal.degree if args.n_out is None else args.n_out
     recovered = frames.synthesis(system, dual, coeffs, n_out,

@@ -20,7 +20,7 @@ from .errors import ParameterError
 from .frames import FrameSpec, Scale
 from .harmonics import ExpansionEvaluator, dim_harmonic
 from .quadrature import check_cap
-from .specfun import log_norm_A, validate_multi_index
+from .specfun import validate_multi_index
 
 
 def phi(t):
@@ -226,24 +226,6 @@ def curvelet_spec(d: int, J: int) -> FrameSpec:
         scales.append(Scale(j, n_j, coeffs))
     return FrameSpec(d, scales, steerable_K=None, invariant_m=d - 2,
                      base_rotation=make_g0(d))
-
-
-def curvelet_eval_closed(d: int, j: int, point) -> float:
-    """Closed-form curvelet value sqrt(2) sum_n w(n) A_n Re{(x_d + i x_{d-1})^n}
-    at one cartesian point (the scale-0 function is the constant 1)."""
-    x = np.asarray(point, dtype=float)
-    if j == 0:
-        return 1.0
-    z = complex(x[d - 1], x[d - 2])
-    zp = z
-    total = 0.0
-    for n in range(1, 2 ** j + 1):
-        w = kappa1(d, j, n)
-        if w != 0.0:
-            amp = math.exp(log_norm_A(d, n, (n,) * (d - 3) + (n,)))
-            total += w * amp * zp.real
-        zp *= z
-    return math.sqrt(2.0) * total
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Structure checks, localization functionals, and directionality measures.
+"""Localization functionals and directionality measures.
 
 The spatial center of mass has two routes: a quadrature route giving the
 full vector, and a spectral route (adjacent-degree coupling through Q_d)
@@ -18,24 +18,10 @@ import numpy as np
 from .constructions import zeta_table
 from .errors import (DegenerateSignalError, ParameterError, TableShapeError,
                      UndefinedVarianceError)
-from .frames import FrameSpec, Signal, invariance_order, steerable_order
+from .frames import FrameSpec, Signal
 from .harmonics import ExpansionEvaluator
 from .quadrature import check_cap, polar_rule, product_rule, sphere_rule, sphere_size
 from .specfun import Q_d
-
-
-@dataclass(frozen=True)
-class StructureReport:
-    steerable_K: int | None
-    invariant_m: int | None
-    support: tuple  # (j, observed (lo, hi) or None) per scale
-
-
-def structure_report(spec: FrameSpec) -> StructureReport:
-    """Steerability and invariance orders plus the observed per-scale support."""
-    return StructureReport(
-        steerable_order(spec), invariance_order(spec),
-        tuple((s.j, s.support()) for s in spec.scales))
 
 
 class Xi0Spectral(NamedTuple):
@@ -112,59 +98,6 @@ def var_momentum(f: Signal) -> float:
         raise DegenerateSignalError("zero signal has no momentum variance")
     total = sum(n * (n + f.d - 2) * abs(c) ** 2 for (n, _), c in f.coeffs.items())
     return float(total) / norm_sq
-
-
-@dataclass(frozen=True)
-class ScaleAudit:
-    j: int
-    bandwidth: int
-    norm_sq: float
-    c1_ratio: float            # |Psi|^2 / N^{d-1}
-    support: tuple[int, int]   # observed [min, max] degree
-    m_ratio: float             # support lower edge over bandwidth
-    c3_constant: float         # max second difference over N^{(d-6)/2}
-    c4_constant: float         # relative variant, max |diff| N^2 / |coeff|
-    coeff_bound: float         # max |coeff| over N^{(d-2)/2}
-
-
-def audit_conditions(spec: FrameSpec) -> list[ScaleAudit]:
-    """Report the implied constants of the localization hypotheses per scale.
-
-    The constants are reported, not judged: the theory's c is unspecified, so
-    acceptance brackets come from a frozen oracle run.  Scales without
-    support (or with bandwidth 0) are skipped.
-    """
-    if len(spec.scales) < 2:
-        raise ParameterError("the audit needs at least two scales")
-    d = spec.d
-    reports = []
-    for scale in spec.scales:
-        supp = scale.support()
-        if supp is None or scale.bandwidth < 1:
-            continue
-        N = scale.bandwidth
-        norm_sq = scale.norm_sq()
-        keys = {k for (_, k) in scale.coeffs}
-        max_diff = 0.0
-        max_rel = 0.0
-        for k in keys:
-            for n in range(supp[0], supp[1] + 1):
-                c = scale.coeffs.get((n, k), 0.0)
-                up = scale.coeffs.get((n + 1, k), 0.0)
-                down = scale.coeffs.get((n - 1, k), 0.0)
-                diff = abs(0.5 * (up + down) - c)
-                max_diff = max(max_diff, diff)
-                if c != 0.0:
-                    max_rel = max(max_rel, diff / abs(c))
-        max_abs = max(abs(c) for c in scale.coeffs.values())
-        reports.append(ScaleAudit(
-            j=scale.j, bandwidth=N, norm_sq=norm_sq,
-            c1_ratio=norm_sq / N ** (d - 1),
-            support=supp, m_ratio=supp[0] / N,
-            c3_constant=max_diff * N ** (-(d - 6) / 2.0),
-            c4_constant=max_rel * N ** 2,
-            coeff_bound=max_abs * N ** (-(d - 2) / 2.0)))
-    return reports
 
 
 def autocorrelation(spec: FrameSpec, j: int, h: np.ndarray) -> complex | np.ndarray:

@@ -17,10 +17,6 @@ class DomainError(SphereFrameError, ValueError):
     """A numeric argument left the mathematical domain of the operation."""
 
 
-class ExactnessError(SphereFrameError, ValueError):
-    """A quadrature rule's exactness degree is too low for the request."""
-
-
 class CapacityError(SphereFrameError, RuntimeError):
     """A grid construction would exceed the configured node cap."""
 

@@ -41,12 +41,6 @@ class Scale:
     def norm_sq(self) -> float:
         return float(sum(abs(c) ** 2 for c in self.coeffs.values()))
 
-    def support(self) -> tuple[int, int] | None:
-        degrees = [n for (n, _), c in self.coeffs.items() if c != 0]
-        if not degrees:
-            return None
-        return min(degrees), max(degrees)
-
 
 @dataclass
 class FrameSpec:
@@ -200,11 +194,16 @@ def canonical_dual(spec: FrameSpec, n_max: int | None = None) -> FrameSpec:
     Degrees with vanishing sigma_n carry no energy, so there is nothing to
     rescale there.  Passing n_max asks for certification that sigma_n > 0
     on 0..n_max, and raises if the truncated system is not a frame there.
+    sigma vanishes above the top bandwidth, so an n_max above it raises
+    before anything is computed.
     """
     top = spec.max_bandwidth()
+    if n_max is not None and n_max > top:
+        raise NotAFrameError(f"sigma vanishes at degree {top + 1}; "
+                             f"the system is not a frame on the requested range")
     sigma = sigma_profile(spec, top)
     if n_max is not None:
-        zero = np.nonzero(sigma[: min(n_max, top) + 1] == 0.0)[0]
+        zero = np.nonzero(sigma[: n_max + 1] == 0.0)[0]
         if zero.size:
             raise NotAFrameError(
                 f"sigma vanishes at degree {int(zero[0])}; "
@@ -221,29 +220,6 @@ def canonical_dual(spec: FrameSpec, n_max: int | None = None) -> FrameSpec:
         dual_scales.append(Scale(scale.j, scale.bandwidth, new))
     return FrameSpec(spec.d, dual_scales, spec.steerable_K, spec.invariant_m,
                      None if spec.base_rotation is None else np.array(spec.base_rotation))
-
-
-def sigma_J(spec_a: FrameSpec, spec_b: FrameSpec, J: int, n: int) -> complex:
-    """Partial cross profile over scales j <= J at degree n."""
-    if spec_a.d != spec_b.d:
-        raise ParameterError("sigma_J requires matching dimensions")
-    dim = dim_harmonic(spec_a.d, n)
-    total = _cross_sums(spec_a.scales[: J + 1], spec_b.scales[: J + 1], n)[n]
-    return complex(total / dim)
-
-
-def apply_Lambda_J(spec_a: FrameSpec, spec_b: FrameSpec, J: int, f: Signal) -> Signal:
-    """Multiply each coefficient by sigma_J(n) and truncate to degree N_J."""
-    if f.d != spec_a.d or spec_b.d != spec_a.d:
-        raise ParameterError("apply_Lambda_J requires matching dimensions")
-    n_j = spec_a.scales[J].bandwidth
-    cross = _cross_sums(spec_a.scales[: J + 1], spec_b.scales[: J + 1], n_j)
-    factors = [complex(cross[n] / dim_harmonic(f.d, n)) for n in range(n_j + 1)]
-    out = {}
-    for (n, k), c in f.coeffs.items():
-        if n <= n_j:
-            out[(n, k)] = c * factors[n]
-    return Signal(f.d, min(f.degree, n_j), out)
 
 
 # ---------------------------------------------------------------------------

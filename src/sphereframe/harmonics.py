@@ -115,18 +115,6 @@ def basis_matrix(d: int, n: int, points: np.ndarray) -> np.ndarray:
     return out
 
 
-def addition_kernel(d: int, n: int, s):
-    """Reproducing kernel of the degree-n space: ((2n+d-2)/(d-2)) C_n^{(d-2)/2}(s)."""
-    if d < 3:
-        raise ParameterError(f"dimension must be at least 3, got d={d}")
-    factor = (2 * n + d - 2) / (d - 2)
-    table = gegenbauer_table(0.5 * (d - 2), n, s)
-    value = factor * table[n]
-    if np.ndim(s) == 0:
-        return float(value)
-    return value
-
-
 def _unit_phase(c, s, r):
     """(c + i s)/r, with 1 where r = 0."""
     safe = np.where(r == 0.0, 1.0, r)

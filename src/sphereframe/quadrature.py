@@ -76,10 +76,8 @@ def gauss_symmetric_jacobi(m: int, alpha: float) -> Rule1D:
     return Rule1D(nodes, weights, 2 * m - 1)
 
 
-def circle_rule(M: int) -> Rule1D:
+def _circle_rule(M: int) -> Rule1D:
     """Equispaced rule on [0, 2*pi): exact for trig degree <= M-1."""
-    if M < 1:
-        raise ParameterError(f"node count must be positive, got {M}")
     nodes = TWO_PI * np.arange(M) / M
     weights = np.full(M, TWO_PI / M)
     return Rule1D(nodes, weights, M - 1)
@@ -156,7 +154,7 @@ def _gauss_axes(d: int, N: int) -> list:
 
 def _sphere_rule(d: int, N: int) -> SphereRule:
     """`sphere_rule(d, N)` without the argument and cap checks."""
-    return product_rule([circle_rule(2 * N + 1)] + _gauss_axes(d, N), 2 * N)
+    return product_rule([_circle_rule(2 * N + 1)] + _gauss_axes(d, N), 2 * N)
 
 
 def sphere_rule(d: int, N: int, max_nodes: int | None = None) -> SphereRule:
@@ -325,17 +323,17 @@ def rotation_rule(d: int, N: int, variant: str = "general",
         raise ParameterError(f"K must be nonnegative, got {K}")
     if d < 2:
         raise ParameterError(f"rotation group dimension must be >= 2, got {d}")
+    _check_degree(d, N)
     check_cap(_grid_size(d, N, variant, K), "rotation grid", max_nodes)
     if d == 2:
         # the equispaced SO(2) rule, as G_1(-alpha) in the convention of sections,
         # axis and rule weighted 1/M, not normalized, so exported grids keep their bytes
         M = 2 * N + 1
-        circle = circle_rule(M)
+        circle = _circle_rule(M)
         w = np.full(M, 1.0 / M)
         axis = Rule1D(-circle.nodes, w, circle.exact_degree)
         return RotationRule(2, (SphereRule((axis,), w, 2 * N),), N, "general")
 
-    _check_degree(d, N)
     M = K if variant in ("steerable", "steerable_so_d2") else N
     if variant == "zonal":
         inner = ()

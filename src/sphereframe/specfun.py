@@ -45,15 +45,6 @@ def gegenbauer_table(lam: float, n_max: int, t) -> np.ndarray:
     return out
 
 
-def gegenbauer(lam: float, n: int, t):
-    """Gegenbauer polynomial C_n^lam(t); t may be a scalar or an array."""
-    table = gegenbauer_table(lam, n, t)
-    value = table[n]
-    if np.ndim(t) == 0:
-        return float(value)
-    return value
-
-
 def validate_multi_index(d: int, n: int, k) -> tuple:
     """Membership test for the degree-n multi-index chain (k_0 = n)."""
     if type(k) is int:

@@ -10,15 +10,18 @@ rotated quadrature node, against which the coefficient-space transforms of
 `frames` are checked.  `random_signal` draws one normal per call, and `plane`
 exponentiates its phases in every call: the straightforward forms of
 `frames.random_signal` and `frames._Degree.plane`, which must equal them bit
-for bit.
+for bit.  `addition_kernel` and `curvelet_eval_closed` are closed forms that
+library evaluations are compared against, and `support` reads the degree range
+a scale's table occupies.
 """
 
 import math
 
 import numpy as np
 
-from sphereframe.errors import (DegenerateSignalError, ExactnessError, IndexSetError,
-                               ParameterError)
+from sphereframe.constructions import kappa1
+from sphereframe.errors import (DegenerateSignalError, IndexSetError, ParameterError,
+                               SphereFrameError)
 from sphereframe.frames import Signal
 from sphereframe.harmonics import ExpansionEvaluator, basis_matrix, index_set
 from sphereframe.quadrature import embed_rotation, polar_rule, sections, sphere_rule
@@ -26,6 +29,42 @@ from sphereframe.specfun import gegenbauer_table, log_norm_A, validate_multi_ind
 
 TWO_PI = 2.0 * math.pi
 ROTATION_CHUNK = 512  # rotations per block in matrix_function_block
+
+
+class ExactnessError(SphereFrameError, ValueError):
+    """A quadrature rule's exactness degree is too low for the request."""
+
+
+def support(scale):
+    """(lowest, highest) degree carrying a nonzero coefficient, or None."""
+    degrees = [n for (n, _), c in scale.coeffs.items() if c != 0]
+    if not degrees:
+        return None
+    return min(degrees), max(degrees)
+
+
+def addition_kernel(d: int, n: int, s):
+    """Reproducing kernel of the degree-n space: ((2n+d-2)/(d-2)) C_n^{(d-2)/2}(s)."""
+    value = (2 * n + d - 2) / (d - 2) * gegenbauer_table(0.5 * (d - 2), n, s)[n]
+    return float(value) if np.ndim(s) == 0 else value
+
+
+def curvelet_eval_closed(d: int, j: int, point) -> float:
+    """Closed-form curvelet value sqrt(2) sum_n w(n) A_n Re{(x_d + i x_{d-1})^n}
+    at one cartesian point (the scale-0 function is the constant 1)."""
+    x = np.asarray(point, dtype=float)
+    if j == 0:
+        return 1.0
+    z = complex(x[d - 1], x[d - 2])
+    zp = z
+    total = 0.0
+    for n in range(1, 2 ** j + 1):
+        w = kappa1(d, j, n)
+        if w != 0.0:
+            amp = math.exp(log_norm_A(d, n, (n,) * (d - 3) + (n,)))
+            total += w * amp * zp.real
+        zp *= z
+    return math.sqrt(2.0) * total
 
 
 def cartesian_to_spherical(x: np.ndarray) -> np.ndarray:
@@ -149,7 +188,9 @@ def matrix_function_numeric(d: int, n: int, k, m, g, rule) -> complex:
 
 
 def matrix_function_block(d: int, n: int, rotations, rule) -> np.ndarray:
-    """All t_{k,m}^{d,n}(g) for a batch of rotations, shape (R, dim, dim)."""
+    """All t_{k,m}^{d,n}(g) for a batch of rotations, shape (R, dim, dim).
+
+    The moved nodes go to `basis_matrix` as cartesian points."""
     if rule.exact_degree < 2 * n:
         raise ExactnessError(
             f"rule exact through degree {rule.exact_degree}, need {2 * n}")
@@ -161,9 +202,8 @@ def matrix_function_block(d: int, n: int, rotations, rule) -> np.ndarray:
     for lo in range(0, rotations.shape[0], ROTATION_CHUNK):
         sl = slice(lo, min(lo + ROTATION_CHUNK, rotations.shape[0]))
         moved = np.matmul(rule.points[None, :, :], rotations[sl])   # (c, nodes, d)
-        theta = cartesian_to_spherical(moved.reshape(-1, d))
-        C = basis_matrix(d, n, theta).reshape(dim, sl.stop - sl.start, -1)
-        out[sl] = np.einsum("kn,mcn->ckm", Bw, C)
+        C = basis_matrix(d, n, moved.reshape(-1, d)).reshape(dim, sl.stop - sl.start, -1)
+        out[sl] = Bw @ C.transpose(1, 2, 0)                        # (c, dim, dim)
     return out
 
 

@@ -47,8 +47,7 @@ def test_build_zonal_invariance(tmp_path):
     spec_path = tmp_path / "z.json"
     assert run("build", "--kind", "zonal", "--d", "3", "--J", "5",
                "--out", spec_path) == 0
-    from sphereframe import diagnostics as D
-    assert D.invariance_order(io.read_spec(spec_path)) == 2  # d - 1
+    assert F.invariance_order(io.read_spec(spec_path)) == 2  # d - 1
 
 
 def test_build_wavelet_d3_is_input_error(tmp_path):
@@ -88,6 +87,23 @@ def test_dual_and_dual_check(tmp_path):
     # a non-dual pair fails with exit code 1
     assert run("check", "--spec", spec_path, "--dual", spec_path,
                "--n-max", "8") == cli.EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("argv", [
+    ("reconstruct", "--spec", "{w}", "--random", "12", "--seed", "1", "--out", "{out}"),
+    ("dual", "--spec", "{w}", "--n-max", "20", "--out", "{out}"),
+])
+def test_degrees_above_the_top_bandwidth_fail_validation(tmp_path, capsys, argv):
+    # the top bandwidth is 8, and sigma vanishes above it
+    spec_path, out = tmp_path / "w.json", tmp_path / "out.json"
+    assert run("build", "--kind", "wavelet", "--d", "4", "--K", "4", "--J", "3",
+               "--window", "kappa2", "--out", spec_path) == 0
+    capsys.readouterr()
+    assert run(*[a.format(w=spec_path, out=out) for a in argv]) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "validation failure: sigma vanishes at degree 9; "
+        "the system is not a frame on the requested range\n")
+    assert not out.exists()
 
 
 def test_reconstruct_command(tmp_path):
@@ -158,10 +174,14 @@ def test_reconstruct_caps_the_random_signal_before_drawing(tmp_path, capsys):
         f"capacity error: random signal would hold {count} nodes, exceeding the cap "
         f"{count - 1}; raise --max-nodes or SPHEREFRAME_MAX_NODES to override\n")
     assert peak < 1_000_000, peak
-    assert run(*argv, "--max-nodes", count, "--out", tmp_path / "at_cap.json") == 0
-    assert run(*argv, "--out", tmp_path / "uncapped.json") == 0
-    assert ((tmp_path / "at_cap.json").read_bytes()
-            == (tmp_path / "uncapped.json").read_bytes())
+    # at the cap and without it the signal is drawn; its degrees above the
+    # spec's bandwidth 2 carry no frame energy, so the round trip fails validation
+    failure = ("validation failure: sigma vanishes at degree 3; "
+               "the system is not a frame on the requested range\n")
+    assert run(*argv, "--max-nodes", count) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == failure
+    assert run(*argv) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == failure
 
 
 def test_reconstruct_takes_sigma_only_up_to_the_signal_coefficients(tmp_path, monkeypatch):

@@ -16,29 +16,19 @@ from sphereframe.specfun import Q_d
 
 
 def test_steerable_order_cases():
-    assert D.steerable_order(C.zonal_spec(3, 3)) == 0
-    assert D.steerable_order(C.wavelet_spec(4, 4, 4)) == 4
-    assert D.steerable_order(C.wavelet_spec(4, 9, 5)) == 9
-    assert D.steerable_order(F.FrameSpec(4, [F.Scale(0, 0, {})])) is None
-
-
-def test_structure_report_is_reproducible():
-    spec = C.wavelet_spec(4, 4, 3, "kappa2")
-    first = D.structure_report(spec)
-    again = D.structure_report(spec)
-    assert first == again
-    assert first.steerable_K == 4 and first.invariant_m == 2
-    assert first.support[0] == (0, (0, 0))
-    assert first.support[3] == (3, (2, 8))
+    assert F.steerable_order(C.zonal_spec(3, 3)) == 0
+    assert F.steerable_order(C.wavelet_spec(4, 4, 4)) == 4
+    assert F.steerable_order(C.wavelet_spec(4, 9, 5)) == 9
+    assert F.steerable_order(F.FrameSpec(4, [F.Scale(0, 0, {})])) is None
 
 
 def test_invariance_order_cases():
-    assert D.invariance_order(C.zonal_spec(4, 3)) == 3      # d - 1
-    assert D.invariance_order(C.wavelet_spec(4, 4, 4)) == 2  # d - 2
+    assert F.invariance_order(C.zonal_spec(4, 3)) == 3      # d - 1
+    assert F.invariance_order(C.wavelet_spec(4, 4, 4)) == 2  # d - 2
     mixed = F.FrameSpec(5, [F.Scale(0, 3, {(3, (2, 1, 1)): 1.0})])
-    assert D.invariance_order(mixed) is None
+    assert F.invariance_order(mixed) is None
     part = F.FrameSpec(5, [F.Scale(0, 3, {(3, (2, 1, 0)): 1.0})])
-    assert D.invariance_order(part) == 2
+    assert F.invariance_order(part) == 2
 
 
 def test_xi0_spectral_single_degree_is_zero():
@@ -176,38 +166,6 @@ def test_uncertainty_product_lower_bound():
             assert rec.uncertainty_product >= bound * (1 - 1e-10)
 
 
-def test_audit_conditions_wavelet():
-    spec = C.wavelet_spec(4, 4, 6, "kappa2")
-    audits = D.audit_conditions(spec)
-    by_j = {a.j: a for a in audits}
-    for j in range(1, 7):
-        a = by_j[j]
-        assert a.support[0] == max(1, 2 ** (j - 2))
-        assert a.support[1] == 2 ** j
-        assert a.bandwidth == 2 ** j
-    # C1 ratios settle into a fixed bracket
-    ratios = [by_j[j].c1_ratio for j in range(3, 7)]
-    assert max(ratios) / min(ratios) < 3.0
-
-
-def test_audit_constant_table_has_zero_second_difference():
-    coeffs = {(n, (0, 0)): 1.0 for n in range(3, 9)}
-    spec = F.FrameSpec(4, [F.Scale(0, 0, {(0, (0, 0)): 1.0}),
-                           F.Scale(1, 8, coeffs)])
-    audit = [a for a in D.audit_conditions(spec) if a.j == 1][0]
-    # interior second differences vanish; only the support edges contribute
-    inner = {(n, (0, 0)): 1.0 for n in range(3, 9)}
-    diffs = [abs(0.5 * (inner.get((n + 1, (0, 0)), 0) + inner.get((n - 1, (0, 0)), 0))
-                 - inner.get((n, (0, 0)), 0)) for n in range(4, 8)]
-    assert max(diffs) == 0.0
-    assert audit.c3_constant == pytest.approx(0.5 * 8.0, rel=1e-12)  # edge effect
-
-
-def test_audit_needs_two_scales():
-    with pytest.raises(ParameterError):
-        D.audit_conditions(F.FrameSpec(4, [F.Scale(0, 2, {(1, (0, 0)): 1.0})]))
-
-
 def test_zeta_parity_decouples_degrees_below_K():
     # Below the steerability order K the directionality components alternate
     # parity, so adjacent degrees share no index and contribute nothing to
@@ -227,7 +185,7 @@ def test_zeta_parity_decouples_degrees_below_K():
             (n, k): c for (n, k), c in band.coeffs.items() if n >= K})
         assert D.xi0_d_spectral(upper).xi0d_times_normsq == pytest.approx(
             D.xi0_d_spectral(full).xi0d_times_normsq, rel=1e-12)
-        j0 = min(j for j in range(4, 7) if spec.scales[j].support()[0] >= K)
+        j0 = min(j for j in range(4, 7) if oracle.support(spec.scales[j])[0] >= K)
         scaled = {r.j: r.var_space * 4.0 ** r.j
                   for r in D.localization_report(spec, [4, j0])}
         assert scaled[4] > 3.0 * scaled[j0], (window, scaled)

@@ -83,7 +83,7 @@ def test_canonical_dual_identities():
             assert s2.coeffs[key] == pytest.approx(c / math.sqrt(2.0), rel=1e-12)
 
 
-def test_canonical_dual_certification_error():
+def test_canonical_dual_certification_error(monkeypatch):
     spec = F.FrameSpec(3, [F.Scale(0, 0, {(0, (0,)): 1.0}),
                            F.Scale(1, 3, {(3, (0,)): 1.0})])
     with pytest.raises(NotAFrameError):
@@ -91,37 +91,23 @@ def test_canonical_dual_certification_error():
     # without certification the gap degrees simply stay empty
     dual = F.canonical_dual(spec)
     assert (3, (0,)) in dual.scales[1].coeffs
+    # sigma vanishes above the top bandwidth; nothing is computed to find that out
+    monkeypatch.setattr(F, "sigma_profile", lambda *a: pytest.fail("took the profile"))
+    for n_max in (4, 20, 10 ** 9):
+        with pytest.raises(NotAFrameError, match="sigma vanishes at degree 4;"):
+            F.canonical_dual(spec, n_max=n_max)
 
 
 def test_sigma_J_phi_based_flatness():
+    # the partial profile sigma_J over scales j <= J is the profile of those scales
     spec = parseval_zonal(3, 6)
     for J in (2, 4, 6):
-        for n in range(0, 2 ** (J - 1) + 1):
-            assert abs(F.sigma_J(spec, spec, J, n) - 1.0) < 1e-12
+        sigma_J = F.sigma_profile(F.FrameSpec(3, spec.scales[: J + 1]), 2 ** J - 1)
+        assert np.max(np.abs(sigma_J[: 2 ** (J - 1) + 1] - 1.0)) < 1e-12
         # beyond the flat range the partial profile follows the outer window
         n = 2 ** J - 1
         expected = C.phi(n / 2.0 ** J) ** 2
-        assert F.sigma_J(spec, spec, J, n) == pytest.approx(expected, rel=1e-10)
-
-
-def test_apply_Lambda_J_truncates_high_degrees():
-    spec = parseval_zonal(3, 4)
-    f = F.Signal(3, 6, {(6, (2,)): 1.0})
-    out = F.apply_Lambda_J(spec, spec, 2, f)  # N_2 = 4 < 6
-    assert out.coeffs == {}
-
-
-def test_lambda_J_is_degree_diagonal():
-    spec = C.wavelet_spec(4, 2, 3, "kappa2")
-    dual = F.canonical_dual(spec)
-    J = 2
-    for n in (0, 1, 3):
-        for k in (H.index_set(4, n)[0], H.index_set(4, n)[-1]):
-            f = F.Signal(4, n, {(n, k): 1.0})
-            out = F.apply_Lambda_J(spec, dual, J, f)
-            factor = F.sigma_J(spec, dual, J, n)
-            assert out.coeffs[(n, k)] == pytest.approx(factor, rel=1e-12)
-            assert all(key == (n, k) for key in out.coeffs)
+        assert sigma_J[n] == pytest.approx(expected, rel=1e-10)
 
 
 def test_degree_profiles_cap_before_allocation(monkeypatch):
@@ -129,8 +115,7 @@ def test_degree_profiles_cap_before_allocation(monkeypatch):
     monkeypatch.setenv("SPHEREFRAME_MAX_NODES", "1000")
     calls = [lambda: F.sigma_profile(spec, 10 ** 6),
              lambda: F.frame_bounds(spec, 1000),
-             lambda: F.dual_residuals(spec, spec, 10 ** 6),
-             lambda: F.sigma_J(spec, spec, 1, 10 ** 6)]
+             lambda: F.dual_residuals(spec, spec, 10 ** 6)]
     tracemalloc.start()
     try:
         for call in calls:

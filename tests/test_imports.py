@@ -42,6 +42,61 @@ def test_private_import_rule_catches_both_forms():
                                        (2, "sphereframe.frames", "_Degree")]
 
 
+def unreferenced_public_names(sources: dict) -> list:
+    """(file, name) of every public module-level function or class, and every
+    public method or nested class, that no Name or Attribute node of the
+    sources refers to, apart from those inside its own definition.  Imports
+    alone are not references."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    defined = []
+    for file, tree in trees.items():
+        scopes = [tree.body] + [node.body for node in tree.body
+                                if isinstance(node, ast.ClassDef)]
+        defined += [(file, node) for body in scopes for node in body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")]
+    refs = [(node, node.id if isinstance(node, ast.Name) else node.attr)
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))]
+    unused = []
+    for file, definition in defined:
+        own = {id(node) for node in ast.walk(definition)}
+        if not any(name == definition.name and id(node) not in own for node, name in refs):
+            unused.append((file, definition.name))
+    return unused
+
+
+# Public names with no caller in the package, each the other half of an
+# interface outside it.
+UNREFERENCED_BY_DESIGN = {
+    "eval_angles": "bench/tracing.py wraps ExpansionEvaluator.eval_angles by name",
+    "read_grid": "reads the grid files that `quadinfo --out` writes",
+    "read_report": "reads the reports that the commands' --out writes",
+    "write_signal": "writes the signal files that `reconstruct --signal` reads",
+}
+
+
+def test_every_public_name_has_a_caller_in_the_package():
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))
+               if path.name != "__init__.py"}
+    unused = unreferenced_public_names(sources)
+    assert sorted(name for _, name in unused) == sorted(UNREFERENCED_BY_DESIGN), unused
+
+
+def test_public_name_rule_catches_an_unused_name():
+    sources = {
+        "a.py": ("def used():\n    pass\n\n"
+                 "def unused():\n    return unused()\n\n"
+                 "class Box:\n"
+                 "    def method(self):\n        return helper()\n\n"
+                 "    def _private(self):\n        pass\n\n"
+                 "    def idle(self):\n        pass\n\n"
+                 "def helper():\n    pass\n"),
+        "b.py": "from .a import unused\nx = used() and Box().method\n",
+    }
+    assert unreferenced_public_names(sources) == [("a.py", "unused"), ("a.py", "idle")]
+
+
 def scipy_imports(source: str) -> list:
     """(line, at module level) of every import of scipy or a scipy submodule.
     Imports inside a function body run when it is called; any other import,

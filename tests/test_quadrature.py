@@ -47,14 +47,14 @@ def test_jacobi_rejects_bad_parameters():
 
 
 def test_circle_rule_oscillation_and_aliasing():
-    rule = Q.circle_rule(4)
+    rule = Q.sphere_rule(3, 2).axes[0]  # the equispaced theta_1 axis, 5 nodes
     assert abs(np.sum(rule.weights * np.exp(1j * rule.nodes))) < 1e-15
-    aliased = np.sum(rule.weights * np.exp(4j * rule.nodes))
+    aliased = np.sum(rule.weights * np.exp(5j * rule.nodes))
     assert aliased == pytest.approx(2 * math.pi, rel=1e-14)  # NOT zero
 
 
 def test_circle_rule_trig_exactness():
-    rule = Q.circle_rule(9)
+    rule = Q.sphere_rule(3, 4).axes[0]  # 9 nodes
     for p in range(1, 9):
         assert abs(np.sum(rule.weights * np.exp(1j * p * rule.nodes))) < 1e-14
 
@@ -304,6 +304,13 @@ def test_eigh_tridiagonal_is_scipys_bit_for_bit():
         got = Q.eigh_tridiagonal(diag, off)
         want = eigh_tridiagonal(diag, off)
         assert all(np.array_equal(g, w) for g, w in zip(got, want)), len(diag)
+
+
+def test_rotation_rule_rejects_a_negative_degree_before_its_cap():
+    for d in (2, 3, 4):
+        for N in (-1, -10 ** 6):
+            with pytest.raises(ParameterError, match=f"target degree must be nonnegative, got {N}"):
+                Q.rotation_rule(d, N, max_nodes=1)
 
 
 def test_rotation_rule_rejects_a_negative_K():
