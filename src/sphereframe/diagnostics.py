@@ -208,7 +208,7 @@ def localization_report(spec: FrameSpec, scales=None) -> list[LocalizationRecord
             xid = xi0_d_spectral(f).xi0d
         else:
             xid = float(xi[-1])
-        upper = math.inf if xid == 0.0 else (1.0 - xid * xid) / (xid * xid)
+        upper = math.inf if abs(xid) <= _XI_ZERO else (1.0 - xid * xid) / (xid * xid)
         vm = var_momentum(f)
         record = LocalizationRecord(
             j=scale.j, bandwidth=scale.bandwidth, norm_sq=f.norm_sq(),

@@ -66,6 +66,9 @@ def _commands():
         ("check", "--spec", w8, "--dual", "w8_dual.json", "--n-max", 256,
          "--out", "check_w8_dual.json"),
         ("localize", "--spec", w7, "--scales", "4..7", "--out", "loc_w7.json"),
+        ("localize", "--spec", c5, "--out", "loc_c5.json"),
+        ("localize", "--spec", c52, "--out", "loc_c52.json"),
+        ("localize", "--spec", z5, "--out", "loc_z5.json"),
         ("autocorr", "--spec", c5, "--j", 4, "--angles", 32, "--out", "ac_c5.json"),
         ("autocorr", "--spec", w3, "--j", 2, "--angles", 8, "--out", "ac_w3.json"),
         ("figure", "--spec", w7, "--j", 7, "--format", "pgm", "--out", "w7_j7.pgm"),

@@ -112,6 +112,15 @@ def test_a_center_of_mass_zero_up_to_rounding_has_no_variance(j):
     assert defined.var_space > 0 and defined.uncertainty_product >= 2.25
 
 
+@pytest.mark.parametrize("d,J", [(4, 5), (5, 2)])
+def test_a_polar_component_zero_up_to_rounding_has_no_upper_bound(d, J):
+    # curvelet scale 1 has xi_d about 1e-17; (1 - xi_d^2) / xi_d^2 would be noise
+    with pytest.raises(UndefinedVarianceError) as caught:
+        D.localization_report(C.curvelet_spec(d, J), [1])
+    r = caught.value.record
+    assert abs(r.xi0_d) <= 1e-12 and r.var_space_upper == math.inf
+
+
 def localization(f):
     """The localization record of a signal wrapped as a one-scale spec."""
     spec = F.FrameSpec(f.d, [F.Scale(0, f.degree, f.coeffs)])
