@@ -10,8 +10,8 @@ from .constructions import (PolarGrid, curvelet_spec, kappa, kappa1, kappa2,
                             make_g0, phi, polar_sample, wavelet_spec, zeta,
                             zeta_table, zonal_spec)
 from .diagnostics import (LocalizationRecord, autocorrelation,
-                          autocorrelation_closed, localization_report,
-                          var_momentum, xi0_d_spectral, xi0_numeric)
+                          autocorrelation_closed, center_of_mass,
+                          localization_report, var_momentum)
 from .errors import (CapacityError, DegenerateSignalError, DomainError,
                      FormatError, IndexSetError, NotAFrameError,
                      ParameterError, SphereFrameError, TableShapeError,
@@ -24,7 +24,7 @@ from .frames import (FrameBounds, FrameSpec, FrameSystem, ParsevalGap, Scale,
 from .harmonics import (ExpansionEvaluator, basis_matrix, dim_harmonic,
                         index_set, spherical_to_cartesian)
 from .quadrature import (RotationRule, Rule1D, SphereRule, embed_rotation,
-                         gauss_symmetric_jacobi, polar_rule, rotation_rule,
+                         gauss_symmetric_jacobi, rotation_rule,
                          sections, sphere_rule)
 from .specfun import Q_d, gegenbauer_table, log_norm_A, q_d
 

@@ -123,19 +123,20 @@ def cmd_reconstruct(args) -> int:
              + "; its grids would not reconstruct (use --grid auto)")
     if not args.signal and args.random is None:
         raise SphereFrameError("give --signal FILE or --random DEGREE")
-    signal = io.read_signal(args.signal) if args.signal else None
-    system = frames.build_system(spec, variant=args.grid, K=args.K,
-                                 max_nodes=args.max_nodes)
     seed = None if args.signal else args.seed
-    if signal is None:
+    if args.signal:
+        signal = io.read_signal(args.signal)
+    else:
         # sum_{n <= N} dim H_n^d = C(N+d-1, d-1) + C(N+d-2, d-1) coefficients
         N, d = args.random, spec.d
         quadrature.check_cap(math.comb(N + d - 1, d - 1) + math.comb(N + d - 2, d - 1),
                              "random signal", args.max_nodes)
         signal = frames.random_signal(d, N, seed=seed)
-    # certified up to the highest degree the signal uses, not its declared degree
+    # certified up to the signal's highest nonzero degree, before any grid is built
     highest = max((n for (n, _), c in signal.coeffs.items() if c != 0), default=0)
     dual = frames.canonical_dual(spec, n_max=highest)
+    system = frames.build_system(spec, variant=args.grid, K=args.K,
+                                 max_nodes=args.max_nodes)
     coeffs = frames.analysis(system, signal, max_nodes=args.max_nodes)
     n_out = signal.degree if args.n_out is None else args.n_out
     recovered = frames.synthesis(system, dual, coeffs, n_out,

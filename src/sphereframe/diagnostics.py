@@ -1,17 +1,14 @@
 """Localization functionals and directionality measures.
 
-The spatial center of mass has two routes: a quadrature route giving the
-full vector, and a spectral route (adjacent-degree coupling through Q_d)
-giving the polar component only.  Both are exposed; they cross-validate
-each other, and the spectral route stays meaningful for arbitrarily large
-bandwidths where dense quadrature would be wasteful.
+The spatial center of mass comes from the coefficients alone: the adjacent-
+degree coupling of x_d through Q_d, conjugated by the closed-form plane
+generators of `harmonics.generator_step`.  No function is evaluated.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -19,76 +16,82 @@ from .constructions import zeta_table
 from .errors import (DegenerateSignalError, ParameterError, TableShapeError,
                      UndefinedVarianceError)
 from .frames import FrameSpec, Signal
-from .harmonics import ExpansionEvaluator
-from .quadrature import check_cap, polar_rule, product_rule, sphere_rule, sphere_size
-from .specfun import Q_d
+from .harmonics import ExpansionEvaluator, dim_harmonic, generator_step
+from .quadrature import check_cap, sphere_rule, sphere_size
+from .specfun import Q_d, validate_multi_index
 
 
-class Xi0Spectral(NamedTuple):
-    xi0d_times_normsq: float
-    xi0d: float
+def _apply_plane(d: int, table: dict, ell: int) -> dict:
+    """X_ell g for a table g = {(n, k): c}: the phase -i k_{d-2} at ell = 1,
+    else one step of the label at position d-ell-1 either way, weighted by
+    `generator_step`; only steps inside the index set are taken."""
+    if ell == 1:
+        return {(n, k): -1j * k[-1] * c for (n, k), c in table.items() if k[-1]}
+    pos = d - ell - 1
+    keys, values = list(table), np.array(list(table.values()), dtype=complex)
+    m, U, L = np.array([(k[pos], k[pos - 1] if pos else n, abs(k[pos + 1]) if ell > 2 else 0)
+                        for n, k in keys], dtype=int).reshape(-1, 3).T
+    out: dict = {}
+    # X[k+e, k] at m, and X[k-e, k] = -X[k, k-e] at m-1
+    for step, idx, at in ((1, np.flatnonzero(m < U), m),
+                          (-1, np.flatnonzero(m > (-U if ell == 2 else L)), m - 1)):
+        x = step * generator_step(ell, at[idx], U[idx], L[idx])
+        for i, v in zip(idx.tolist(), (x * values[idx]).tolist()):
+            n, k = keys[i]
+            key = (n, k[:pos] + (k[pos] + step,) + k[pos + 1:])
+            out[key] = out.get(key, 0.0) + v
+    return out
 
 
-def xi0_d_spectral(f: Signal) -> Xi0Spectral:
-    """Polar component of the center of mass from coefficients alone:
-    sum over (n,k) of f(n,k) [conj(f(n+1,k)) Q_d^{k1}(n) +
-    conj(f(n-1,k)) Q_d^{k1}(n-1)], with out-of-range coefficients zero.
-
-    The couplings come from one array call of Q_d per k1, over the degrees
-    of its adjacent pairs; the values, and the order of the sum, are those
-    of one scalar call per pair.
-    """
-    norm_sq = f.norm_sq()
-    if norm_sq == 0.0:
-        raise DegenerateSignalError("zero signal has no center of mass")
-    pairs: dict[int, list] = {}  # k1 -> n of every pair (n, k), (n+1, k)
-    for n, k in f.coeffs:
-        if (n + 1, k) in f.coeffs:
-            pairs.setdefault(k[0], []).append(n)
-    coupling = {}
-    for k1, ns in pairs.items():
-        lo = min(ns)
-        values = Q_d(f.d, k1, np.arange(lo, max(ns) + 1)).tolist()
-        coupling.update(((k1, n), v) for n, v in enumerate(values, lo))
+def _coupled(g: dict, h: dict, coupling: dict) -> complex:
+    """<g, x_d h> = sum over (n,k) of h(n,k) [conj(g(n+1,k)) Q_d^{k1}(n) +
+    conj(g(n-1,k)) Q_d^{k1}(n-1)], with out-of-range coefficients zero."""
     total = 0.0 + 0.0j
-    for (n, k), c in f.coeffs.items():
-        up = f.coeffs.get((n + 1, k))
+    for (n, k), c in h.items():
+        up = g.get((n + 1, k))
         if up is not None:
             total += c * np.conj(up) * coupling[(k[0], n)]
-        if n >= 1:
-            down = f.coeffs.get((n - 1, k))
-            if down is not None:
-                total += c * np.conj(down) * coupling[(k[0], n - 1)]
-    return Xi0Spectral(float(total.real), float(total.real) / norm_sq)
+        down = g.get((n - 1, k))
+        if down is not None:
+            total += c * np.conj(down) * coupling[(k[0], n - 1)]
+    return total
 
 
-def xi0_numeric(f: Signal) -> np.ndarray:
-    """Center of mass of |f|^2 by quadrature, the independent check of the
-    spectral route.  The integrand has degree 2*deg(f)+1, so the rule is
-    exact through 2*deg(f)+2.
-
-    The rule is `sphere_rule(d, deg(f)+1)`, or, when the table does not
-    involve theta_1, its theta_1 = 0 slab `polar_rule`: the azimuth average
-    is exact by symmetry, so the first two components vanish.  Either rule is
-    taken apart as its Gauss axis in theta_{d-1} times the product of the
-    other axes, the directions u on S^{d-2}, and f is evaluated on that
-    split by `ExpansionEvaluator.eval_polar`.  The cap check of the rule
-    comes first.
-    """
+def center_of_mass(f: Signal) -> np.ndarray:
+    """xi = int x |f(x)|^2 dx / |f|^2, shape (d,), from the coefficients:
+    xi_ell |f|^2 = (-1)^{d-ell} sum_S <X_S f, x_d X_S' f> over the subsets S
+    of the planes ell .. d-1, S' the rest of them, X_S applying the planes of
+    S lowest first, and x_d the coupling of `_coupled`.  Each of the 2^{d-1}
+    tables X_S f is built once, from that of S without its highest plane.  A
+    generator keeps the degree and at most doubles a table; the entries this
+    bounds are checked against the cap first.  The couplings come from one
+    Q_d call per k1, over the degrees of all the tables."""
     norm_sq = f.norm_sq()
     if norm_sq == 0.0:
         raise DegenerateSignalError("zero signal has no center of mass")
-    ev = ExpansionEvaluator(f.d, f.coeffs)
-    rule = (polar_rule if ev.theta1_free else sphere_rule)(f.d, f.degree + 1)
-    *inner, polar = rule.axes
-    t, u = polar.nodes, product_rule(inner, rule.exact_degree)
-    dens = np.multiply.outer(polar.weights, u.weights) * np.abs(ev.eval_polar(t, u.points)) ** 2
-    xi = np.empty(f.d)
-    xi[-1] = np.cos(t) @ dens.sum(axis=1)
-    xi[:-1] = (np.sin(t) @ dens) @ u.points
-    if ev.theta1_free:
-        xi[:2] = 0.0
-    return xi / dens.sum()
+    d = f.d
+    table = {(n, validate_multi_index(d, n, k)): c for (n, k), c in f.coeffs.items()
+             if c != 0.0}
+    half, degrees = 2 ** (d - 1), {n for n, _ in table}
+    size = sum(dim_harmonic(d, n) for n in degrees)
+    check_cap(half * min(half * len(table), size), "center of mass", None)
+    tables = [table]  # tables[S]: X_S f, bit ell-1 of S for plane ell
+    for S in range(1, half):
+        top = S.bit_length()
+        tables.append(_apply_plane(d, tables[S ^ (1 << (top - 1))], top))
+    coupling = {}  # every table has the degrees of f, a label k1 those from |k1| on
+    for k1 in {k[0] for t in tables for _, k in t}:
+        lo = max(min(degrees), abs(k1))
+        values = Q_d(d, k1, np.arange(lo, max(degrees) + 1)).tolist()
+        coupling.update(((k1, n), v) for n, v in enumerate(values, lo))
+    xi = np.empty(d)
+    for ell in range(1, d + 1):
+        planes = (half - 1) >> (ell - 1) << (ell - 1)  # the planes ell .. d-1
+        sign = (-1) ** (d - ell)
+        total = sum(sign * _coupled(tables[S], tables[planes ^ S], coupling)
+                    for S in range(half) if S | planes == planes)
+        xi[ell - 1] = float(total.real) / norm_sq
+    return xi
 
 
 def var_momentum(f: Signal) -> float:
@@ -186,8 +189,8 @@ def localization_report(spec: FrameSpec, scales=None) -> list[LocalizationRecord
     """Per-scale localization functionals.
 
     The reported center-of-mass vector refers to the frame function as used:
-    for tables stored pre-rotation the quadrature vector is rotated before
-    its polar component is read off.  A scale whose center of mass has
+    for tables stored pre-rotation the vector of `center_of_mass` is rotated
+    before its polar component is read off.  A scale whose center of mass has
     length at most 1e-12 has no spatial variance: rounding alone would set
     its value.  It raises `UndefinedVarianceError`, whose `record` is the
     scale's record with `var_space` and `uncertainty_product` None.
@@ -198,16 +201,13 @@ def localization_report(spec: FrameSpec, scales=None) -> list[LocalizationRecord
     for j in scales:
         scale = spec.scales[j]
         f = Signal(spec.d, scale.bandwidth, scale.coeffs)
-        xi = xi0_numeric(f)
+        xi = center_of_mass(f)
         if spec.base_rotation is not None:
             xi = np.asarray(spec.base_rotation, dtype=float) @ xi
         s2 = float(xi @ xi)
         xi_len = math.sqrt(s2)
         vs = (1.0 - s2) / s2 if xi_len > _XI_ZERO else None
-        if spec.base_rotation is None:
-            xid = xi0_d_spectral(f).xi0d
-        else:
-            xid = float(xi[-1])
+        xid = float(xi[-1])
         upper = math.inf if abs(xid) <= _XI_ZERO else (1.0 - xid * xid) / (xid * xid)
         vm = var_momentum(f)
         record = LocalizationRecord(

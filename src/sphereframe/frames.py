@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NotAFrameError, ParameterError
-from .harmonics import basis_matrix, dim_harmonic, index_set
+from .harmonics import basis_matrix, dim_harmonic, generator_step, index_set
 from .quadrature import (RotationRule, check_cap, eigh_tridiagonal, rotation_rule,
                          sphere_rule, sphere_size)
 from .specfun import validate_multi_index
@@ -395,11 +395,11 @@ class _Degree:
 
     Delta_2 needs no quadrature.  The generator X = d/dbeta D^n(G_2(beta))
     at 0 is real, antisymmetric and tridiagonal on each stem (every label
-    but M = k_{d-2} fixed, M = -N..N with N = k_{d-3}, or n at d = 3):
-    X[M, M+1] = (1/2) sqrt((N-M)(N+M+1)) for M < 0 and minus that for
-    M >= 0, the angular-momentum ladder.  iX = Delta_2 diag(k_{d-2})
-    Delta_2^H, so the columns of Delta_2 are its eigenvectors, ordered by
-    eigenvalue; each is fixed up to a phase, which the conjugation cancels.
+    but M = k_{d-2} fixed, M = -N..N with N = k_{d-3}, or n at d = 3), with
+    the closed-form steps X[M+1, M] of `generator_step`, the angular-momentum
+    ladder.  iX = Delta_2 diag(k_{d-2}) Delta_2^H, so the columns of Delta_2
+    are its eigenvectors, ordered by eigenvalue; each is fixed up to a phase,
+    which the conjugation cancels.
 
     Every other dense D^n(g) is built by exact quadrature on
     `sphere_rule(d, n)`: the harmonics Y_k' at the moved nodes g^{-1} x_p,
@@ -457,13 +457,13 @@ class _Degree:
         """Delta_2 from the eigenvectors of the generator of plane 2, one
         stem at a time.  The stems are contiguous runs M = -N..N of the index
         set.  With S = diag(i^p), S^H iX S is real symmetric tridiagonal with
-        the off-diagonal -X[M, M+1], so its eigenvectors V give iX's as S V."""
+        the off-diagonal X[M+1, M] = `generator_step(2, M, N)`, so its
+        eigenvectors V give iX's as S V."""
         out = np.zeros((len(self.keys), len(self.keys)), dtype=complex)
         lo = 0
         while lo < len(self.keys):
             N = -self.keys[lo][-1]
-            M = np.arange(-N, N)
-            off = 0.5 * np.sqrt((N - M) * (N + M + 1.0)) * np.where(M < 0, -1.0, 1.0)
+            off = generator_step(2, np.arange(-N, N), N)
             _, V = eigh_tridiagonal(np.zeros(2 * N + 1), off)  # eigenvalues -N..N
             # the eigenvectors leave |V^T V - I| up to 6e-14 at N = 64
             S = np.array([1, 1j, -1, -1j])[np.arange(2 * N + 1) % 4]

@@ -69,6 +69,19 @@ def index_set(d: int, n: int) -> tuple:
     return tuple(out)
 
 
+def generator_step(ell: int, m, U, L=0):
+    """X_ell[k + e, k] of the generator X_ell = d/dbeta D^n(G_ell(beta)) at 0
+    for a plane ell >= 2, in the closed form of Gelfand and Tsetlin: e steps
+    the label m = k_{d-ell}, U is the label above (n for k_1) and
+    L = |k_{d-ell+1}| the one below (ell >= 3).  X_ell is real, antisymmetric
+    and tridiagonal in m; X_1 is the phase -i k_{d-2}.  Arrays broadcast; the
+    steps must stay inside the index set (U > m >= L, or m >= -U at ell = 2)."""
+    if ell == 2:
+        return 0.5 * np.sqrt((U - m) * (U + m + 1.0)) * np.where(m < 0, -1.0, 1.0)
+    num = (U - m) * (U + m + ell - 1.0) * (m - L + 1.0) * (m + L + ell - 2.0)
+    return np.sqrt(num / ((2.0 * m + ell - 2.0) * (2.0 * m + ell)))
+
+
 # ---------------------------------------------------------------------------
 # coordinate conversions
 # ---------------------------------------------------------------------------

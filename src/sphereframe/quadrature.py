@@ -4,8 +4,8 @@ deterministic rotation sections, and composed rotation-group grids.
 This module owns the package's one use of scipy, the symmetric tridiagonal
 eigensolver `eigh_tridiagonal` behind the Gauss rules and the SO(3) plane
 basis of `frames`.  scipy is imported the first time it is called, so the
-commands that build no Gauss rule (`build`, `check`, `dual`, `figure`)
-never load it.
+commands that build no Gauss rule (`build`, `check`, `dual`, `localize`,
+`figure`) never load it.
 
 All sphere rules are positive product rules with weights normalized to sum
 to one (the surface measure here is a probability measure); rotation grids
@@ -132,16 +132,6 @@ def _check_degree(d: int, N: int) -> None:
         raise ParameterError(f"target degree must be nonnegative, got {N}")
 
 
-def product_rule(axes, exact_degree: int) -> SphereRule:
-    """Tensor product of 1-d rules, first axis slowest, with the product
-    weights normalized to sum to one."""
-    w = axes[0].weights
-    for axis in axes[1:]:
-        w = np.multiply.outer(w, axis.weights)
-    weights = w.ravel()
-    return SphereRule(tuple(axes), weights / weights.sum(), exact_degree)
-
-
 def _gauss_axes(d: int, N: int) -> list:
     """Gauss axes in theta_2 .. theta_{d-1}: the weight (1-t^2)^((ell-1)/2)
     in cos(theta_{ell+1}), from sin^{d-2}(theta_{d-1}) ... sin(theta_2)."""
@@ -153,32 +143,25 @@ def _gauss_axes(d: int, N: int) -> list:
 
 
 def _sphere_rule(d: int, N: int) -> SphereRule:
-    """`sphere_rule(d, N)` without the argument and cap checks."""
-    return product_rule([_circle_rule(2 * N + 1)] + _gauss_axes(d, N), 2 * N)
+    """`sphere_rule(d, N)` without the argument and cap checks: the product
+    of its axes, first axis slowest, weights normalized to sum to one."""
+    axes = [_circle_rule(2 * N + 1)] + _gauss_axes(d, N)
+    w = axes[0].weights
+    for axis in axes[1:]:
+        w = np.multiply.outer(w, axis.weights)
+    weights = w.ravel()
+    return SphereRule(tuple(axes), weights / weights.sum(), 2 * N)
 
 
 def sphere_rule(d: int, N: int, max_nodes: int | None = None) -> SphereRule:
     """Product rule exact on all polynomials of degree 2N on S^{d-1}.
 
-    Composes an equispaced rule in theta_1 with the Gauss axes of
-    `polar_rule`; the node count is checked against the cap first.
+    Composes an equispaced rule in theta_1 with Gauss axes in the other
+    angles; the node count is checked against the cap first.
     """
     _check_degree(d, N)
     check_cap(sphere_size(d, N), "sphere rule", max_nodes)
     return _sphere_rule(d, N)
-
-
-def polar_rule(d: int, N: int) -> SphereRule:
-    """The theta_1 = 0 slab of `sphere_rule(d, N)` with weights summing to 1:
-    its theta_1 axis is the single node 0.
-
-    Exact on polynomials of degree 2N that do not depend on the azimuth
-    theta_1.  The node count is checked against the cap first.
-    """
-    _check_degree(d, N)
-    # at d = 3 the N+1 nodes come from an (N+1)^2 Golub-Welsch eigenvector matrix
-    check_cap((N + 1) ** max(d - 2, 2), "polar rule", None)
-    return product_rule([Rule1D(np.zeros(1), np.ones(1), 0)] + _gauss_axes(d, N), 2 * N)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 `eval_harmonic` evaluates Y_k^{d,n} level by level, straight from the product
 formula, with none of the table sharing of `harmonics.ExpansionEvaluator`, so
 it stays an independent check of that kernel.  `xi0_numeric_flat` is the
-center of mass by quadrature on the flat rule, the route that
-`diagnostics.xi0_numeric` splits at the polar angle.  `analysis` and `synthesis`
+center of mass by quadrature, the check of `diagnostics.center_of_mass`,
+which works from the coefficients alone.  `analysis` and `synthesis`
 are the brute-force transforms: they evaluate the generators at every
 rotated quadrature node, against which the coefficient-space transforms of
 `frames` are checked.  `random_signal` draws one normal per call, and `plane`
@@ -24,7 +24,7 @@ from sphereframe.errors import (DegenerateSignalError, IndexSetError, ParameterE
                                SphereFrameError)
 from sphereframe.frames import Signal
 from sphereframe.harmonics import ExpansionEvaluator, basis_matrix, index_set
-from sphereframe.quadrature import embed_rotation, polar_rule, sections, sphere_rule
+from sphereframe.quadrature import embed_rotation, sections, sphere_rule
 from sphereframe.specfun import gegenbauer_table, log_norm_A, validate_multi_index
 
 TWO_PI = 2.0 * math.pi
@@ -208,23 +208,13 @@ def matrix_function_block(d: int, n: int, rotations, rule) -> np.ndarray:
 
 
 def xi0_numeric_flat(f: Signal) -> np.ndarray:
-    """Center of mass of |f|^2 by quadrature on the flat rule: f evaluated at
-    every node of `sphere_rule(d, deg(f)+1)`, or of `polar_rule` when the
-    table does not involve theta_1 (the first two components then vanish by
-    symmetry)."""
+    """Center of mass of |f|^2 by quadrature: f evaluated at every node of
+    `sphere_rule(d, deg(f)+1)`, exact on the integrand's degree 2 deg(f)+1."""
     norm_sq = f.norm_sq()
     if norm_sq == 0.0:
         raise DegenerateSignalError("zero signal has no center of mass")
-    ev = ExpansionEvaluator(f.d, f.coeffs)
-    if ev.theta1_free:
-        rule = polar_rule(f.d, f.degree + 1)
-        vals = ev.eval_angles(rule.angles)
-        dens = rule.weights * np.abs(vals) ** 2
-        xi = np.zeros(f.d)
-        xi[2:] = rule.points[:, 2:].T @ dens
-        return xi / dens.sum()
     rule = sphere_rule(f.d, f.degree + 1)
-    vals = ev.eval_angles(rule.angles)
+    vals = ExpansionEvaluator(f.d, f.coeffs).eval_angles(rule.angles)
     dens = rule.weights * np.abs(vals) ** 2
     return (rule.points.T @ dens) / dens.sum()
 

@@ -197,14 +197,9 @@ def test_criterion_07_lambda_flatness():
 # -- 8: spectral center of mass vs quadrature ------------------------------------
 
 def center_of_mass_gap(f) -> float:
-    """The largest disagreement of three routes: the polar split of the
-    quadrature, the flat quadrature oracle (full vectors) and the spectral
-    route (polar component)."""
-    split = D.xi0_numeric(f)
-    flat = oracle.xi0_numeric_flat(f)
-    spectral = D.xi0_d_spectral(f).xi0d
-    return max(abs(split[-1] - spectral), abs(flat[-1] - spectral),
-               float(np.max(np.abs(split - flat))))
+    """The largest disagreement of the coefficient route and the quadrature
+    oracle, over the full vectors."""
+    return float(np.max(np.abs(D.center_of_mass(f) - oracle.xi0_numeric_flat(f))))
 
 
 def test_criterion_08_center_of_mass_cross_validation():

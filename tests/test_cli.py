@@ -91,14 +91,20 @@ def test_dual_and_dual_check(tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ("reconstruct", "--spec", "{w}", "--random", "12", "--seed", "1", "--out", "{out}"),
+    # scale 3's grid of 61,965 rotations is over this cap, the signal's 819 terms are not
+    ("reconstruct", "--spec", "{w}", "--random", "12", "--seed", "1", "--max-nodes", "1000",
+     "--out", "{out}"),
     ("dual", "--spec", "{w}", "--n-max", "20", "--out", "{out}"),
 ])
-def test_degrees_above_the_top_bandwidth_fail_validation(tmp_path, capsys, argv):
-    # the top bandwidth is 8, and sigma vanishes above it
+def test_degrees_above_the_top_bandwidth_fail_validation(tmp_path, capsys, monkeypatch,
+                                                        argv):
+    # the top bandwidth is 8, and sigma vanishes above it; the spec alone
+    # decides that, so no grid is built
     spec_path, out = tmp_path / "w.json", tmp_path / "out.json"
     assert run("build", "--kind", "wavelet", "--d", "4", "--K", "4", "--J", "3",
                "--window", "kappa2", "--out", spec_path) == 0
     capsys.readouterr()
+    monkeypatch.setattr(F, "build_system", lambda *a, **k: pytest.fail("built a system"))
     assert run(*[a.format(w=spec_path, out=out) for a in argv]) == cli.EXIT_VALIDATION
     assert capsys.readouterr().err == (
         "validation failure: sigma vanishes at degree 9; "
@@ -423,7 +429,7 @@ def test_capacity_error_names_only_the_overrides_the_command_accepts(
     assert run("build", "--kind", "wavelet", "--d", "4", "--K", "2", "--J", "2",
                "--out", spec_path) == 0
     capsys.readouterr()
-    monkeypatch.setenv("SPHEREFRAME_MAX_NODES", "30")  # the polar rule of scale 2 has 36
+    monkeypatch.setenv("SPHEREFRAME_MAX_NODES", "30")  # the center of mass of scale 2 holds 200
     assert run(*[a.format(w=spec_path, tmp=tmp_path) for a in argv]) == cli.EXIT_CAPACITY
     err = capsys.readouterr().err
     assert err.startswith("capacity error: ") and err.count("\n") == 1, err

@@ -10,8 +10,8 @@ from sphereframe import diagnostics as D
 from sphereframe import frames as F
 from sphereframe import harmonics as H
 from sphereframe import quadrature as Q
-from sphereframe.errors import (CapacityError, DegenerateSignalError, ParameterError,
-                                TableShapeError, UndefinedVarianceError)
+from sphereframe.errors import (CapacityError, DegenerateSignalError, IndexSetError,
+                                ParameterError, TableShapeError, UndefinedVarianceError)
 from sphereframe.specfun import Q_d
 
 
@@ -32,43 +32,47 @@ def test_invariance_order_cases():
 
 
 def test_xi0_spectral_single_degree_is_zero():
+    # x_d couples adjacent degrees only, and the plane generators keep the degree
     f = F.Signal(4, 3, {(3, k): 1.0 + 0.5j for k in H.index_set(4, 3)})
-    assert D.xi0_d_spectral(f).xi0d == 0.0
+    assert np.array_equal(D.center_of_mass(f), np.zeros(4))
 
 
 def test_xi0_spectral_two_degree_example():
     for d in (3, 4, 5):
         zero_k = (0,) * (d - 2)
         f = F.Signal(d, 1, {(0, zero_k): 1.0, (1, zero_k): 1.0})
-        got = D.xi0_d_spectral(f).xi0d_times_normsq
+        got = D.center_of_mass(f)[-1] * f.norm_sq()
         assert got == pytest.approx(2.0 * Q_d(d, 0, 0), rel=1e-14)
 
 
 def test_xi0_spectral_rejects_zero_signal():
     with pytest.raises(DegenerateSignalError):
-        D.xi0_d_spectral(F.Signal(3, 2, {}))
+        D.center_of_mass(F.Signal(3, 2, {}))
+    with pytest.raises(DegenerateSignalError):
+        D.center_of_mass(F.Signal(4, 2, {(1, (0, 0)): 0.0}))
 
 
 def test_xi0_numeric_constant_is_zero_vector():
     f = F.Signal(4, 0, {(0, (0, 0)): 2.0})
-    assert np.max(np.abs(D.xi0_numeric(f))) < 1e-14
+    assert np.max(np.abs(D.center_of_mass(f))) < 1e-14
 
 
 def test_xi0_routes_agree_on_random_signals():
-    for d in (3, 4, 5):
+    # the coefficient route against the quadrature oracle, full vectors
+    for d in (3, 4, 5, 6):
         for seed in (0, 1):
-            f = F.random_signal(d, 8, seed=seed)
-            xi = D.xi0_numeric(f)
-            assert abs(xi[-1] - D.xi0_d_spectral(f).xi0d) < 1e-12
-            assert np.max(np.abs(xi - oracle.xi0_numeric_flat(f))) < 1e-14
+            f = F.random_signal(d, 8 if d < 6 else 4, seed=seed)
+            assert np.max(np.abs(D.center_of_mass(f) - oracle.xi0_numeric_flat(f))) < 1e-14
 
 
 def test_xi0_polar_split_matches_the_flat_rule_without_theta1():
+    # without theta_1 every table that applies plane 1 or 2 shares no key with
+    # one that does not, so the first two components are exactly zero
     for d in (3, 4, 5):
         coeffs = {key: c for key, c in F.random_signal(d, 7, seed=d).coeffs.items()
                   if key[1][-1] == 0}
         f = F.Signal(d, 7, coeffs)
-        xi = D.xi0_numeric(f)
+        xi = D.center_of_mass(f)
         assert np.array_equal(xi[:2], [0.0, 0.0])
         assert np.max(np.abs(xi - oracle.xi0_numeric_flat(f))) < 1e-14
 
@@ -86,13 +90,40 @@ def test_xi0_spectral_is_the_sum_of_one_scalar_coupling_per_pair():
                 down = f.coeffs.get((n - 1, k))
                 if down is not None:
                     total += c * np.conj(down) * Q_d(d, k[0], n - 1)
-        assert D.xi0_d_spectral(f).xi0d_times_normsq == float(total.real)
+        assert D.center_of_mass(f)[-1] == float(total.real) / f.norm_sq()
+
+
+def test_center_of_mass_rejects_an_invalid_multi_index():
+    with pytest.raises(IndexSetError):
+        D.center_of_mass(F.Signal(4, 2, {(2, (0, 0)): 1.0, (2, (1, 2)): 1.0}))
+
+
+def test_center_of_mass_caps_its_tables_before_allocation(monkeypatch):
+    # 2^23 tables X_S f, each of at most dim H_2^24 = 299 entries
+    f = F.Signal(24, 2, {(2, (2,) + (0,) * 21): 1.0})
+    count = 2 ** 23 * 299
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match=f"center of mass would hold {count} nodes"):
+            D.center_of_mass(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
+    # d = 4, one coefficient each at degrees 3 and 4: 8 tables of at most
+    # 8 * 2 entries, fewer than dim H_3^4 + dim H_4^4 = 41
+    f = F.Signal(4, 4, {(3, (1, 1)): 1.0, (4, (1, 1)): 0.5})
+    monkeypatch.setenv("SPHEREFRAME_MAX_NODES", str(8 * 16 - 1))
+    with pytest.raises(CapacityError, match="center of mass would hold 128 nodes"):
+        D.center_of_mass(f)
+    monkeypatch.setenv("SPHEREFRAME_MAX_NODES", str(8 * 16))
+    assert D.center_of_mass(f).shape == (4,)
 
 
 def test_wavelet_center_of_mass_points_at_pole():
     spec = C.wavelet_spec(4, 4, 4, "kappa1")
     f = F.Signal(4, 16, spec.scales[4].coeffs)
-    xi = D.xi0_numeric(f)
+    xi = D.center_of_mass(f)
     assert xi[-1] > 0.8
     assert np.max(np.abs(xi[:-1])) < 1e-12
 
@@ -192,8 +223,8 @@ def test_zeta_parity_decouples_degrees_below_K():
         full = F.Signal(4, band.bandwidth, band.coeffs)
         upper = F.Signal(4, band.bandwidth, {
             (n, k): c for (n, k), c in band.coeffs.items() if n >= K})
-        assert D.xi0_d_spectral(upper).xi0d_times_normsq == pytest.approx(
-            D.xi0_d_spectral(full).xi0d_times_normsq, rel=1e-12)
+        assert D.center_of_mass(upper)[-1] * upper.norm_sq() == pytest.approx(
+            D.center_of_mass(full)[-1] * full.norm_sq(), rel=1e-12)
         j0 = min(j for j in range(4, 7) if oracle.support(spec.scales[j])[0] >= K)
         scaled = {r.j: r.var_space * 4.0 ** r.j
                   for r in D.localization_report(spec, [4, j0])}

@@ -453,6 +453,34 @@ def test_generator_planes_match_quadrature(d, n_max):
         assert np.max(np.abs(got - want)) < 1e-14, n
 
 
+def generator_matrix(d, n, ell):
+    """X_ell of degree n, assembled from the steps of `generator_step`."""
+    keys = H.index_set(d, n)
+    index = {k: i for i, k in enumerate(keys)}
+    pos = d - ell - 1
+    X = np.zeros((len(keys), len(keys)))
+    for k in keys:
+        up = k[:pos] + (k[pos] + 1,) + k[pos + 1:]
+        if up in index:
+            U = k[pos - 1] if pos else n
+            L = abs(k[pos + 1]) if ell > 2 else 0
+            X[index[up], index[k]] = H.generator_step(ell, k[pos], U, L)
+            X[index[k], index[up]] = -X[index[up], index[k]]
+    return X
+
+
+@pytest.mark.parametrize("d, n_max", [(3, 12), (4, 8), (5, 5), (6, 3)])
+def test_generator_steps_match_the_quadrature_generators(d, n_max):
+    # X_ell = Delta_ell diag(-i k_{d-2}) Delta_ell^H, with Delta_2 from the
+    # ladder and Delta_ell (ell >= 3) by quadrature
+    for n in range(n_max + 1):
+        rep = F._Degree(d, n, None)
+        for ell in range(2, d):
+            delta = rep.delta(ell)
+            want = delta @ (-1j * rep.klast[:, None] * delta.conj().T)
+            assert np.max(np.abs(generator_matrix(d, n, ell) - want)) < 1e-13, (n, ell)
+
+
 @pytest.mark.parametrize("d", [3, 4, 5])
 def test_planes_from_phase_tables_equal_the_per_call_phases(d):
     # the gathered table columns are the phases exponentiated per call, bit for

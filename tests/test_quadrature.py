@@ -192,17 +192,14 @@ def test_decomposition_identity_against_finer_iterated_rule():
     lambda: Q.rotation_rule(3, 200, "zonal", max_nodes=1000),
     lambda: Q.rotation_rule(2, 10 ** 6, max_nodes=1000),
     lambda: Q.sphere_rule(4, 20, max_nodes=1000),
-    lambda: Q.polar_rule(5, 40),
-    lambda: Q.polar_rule(3, 900),
     lambda: Q.rotation_rule(4, 20, "general", max_nodes=40000),
     lambda: Q.rotation_rule(4, 20, "steerable", K=20, max_nodes=40000),
-], ids=["general", "so_d2_invariant", "zonal", "so2", "sphere", "polar",
-        "polar-eigenvectors", "general-inner-fits", "steerable-inner-fits"])
+], ids=["general", "so_d2_invariant", "zonal", "so2", "sphere",
+        "general-inner-fits", "steerable-inner-fits"])
 def test_capacity_fires_before_allocation(build, monkeypatch):
     # each of these would allocate megabytes (or, for SO(2), a 2M-node
-    # circle) before an after-the-fact check could fire; the d = 3 polar
-    # rule holds 901 nodes but its Gauss axis needs a 901^2 eigenvector
-    # matrix, and the inner SO(3) grids fit under their caps of 40000
+    # circle) before an after-the-fact check could fire; the inner SO(3)
+    # grids fit under their caps of 40000
     monkeypatch.setenv("SPHEREFRAME_MAX_NODES", "1000")
     tracemalloc.start()
     try:
@@ -226,18 +223,8 @@ def test_capacity_admits_exact_count():
                 Q.rotation_rule(d, 2, variant, K=1, max_nodes=size - 1)
 
 
-def test_polar_rule_is_the_theta1_zero_slab():
-    for d, N in ((3, 4), (4, 3), (5, 2)):
-        sphere = Q.sphere_rule(d, N)
-        polar = Q.polar_rule(d, N)
-        slab = sphere.angles[:, 0] == 0.0
-        assert np.array_equal(polar.angles, sphere.angles[slab])
-        assert abs(polar.weights.sum() - 1.0) < 1e-15
-        assert np.max(np.abs(polar.weights - (2 * N + 1) * sphere.weights[slab])) < 1e-15
-
-
 def test_sphere_rule_arrays_are_the_tensor_product_of_its_axes():
-    for rule in (Q.sphere_rule(3, 4), Q.sphere_rule(5, 2), Q.polar_rule(4, 3)):
+    for rule in (Q.sphere_rule(3, 4), Q.sphere_rule(5, 2)):
         # the length and the weights come without either array
         assert len(rule) == math.prod(len(axis.nodes) for axis in rule.axes)
         assert "angles" not in vars(rule) and "points" not in vars(rule)
