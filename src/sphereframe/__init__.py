@@ -14,8 +14,7 @@ from .diagnostics import (LocalizationRecord, autocorrelation,
                           localization_report, var_momentum)
 from .errors import (CapacityError, DegenerateSignalError, DomainError,
                      FormatError, IndexSetError, NotAFrameError,
-                     ParameterError, SphereFrameError, TableShapeError,
-                     UndefinedVarianceError)
+                     ParameterError, SphereFrameError, TableShapeError)
 from .frames import (FrameBounds, FrameSpec, FrameSystem, ParsevalGap, Scale,
                      Signal, analysis, build_system, canonical_dual,
                      dual_residuals, frame_bounds, invariance_order,

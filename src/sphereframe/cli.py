@@ -13,8 +13,7 @@ import sys
 import numpy as np
 
 from . import _config, constructions, diagnostics, frames, io, quadrature
-from .errors import (CapacityError, NotAFrameError, ParameterError,
-                     SphereFrameError, UndefinedVarianceError)
+from .errors import CapacityError, NotAFrameError, ParameterError, SphereFrameError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -187,12 +186,7 @@ def _parse_scales(text, n_scales):
 def cmd_localize(args) -> int:
     spec = io.read_spec(args.spec)
     scales = _parse_scales(args.scales, len(spec.scales))
-    records = []
-    for j in scales:  # a scale whose variance is undefined gets a row of its own
-        try:
-            records += diagnostics.localization_report(spec, [j])
-        except UndefinedVarianceError as exc:
-            records.append(exc.record)
+    records = diagnostics.localization_report(spec, scales)
     rows = []
     print(f"{'j':>3} {'N_j':>6} {'|Psi|^2':>14} {'xi0_d':>12} "
           f"{'Var_S':>12} {'Var_S*N^2':>12} {'Var_M':>14} {'VarS*VarM':>12}")
@@ -209,8 +203,7 @@ def cmd_localize(args) -> int:
             "j": r.j, "N_j": r.bandwidth, "norm_sq": r.norm_sq,
             "xi0_d": r.xi0_d, "xi0_vec": [float(v) for v in r.xi0_vec],
             "var_space": r.var_space,
-            "var_space_upper": None if math.isinf(r.var_space_upper)
-            else r.var_space_upper,
+            "var_space_upper": r.var_space_upper,
             "var_momentum": r.var_momentum,
             "uncertainty_product": r.uncertainty_product,
         })
@@ -238,19 +231,19 @@ def cmd_autocorr(args) -> int:
         h[d - 3, d - 2] = -s
         h[d - 2, d - 3] = s
     values = diagnostics.autocorrelation(spec, args.j, hs)
+    overlaps = [math.cos(alpha) for alpha in alphas]
+    try:  # a table without the closed form gets no closed column
+        closed = diagnostics.autocorrelation_closed(spec, args.j, overlaps).tolist()
+    except SphereFrameError:
+        closed = None
     rows = []
-    closed_ok = True
-    for alpha, value in zip(alphas, values):
+    for i, (alpha, c, value) in enumerate(zip(alphas, overlaps, values)):
         value = complex(value)
-        c = math.cos(alpha)
         row = {"alpha": float(alpha), "s": float(c),
                "numeric_re": value.real, "numeric_im": value.imag}
-        if closed_ok:
-            try:
-                row["closed"] = diagnostics.autocorrelation_closed(spec, args.j, c)
-                row["gap"] = abs(value - row["closed"])
-            except SphereFrameError:
-                closed_ok = False
+        if closed is not None:
+            row["closed"] = closed[i]
+            row["gap"] = abs(value - closed[i])
         rows.append(row)
         closed_txt = f" closed={row['closed']:.6e}" if "closed" in row else ""
         print(f"alpha={alpha:.4f} s={c:+.4f} numeric={value.real:+.6e}{closed_txt}")

@@ -253,6 +253,7 @@ def polar_sample(spec: FrameSpec, j: int, t_res: int = 256, phi_res: int = 256,
     d = spec.d
     if d < 4:
         raise ParameterError("polar sampling needs d >= 4")
+    scale = spec.scale(j)
     if eta_dprime is None:
         eta_dprime = np.zeros(d - 2)
         eta_dprime[-1] = 1.0
@@ -267,7 +268,7 @@ def polar_sample(spec: FrameSpec, j: int, t_res: int = 256, phi_res: int = 256,
     side = np.zeros(d)
     side[d - 2] = 1.0
     u = np.cos(ph)[:, None] * side + np.sin(ph)[:, None] * v  # last coordinate 0
-    ev = ExpansionEvaluator(d, spec.scales[j].coeffs)
+    ev = ExpansionEvaluator(d, scale.coeffs)
     if spec.base_rotation is None:
         vals = ev.eval_polar(t, u[:, : d - 1])
     else:

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constructions import zeta_table
-from .errors import (DegenerateSignalError, ParameterError, TableShapeError,
-                     UndefinedVarianceError)
+from .errors import DegenerateSignalError, ParameterError, TableShapeError
 from .frames import FrameSpec, Signal
 from .harmonics import ExpansionEvaluator, dim_harmonic, generator_step
 from .quadrature import check_cap, sphere_rule, sphere_size
@@ -107,22 +106,30 @@ def autocorrelation(spec: FrameSpec, j: int, h: np.ndarray) -> complex | np.ndar
     """<T(h) Psi^j, Psi^j> by quadrature over `sphere_rule(d, N_j)`, exact
     on degree 2 N_j.
 
-    h must fix the pole (an element of the embedded SO(d-1)); any base
-    rotation in the spec is applied, so this measures the frame function as
-    used, not the stored table.  A stack of rotations, shape (m, d, d), gives
-    the m values as an array from one evaluation of Psi^j at the rule and at
-    its images under every h; a single (d, d) rotation gives one complex.
-    The sweep, (m + 1) times the rule's node count, is checked against the
-    cap before anything is allocated.
+    h must be orthogonal and fix the pole (an element of the embedded
+    SO(d-1)); any base rotation in the spec is applied, so this measures the
+    frame function as used, not the stored table.  A stack of rotations,
+    shape (m, d, d) with m >= 1, gives the m values as an array from one
+    evaluation of Psi^j at the rule and at its images under every h; a
+    single (d, d) rotation gives one complex.  The sweep, (m + 1) times the
+    rule's node count, is checked against the cap before anything is
+    allocated, and h after it.
     """
     d = spec.d
     h = np.asarray(h, dtype=float)
+    scale = spec.scale(j)
+    m = len(h) if h.ndim == 3 else 1
+    check_cap((m + 1) * sphere_size(d, scale.bandwidth), "autocorrelation sweep", None)
+    if h.ndim not in (2, 3) or h.shape[-2:] != (d, d) or h.size == 0:
+        raise ParameterError(f"h must have shape ({d}, {d}) or (m, {d}, {d}) "
+                             f"with m >= 1, got {h.shape}")
     hs = h.reshape(-1, d, d)
-    scale = spec.scales[j]
-    check_cap((len(hs) + 1) * sphere_size(d, scale.bandwidth), "autocorrelation sweep", None)
+    defect = np.max(np.abs(hs @ hs.transpose(0, 2, 1) - np.eye(d)))
+    if not defect <= 1e-12:  # a non-finite entry gives a non-finite defect
+        raise ParameterError(f"h is not a rotation: max |h h^T - I| = {defect:.3e}")
     pole = np.zeros(d)
     pole[-1] = 1.0
-    if np.max(np.abs(hs @ pole - pole)) > 1e-10:
+    if not np.max(np.abs(hs @ pole - pole)) <= 1e-10:
         raise ParameterError("h must fix the pole (lie in the embedded SO(d-1))")
     rule = sphere_rule(d, scale.bandwidth)
     ev = ExpansionEvaluator(d, scale.coeffs)
@@ -135,38 +142,43 @@ def autocorrelation(spec: FrameSpec, j: int, h: np.ndarray) -> complex | np.ndar
     return complex(values[0]) if h.ndim == 2 else values
 
 
-def autocorrelation_closed(spec: FrameSpec, j: int, s: float) -> float:
+def autocorrelation_closed(spec: FrameSpec, j: int, s) -> float | np.ndarray:
     """Closed-form autocorrelation sum_n |w_j(n)|^2 s^{min(K,n)} for tables
-    factoring as (band filter) x (directionality component).
+    factoring as (window) x (directionality component), each window value
+    w_j(n) of any sign or phase.
 
-    s is the cosine overlap <e^{d-1}, h e^{d-1}> of the probed rotation.
+    s is the cosine overlap <e^{d-1}, h e^{d-1}> of the probed rotation, or
+    an array of them; a float, or an array of the shape of s, comes back.
+    The table is checked once, and every overlap must lie in [-1, 1].
     """
     if spec.d < 4:
         raise TableShapeError("the closed form needs the built-in components (d >= 4)")
     K = spec.steerable_K
     if K is None:
         raise TableShapeError("the closed form needs a declared steerability order")
-    if not -1.0 <= s <= 1.0:
+    s = np.asarray(s, dtype=float)
+    if not np.all((s >= -1.0) & (s <= 1.0)):  # NaN fails
         raise ParameterError("the overlap s must lie in [-1, 1]")
-    scale = spec.scales[j]
+    s = s.astype(object)  # Python's float power per entry; numpy's SIMD one may round differently
     by_degree: dict[int, dict] = {}
-    for (n, k), c in scale.coeffs.items():
+    for (n, k), c in spec.scale(j).coeffs.items():
         if c != 0.0:
             by_degree.setdefault(n, {})[k] = c
-    total = 0.0
+    total = np.zeros(s.shape, dtype=object)
     for n, table in sorted(by_degree.items()):
         energy = sum(abs(c) ** 2 for c in table.values())
-        w = math.sqrt(energy)
         expected = zeta_table(spec.d, n, K)
         if set(table) != set(expected):
             raise TableShapeError(
                 f"degree {n} support does not match the component pattern")
+        k0 = max(expected, key=lambda k: abs(expected[k]))
+        w = table[k0] / expected[k0]
         for k, z in expected.items():
-            if abs(table[k] - w * z) > 1e-10 * max(1.0, w):
+            if not abs(table[k] - w * z) <= 1e-10 * max(1.0, abs(w)):
                 raise TableShapeError(
                     f"degree {n} does not factor as window x component")
         total += energy * s ** min(K, n)
-    return total
+    return float(total) if total.ndim == 0 else total.astype(float)
 
 
 @dataclass(frozen=True)
@@ -177,7 +189,7 @@ class LocalizationRecord:
     xi0_d: float
     xi0_vec: np.ndarray
     var_space: float | None
-    var_space_upper: float
+    var_space_upper: float | None
     var_momentum: float
     uncertainty_product: float | None
 
@@ -186,36 +198,29 @@ _XI_ZERO = 1e-12  # a center of mass this short is zero up to rounding
 
 
 def localization_report(spec: FrameSpec, scales=None) -> list[LocalizationRecord]:
-    """Per-scale localization functionals.
+    """One localization record per requested scale (default: all), in order.
 
     The reported center-of-mass vector refers to the frame function as used:
     for tables stored pre-rotation the vector of `center_of_mass` is rotated
-    before its polar component is read off.  A scale whose center of mass has
-    length at most 1e-12 has no spatial variance: rounding alone would set
-    its value.  It raises `UndefinedVarianceError`, whose `record` is the
-    scale's record with `var_space` and `uncertainty_product` None.
+    before its polar component is read off.  None marks a value that
+    rounding alone would set: `var_space` and `uncertainty_product` when the
+    center of mass has length at most 1e-12, `var_space_upper` when its
+    polar component does.
     """
-    if scales is None:
-        scales = range(len(spec.scales))
+    picked = [spec.scale(j) for j in (range(len(spec.scales)) if scales is None else scales)]
     out = []
-    for j in scales:
-        scale = spec.scales[j]
+    for scale in picked:
         f = Signal(spec.d, scale.bandwidth, scale.coeffs)
         xi = center_of_mass(f)
         if spec.base_rotation is not None:
             xi = np.asarray(spec.base_rotation, dtype=float) @ xi
         s2 = float(xi @ xi)
-        xi_len = math.sqrt(s2)
-        vs = (1.0 - s2) / s2 if xi_len > _XI_ZERO else None
+        vs = (1.0 - s2) / s2 if math.sqrt(s2) > _XI_ZERO else None
         xid = float(xi[-1])
-        upper = math.inf if abs(xid) <= _XI_ZERO else (1.0 - xid * xid) / (xid * xid)
+        upper = None if abs(xid) <= _XI_ZERO else (1.0 - xid * xid) / (xid * xid)
         vm = var_momentum(f)
-        record = LocalizationRecord(
+        out.append(LocalizationRecord(
             j=scale.j, bandwidth=scale.bandwidth, norm_sq=f.norm_sq(),
             xi0_d=xid, xi0_vec=xi, var_space=vs, var_space_upper=upper,
-            var_momentum=vm, uncertainty_product=None if vs is None else vs * vm)
-        if vs is None:
-            raise UndefinedVarianceError(
-                f"scale {j} has vanishing center of mass (|xi| = {xi_len:.3e})", record)
-        out.append(record)
+            var_momentum=vm, uncertainty_product=None if vs is None else vs * vm))
     return out

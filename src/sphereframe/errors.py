@@ -36,14 +36,3 @@ class TableShapeError(SphereFrameError, ValueError):
 class DegenerateSignalError(SphereFrameError, ValueError):
     """The signal is identically zero where a normalized quantity was asked for."""
 
-
-class UndefinedVarianceError(SphereFrameError, ValueError):
-    """The center of mass vanishes, so the spatial variance is undefined.
-
-    `record`, when given, holds what is still defined for the scale, with
-    the variance fields None.
-    """
-
-    def __init__(self, message: str, record=None):
-        super().__init__(message)
-        self.record = record

@@ -59,6 +59,12 @@ class FrameSpec:
     def max_bandwidth(self) -> int:
         return max((s.bandwidth for s in self.scales), default=0)
 
+    def scale(self, j: int) -> Scale:
+        """Scale j; an index outside 0..J, negative ones included, is refused."""
+        if not 0 <= j < len(self.scales):
+            raise ParameterError(f"scale {j} is outside 0..{len(self.scales) - 1}")
+        return self.scales[j]
+
     def validate(self) -> None:
         """Check the table and its tags.  Without a base rotation the tags must
         agree with the table, so that no grid chosen from them is too coarse:

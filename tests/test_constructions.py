@@ -206,6 +206,13 @@ def test_polar_sample_contracts():
     assert np.max(np.abs(vals[:, 1:] - vals[:, :0:-1])) < 1e-10
 
 
+@pytest.mark.parametrize("j", [-1, 4])
+def test_polar_sample_refuses_a_scale_outside_the_spec(j):
+    # a negative index would wrap to the last scale, and 4 would leak IndexError
+    with pytest.raises(ParameterError, match=f"scale {j} is outside 0..3"):
+        C.polar_sample(C.wavelet_spec(4, 4, 3, "kappa2"), j, t_res=4, phi_res=4)
+
+
 def test_polar_sample_rejects_d3():
     spec = C.zonal_spec(3, 2)
     with pytest.raises(ParameterError):

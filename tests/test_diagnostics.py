@@ -11,7 +11,7 @@ from sphereframe import frames as F
 from sphereframe import harmonics as H
 from sphereframe import quadrature as Q
 from sphereframe.errors import (CapacityError, DegenerateSignalError, IndexSetError,
-                                ParameterError, TableShapeError, UndefinedVarianceError)
+                                ParameterError, TableShapeError)
 from sphereframe.specfun import Q_d
 
 
@@ -132,11 +132,10 @@ def test_wavelet_center_of_mass_points_at_pole():
 def test_a_center_of_mass_zero_up_to_rounding_has_no_variance(j):
     # |xi| is about 5e-17 at j = 0 and 3e-16 at j = 1; 1/|xi|^2 would be noise
     spec = C.wavelet_spec(4, 4, 7, "kappa1")
-    with pytest.raises(UndefinedVarianceError) as caught:
-        D.localization_report(spec, [j])
-    r = caught.value.record
+    (r,) = D.localization_report(spec, [j])
     assert r.j == j and r.var_space is None and r.uncertainty_product is None
     assert np.linalg.norm(r.xi0_vec) <= 1e-12
+    assert r.var_space_upper is None
     assert r.var_momentum == D.var_momentum(F.Signal(4, r.bandwidth, spec.scales[j].coeffs))
     # the next scale has a center of mass and keeps its value
     (defined,) = D.localization_report(spec, [2])
@@ -146,10 +145,19 @@ def test_a_center_of_mass_zero_up_to_rounding_has_no_variance(j):
 @pytest.mark.parametrize("d,J", [(4, 5), (5, 2)])
 def test_a_polar_component_zero_up_to_rounding_has_no_upper_bound(d, J):
     # curvelet scale 1 has xi_d about 1e-17; (1 - xi_d^2) / xi_d^2 would be noise
-    with pytest.raises(UndefinedVarianceError) as caught:
-        D.localization_report(C.curvelet_spec(d, J), [1])
-    r = caught.value.record
-    assert abs(r.xi0_d) <= 1e-12 and r.var_space_upper == math.inf
+    (r,) = D.localization_report(C.curvelet_spec(d, J), [1])
+    assert abs(r.xi0_d) <= 1e-12 and r.var_space_upper is None
+
+
+@pytest.mark.parametrize("spec", [C.wavelet_spec(4, 4, 7, "kappa1"), C.zonal_spec(3, 5, "kappa2"),
+                                  C.curvelet_spec(4, 5), C.curvelet_spec(5, 2)],
+                         ids=["w7", "z5", "c5", "c52"])
+def test_localization_report_defaults_to_every_scale(spec):
+    records = D.localization_report(spec)
+    assert [r.j for r in records] == [s.j for s in spec.scales]
+    assert records[0].var_space is None and records[0].uncertainty_product is None
+    assert [r.var_momentum for r in records] == [
+        r.var_momentum for r in D.localization_report(spec, range(len(spec.scales)))]
 
 
 def localization(f):
@@ -254,6 +262,28 @@ def test_autocorrelation_rejects_pole_moving_rotation():
         D.autocorrelation(spec, 1, oracle.random_rotation(4, rng))
 
 
+def _pole_fixing(alpha, d=4):
+    h = np.eye(d)
+    h[d - 3, d - 3] = h[d - 2, d - 2] = math.cos(alpha)
+    h[d - 3, d - 2] = -math.sin(alpha)
+    h[d - 2, d - 3] = math.sin(alpha)
+    return h
+
+
+def test_autocorrelation_rejects_what_is_not_a_rotation_stack():
+    spec = C.wavelet_spec(4, 4, 3, "kappa2")
+    h = _pole_fixing(0.7)
+    h[0, 1] = math.nan
+    with pytest.raises(ParameterError, match="not a rotation"):
+        D.autocorrelation(spec, 3, h)
+    with pytest.raises(ParameterError, match="not a rotation"):
+        D.autocorrelation(spec, 3, np.diag([2.0, 2.0, 2.0, 1.0]))  # fixes the pole
+    with pytest.raises(ParameterError, match="m >= 1"):
+        D.autocorrelation(spec, 3, np.empty((0, 4, 4)))
+    with pytest.raises(ParameterError, match=r"shape \(4, 4\)"):
+        D.autocorrelation(spec, 3, np.eye(3))
+
+
 def test_autocorrelation_of_a_stack_matches_one_call_per_rotation():
     # base-rotated curvelet, so the stack also carries g0
     spec = C.curvelet_spec(4, 3)
@@ -297,6 +327,32 @@ def test_autocorrelation_closed_matches_numeric():
         closed = D.autocorrelation_closed(spec, 3, s)
         numeric = D.autocorrelation(spec, 3, h)
         assert abs(numeric - closed) < 1e-10 * max(1.0, abs(closed))
+
+
+def test_autocorrelation_closed_of_an_array_is_the_scalar_calls():
+    spec = C.wavelet_spec(4, 4, 3, "kappa2")
+    s = np.cos(np.linspace(0.0, math.pi, 9)).reshape(3, 3)
+    values = D.autocorrelation_closed(spec, 2, s)
+    assert values.shape == (3, 3)
+    for x, value in zip(s.ravel().tolist(), values.ravel().tolist()):
+        assert value == D.autocorrelation_closed(spec, 2, x)
+    with pytest.raises(ParameterError, match=r"\[-1, 1\]"):
+        D.autocorrelation_closed(spec, 2, [0.5, math.nan])
+    with pytest.raises(ParameterError, match=r"\[-1, 1\]"):
+        D.autocorrelation_closed(spec, 2, [0.5, 1.5])
+
+
+@pytest.mark.parametrize("factor", [-1.0, 1j, np.exp(0.3j)])
+def test_autocorrelation_closed_takes_a_window_of_any_phase(factor):
+    # sum_n |w_n|^2 s^min(K, n) holds for complex w_n; alpha = 0.7 on w3, j = 2
+    spec = C.wavelet_spec(4, 4, 3, "kappa2")
+    scales = [F.Scale(sc.j, sc.bandwidth, {k: factor * c for k, c in sc.coeffs.items()})
+              for sc in spec.scales]
+    turned = F.FrameSpec(4, scales, spec.steerable_K, spec.invariant_m)
+    s = math.cos(0.7)
+    assert D.autocorrelation_closed(turned, 2, s) == D.autocorrelation_closed(spec, 2, s)
+    numeric = D.autocorrelation(turned, 2, _pole_fixing(0.7))
+    assert abs(numeric - D.autocorrelation_closed(turned, 2, s)) < 1e-12 * abs(numeric)
 
 
 def test_autocorrelation_closed_rejects_curvelet():
@@ -351,3 +407,18 @@ def test_localization_report_curvelet_rotates_center():
     rec = D.localization_report(spec, [3])[0]
     assert rec.xi0_d > 0.5  # concentrated at the pole after the base rotation
     assert rec.uncertainty_product >= (4 - 1) ** 2 / 4.0 * (1 - 1e-10)
+
+
+SCALE_ENTRIES = {
+    "localization_report": lambda spec, j: D.localization_report(spec, [1, j]),
+    "autocorrelation": lambda spec, j: D.autocorrelation(spec, j, np.eye(4)),
+    "autocorrelation_closed": lambda spec, j: D.autocorrelation_closed(spec, j, 0.5),
+}
+
+
+@pytest.mark.parametrize("entry", SCALE_ENTRIES)
+@pytest.mark.parametrize("j", [-1, 4])
+def test_diagnostics_refuse_a_scale_outside_the_spec(entry, j):
+    # a negative index would wrap to the last scale, and 4 would leak IndexError
+    with pytest.raises(ParameterError, match=f"scale {j} is outside 0..3"):
+        SCALE_ENTRIES[entry](C.wavelet_spec(4, 4, 3, "kappa2"), j)
