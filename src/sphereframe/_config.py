@@ -1,30 +1,41 @@
-"""Process-wide knobs: worker threads for rotated-point evaluation, node caps."""
+"""The node cap and the worker threads of rotated-point evaluation.  A command's
+--max-nodes and --threads hold, through `command_flags`, for that command and
+its thread only; library callers set SPHEREFRAME_MAX_NODES."""
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import os
 
 from .errors import ParameterError
 
-_workers = max(1, os.cpu_count() or 1)
-
 DEFAULT_MAX_NODES = 10_000_000
 MAX_NODES_ENV = "SPHEREFRAME_MAX_NODES"
 
-
-def set_workers(n: int) -> None:
-    global _workers
-    _workers = max(1, int(n))
+_flags = contextvars.ContextVar("command_flags", default=(None, None))
 
 
-def get_workers() -> int:
-    return _workers
+@contextlib.contextmanager
+def command_flags(cap: int | None, threads: int | None):
+    """Apply a command's --max-nodes and --threads until it returns or raises."""
+    token = _flags.set((cap, threads))
+    try:
+        yield
+    finally:
+        _flags.reset(token)
 
 
-def node_cap(explicit=None) -> int:
-    """Grid-size guardrail; flag beats environment beats default."""
-    if explicit is not None:
-        return int(explicit)
+def worker_count() -> int:
+    """The running command's --threads, else the hardware parallelism."""
+    return _flags.get()[1] or max(1, os.cpu_count() or 1)
+
+
+def node_cap() -> int:
+    """Grid-size guardrail: the running command's --max-nodes, else
+    SPHEREFRAME_MAX_NODES, else the default."""
+    if _flags.get()[0] is not None:
+        return _flags.get()[0]
     env = os.environ.get(MAX_NODES_ENV)
     if not env:
         return DEFAULT_MAX_NODES

@@ -129,17 +129,15 @@ def cmd_reconstruct(args) -> int:
         # sum_{n <= N} dim H_n^d = C(N+d-1, d-1) + C(N+d-2, d-1) coefficients
         N, d = args.random, spec.d
         quadrature.check_cap(math.comb(N + d - 1, d - 1) + math.comb(N + d - 2, d - 1),
-                             "random signal", args.max_nodes)
+                             "random signal")
         signal = frames.random_signal(d, N, seed=seed)
     # certified up to the signal's highest nonzero degree, before any grid is built
     highest = max((n for (n, _), c in signal.coeffs.items() if c != 0), default=0)
     dual = frames.canonical_dual(spec, n_max=highest)
-    system = frames.build_system(spec, variant=args.grid, K=args.K,
-                                 max_nodes=args.max_nodes)
-    coeffs = frames.analysis(system, signal, max_nodes=args.max_nodes)
+    system = frames.build_system(spec, variant=args.grid, K=args.K)
+    coeffs = frames.analysis(system, signal)
     n_out = signal.degree if args.n_out is None else args.n_out
-    recovered = frames.synthesis(system, dual, coeffs, n_out,
-                                 max_nodes=args.max_nodes)
+    recovered = frames.synthesis(system, dual, coeffs, n_out)
     err_sq = 0.0
     for key in set(signal.coeffs) | set(recovered.coeffs):
         err_sq += abs(recovered.coeffs.get(key, 0.0) - signal.coeffs.get(key, 0.0)) ** 2
@@ -165,9 +163,7 @@ def cmd_reconstruct(args) -> int:
     return EXIT_OK
 
 
-def _parse_scales(text, n_scales):
-    if text is None:
-        return list(range(n_scales))
+def _parse_scales(text):
     try:
         if ".." in text:
             lo, hi = text.split("..")
@@ -178,14 +174,12 @@ def _parse_scales(text, n_scales):
         raise ParameterError(
             f"--scales must look like 4..7 or 4,5,6, got {text!r}") from None
     _require(bool(scales), f"--scales {text!r} selects no scale")
-    for j in scales:
-        _require(0 <= j < n_scales, f"scale {j} is outside 0..{n_scales - 1}")
     return scales
 
 
 def cmd_localize(args) -> int:
     spec = io.read_spec(args.spec)
-    scales = _parse_scales(args.scales, len(spec.scales))
+    scales = None if args.scales is None else _parse_scales(args.scales)
     records = diagnostics.localization_report(spec, scales)
     rows = []
     print(f"{'j':>3} {'N_j':>6} {'|Psi|^2':>14} {'xi0_d':>12} "
@@ -221,7 +215,7 @@ def cmd_autocorr(args) -> int:
     d = spec.d
     # the library checks this sweep too, but only after the d x d stack per angle exists
     size = quadrature.sphere_size(d, spec.scales[args.j].bandwidth)
-    quadrature.check_cap((args.angles + 1) * size, "autocorrelation sweep", None)
+    quadrature.check_cap((args.angles + 1) * size, "autocorrelation sweep")
     alphas = np.linspace(0.0, math.pi, args.angles)
     hs = np.tile(np.eye(d), (len(alphas), 1, 1))
     for h, alpha in zip(hs, alphas):
@@ -285,9 +279,8 @@ def cmd_figure(args) -> int:
 
 def cmd_quadinfo(args) -> int:
     _require_cap(args.max_nodes)
-    outer = quadrature.sphere_rule(args.d, args.N, args.max_nodes)
-    rule = quadrature.rotation_rule(args.d, args.N, args.variant, K=args.K,
-                                    max_nodes=args.max_nodes)
+    outer = quadrature.sphere_rule(args.d, args.N)
+    rule = quadrature.rotation_rule(args.d, args.N, args.variant, K=args.K)
     print(f"sphere rule S^{args.d - 1}, target degree {2 * args.N}: "
           f"{len(outer)} nodes, weight sum {outer.weights.sum():.15f}")
     print(f"rotation rule variant={rule.variant} class={rule.class_degree}"
@@ -389,10 +382,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.threads is not None:
-            _require(args.threads >= 1, f"--threads must be positive, got {args.threads}")
-            _config.set_workers(args.threads)
-        return args.func(args)
+        _require(args.threads is None or args.threads >= 1,
+                 f"--threads must be positive, got {args.threads}")
+        with _config.command_flags(getattr(args, "max_nodes", None), args.threads):
+            return args.func(args)
     except CapacityError as exc:
         # name only the overrides this command accepts
         flag = "--max-nodes or " if hasattr(args, "max_nodes") else ""

@@ -132,7 +132,7 @@ def _check_scales(J: int) -> None:
     """Reject a negative J, and cap the 2^{J+1} - 1 degrees scales 0..J visit."""
     if J < 0:
         raise ParameterError("J must be nonnegative")
-    check_cap(2 ** (J + 1) - 1, f"scales 0..{J}", None)
+    check_cap(2 ** (J + 1) - 1, f"scales 0..{J}")
 
 
 def wavelet_spec(d: int, K: int, J: int, window: str = "kappa1") -> FrameSpec:
@@ -260,7 +260,7 @@ def polar_sample(spec: FrameSpec, j: int, t_res: int = 256, phi_res: int = 256,
     eta_dprime = np.asarray(eta_dprime, dtype=float)
     if eta_dprime.shape != (d - 2,) or not abs(np.linalg.norm(eta_dprime) - 1.0) <= 1e-8:
         raise ParameterError("eta'' must be a unit vector of length d-2")
-    check_cap(t_res * phi_res, "polar sample", None)
+    check_cap(t_res * phi_res, "polar sample")
     v = np.zeros(d)
     v[: d - 2] = eta_dprime
     t = np.linspace(0.0, t_max, t_res)

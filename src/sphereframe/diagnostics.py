@@ -73,7 +73,7 @@ def center_of_mass(f: Signal) -> np.ndarray:
              if c != 0.0}
     half, degrees = 2 ** (d - 1), {n for n, _ in table}
     size = sum(dim_harmonic(d, n) for n in degrees)
-    check_cap(half * min(half * len(table), size), "center of mass", None)
+    check_cap(half * min(half * len(table), size), "center of mass")
     tables = [table]  # tables[S]: X_S f, bit ell-1 of S for plane ell
     for S in range(1, half):
         top = S.bit_length()
@@ -106,20 +106,20 @@ def autocorrelation(spec: FrameSpec, j: int, h: np.ndarray) -> complex | np.ndar
     """<T(h) Psi^j, Psi^j> by quadrature over `sphere_rule(d, N_j)`, exact
     on degree 2 N_j.
 
-    h must be orthogonal and fix the pole (an element of the embedded
-    SO(d-1)); any base rotation in the spec is applied, so this measures the
-    frame function as used, not the stored table.  A stack of rotations,
-    shape (m, d, d) with m >= 1, gives the m values as an array from one
-    evaluation of Psi^j at the rule and at its images under every h; a
-    single (d, d) rotation gives one complex.  The sweep, (m + 1) times the
-    rule's node count, is checked against the cap before anything is
+    h must be orthogonal with det h = 1 and fix the pole (an element of the
+    embedded SO(d-1)); any base rotation in the spec is applied, so this
+    measures the frame function as used, not the stored table.  A stack of
+    rotations, shape (m, d, d) with m >= 1, gives the m values as an array
+    from one evaluation of Psi^j at the rule and at its images under every
+    h; a single (d, d) rotation gives one complex.  The sweep, (m + 1) times
+    the rule's node count, is checked against the cap before anything is
     allocated, and h after it.
     """
     d = spec.d
     h = np.asarray(h, dtype=float)
     scale = spec.scale(j)
     m = len(h) if h.ndim == 3 else 1
-    check_cap((m + 1) * sphere_size(d, scale.bandwidth), "autocorrelation sweep", None)
+    check_cap((m + 1) * sphere_size(d, scale.bandwidth), "autocorrelation sweep")
     if h.ndim not in (2, 3) or h.shape[-2:] != (d, d) or h.size == 0:
         raise ParameterError(f"h must have shape ({d}, {d}) or (m, {d}, {d}) "
                              f"with m >= 1, got {h.shape}")
@@ -127,6 +127,8 @@ def autocorrelation(spec: FrameSpec, j: int, h: np.ndarray) -> complex | np.ndar
     defect = np.max(np.abs(hs @ hs.transpose(0, 2, 1) - np.eye(d)))
     if not defect <= 1e-12:  # a non-finite entry gives a non-finite defect
         raise ParameterError(f"h is not a rotation: max |h h^T - I| = {defect:.3e}")
+    if np.any(np.linalg.det(hs) < 0):
+        raise ParameterError("h is not a rotation: det h < 0")
     pole = np.zeros(d)
     pole[-1] = 1.0
     if not np.max(np.abs(hs @ pole - pole)) <= 1e-10:

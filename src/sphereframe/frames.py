@@ -140,7 +140,7 @@ def _cross_sums(scales_a, scales_b, n_max: int) -> np.ndarray:
     """sum_j sum_k conj(A^j(n,k)) B^j(n,k) for n = 0..n_max, undivided.
 
     The n_max + 1 entries are checked against the node cap first."""
-    check_cap(n_max + 1, "degree profile", None)
+    check_cap(n_max + 1, "degree profile")
     cross = np.zeros(n_max + 1, dtype=complex)
     for sa, sb in zip(scales_a, scales_b):
         for key, ca in sa.coeffs.items():
@@ -318,8 +318,7 @@ class FrameSystem:
     _phases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
-def build_system(spec: FrameSpec, variant: str = "auto", K: int | None = None,
-                 max_nodes: int | None = None) -> FrameSystem:
+def build_system(spec: FrameSpec, variant: str = "auto", K: int | None = None) -> FrameSystem:
     """Choose and construct per-scale rotation grids for a spec.
 
     With variant="auto" the cheapest grid the spec admits is selected, from
@@ -344,8 +343,7 @@ def build_system(spec: FrameSpec, variant: str = "auto", K: int | None = None,
         K = spec.steerable_K
         if K is None:
             raise ParameterError(f"variant {variant!r} needs a steerability order K")
-    grids = [rotation_rule(d, scale.bandwidth, variant, K=K, max_nodes=max_nodes)
-             for scale in spec.scales]
+    grids = [rotation_rule(d, scale.bandwidth, variant, K=K) for scale in spec.scales]
     return FrameSystem(spec, grids, variant)
 
 
@@ -422,19 +420,17 @@ class _Degree:
     check.  Without an owner both dicts are the object's own.
     """
 
-    def __init__(self, d: int, n: int, max_nodes: int | None, tables: dict | None = None,
-                 phases: dict | None = None):
+    def __init__(self, d: int, n: int, tables: dict | None = None, phases: dict | None = None):
         self.d, self.n = d, n
-        self.max_nodes = max_nodes
         self.keys = index_set(d, n)
         self.klast = np.array([k[-1] for k in self.keys])
-        check_cap(sphere_size(d, n), "sphere rule", max_nodes)
+        check_cap(sphere_size(d, n), "sphere rule")
         self.tables = {} if tables is None else tables
         self.phases = {} if phases is None else phases
 
     @cached_property
     def rule(self):
-        return sphere_rule(self.d, self.n, self.max_nodes)
+        return sphere_rule(self.d, self.n)
 
     @cached_property
     def proj(self) -> np.ndarray:
@@ -574,7 +570,7 @@ class _Degree:
         return out
 
 
-def analysis(system: FrameSystem, f: Signal, max_nodes: int | None = None) -> np.ndarray:
+def analysis(system: FrameSystem, f: Signal) -> np.ndarray:
     """Frame coefficients sqrt(mu_r) <f, Psi^j(g_r^{-1} .)> of every scale.
 
     The vector holds the scales in order, each in its grid's flat order, so
@@ -600,7 +596,7 @@ def analysis(system: FrameSystem, f: Signal, max_nodes: int | None = None) -> np
     out = np.zeros(sum(len(grid) for grid in system.grids), dtype=complex)
     parts = _by_scale(system, out)
     for n in sorted(f_tables.keys() & set().union(*psi_tables), reverse=True):
-        rep = _Degree(d, n, max_nodes, system._tables.setdefault(n, {}), system._phases)
+        rep = _Degree(d, n, system._tables.setdefault(n, {}), system._phases)
         f_n, _ = rep.generator(f_tables[n], None)
         for grid, by_degree, part in zip(system.grids, psi_tables, parts):
             if n in by_degree:
@@ -614,8 +610,7 @@ def analysis(system: FrameSystem, f: Signal, max_nodes: int | None = None) -> np
     return out
 
 
-def synthesis(system: FrameSystem, dual_spec: FrameSpec, coefficients,
-              n_out: int, max_nodes: int | None = None) -> Signal:
+def synthesis(system: FrameSystem, dual_spec: FrameSpec, coefficients, n_out: int) -> Signal:
     """The degree-(n_out) truncation of sum_{j,r} sqrt(mu_r) c_{j,r} T(g_r) dual^j.
 
     coefficients is the vector produced by `analysis`, split by grid size.
@@ -637,7 +632,7 @@ def synthesis(system: FrameSystem, dual_spec: FrameSpec, coefficients,
                 for grid, part in zip(system.grids, _by_scale(system, coefficients))]
     parts = {}
     for n in sorted(set().union(*tables), reverse=True):
-        rep = _Degree(d, n, max_nodes, system._tables.setdefault(n, {}), system._phases)
+        rep = _Degree(d, n, system._tables.setdefault(n, {}), system._phases)
         out = np.zeros(len(rep.keys), dtype=complex)
         for grid, by_degree, u in zip(system.grids, tables, weighted):
             if n in by_degree:

@@ -352,10 +352,10 @@ class ExpansionEvaluator:
         formed (composed with base_rotation when the table is stored
         pre-rotation) and handed to reduce_fn(values, rows) where rows is the
         block's slice into the grid; the per-block results are returned in
-        grid order.  Blocks are independent, so they may run on a thread pool.
-        max_block bounds points times table rows of one block, with at least
-        one rotation per block; within a block the moved points are evaluated
-        ROTATED_CHUNK at a time.
+        grid order.  Blocks are independent, so they run on `workers` threads
+        (default `_config.worker_count()`).  max_block bounds points times
+        table rows of one block, with at least one rotation per block; within
+        a block the moved points are evaluated ROTATED_CHUNK at a time.
         """
         rotations = np.asarray(rotations, dtype=float)
         points = np.asarray(points, dtype=float)
@@ -372,7 +372,7 @@ class ExpansionEvaluator:
                 self._cartesian_levels, ROTATED_CHUNK)
             return reduce_fn(vals.reshape(sl.stop - sl.start, P), sl)
 
-        nworkers = _config.get_workers() if workers is None else max(1, workers)
+        nworkers = _config.worker_count() if workers is None else max(1, workers)
         if nworkers <= 1 or len(slices) <= 1:
             return [run(sl) for sl in slices]
         with ThreadPoolExecutor(max_workers=nworkers) as pool:

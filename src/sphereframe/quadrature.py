@@ -117,10 +117,10 @@ def sphere_size(d: int, N: int) -> int:
     return (2 * N + 1) * (N + 1) ** (d - 2)
 
 
-def check_cap(count: int, what: str, max_nodes: int | None) -> None:
-    """Raise before allocating a rule or grid of `count` nodes over the cap
-    (`max_nodes`, else SPHEREFRAME_MAX_NODES, else the default)."""
-    cap = node_cap(max_nodes)
+def check_cap(count: int, what: str) -> None:
+    """Raise before allocating a rule or grid of `count` nodes over `node_cap()`:
+    the running command's --max-nodes, else SPHEREFRAME_MAX_NODES, else the default."""
+    cap = node_cap()
     if count > cap:
         raise CapacityError(f"{what} would hold {count} nodes, exceeding the cap {cap}")
 
@@ -153,14 +153,14 @@ def _sphere_rule(d: int, N: int) -> SphereRule:
     return SphereRule(tuple(axes), weights / weights.sum(), 2 * N)
 
 
-def sphere_rule(d: int, N: int, max_nodes: int | None = None) -> SphereRule:
+def sphere_rule(d: int, N: int) -> SphereRule:
     """Product rule exact on all polynomials of degree 2N on S^{d-1}.
 
     Composes an equispaced rule in theta_1 with Gauss axes in the other
     angles; the node count is checked against the cap first.
     """
     _check_degree(d, N)
-    check_cap(sphere_size(d, N), "sphere rule", max_nodes)
+    check_cap(sphere_size(d, N), "sphere rule")
     return _sphere_rule(d, N)
 
 
@@ -283,8 +283,7 @@ def _grid_size(d: int, N: int, variant: str, K: int | None = None) -> int:
     return outer * sphere_size(d - 1, M)
 
 
-def rotation_rule(d: int, N: int, variant: str = "general",
-                  K: int | None = None, max_nodes: int | None = None) -> RotationRule:
+def rotation_rule(d: int, N: int, variant: str = "general", K: int | None = None) -> RotationRule:
     """Compose an SO(d) grid of class N from sphere rules.
 
     general          g_{eta_r} h_s with h_s from a recursive SO(d-1) grid,
@@ -307,7 +306,7 @@ def rotation_rule(d: int, N: int, variant: str = "general",
     if d < 2:
         raise ParameterError(f"rotation group dimension must be >= 2, got {d}")
     _check_degree(d, N)
-    check_cap(_grid_size(d, N, variant, K), "rotation grid", max_nodes)
+    check_cap(_grid_size(d, N, variant, K), "rotation grid")
     if d == 2:
         # the equispaced SO(2) rule, as G_1(-alpha) in the convention of sections,
         # axis and rule weighted 1/M, not normalized, so exported grids keep their bytes

@@ -1,12 +1,13 @@
 import dataclasses
 import json
 import math
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from sphereframe import cli, diagnostics, io
+from sphereframe import _config, cli, diagnostics, io
 from sphereframe import constructions as C
 from sphereframe import frames as F
 from sphereframe import quadrature as Q
@@ -414,6 +415,49 @@ def test_quadinfo_caps_its_sphere_rule_before_printing(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("capacity error: sphere rule would hold 18081")
+
+
+def test_max_nodes_beats_the_environment_on_the_inner_grid(capsys, monkeypatch):
+    # the d = 4 general grid of class 1 is 12 sphere nodes times the 18 of its
+    # recursive SO(3) grid, which the flag must reach too
+    monkeypatch.setenv("SPHEREFRAME_MAX_NODES", "10")
+    assert run("quadinfo", "--d", "4", "--N", "1", "--variant", "general",
+               "--max-nodes", "1000000") == 0
+    assert ": 216 rotations, weight sum " in capsys.readouterr().out
+
+
+def test_max_nodes_beats_the_environment_on_the_degree_profiles(tmp_path, monkeypatch):
+    spec_path = tmp_path / "z5.json"
+    assert run("build", "--kind", "zonal", "--d", "3", "--J", "5", "--window", "kappa2",
+               "--out", spec_path) == 0
+    monkeypatch.setenv("SPHEREFRAME_MAX_NODES", "20")  # a degree profile of z5 holds 33
+    assert run("reconstruct", "--spec", spec_path, "--random", "1",
+               "--max-nodes", "100000000") == 0
+
+
+def test_flags_hold_for_their_command_only(monkeypatch):
+    hardware = max(1, os.cpu_count() or 1)
+    monkeypatch.setenv("SPHEREFRAME_MAX_NODES", "777")
+    assert run("--threads", "1", "quadinfo", "--d", "3", "--N", "1") == 0
+    assert _config.worker_count() == hardware
+    assert run("--threads", "1", "quadinfo", "--d", "4", "--N", "2",
+               "--max-nodes", "5") == cli.EXIT_CAPACITY
+    assert _config.worker_count() == hardware
+    assert _config.node_cap() == 777
+
+
+def test_autocorr_is_the_same_at_one_and_two_threads(tmp_path, capsys):
+    # autocorr is the only command whose work --threads splits
+    spec_path = tmp_path / "c5.json"
+    assert run("build", "--kind", "curvelet", "--d", "4", "--J", "5", "--out", spec_path) == 0
+    outputs = []
+    for threads in (1, 2):
+        report = tmp_path / f"ac_{threads}.json"
+        capsys.readouterr()
+        assert run("--threads", threads, "autocorr", "--spec", spec_path, "--j", "4",
+                   "--angles", "32", "--out", report) == 0
+        outputs.append((capsys.readouterr(), report.read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("argv", [

@@ -25,7 +25,7 @@ import sys
 import warnings
 from pathlib import Path
 
-from sphereframe import _config, cli
+from sphereframe import cli
 
 MANIFEST = Path(__file__).resolve().parent / "cli_manifest.json"
 
@@ -130,7 +130,7 @@ def mask_numbers(text: str) -> str:
 def run_commands(directory) -> list:
     """Run COMMANDS in `directory` and return one manifest entry per command."""
     entries = []
-    workers, cwd = _config.get_workers(), os.getcwd()
+    cwd = os.getcwd()
     os.chdir(directory)
     try:
         for argv in COMMANDS:
@@ -154,7 +154,6 @@ def run_commands(directory) -> list:
             entries.append(entry)
     finally:
         os.chdir(cwd)
-        _config.set_workers(workers)
     return entries
 
 

@@ -278,6 +278,10 @@ def test_autocorrelation_rejects_what_is_not_a_rotation_stack():
         D.autocorrelation(spec, 3, h)
     with pytest.raises(ParameterError, match="not a rotation"):
         D.autocorrelation(spec, 3, np.diag([2.0, 2.0, 2.0, 1.0]))  # fixes the pole
+    with pytest.raises(ParameterError, match="not a rotation: det h < 0"):
+        D.autocorrelation(spec, 3, np.diag([-1.0, 1.0, 1.0, 1.0]))  # a reflection
+    with pytest.raises(ParameterError, match="not a rotation: det h < 0"):
+        D.autocorrelation(spec, 3, np.stack([_pole_fixing(0.7), np.diag([1.0, -1.0, 1.0, 1.0])]))
     with pytest.raises(ParameterError, match="m >= 1"):
         D.autocorrelation(spec, 3, np.empty((0, 4, 4)))
     with pytest.raises(ParameterError, match=r"shape \(4, 4\)"):

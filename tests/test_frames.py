@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
+from sphereframe import _config
 from sphereframe import constructions as C
 from sphereframe import frames as F
 from sphereframe import harmonics as H
@@ -248,22 +249,6 @@ def test_synthesis_of_zero_coefficients_is_zero():
             F.synthesis(system, F.canonical_dual(spec), bad, 4)
 
 
-def test_analysis_deterministic_across_worker_counts():
-    spec = C.wavelet_spec(4, 2, 2, "kappa2")
-    system = F.build_system(spec)
-    f = F.random_signal(4, 4, seed=8)
-    from sphereframe import _config
-    saved = _config.get_workers()
-    try:
-        _config.set_workers(1)
-        c1 = F.analysis(system, f)
-        _config.set_workers(2)
-        c2 = F.analysis(system, f)
-    finally:
-        _config.set_workers(saved)
-    assert np.array_equal(c1, c2)
-
-
 def test_sigma_profile_ignores_base_rotation():
     spec = C.curvelet_spec(4, 3)
     bare = F.FrameSpec(spec.d, spec.scales)
@@ -386,7 +371,7 @@ def plane_rotations(d, ell, beta):
 
 @pytest.mark.parametrize("d", [3, 4, 5])
 def test_phase_plane_is_the_closed_form_diagonal(d):
-    rep = F._Degree(d, 3, None)
+    rep = F._Degree(d, 3)
     every = list(range(len(rep.keys)))
     alpha = np.array([0.3, 2.1, 5.9])
     dense = oracle.matrix_function_block(d, 3, plane_rotations(d, 1, alpha), rep.rule)
@@ -399,7 +384,7 @@ def test_phase_plane_is_the_closed_form_diagonal(d):
 
 @pytest.mark.parametrize("d", [3, 4, 5])
 def test_plane_matrices_are_unitary_and_mix_one_label(d):
-    rep = F._Degree(d, 3, None)
+    rep = F._Degree(d, 3)
     every = list(range(len(rep.keys)))
     for ell in range(2, d):
         pos = d - ell - 1  # G_ell mixes k_{d-ell} only
@@ -416,7 +401,7 @@ def test_plane_products_are_the_representation_of_section_chains(d):
     # the dense quadrature build of the oracle
     rng = np.random.default_rng(d)
     n = 3
-    rep = F._Degree(d, n, None)
+    rep = F._Degree(d, n)
     every = list(range(len(rep.keys)))
     rule = Q.sphere_rule(d, n)
 
@@ -444,7 +429,7 @@ def test_generator_planes_match_quadrature(d, n_max):
     # dense quadrature reference already holds 25 MB per array
     beta = np.array([0.4, 1.9, 3.0, -2.2])
     for n in range(n_max + 1):
-        rep = F._Degree(d, n, None)
+        rep = F._Degree(d, n)
         every = list(range(len(rep.keys)))
         delta = rep.matrix(F._shift(d, 2))
         phases = np.exp(-1j * np.outer(beta, rep.klast))
@@ -474,7 +459,7 @@ def test_generator_steps_match_the_quadrature_generators(d, n_max):
     # X_ell = Delta_ell diag(-i k_{d-2}) Delta_ell^H, with Delta_2 from the
     # ladder and Delta_ell (ell >= 3) by quadrature
     for n in range(n_max + 1):
-        rep = F._Degree(d, n, None)
+        rep = F._Degree(d, n)
         for ell in range(2, d):
             delta = rep.delta(ell)
             want = delta @ (-1j * rep.klast[:, None] * delta.conj().T)
@@ -487,7 +472,7 @@ def test_planes_from_phase_tables_equal_the_per_call_phases(d):
     # bit, also after a lower degree built the table and a higher one widened it
     axis = np.array([0.4, 1.9, 3.0, -2.2, 5.5])
     phases = {}
-    low, high = F._Degree(d, 2, None, phases=phases), F._Degree(d, 4, None, phases=phases)
+    low, high = F._Degree(d, 2, phases=phases), F._Degree(d, 4, phases=phases)
     for rep, width in ((low, 5), (high, 9), (low, 9)):
         every = list(range(len(rep.keys)))
         support = every[1::3]
@@ -500,8 +485,8 @@ def test_planes_from_phase_tables_equal_the_per_call_phases(d):
         assert list(phases) == [axis.tobytes()]
         assert phases[axis.tobytes()].shape == (len(axis), width)
     # a degree made without an owner keeps its own tables
-    assert F._Degree(d, 2, None).phases == {}
-    assert F._Degree(d, 2, None).phases is not F._Degree(d, 2, None).phases
+    assert F._Degree(d, 2).phases == {}
+    assert F._Degree(d, 2).phases is not F._Degree(d, 2).phases
 
 
 # -- node caps --------------------------------------------------------------------
@@ -510,32 +495,34 @@ def test_transforms_pass_the_cap_to_every_sphere_rule(monkeypatch):
     seen = []
     real = F.sphere_rule
 
-    def spy(d, N, max_nodes=None):
-        seen.append(max_nodes)
-        return real(d, N, max_nodes)
+    def spy(d, N):
+        seen.append(_config.node_cap())
+        return real(d, N)
 
     monkeypatch.setattr(F, "sphere_rule", spy)
     spec = C.curvelet_spec(4, 2)
     system = F.build_system(spec)
     f = F.random_signal(4, 3, seed=5)
-    coeffs = F.analysis(system, f, max_nodes=12345)
-    F.synthesis(system, spec, coeffs, 3, max_nodes=12345)
+    monkeypatch.setenv("SPHEREFRAME_MAX_NODES", "12345")
+    coeffs = F.analysis(system, f)
+    F.synthesis(system, spec, coeffs, 3)
     assert seen and set(seen) == {12345}
 
 
 @pytest.mark.parametrize("transform", ["analysis", "synthesis"])
-def test_transform_caps_fire_before_allocation(transform):
+def test_transform_caps_fire_before_allocation(transform, monkeypatch):
     spec = C.wavelet_spec(4, 2, 3, "kappa2")
     system = F.build_system(spec)
     f = F.random_signal(4, 8, seed=4)
     coefficients = np.ones(sum(len(g) for g in system.grids))
+    monkeypatch.setenv("SPHEREFRAME_MAX_NODES", "100")
     tracemalloc.start()
     try:
         with pytest.raises(CapacityError):
             if transform == "analysis":
-                F.analysis(system, f, max_nodes=100)
+                F.analysis(system, f)
             else:
-                F.synthesis(system, spec, coefficients, 8, max_nodes=100)
+                F.synthesis(system, spec, coefficients, 8)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -556,8 +543,10 @@ def test_zonal_d3_round_trip_builds_no_rule_and_projects_nothing(monkeypatch):
     assert err < 1e-13
     tracemalloc.start()
     try:
+        system = F.build_system(spec)  # a fresh one, under the default cap
+        monkeypatch.setenv("SPHEREFRAME_MAX_NODES", "100")
         with pytest.raises(CapacityError):
-            F.analysis(F.build_system(spec), f, max_nodes=100)
+            F.analysis(system, f)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -679,19 +668,20 @@ def test_tables_hold_one_unitary_matrix_per_plane(spec):
 
 
 @pytest.mark.parametrize("transform", ["analysis", "synthesis"])
-def test_warmed_system_still_caps_before_allocation(transform):
+def test_warmed_system_still_caps_before_allocation(transform, monkeypatch):
     spec = C.wavelet_spec(4, 2, 3, "kappa2")
     system = F.build_system(spec)
     f = F.random_signal(4, 8, seed=4)
     coefficients = F.analysis(system, f)
     F.synthesis(system, spec, coefficients, 8)
+    monkeypatch.setenv("SPHEREFRAME_MAX_NODES", "100")
     tracemalloc.start()
     try:
         with pytest.raises(CapacityError):
             if transform == "analysis":
-                F.analysis(system, f, max_nodes=100)
+                F.analysis(system, f)
             else:
-                F.synthesis(system, spec, coefficients, 8, max_nodes=100)
+                F.synthesis(system, spec, coefficients, 8)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -1,6 +1,8 @@
 import itertools
 import math
+import os
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -140,9 +142,10 @@ def test_rotation_rule_requires_K_for_steerable():
         Q.rotation_rule(4, 3, "steerable_so_d2")
 
 
-def test_rotation_rule_capacity_guardrail():
+def test_rotation_rule_capacity_guardrail(monkeypatch):
+    monkeypatch.setenv("SPHEREFRAME_MAX_NODES", "10000")
     with pytest.raises(CapacityError):
-        Q.rotation_rule(4, 8, "general", max_nodes=10_000)
+        Q.rotation_rule(4, 8, "general")
 
 
 def test_general_rule_integrates_matrix_functions_to_delta():
@@ -186,21 +189,21 @@ def test_decomposition_identity_against_finer_iterated_rule():
     assert f_of(coarse) == pytest.approx(f_of(fine), rel=1e-10, abs=1e-12)
 
 
-@pytest.mark.parametrize("build", [
-    lambda: Q.rotation_rule(4, 20, "general", max_nodes=1000),
-    lambda: Q.rotation_rule(4, 30, "so_d2_invariant", max_nodes=1000),
-    lambda: Q.rotation_rule(3, 200, "zonal", max_nodes=1000),
-    lambda: Q.rotation_rule(2, 10 ** 6, max_nodes=1000),
-    lambda: Q.sphere_rule(4, 20, max_nodes=1000),
-    lambda: Q.rotation_rule(4, 20, "general", max_nodes=40000),
-    lambda: Q.rotation_rule(4, 20, "steerable", K=20, max_nodes=40000),
+@pytest.mark.parametrize("cap, build", [
+    (1000, lambda: Q.rotation_rule(4, 20, "general")),
+    (1000, lambda: Q.rotation_rule(4, 30, "so_d2_invariant")),
+    (1000, lambda: Q.rotation_rule(3, 200, "zonal")),
+    (1000, lambda: Q.rotation_rule(2, 10 ** 6)),
+    (1000, lambda: Q.sphere_rule(4, 20)),
+    (40000, lambda: Q.rotation_rule(4, 20, "general")),
+    (40000, lambda: Q.rotation_rule(4, 20, "steerable", K=20)),
 ], ids=["general", "so_d2_invariant", "zonal", "so2", "sphere",
         "general-inner-fits", "steerable-inner-fits"])
-def test_capacity_fires_before_allocation(build, monkeypatch):
+def test_capacity_fires_before_allocation(cap, build, monkeypatch):
     # each of these would allocate megabytes (or, for SO(2), a 2M-node
     # circle) before an after-the-fact check could fire; the inner SO(3)
-    # grids fit under their caps of 40000
-    monkeypatch.setenv("SPHEREFRAME_MAX_NODES", "1000")
+    # grids fit under the cap of 40000
+    monkeypatch.setenv("SPHEREFRAME_MAX_NODES", str(cap))
     tracemalloc.start()
     try:
         with pytest.raises(CapacityError):
@@ -211,16 +214,21 @@ def test_capacity_fires_before_allocation(build, monkeypatch):
     assert peak < 1_000_000, peak
 
 
-def test_capacity_admits_exact_count():
-    assert len(Q.sphere_rule(4, 3, max_nodes=7 * 16)) == 7 * 16
+def test_capacity_admits_exact_count(monkeypatch):
+    monkeypatch.setenv("SPHEREFRAME_MAX_NODES", str(7 * 16))
+    assert len(Q.sphere_rule(4, 3)) == 7 * 16
+    monkeypatch.setenv("SPHEREFRAME_MAX_NODES", str(7 * 16 - 1))
     with pytest.raises(CapacityError):
-        Q.sphere_rule(4, 3, max_nodes=7 * 16 - 1)
+        Q.sphere_rule(4, 3)
     for d in (3, 4):
         for variant in Q.VARIANTS:
+            monkeypatch.delenv("SPHEREFRAME_MAX_NODES")
             size = len(Q.rotation_rule(d, 2, variant, K=1))
-            assert len(Q.rotation_rule(d, 2, variant, K=1, max_nodes=size)) == size
+            monkeypatch.setenv("SPHEREFRAME_MAX_NODES", str(size))
+            assert len(Q.rotation_rule(d, 2, variant, K=1)) == size
+            monkeypatch.setenv("SPHEREFRAME_MAX_NODES", str(size - 1))
             with pytest.raises(CapacityError):
-                Q.rotation_rule(d, 2, variant, K=1, max_nodes=size - 1)
+                Q.rotation_rule(d, 2, variant, K=1)
 
 
 def test_sphere_rule_arrays_are_the_tensor_product_of_its_axes():
@@ -262,11 +270,13 @@ def test_factors_rebuild_flat_grids_bitwise(d):
 def test_grid_size_is_the_rule_length_under_a_cap(d, N, variant, K):
     cap = 20_000
     size = Q._grid_size(d, N, variant, K)
-    if size > cap:
-        with pytest.raises(CapacityError):
-            Q.rotation_rule(d, N, variant, K=K, max_nodes=cap)
-    else:
-        assert len(Q.rotation_rule(d, N, variant, K=K, max_nodes=cap)) == size
+    # a function-scoped monkeypatch would trip Hypothesis' health check
+    with mock.patch.dict(os.environ, {"SPHEREFRAME_MAX_NODES": str(cap)}):
+        if size > cap:
+            with pytest.raises(CapacityError):
+                Q.rotation_rule(d, N, variant, K=K)
+        else:
+            assert len(Q.rotation_rule(d, N, variant, K=K)) == size
 
 
 def ladder_stem(N):
@@ -293,11 +303,12 @@ def test_eigh_tridiagonal_is_scipys_bit_for_bit():
         assert all(np.array_equal(g, w) for g, w in zip(got, want)), len(diag)
 
 
-def test_rotation_rule_rejects_a_negative_degree_before_its_cap():
+def test_rotation_rule_rejects_a_negative_degree_before_its_cap(monkeypatch):
+    monkeypatch.setenv("SPHEREFRAME_MAX_NODES", "1")
     for d in (2, 3, 4):
         for N in (-1, -10 ** 6):
             with pytest.raises(ParameterError, match=f"target degree must be nonnegative, got {N}"):
-                Q.rotation_rule(d, N, max_nodes=1)
+                Q.rotation_rule(d, N)
 
 
 def test_rotation_rule_rejects_a_negative_K():
