@@ -126,11 +126,7 @@ def cmd_reconstruct(args) -> int:
     if args.signal:
         signal = io.read_signal(args.signal)
     else:
-        # sum_{n <= N} dim H_n^d = C(N+d-1, d-1) + C(N+d-2, d-1) coefficients
-        N, d = args.random, spec.d
-        quadrature.check_cap(math.comb(N + d - 1, d - 1) + math.comb(N + d - 2, d - 1),
-                             "random signal")
-        signal = frames.random_signal(d, N, seed=seed)
+        signal = frames.random_signal(spec.d, args.random, seed=seed)
     # certified up to the signal's highest nonzero degree, before any grid is built
     highest = max((n for (n, _), c in signal.coeffs.items() if c != 0), default=0)
     dual = frames.canonical_dual(spec, n_max=highest)
@@ -210,11 +206,10 @@ def cmd_localize(args) -> int:
 def cmd_autocorr(args) -> int:
     _require(args.angles >= 1, f"--angles must be positive, got {args.angles}")
     spec = io.read_spec(args.spec)
-    _require(0 <= args.j < len(spec.scales),
-             f"--j {args.j} is outside 0..{len(spec.scales) - 1}")
+    scale = spec.scale(args.j)
     d = spec.d
     # the library checks this sweep too, but only after the d x d stack per angle exists
-    size = quadrature.sphere_size(d, spec.scales[args.j].bandwidth)
+    size = quadrature.sphere_size(d, scale.bandwidth)
     quadrature.check_cap((args.angles + 1) * size, "autocorrelation sweep")
     alphas = np.linspace(0.0, math.pi, args.angles)
     hs = np.tile(np.eye(d), (len(alphas), 1, 1))
@@ -243,7 +238,7 @@ def cmd_autocorr(args) -> int:
         print(f"alpha={alpha:.4f} s={c:+.4f} numeric={value.real:+.6e}{closed_txt}")
     if args.out:
         io.write_report({"command": "autocorr", "d": d, "j": args.j,
-                         "norm_sq": spec.scales[args.j].norm_sq(), "rows": rows}, args.out)
+                         "norm_sq": scale.norm_sq(), "rows": rows}, args.out)
     return EXIT_OK
 
 
@@ -253,8 +248,7 @@ def cmd_figure(args) -> int:
     _require(math.isfinite(args.t_max) and args.t_max > 0,
              f"--t-max must be positive and finite, got {args.t_max}")
     spec = io.read_spec(args.spec)
-    _require(0 <= args.j < len(spec.scales),
-             f"--j {args.j} is outside 0..{len(spec.scales) - 1}")
+    spec.scale(args.j)  # refuses a --j outside 0..J before any warning
     if not frames.admits(spec, "so_d2_invariant"):
         print("warning: spec is not invariant under the subgroup fixing the "
               "last two axes; the sampled section depends on eta''",

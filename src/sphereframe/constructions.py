@@ -57,30 +57,25 @@ def kappa(t):
     return out
 
 
-def kappa1(d: int, j: int, n):
-    """Band filter 2^{j(d-2)/2} kappa(n / 2^{j-1}); zero outside [2^{j-2}, 2^j]."""
+def _band_filter(d: int, j: int, n, shape):
+    """2^{j(d-2)/2} shape(n), a float for a scalar n; scales j >= 1 only."""
     if j < 1:
         raise ParameterError("band filters are defined for scales j >= 1")
-    out = 2.0 ** (j * (d - 2) / 2.0) * kappa(np.asarray(n, dtype=float) / 2.0 ** (j - 1))
-    if np.ndim(n) == 0:
-        return float(out)
-    return out
+    out = 2.0 ** (j * (d - 2) / 2.0) * shape(np.asarray(n, dtype=float))
+    return float(out) if np.ndim(n) == 0 else out
+
+
+def kappa1(d: int, j: int, n):
+    """Band filter 2^{j(d-2)/2} kappa(n / 2^{j-1}); zero outside [2^{j-2}, 2^j]."""
+    return _band_filter(d, j, n, lambda t: kappa(t / 2.0 ** (j - 1)))
 
 
 def kappa2(d: int, j: int, n):
     """Sine band filter 2^{j(d-2)/2} sin(pi (n+1-2^{j-2}) / (3*2^{j-2}+2)) on
     the closed band [2^{j-2}, 2^j]; positive at both integer endpoints."""
-    if j < 1:
-        raise ParameterError("band filters are defined for scales j >= 1")
-    n_arr = np.asarray(n, dtype=float)
     lo = 2.0 ** (j - 2)
-    hi = 2.0 ** j
-    arg = math.pi * (n_arr + 1.0 - lo) / (3.0 * lo + 2.0)
-    out = np.where((n_arr >= lo) & (n_arr <= hi),
-                   2.0 ** (j * (d - 2) / 2.0) * np.sin(arg), 0.0)
-    if np.ndim(n) == 0:
-        return float(out)
-    return out
+    return _band_filter(d, j, n, lambda t: np.where(
+        (t >= lo) & (t <= 2.0 ** j), np.sin(math.pi * (t + 1.0 - lo) / (3.0 * lo + 2.0)), 0.0))
 
 
 _WINDOWS = {"kappa1": kappa1, "kappa2": kappa2}
@@ -128,11 +123,26 @@ def zeta_table(d: int, n: int, K: int) -> dict:
     return table
 
 
-def _check_scales(J: int) -> None:
-    """Reject a negative J, and cap the 2^{J+1} - 1 degrees scales 0..J visit."""
+def _dyadic_scales(d: int, J: int, window: str, component) -> list:
+    """Scales 0..J of every builder: scale 0 is the constant, and scale j has
+    bandwidth 2^j and, at each degree n of ceil(2^{j-2})..2^j (where the band
+    filters live) with w = window(d, j, n) nonzero, the coefficients
+    `component(j, n, w)`, keyed by k.  J is checked, and its 2^{J+1} - 1
+    degrees capped, before the window is looked up."""
     if J < 0:
         raise ParameterError("J must be nonnegative")
     check_cap(2 ** (J + 1) - 1, f"scales 0..{J}")
+    if window not in _WINDOWS:
+        raise ParameterError(f"unknown window kind {window!r}")
+    scales = [Scale(0, 0, {(0, (0,) * (d - 2)): 1.0 + 0.0j})]
+    for j in range(1, J + 1):
+        coeffs = {}
+        for n in range(max(1, math.ceil(2.0 ** (j - 2))), 2 ** j + 1):
+            w = _WINDOWS[window](d, j, n)
+            if w != 0.0:
+                coeffs.update({(n, k): c for k, c in component(j, n, w).items()})
+        scales.append(Scale(j, 2 ** j, coeffs))
+    return scales
 
 
 def wavelet_spec(d: int, K: int, J: int, window: str = "kappa1") -> FrameSpec:
@@ -148,22 +158,8 @@ def wavelet_spec(d: int, K: int, J: int, window: str = "kappa1") -> FrameSpec:
             "for d = 3 load an externally supplied table instead")
     if K < 0:
         raise ParameterError(f"K must be nonnegative, got {K}")
-    _check_scales(J)
-    if window not in _WINDOWS:
-        raise ParameterError(f"unknown window kind {window!r}")
-    win = _WINDOWS[window]
-    zero_k = (0,) * (d - 2)
-    scales = [Scale(0, 0, {(0, zero_k): 1.0 + 0.0j})]
-    for j in range(1, J + 1):
-        n_j = 2 ** j
-        coeffs = {}
-        for n in range(max(1, int(math.ceil(2.0 ** (j - 2)))), n_j + 1):
-            w = win(d, j, n)
-            if w == 0.0:
-                continue
-            for k, z in zeta_table(d, n, K).items():
-                coeffs[(n, k)] = complex(w * z)
-        scales.append(Scale(j, n_j, coeffs))
+    scales = _dyadic_scales(d, J, window, lambda j, n, w: {
+        k: complex(w * z) for k, z in zeta_table(d, n, K).items()})
     return FrameSpec(d, scales, steerable_K=K, invariant_m=d - 2)
 
 
@@ -173,20 +169,10 @@ def zonal_spec(d: int, J: int, window: str = "kappa1") -> FrameSpec:
     With the kappa1 window the squared filters telescope, giving sigma_n = 1
     for 1 <= n <= 2^{J-1} (a Parseval frame on that range).
     """
-    _check_scales(J)
-    if window not in _WINDOWS:
-        raise ParameterError(f"unknown window kind {window!r}")
-    zero_k = (0,) * (d - 2)
-    scales = [Scale(0, 0, {(0, zero_k): 1.0 + 0.0j})]
-    for j in range(1, J + 1):
-        n_j = 2 ** j
-        coeffs = {}
-        for n in range(1, n_j + 1):
-            # bare window, without the 2^{j(d-2)/2} amplitude of the band filters
-            w = _WINDOWS[window](d, j, n) * 2.0 ** (-j * (d - 2) / 2.0)
-            if w != 0.0:
-                coeffs[(n, zero_k)] = complex(w * math.sqrt(dim_harmonic(d, n)))
-        scales.append(Scale(j, n_j, coeffs))
+    # bare window, without the 2^{j(d-2)/2} amplitude of the band filters
+    scales = _dyadic_scales(d, J, window, lambda j, n, w: {
+        (0,) * (d - 2): complex(w * 2.0 ** (-j * (d - 2) / 2.0)
+                                * math.sqrt(dim_harmonic(d, n)))})
     return FrameSpec(d, scales, steerable_K=0, invariant_m=d - 1)
 
 
@@ -209,23 +195,11 @@ def curvelet_spec(d: int, J: int) -> FrameSpec:
     """Curvelet table: per degree the two extreme indices (n, ..., n, +-n),
     each weighted by (band filter)/sqrt(2), stored pre-rotation with the
     axis-moving rotation g0 attached as metadata."""
-    _check_scales(J)
-    zero_k = (0,) * (d - 2)
-    scales = [Scale(0, 0, {(0, zero_k): 1.0 + 0.0j})]
-    for j in range(1, J + 1):
-        n_j = 2 ** j
-        coeffs = {}
-        for n in range(1, n_j + 1):
-            w = kappa1(d, j, n)
-            if w == 0.0:
-                continue
-            c = complex(w / math.sqrt(2.0))
-            head = (n,) * (d - 3)
-            coeffs[(n, head + (n,))] = c
-            coeffs[(n, head + (-n,))] = c
-        scales.append(Scale(j, n_j, coeffs))
-    return FrameSpec(d, scales, steerable_K=None, invariant_m=d - 2,
-                     base_rotation=make_g0(d))
+    def extremes(j, n, w):
+        head = (n,) * (d - 3)
+        return dict.fromkeys((head + (n,), head + (-n,)), complex(w / math.sqrt(2.0)))
+    return FrameSpec(d, _dyadic_scales(d, J, "kappa1", extremes), steerable_K=None,
+                     invariant_m=d - 2, base_rotation=make_g0(d))
 
 
 @dataclass

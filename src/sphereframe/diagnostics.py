@@ -14,7 +14,7 @@ import numpy as np
 
 from .constructions import zeta_table
 from .errors import DegenerateSignalError, ParameterError, TableShapeError
-from .frames import FrameSpec, Signal
+from .frames import FrameSpec, Signal, check_rotation
 from .harmonics import ExpansionEvaluator, dim_harmonic, generator_step
 from .quadrature import check_cap, sphere_rule, sphere_size
 from .specfun import Q_d, validate_multi_index
@@ -124,11 +124,7 @@ def autocorrelation(spec: FrameSpec, j: int, h: np.ndarray) -> complex | np.ndar
         raise ParameterError(f"h must have shape ({d}, {d}) or (m, {d}, {d}) "
                              f"with m >= 1, got {h.shape}")
     hs = h.reshape(-1, d, d)
-    defect = np.max(np.abs(hs @ hs.transpose(0, 2, 1) - np.eye(d)))
-    if not defect <= 1e-12:  # a non-finite entry gives a non-finite defect
-        raise ParameterError(f"h is not a rotation: max |h h^T - I| = {defect:.3e}")
-    if np.any(np.linalg.det(hs) < 0):
-        raise ParameterError("h is not a rotation: det h < 0")
+    check_rotation(hs, "h")
     pole = np.zeros(d)
     pole[-1] = 1.0
     if not np.max(np.abs(hs @ pole - pole)) <= 1e-10:

@@ -92,10 +92,7 @@ class FrameSpec:
             g = np.asarray(self.base_rotation, dtype=float)
             if g.shape != (self.d, self.d):
                 raise ParameterError("base_rotation has the wrong shape")
-            defect = np.max(np.abs(g @ g.T - np.eye(self.d)))
-            if not defect <= 1e-12:  # a non-finite entry gives a non-finite defect
-                raise ParameterError(f"base_rotation is not a rotation: "
-                                     f"max |g g^T - I| = {defect:.3e}")
+            check_rotation(g, "base_rotation")
             return
         K = steerable_order(self)
         if self.steerable_K is not None and K is not None and self.steerable_K < K:
@@ -105,6 +102,16 @@ class FrameSpec:
         if self.invariant_m is not None and self.invariant_m > m:
             raise ParameterError(f"invariant_m {self.invariant_m} exceeds the "
                                  f"table's invariance order {m}")
+
+
+def check_rotation(g: np.ndarray, name: str) -> None:
+    """Refuse `g`, one (d, d) matrix or a stack of them, unless each is a
+    rotation: orthogonal to 1e-12, with no non-finite entry, and det > 0."""
+    defect = np.max(np.abs(g @ np.swapaxes(g, -1, -2) - np.eye(g.shape[-1])))
+    if not defect <= 1e-12:  # a non-finite entry gives a non-finite defect
+        raise ParameterError(f"{name} is not a rotation: max |{name} {name}^T - I| = {defect:.3e}")
+    if np.any(np.linalg.det(g) < 0):
+        raise ParameterError(f"{name} is not a rotation: det {name} < 0")
 
 
 @dataclass
@@ -123,8 +130,14 @@ def random_signal(d: int, degree: int, seed=None) -> Signal:
 
     The normals come from one draw, real and imaginary part of each key in
     turn, keys by degree and then in `index_set` order: the stream that one
-    scalar draw per part would give.
+    scalar draw per part would give.  A negative degree is refused, and the
+    C(N+d-1, d-1) + C(N+d-2, d-1) coefficients of degree N are capped before
+    anything is drawn.
     """
+    if degree < 0:
+        raise ParameterError(f"random signal degree must be nonnegative, got {degree}")
+    check_cap(math.comb(degree + d - 1, d - 1) + math.comb(degree + d - 2, d - 1),
+              "random signal")
     keys = [(n, k) for n in range(degree + 1) for k in index_set(d, n)]
     z = np.random.default_rng(seed).standard_normal(2 * len(keys)).tolist()
     coeffs = {key: complex(re, im) for key, re, im in zip(keys, z[0::2], z[1::2])}

@@ -270,17 +270,13 @@ def _compose(d: int, factors: tuple, variant: str) -> np.ndarray:
     return rotations.reshape(len(outer) * len(inner), d, d)
 
 
-def _grid_size(d: int, N: int, variant: str, K: int | None = None) -> int:
-    """Rotation count of `rotation_rule(d, N, variant, K)`."""
-    if d == 2:
-        return 2 * N + 1
-    outer = sphere_size(d, N)
-    M = K if variant in ("steerable", "steerable_so_d2") else N
-    if variant == "zonal":
-        return outer
-    if variant in ("general", "steerable"):
-        return outer * _grid_size(d - 1, M, "general")
-    return outer * sphere_size(d - 1, M)
+def _so2_factor(n: int) -> SphereRule:
+    """The equispaced SO(2) rule of degree n, as G_1(-alpha) in the convention
+    of sections, axis and rule weighted 1/M, not normalized, so exported grids
+    keep their bytes."""
+    circle = _circle_rule(2 * n + 1)
+    w = np.full(2 * n + 1, 1.0 / (2 * n + 1))
+    return SphereRule((Rule1D(-circle.nodes, w, circle.exact_degree),), w, 2 * n)
 
 
 def rotation_rule(d: int, N: int, variant: str = "general", K: int | None = None) -> RotationRule:
@@ -294,8 +290,10 @@ def rotation_rule(d: int, N: int, variant: str = "general", K: int | None = None
                      of matching degree
     steerable_so_d2  as above with the S^{d-2} rule exact on degree 2K only
 
-    Only the factors are built; the rotation count is checked against the
-    cap first.
+    SO(2) is its own section, so at d = 2 every variant is the general
+    circle.  The factors are listed once, outermost first, as (sphere
+    dimension, degree) pairs; the rotation count, the product of their
+    `sphere_size`s, is checked against the cap before any factor is built.
     """
     if variant not in VARIANTS:
         raise ParameterError(f"unknown variant {variant!r}")
@@ -306,21 +304,16 @@ def rotation_rule(d: int, N: int, variant: str = "general", K: int | None = None
     if d < 2:
         raise ParameterError(f"rotation group dimension must be >= 2, got {d}")
     _check_degree(d, N)
-    check_cap(_grid_size(d, N, variant, K), "rotation grid")
     if d == 2:
-        # the equispaced SO(2) rule, as G_1(-alpha) in the convention of sections,
-        # axis and rule weighted 1/M, not normalized, so exported grids keep their bytes
-        M = 2 * N + 1
-        circle = _circle_rule(M)
-        w = np.full(M, 1.0 / M)
-        axis = Rule1D(-circle.nodes, w, circle.exact_degree)
-        return RotationRule(2, (SphereRule((axis,), w, 2 * N),), N, "general")
-
+        variant, K = "general", None
+    chain = variant in ("general", "steerable")
     M = K if variant in ("steerable", "steerable_so_d2") else N
-    if variant == "zonal":
-        inner = ()
-    elif variant in ("general", "steerable"):
-        inner = rotation_rule(d - 1, M, "general").factors
-    else:  # so_d2_invariant / steerable_so_d2: h e^{d-1} = (eta', 0)
-        inner = (_sphere_rule(d - 1, M),)
-    return RotationRule(d, (_sphere_rule(d, N),) + inner, N, variant, K)
+    pairs = [(d, N)]
+    if chain:  # S^{d-2} ... S^2, then the SO(2) circle
+        pairs += [(m, M) for m in range(d - 1, 1, -1)]
+    elif variant != "zonal":  # h e^{d-1} = (eta', 0)
+        pairs.append((d - 1, M))
+    check_cap(math.prod(sphere_size(m, n) for m, n in pairs), "rotation grid")
+    factors = tuple(_so2_factor(n) if chain and m == 2 else _sphere_rule(m, n)
+                    for m, n in pairs)
+    return RotationRule(d, factors, N, variant, K)

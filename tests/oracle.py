@@ -10,7 +10,9 @@ rotated quadrature node, against which the coefficient-space transforms of
 `frames` are checked.  `random_signal` draws one normal per call, and `plane`
 exponentiates its phases in every call: the straightforward forms of
 `frames.random_signal` and `frames._Degree.plane`, which must equal them bit
-for bit.  `addition_kernel` and `curvelet_eval_closed` are closed forms that
+for bit.  `grid_size` counts a rotation grid by the per-variant recursion
+that `flat_rotation_rule` follows, the reference for `rotation_rule`'s one
+list of factors.  `addition_kernel` and `curvelet_eval_closed` are closed forms that
 library evaluations are compared against, and `support` reads the degree range
 a scale's table occupies.
 """
@@ -24,7 +26,7 @@ from sphereframe.errors import (DegenerateSignalError, IndexSetError, ParameterE
                                SphereFrameError)
 from sphereframe.frames import Signal
 from sphereframe.harmonics import ExpansionEvaluator, basis_matrix, index_set
-from sphereframe.quadrature import embed_rotation, sections, sphere_rule
+from sphereframe.quadrature import embed_rotation, sections, sphere_rule, sphere_size
 from sphereframe.specfun import gegenbauer_table, log_norm_A, validate_multi_index
 
 TWO_PI = 2.0 * math.pi
@@ -303,6 +305,19 @@ def flat_rotation_rule(d: int, N: int, variant: str, K=None):
     rotations = np.matmul(sections(outer.angles)[:, None], inner[None])
     weights = (outer.weights[:, None] * inner_w[None, :]).reshape(total)
     return rotations.reshape(total, d, d), weights
+
+
+def grid_size(d: int, N: int, variant: str, K=None) -> int:
+    """Rotation count of `rotation_rule(d, N, variant, K)`, by recursion."""
+    if d == 2:
+        return 2 * N + 1
+    outer = sphere_size(d, N)
+    M = K if variant in ("steerable", "steerable_so_d2") else N
+    if variant == "zonal":
+        return outer
+    if variant in ("general", "steerable"):
+        return outer * grid_size(d - 1, M, "general")
+    return outer * sphere_size(d - 1, M)
 
 
 def random_signal(d: int, degree: int, seed=None) -> Signal:

@@ -563,6 +563,8 @@ def test_parse_error_is_input_error(tmp_path):
     ({}, ("reconstruct", "--spec", "{tmp}/bool_K.json", "--random", "2")),
     ({}, ("check", "--spec", "{tmp}/list_meta.json", "--n-max", "8")),
     ({}, ("check", "--spec", "{tmp}/text_g0.json", "--n-max", "8")),
+    ({}, ("reconstruct", "--spec", "{tmp}/reflected_g0.json", "--random", "2")),
+    ({}, ("autocorr", "--spec", "{tmp}/reflected_g0.json", "--j", "1")),
 ])
 def test_bad_input_is_one_line_input_error(tmp_path, capsys, monkeypatch, env, argv):
     spec_path = tmp_path / "w.json"
@@ -586,6 +588,9 @@ def test_bad_input_is_one_line_input_error(tmp_path, capsys, monkeypatch, env, a
     for name, g in (("scaled", np.diag([2.0, 1.0, 1.0, 1.0])), ("nan_rotation", nan_rotation)):
         spec.base_rotation = g
         io.write_spec(spec, tmp_path / f"{name}.json")
+    curvelet = C.curvelet_spec(4, 2)
+    curvelet.base_rotation[:, 0] = -curvelet.base_rotation[:, 0]  # orthogonal, det -1
+    io.write_spec(curvelet, tmp_path / "reflected_g0.json")
     for name, degree in (("low", 1), ("negative", -2)):
         io.write_signal(F.Signal(4, degree, {(3, (1, 0)): 1.0}),
                         tmp_path / f"{name}_signal.json")
@@ -615,6 +620,17 @@ def test_bad_input_is_one_line_input_error(tmp_path, capsys, monkeypatch, env, a
     assert run(*argv) == cli.EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_scale_index_is_refused_by_the_library_check(tmp_path, capsys):
+    spec_path = tmp_path / "w.json"
+    io.write_spec(C.wavelet_spec(4, 4, 3, "kappa2"), spec_path)
+    capsys.readouterr()
+    for argv in (("autocorr", "--spec", spec_path, "--j", "9"),
+                 ("figure", "--spec", spec_path, "--j", "-1", "--out", tmp_path / "f.csv")):
+        assert run(*argv) == cli.EXIT_INPUT
+        j = argv[argv.index("--j") + 1]
+        assert capsys.readouterr().err == f"error: scale {j} is outside 0..3\n"
 
 
 def test_reconstruct_checks_the_grid_before_building(tmp_path, capsys, monkeypatch):

@@ -7,7 +7,9 @@ of `reconstruct`, `localize` and `autocorr` carry numbers that a change of
 summation order moves at rounding level: their structural fields (keys, row
 counts, integers, strings, flags) must match exactly, and each float field
 within the tolerance `REPORT_TOL` states for it.  Their stdout must match
-with every decimal number masked.
+with every decimal number masked, its leading spaces included, by a token
+of the same width: the column layout is compared, the sign of a zero that
+rounding sets is not.
 
 The manifest records the outputs of the tree it was written from:
 `PYTHONPATH=src python tests/test_cli_outputs.py DIR > tests/cli_manifest.json`
@@ -114,7 +116,7 @@ REPORT_TOL = {
     "gap": (1e-12, "norm_sq"),
 }
 
-_DECIMAL = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+(?=e))(?:e[-+]?\d+)?")
+_DECIMAL = re.compile(r" *[-+]?(?:\d+\.\d*|\.\d+|\d+(?=e))(?:e[-+]?\d+)?")
 
 
 def _sha256(data: bytes) -> str:
@@ -122,9 +124,10 @@ def _sha256(data: bytes) -> str:
 
 
 def mask_numbers(text: str) -> str:
-    """`text` with every decimal number (one with a point or an exponent)
-    replaced by `#`; integers stay."""
-    return _DECIMAL.sub("#", text)
+    """`text` with every decimal number (one with a point or an exponent),
+    together with the spaces before it, replaced by `#` right-aligned in the
+    same width; integers stay."""
+    return _DECIMAL.sub(lambda m: "#".rjust(len(m.group())), text)
 
 
 def run_commands(directory) -> list:
@@ -215,7 +218,10 @@ def test_manifest_comparison_catches_a_planted_change():
         bad = json.loads(json.dumps(report))
         edit(bad)
         assert report_mismatches(report, bad, norm_sq=1000.0) != []
-    assert mask_numbers("err 1.234e-15 gap 3.0 n=5 x=-.5 y=2e-3") == "err # gap # n=5 x=# y=#"
+    assert mask_numbers("err 1.234e-15 gap 3.0 n=5 x=-.5 y=2e-3") == "err         # gap   # n=5 x=  # y=   #"
+    # a zero whose sign flips keeps its column; a shifted column does not
+    assert mask_numbers("  -0.00000000 |") == mask_numbers("   0.00000000 |")
+    assert mask_numbers("  1.5 |") != mask_numbers(" 1.5 |")
 
 
 if __name__ == "__main__":

@@ -269,6 +269,43 @@ def test_spec_validation_rejects_malformed():
         F.FrameSpec(3, [F.Scale(0, 4, {}), F.Scale(1, 2, {})]).validate()
 
 
+def test_spec_validation_refuses_a_base_rotation_that_is_no_rotation():
+    spec = C.curvelet_spec(4, 2)
+    spec.validate()
+    reflected = C.make_g0(4)
+    reflected[:, 0] = -reflected[:, 0]  # orthogonal, det -1
+    nan_g0 = C.make_g0(4)
+    nan_g0[1, 2] = math.nan
+    for g, match in ((reflected, "det base_rotation < 0"), (2.0 * C.make_g0(4), "max"),
+                     (nan_g0, "max")):
+        spec.base_rotation = g
+        with pytest.raises(ParameterError, match="base_rotation is not a rotation: " + match):
+            spec.validate()
+    # one check serves the spec's base rotation and a probed rotation stack
+    F.check_rotation(np.stack([np.eye(4), C.make_g0(4)]), "h")
+    with pytest.raises(ParameterError, match="h is not a rotation: det h < 0"):
+        F.check_rotation(np.stack([np.eye(4), reflected]), "h")
+
+
+def test_random_signal_refuses_a_negative_degree_and_caps_before_drawing(monkeypatch):
+    with pytest.raises(ParameterError, match="degree must be nonnegative, got -1"):
+        F.random_signal(3, -1)
+    # C(N+2, 2) + C(N+1, 2) = (N + 1)^2 coefficients at d = 3
+    N = 300
+    monkeypatch.setenv("SPHEREFRAME_MAX_NODES", str((N + 1) ** 2 - 1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match=f"random signal would hold {(N + 1) ** 2} nodes"):
+            F.random_signal(3, N, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000, peak
+    monkeypatch.setenv("SPHEREFRAME_MAX_NODES", str((N + 1) ** 2))
+    assert len(F.random_signal(3, N, seed=0).coeffs) == (N + 1) ** 2
+    assert len(F.random_signal(5, 0, seed=0).coeffs) == 1
+
+
 def test_random_signal_unit_energy_and_determinism():
     f1 = F.random_signal(4, 5, seed=42)
     f2 = F.random_signal(4, 5, seed=42)

@@ -269,7 +269,7 @@ def test_factors_rebuild_flat_grids_bitwise(d):
        st.integers(0, 6))
 def test_grid_size_is_the_rule_length_under_a_cap(d, N, variant, K):
     cap = 20_000
-    size = Q._grid_size(d, N, variant, K)
+    size = oracle.grid_size(d, N, variant, K)
     # a function-scoped monkeypatch would trip Hypothesis' health check
     with mock.patch.dict(os.environ, {"SPHEREFRAME_MAX_NODES": str(cap)}):
         if size > cap:
@@ -277,6 +277,16 @@ def test_grid_size_is_the_rule_length_under_a_cap(d, N, variant, K):
                 Q.rotation_rule(d, N, variant, K=K)
         else:
             assert len(Q.rotation_rule(d, N, variant, K=K)) == size
+
+
+@pytest.mark.parametrize("variant", Q.VARIANTS)
+def test_so2_grids_are_the_general_circle_whatever_the_variant(variant):
+    K = 1 if variant in ("steerable", "steerable_so_d2") else None
+    rule = Q.rotation_rule(2, 2, variant, K=K)
+    general = Q.rotation_rule(2, 2)
+    assert (rule.variant, rule.steer_K, rule.class_degree, len(rule)) == ("general", None, 2, 5)
+    assert rule.rotations.tobytes() == general.rotations.tobytes()
+    assert rule.weights.tobytes() == general.weights.tobytes()
 
 
 def ladder_stem(N):
