@@ -386,6 +386,10 @@ def main(argv=None) -> int:
         override = flag + _config.MAX_NODES_ENV
         print(f"capacity error: {exc}; raise {override} to override", file=sys.stderr)
         return EXIT_CAPACITY
+    except MemoryError as exc:  # under the node cap, but more than this machine holds
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"capacity error: out of memory{detail}", file=sys.stderr)
+        return EXIT_CAPACITY
     except NotAFrameError as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

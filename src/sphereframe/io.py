@@ -27,9 +27,13 @@ def _dump(doc: dict, path) -> None:
 
 def _load(path) -> dict:
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: not valid JSON ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc})") from exc
+    except RecursionError as exc:
+        raise FormatError(f"{path}: JSON nested too deeply ({exc})") from exc
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: expected a JSON object")
     return doc

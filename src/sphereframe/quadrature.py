@@ -1,11 +1,8 @@
 """Quadrature: 1-d Gauss-Jacobi rules, exact product rules on spheres,
 deterministic rotation sections, and composed rotation-group grids.
 
-This module owns the package's one use of scipy, the symmetric tridiagonal
-eigensolver `eigh_tridiagonal` behind the Gauss rules and the SO(3) plane
-basis of `frames`.  scipy is imported the first time it is called, so the
-commands that build no Gauss rule (`build`, `check`, `dual`, `localize`,
-`figure`) never load it.
+The Gauss rules and the SO(3) plane basis of `frames` rest on one symmetric
+tridiagonal eigensolver, `eigh_tridiagonal`, which runs on numpy's LAPACK.
 
 All sphere rules are positive product rules with weights normalized to sum
 to one (the surface measure here is a probability measure); rotation grids
@@ -18,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -40,19 +37,33 @@ def eigh_tridiagonal(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """Eigenvalues (ascending) and eigenvectors of the real symmetric
     tridiagonal matrix with float64 diagonal d and off-diagonal e.
 
-    This is LAPACK `dstevd`, the driver `scipy.linalg.eigh_tridiagonal(d, e)`
-    runs for the full spectrum, called without that wrapper's argument
-    checks, so the result is the wrapper's bit for bit; a 1x1 matrix is
-    answered directly, as there.  scipy is imported on first use.
+    This is `np.linalg.eigh` of the dense matrix, with e in the lower
+    triangle that eigh reads, and it gives the tridiagonal driver `dstevd`'s
+    answer bit for bit (the tests hold it to that driver).  eigh runs
+    `dsyevd`, whose reduction `dsytrd` finds every Householder tau zero on a
+    matrix that is already tridiagonal.  It therefore hands d and e unchanged
+    to the divide-and-conquer `dstedc` that `dstevd` runs, and its
+    back-transformation `dormtr` applies identities.  The eigenvectors are
+    returned in Fortran order, as `dstevd` leaves them: a later matmul
+    (`frames._unitarize`) rounds differently on a C-ordered copy.  A 1x1
+    matrix is answered directly.
+
+    The reduction and back-transformation make eigh about twice as slow as
+    `dstevd` above 32 rows, so answers are remembered per process: the same
+    Jacobi matrices and ladder stems recur across stems, scales and systems.
+    Each call returns fresh copies.
     """
+    w, v = _eigh_tridiagonal(np.asarray(d, float).tobytes(), np.asarray(e, float).tobytes())
+    return w.copy(), v.copy(order="F")
+
+
+@lru_cache(maxsize=256)
+def _eigh_tridiagonal(d: bytes, e: bytes) -> tuple[np.ndarray, np.ndarray]:
+    d, e = np.frombuffer(d), np.frombuffer(e)
     if len(d) == 1:
         return np.array([d[0]]), np.array([[1.0]])
-    from scipy.linalg import get_lapack_funcs
-    stevd, = get_lapack_funcs(("stevd",), (d, e))
-    w, v, info = stevd(d, e, compute_v=True)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"LAPACK stevd returned info {info}")
-    return w, v
+    w, v = np.linalg.eigh(np.diag(d) + np.diag(e, -1))
+    return w, np.asfortranarray(v)
 
 
 def gauss_symmetric_jacobi(m: int, alpha: float) -> Rule1D:

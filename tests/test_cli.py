@@ -483,6 +483,30 @@ def test_capacity_error_names_only_the_overrides_the_command_accepts(
         assert err.endswith("; raise SPHEREFRAME_MAX_NODES to override\n")
 
 
+@pytest.mark.parametrize("message, line", [
+    ("Unable to allocate 4.31 GiB for an array with shape (1785, 162129)",
+     "capacity error: out of memory (Unable to allocate 4.31 GiB for an array with shape "
+     "(1785, 162129))\n"),
+    ("", "capacity error: out of memory\n"),
+], ids=["numpy", "bare"])
+@pytest.mark.parametrize("module, argv", [
+    (Q, ("quadinfo", "--d", "4", "--N", "2", "--out", "{tmp}/g.json")),
+    (F, ("reconstruct", "--spec", "{w}", "--random", "2")),
+], ids=["quadinfo", "reconstruct"])
+def test_out_of_memory_is_one_capacity_line(tmp_path, capsys, monkeypatch,
+                                            module, argv, message, line):
+    spec_path = tmp_path / "w.json"
+    io.write_spec(C.wavelet_spec(4, 4, 2, "kappa2"), spec_path)
+
+    def rotation_rule(*args, **kwargs):  # a grid within the node cap, beyond the machine
+        raise MemoryError(message)
+
+    monkeypatch.setattr(module, "rotation_rule", rotation_rule)
+    capsys.readouterr()
+    assert run(*[a.format(w=spec_path, tmp=tmp_path) for a in argv]) == cli.EXIT_CAPACITY
+    assert capsys.readouterr().err == line
+
+
 def test_missing_file_is_input_error(tmp_path):
     assert run("check", "--spec", tmp_path / "nope.json",
                "--n-max", "4") == cli.EXIT_INPUT
@@ -565,6 +589,8 @@ def test_parse_error_is_input_error(tmp_path):
     ({}, ("check", "--spec", "{tmp}/text_g0.json", "--n-max", "8")),
     ({}, ("reconstruct", "--spec", "{tmp}/reflected_g0.json", "--random", "2")),
     ({}, ("autocorr", "--spec", "{tmp}/reflected_g0.json", "--j", "1")),
+    ({}, ("check", "--spec", "{tmp}/utf16.json", "--n-max", "8")),
+    ({}, ("reconstruct", "--spec", "{w}", "--signal", "{tmp}/deep.json")),
 ])
 def test_bad_input_is_one_line_input_error(tmp_path, capsys, monkeypatch, env, argv):
     spec_path = tmp_path / "w.json"
@@ -613,6 +639,9 @@ def test_bad_input_is_one_line_input_error(tmp_path, capsys, monkeypatch, env, a
         doc = json.loads(spec_path.read_text())
         edit(doc)
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    # a spec saved as UTF-16 with its byte-order mark, and JSON nested past the parser's stack
+    (tmp_path / "utf16.json").write_bytes(spec_path.read_text().encode("utf-16"))
+    (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
     capsys.readouterr()
     for name, value in env.items():
         monkeypatch.setenv(name, value)

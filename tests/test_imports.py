@@ -98,35 +98,25 @@ def test_public_name_rule_catches_an_unused_name():
 
 
 def scipy_imports(source: str) -> list:
-    """(line, at module level) of every import of scipy or a scipy submodule.
-    Imports inside a function body run when it is called; any other import,
-    class bodies and conditional blocks included, runs on import."""
+    """Line of every import of scipy or a scipy submodule, at any depth:
+    module level, class bodies, conditional blocks and function bodies."""
     out = []
-
-    def visit(node, in_function):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Import):
-                names = [alias.name for alias in child.names]
-            elif isinstance(child, ast.ImportFrom) and child.level == 0:
-                names = [child.module]
-            else:
-                names = []
-            if any(name == "scipy" or name.startswith("scipy.") for name in names):
-                out.append((child.lineno, not in_function))
-            visit(child, in_function or isinstance(
-                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)))
-
-    visit(ast.parse(source), False)
-    return out
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(name == "scipy" or name.startswith("scipy.") for name in names):
+            out.append(node.lineno)
+    return sorted(out)
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_scipy_is_imported_only_on_first_use_and_only_by_quadrature(path):
-    found = scipy_imports(path.read_text())
-    if path.name == "quadrature.py":
-        assert [line for line, module_level in found if module_level] == []
-    else:
-        assert found == []
+    # scipy is a test-only dependency: no module imports it, not even on first use
+    assert scipy_imports(path.read_text()) == []
 
 
 def test_scipy_import_rule_catches_every_form():
@@ -145,8 +135,7 @@ def test_scipy_import_rule_catches_every_form():
               "    def g():\n"
               "        import scipy\n"
               "    return lambda: __import__('scipy')\n")
-    assert scipy_imports(source) == [(1, True), (2, True), (3, True), (8, True),
-                                     (10, True), (12, False), (14, False)]
+    assert scipy_imports(source) == [1, 2, 3, 8, 10, 12, 14]
 
 
 # Runs in a fresh interpreter: which commands load scipy.
@@ -162,7 +151,9 @@ print(json.dumps(loaded))
 """
 
 
-def test_only_gauss_rules_load_scipy(tmp_path):
+def test_no_command_loads_scipy(tmp_path):
+    # all eight commands: quadinfo --out, reconstruct and autocorr build Gauss rules,
+    # and reconstruct also the SO(3) plane basis
     commands = [
         ["build", "--kind", "wavelet", "--d", "4", "--K", "4", "--J", "3", "--window", "kappa2",
          "--out", "w.json"],
@@ -170,13 +161,15 @@ def test_only_gauss_rules_load_scipy(tmp_path):
         ["dual", "--spec", "w.json", "--out", "dual.json"],
         ["figure", "--spec", "w.json", "--j", "2", "--resolution", "16",
          "--format", "pgm", "--out", "f.pgm"],
-        ["quadinfo", "--d", "3", "--N", "2"],
+        ["localize", "--spec", "w.json"],
+        ["quadinfo", "--d", "3", "--N", "2", "--out", "grid.json"],
+        ["reconstruct", "--spec", "w.json", "--random", "4"],
+        ["autocorr", "--spec", "w.json", "--j", "1", "--angles", "4"],
     ]
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     proc = subprocess.run([sys.executable, "-c", SCIPY_CHILD, json.dumps(commands)],
                           cwd=tmp_path, env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {
-        "import": False, "build": [0, False], "check": [0, False],
-        "dual": [0, False], "figure": [0, False], "quadinfo": [0, True]}
+    assert json.loads(proc.stdout) == {"import": False,
+                                       **{argv[0]: [0, False] for argv in commands}}

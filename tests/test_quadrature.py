@@ -303,14 +303,30 @@ def jacobi_matrix(m, alpha):
 
 
 def test_eigh_tridiagonal_is_scipys_bit_for_bit():
+    # scipy is a test-only dependency: its `dstevd` driver is the reference
     from scipy.linalg import eigh_tridiagonal
-    cases = ([ladder_stem(N) for N in range(65)]
-             + [jacobi_matrix(m, alpha) for m in range(1, 65) for alpha in (0.0, 1.0)]
+    cases = ([ladder_stem(N) for N in range(101)]
+             + [jacobi_matrix(m, alpha) for m in range(1, 151)
+                for alpha in (0.0, 0.5, 1.0, 1.5)]
              + [(np.array([-0.7]), np.array([]))])
-    for diag, off in cases:
-        got = Q.eigh_tridiagonal(diag, off)
-        want = eigh_tridiagonal(diag, off)
-        assert all(np.array_equal(g, w) for g, w in zip(got, want)), len(diag)
+    # one solver after the other: numpy and scipy each bring a BLAS whose
+    # thread pools contend, and alternating calls take twice as long
+    got = [Q.eigh_tridiagonal(diag, off) for diag, off in cases]
+    want = [eigh_tridiagonal(diag, off) for diag, off in cases]
+    for (diag, _), (w, v), (w_ref, v_ref) in zip(cases, got, want):
+        assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref), len(diag)
+        # the layout reaches the callers' matmuls, and with it their last digits
+        assert v.flags.f_contiguous, len(diag)
+
+
+def test_eigh_tridiagonal_remembers_its_answers_but_hands_out_copies():
+    diag, off = jacobi_matrix(40, 0.5)
+    w, v = Q.eigh_tridiagonal(diag, off)
+    want = w.copy(), v.copy()
+    w[:] = v[:] = np.nan  # a caller writing into its result
+    again = Q.eigh_tridiagonal(diag.copy(), off.copy())
+    assert all(np.array_equal(a, b) for a, b in zip(again, want))
+    assert again[1].flags.f_contiguous and again[0] is not w and again[1] is not v
 
 
 def test_rotation_rule_rejects_a_negative_degree_before_its_cap(monkeypatch):
