@@ -131,10 +131,10 @@ def autocorrelation(spec: FrameSpec, j: int, h: np.ndarray) -> complex | np.ndar
         raise ParameterError("h must fix the pole (lie in the embedded SO(d-1))")
     rule = sphere_rule(d, scale.bandwidth)
     ev = ExpansionEvaluator(d, scale.coeffs)
-    base = spec.base_rotation
     rots = np.concatenate([np.eye(d)[None], hs])
-    blocks = ev.rotated_apply(rots, rule.points,
-                              lambda vals, sl: vals.copy(), base_rotation=base)
+    if spec.base_rotation is not None:
+        rots = rots @ np.asarray(spec.base_rotation, dtype=float)
+    blocks = ev.rotated_apply(rots, rule.points, lambda vals, sl: vals.copy())
     vals = np.vstack(blocks)
     values = np.sum(rule.weights * vals[1:] * np.conj(vals[0]), axis=1)
     return complex(values[0]) if h.ndim == 2 else values

@@ -6,14 +6,14 @@ and dual pairs are recognized by the cross profile being identically one.
 
 Analysis and synthesis stay in coefficient space.  T is a representation,
 so the rotate T(g) Psi_n has the coefficients D^n(g) psi_n, and a grid
-rotation g = S_eta H_h factors into Givens planes, one 1-d angle axis each.
-Per degree, the transforms apply the plane matrices D^n(G_ell(beta)) down
-the axes of the grid's factors and meet in one product over the outer and
-inner grid indices.  The frame coefficients of all scales form one vector,
-scale after scale, each in its grid's flat order.  D^n(G_1) is a diagonal phase, and every other plane
-matrix is that phase conjugated by one fixed unitary Delta_ell.  Delta_2,
-the SO(3) plane, comes from the eigenvectors of its closed-form generator;
-Delta_ell for ell >= 3 and the dense D^n(g0) of a base rotation are built
+rotation g = S_eta H_h, times a base rotation g0 if any, factors into Givens
+planes, one 1-d angle axis each.  Per degree, the transforms apply the plane
+matrices D^n(G_ell(beta)) down these axes and meet in one product over the
+outer and inner grid indices.  The frame coefficients of all scales form one
+vector, scale after scale, each in its grid's flat order.  D^n(G_1) is a
+diagonal phase, and every other plane matrix is that phase conjugated by one
+fixed unitary Delta_ell.  Delta_2, the SO(3) plane, comes from the
+eigenvectors of its closed-form generator; Delta_ell for ell >= 3 is built
 by exact quadrature, so the discrete sums equal their integrals.
 """
 
@@ -27,8 +27,8 @@ import numpy as np
 
 from .errors import NotAFrameError, ParameterError
 from .harmonics import basis_matrix, dim_harmonic, generator_step, index_set
-from .quadrature import (RotationRule, check_cap, eigh_tridiagonal, rotation_rule,
-                         sphere_rule, sphere_size)
+from .quadrature import (RotationRule, chain_factors, check_cap, eigh_tridiagonal,
+                         rotation_rule, sphere_rule, sphere_size)
 from .specfun import validate_multi_index
 
 
@@ -66,11 +66,12 @@ class FrameSpec:
         return self.scales[j]
 
     def validate(self) -> None:
-        """Check the table and its tags.  Without a base rotation the tags must
-        agree with the table, so that no grid chosen from them is too coarse:
-        steerable_K at least `steerable_order`, invariant_m at most
-        `invariance_order`, or 1 (the trivial SO(1), which curvelets claim at
-        d = 3).  A base-rotated table cannot be checked so; its tags are trusted."""
+        """Check the table and its tags.  The table's energy must be finite.
+        Without a base rotation the tags must agree with the table, so that
+        no grid chosen from them is too coarse: steerable_K at least
+        `steerable_order`, invariant_m at most `invariance_order`, or 1 (the
+        trivial SO(1), which curvelets claim at d = 3).  A base-rotated table
+        cannot be checked so; its tags are trusted."""
         if self.d < 3:
             raise ParameterError(f"dimension must be at least 3, got d={self.d}")
         if self.steerable_K is not None and self.steerable_K < 0:
@@ -88,6 +89,8 @@ class FrameSpec:
                     raise ParameterError(
                         f"coefficient at degree {n} exceeds scale bandwidth {s.bandwidth}")
                 validate_multi_index(self.d, n, k)
+        if not finite_energy(c for s in self.scales for c in s.coeffs.values()):
+            raise ParameterError("the table's energy sum |c|^2 is not finite")
         if self.base_rotation is not None:
             g = np.asarray(self.base_rotation, dtype=float)
             if g.shape != (self.d, self.d):
@@ -112,6 +115,13 @@ def check_rotation(g: np.ndarray, name: str) -> None:
         raise ParameterError(f"{name} is not a rotation: max |{name} {name}^T - I| = {defect:.3e}")
     if np.any(np.linalg.det(g) < 0):
         raise ParameterError(f"{name} is not a rotation: det {name} < 0")
+
+
+def finite_energy(coeffs) -> bool:
+    """Whether sum |c|^2 over the coefficients is finite.  The squares are
+    taken as re^2 + im^2 in Python floats, which overflow to inf where
+    abs(c) ** 2 raises OverflowError."""
+    return math.isfinite(sum(c.real * c.real + c.imag * c.imag for c in map(complex, coeffs)))
 
 
 @dataclass
@@ -184,7 +194,8 @@ class FrameBounds:
 
 
 def frame_bounds(spec: FrameSpec, n_max: int) -> FrameBounds:
-    """Extrema of the profile on 0..n_max.
+    """Extrema of the profile on 0..n_max; a frame when C1 > 0 and C2 is
+    finite.
 
     This certifies the frame inequality only on polynomials of degree n_max;
     the full-space statement is an infinite family of conditions.
@@ -192,7 +203,7 @@ def frame_bounds(spec: FrameSpec, n_max: int) -> FrameBounds:
     sigma = sigma_profile(spec, n_max)
     c1 = float(sigma.min())
     c2 = float(sigma.max())
-    return FrameBounds(c1, c2, c1 > 0.0, n_max)
+    return FrameBounds(c1, c2, c1 > 0.0 and math.isfinite(c2), n_max)
 
 
 def dual_residuals(spec_a: FrameSpec, spec_b: FrameSpec, n_max: int) -> np.ndarray:
@@ -316,11 +327,11 @@ class FrameSystem:
 
     The system also owns the tables that `analysis` and `synthesis` build:
     per degree n, the dense unitary Delta_ell of each plane ell >= 2, keyed by
-    ell, and D^n(g0) of a base rotation, keyed by g0.tobytes().  They live as
-    long as the system, so one round trip builds each once.  `_phases` holds
-    one phase table per grid axis, keyed by the axis's bytes: e^{-i k beta}
-    for beta in the axis and k = -M..M, with M the largest degree the axis
-    has served.  The phases depend on the axis node and the label k_{d-2}
+    ell.  They live as long as the system, so one round trip builds each
+    once.  `_phases` holds one phase table per axis of the grids and of a
+    base rotation's chain, keyed by the axis's bytes: e^{-i k beta} for beta
+    in the axis and k = -M..M, with M the largest degree the axis has
+    served.  The phases depend on the axis node and the label k_{d-2}
     only, not on the degree, so every degree and plane that runs down the
     axis gathers its columns from the one table.
     """
@@ -387,14 +398,6 @@ def _mixed(keys: tuple, support: list, pos: int) -> list:
     return [i for i, k in enumerate(keys) if k[:pos] + k[pos + 1:] in stems]
 
 
-def _shift(d: int, ell: int) -> np.ndarray:
-    """P_ell: the cyclic shift of the first ell+1 coordinates by two places
-    (P e^1 = e^ell, P e^2 = e^{ell+1}), so that G_ell = P G_1 P^T."""
-    shift = np.eye(d)
-    shift[:ell + 1, :ell + 1] = np.roll(np.eye(ell + 1), -2, axis=0)
-    return shift
-
-
 def _unitarize(D: np.ndarray) -> np.ndarray:
     """One Newton-Schulz step D(3I - D^H D)/2 toward the unitary polar factor."""
     return D @ (3.0 * np.eye(len(D)) - D.conj().T @ D) / 2.0
@@ -418,19 +421,18 @@ class _Degree:
     are its eigenvectors, ordered by eigenvalue; each is fixed up to a phase,
     which the conjugation cancels.
 
-    Every other dense D^n(g) is built by exact quadrature on
-    `sphere_rule(d, n)`: the harmonics Y_k' at the moved nodes g^{-1} x_p,
-    projected on every Y_k.  That gives Delta_ell = D^n(P_ell) for ell >= 3
-    (`delta`, with `_shift`) and D^n(g0) for a base rotation (`matrix`).
-    The node count is checked against the cap when the object is made, so
-    the cap fires before any work; the rule itself is built only when a
-    quadrature matrix is missing.  An object serves one degree of one call.
-    Its matrices go into `tables`, the degree's entry of the owning
-    `FrameSystem`: Delta_ell keyed by ell, D^n(g) keyed by the rotation's
-    bytes.  The phases come from `phases`, the system's per-axis tables
-    shared by all degrees (see `FrameSystem`); a table is built, or widened
-    to columns -n..n, the first time this degree needs it, so after the cap
-    check.  Without an owner both dicts are the object's own.
+    Delta_ell = D^n(P_ell) for ell >= 3 is built by exact quadrature on
+    `sphere_rule(d, n)`: the harmonics Y_k' at the moved nodes P_ell^{-1} x_p,
+    projected on every Y_k.  Every other rotation, a base rotation's
+    included, is a chain of planes (`inner`).  The node count is checked
+    against the cap when the object is made, so the cap fires before any
+    work; the rule itself is built only when such a plane is missing.  An
+    object serves one degree of one call.  Its matrices go into `tables`,
+    the degree's entry of the owning `FrameSystem`, keyed by ell.  The
+    phases come from `phases`, the system's per-axis tables shared by all
+    degrees (see `FrameSystem`); a table is built, or widened to columns
+    -n..n, the first time this degree needs it, so after the cap check.
+    Without an owner both dicts are the object's own.
     """
 
     def __init__(self, d: int, n: int, tables: dict | None = None, phases: dict | None = None):
@@ -449,23 +451,19 @@ class _Degree:
     def proj(self) -> np.ndarray:
         return np.conj(basis_matrix(self.d, self.n, self.rule.angles)) * self.rule.weights
 
-    def _quadrature(self, g: np.ndarray) -> np.ndarray:
-        D = self.proj @ basis_matrix(self.d, self.n, self.rule.points @ g).T
+    def _quadrature(self, ell: int) -> np.ndarray:
+        """Delta_ell = D^n(P_ell) for ell >= 3, with P_ell the cyclic shift of
+        the first ell+1 coordinates by two places, so that G_ell = P G_1 P^T."""
+        shift = np.eye(self.d)
+        shift[:ell + 1, :ell + 1] = np.roll(np.eye(ell + 1), -2, axis=0)
+        D = self.proj @ basis_matrix(self.d, self.n, self.rule.points @ shift).T
         # quadrature leaves |D^H D - I| near 1e-14; a Newton-Schulz step fixes it
         return _unitarize(D)
-
-    def matrix(self, g: np.ndarray) -> np.ndarray:
-        """D^n(g) for one rotation (d, d), from the tables or built on first use."""
-        key = g.tobytes()
-        if key not in self.tables:
-            self.tables[key] = self._quadrature(g)
-        return self.tables[key]
 
     def delta(self, ell: int) -> np.ndarray:
         """Delta_ell for a plane ell >= 2, from the tables or built on first use."""
         if ell not in self.tables:
-            self.tables[ell] = (self._ladder_basis() if ell == 2
-                                else self._quadrature(_shift(self.d, ell)))
+            self.tables[ell] = self._ladder_basis() if ell == 2 else self._quadrature(ell)
         return self.tables[ell]
 
     def _ladder_basis(self) -> np.ndarray:
@@ -512,17 +510,13 @@ class _Degree:
     def reach(self, ell: int, support: list) -> list:
         return support if ell == 1 else _mixed(self.keys, support, self.d - ell - 1)
 
-    def generator(self, table: dict, base_rotation) -> tuple[np.ndarray, list]:
-        """psi_n as a vector over index_set(d, n) and its support; a base
-        rotation g0 replaces it by D^n(g0) psi_n."""
+    def generator(self, table: dict) -> tuple[np.ndarray, list]:
+        """psi_n as a vector over index_set(d, n) and its support."""
         index = {k: i for i, k in enumerate(self.keys)}
         entries = {index[k]: c for k, c in table.items()}
         support = sorted(entries)
         psi = np.zeros(len(self.keys), dtype=complex)
         psi[support] = [entries[i] for i in support]
-        if base_rotation is not None:
-            psi = self.matrix(np.asarray(base_rotation, dtype=float))[:, support] @ psi[support]
-            support = list(range(len(self.keys)))
         return psi, support
 
     def inner(self, factors: tuple, psi: np.ndarray, support: list):
@@ -587,18 +581,18 @@ def analysis(system: FrameSystem, f: Signal) -> np.ndarray:
     """Frame coefficients sqrt(mu_r) <f, Psi^j(g_r^{-1} .)> of every scale.
 
     The vector holds the scales in order, each in its grid's flat order, so
-    it has sum_j |grid_j| entries.  With g = S_eta H_h the grid's outer
-    section times its inner rotation, per degree n
-        <f_n, T(g) Psi_n> = sum_k (D^n(S_eta)^H f_n)_k conj(D^n(H_h) psi_n)_k,
+    it has sum_j |grid_j| entries.  With g = S_eta H the grid's outer
+    section times its inner rotation (H = H_h g0 under a base rotation g0,
+    whose one-node chain follows the inner factors), per degree n
+        <f_n, T(g) Psi_n> = sum_k (D^n(S_eta)^H f_n)_k conj(D^n(H) psi_n)_k,
     one (R_out x |supp|) @ (|supp| x R_in) product over the index set supp
     that the inner rotations reach from psi_n.  Only degrees present in both
     f and Psi^j contribute (degree spaces are rotation invariant and
     mutually orthogonal).  Degrees run in the outer loop and scales in the
     inner one, so f_n is formed once per degree.  Each degree checks the
     node count of `sphere_rule(d, n)` against the cap, the largest first, so
-    the cap fires before any work is done, though only planes ell >= 3 and
-    a base rotation build the rule; the matrices stay in the system's
-    tables for later calls.
+    the cap fires before any work is done, though only planes ell >= 3
+    build the rule; the matrices stay in the system's tables for later calls.
     """
     spec = system.spec
     if f.d != spec.d:
@@ -606,15 +600,16 @@ def analysis(system: FrameSystem, f: Signal) -> np.ndarray:
     d = spec.d
     f_tables = _by_degree(d, f.coeffs)
     psi_tables = [_by_degree(d, scale.coeffs) for scale in spec.scales]
+    base = () if spec.base_rotation is None else chain_factors(spec.base_rotation)
     out = np.zeros(sum(len(grid) for grid in system.grids), dtype=complex)
     parts = _by_scale(system, out)
     for n in sorted(f_tables.keys() & set().union(*psi_tables), reverse=True):
         rep = _Degree(d, n, system._tables.setdefault(n, {}), system._phases)
-        f_n, _ = rep.generator(f_tables[n], None)
+        f_n, _ = rep.generator(f_tables[n])
         for grid, by_degree, part in zip(system.grids, psi_tables, parts):
             if n in by_degree:
-                psi, support = rep.generator(by_degree[n], spec.base_rotation)
-                rows, support = rep.inner(grid.factors[1:], psi, support)
+                psi, support = rep.generator(by_degree[n])
+                rows, support = rep.inner(grid.factors[1:] + base, psi, support)
                 # (R_out x R_in) in the grid's flat order, outer index slowest
                 part += (rep.outer_adjoint(grid.factors[0], f_n, support)
                          @ np.conj(rows).T).reshape(-1)
@@ -629,18 +624,19 @@ def synthesis(system: FrameSystem, dual_spec: FrameSpec, coefficients, n_out: in
     coefficients is the vector produced by `analysis`, split by grid size.
     This is the exact adjoint of analysis: per degree n and scale j, with U
     the weighted coefficients as an (R_out x R_in) array and B the rows
-    D^n(H_h) psi_n,
+    D^n(H_h g0) psi_n (g0 the dual's base rotation, if any),
         out_n = sum_eta D^n(S_eta) (U @ B)[eta].
-    No signal is evaluated.  After `analysis` of every degree up to n_out, a
-    dual with the same base rotation (the canonical dual) finds every matrix
-    in the system's tables, so nothing is projected either.  Degrees run
-    from the largest down, so the cap on `sphere_rule(d, n)` fires first.
+    No signal is evaluated.  After `analysis` of every degree up to n_out,
+    the dual finds every plane in the system's tables, so nothing is
+    projected either.  Degrees run from the largest down, so the cap on
+    `sphere_rule(d, n)` fires first.
     """
     spec = system.spec
     if dual_spec.d != spec.d:
         raise ParameterError("dual spec dimension mismatch")
     d = spec.d
     tables = [_by_degree(d, scale.coeffs, n_out) for scale in dual_spec.scales]
+    base = () if dual_spec.base_rotation is None else chain_factors(dual_spec.base_rotation)
     weighted = [(np.sqrt(grid.weights) * part).reshape(len(grid.factors[0]), -1)
                 for grid, part in zip(system.grids, _by_scale(system, coefficients))]
     parts = {}
@@ -649,8 +645,8 @@ def synthesis(system: FrameSystem, dual_spec: FrameSpec, coefficients, n_out: in
         out = np.zeros(len(rep.keys), dtype=complex)
         for grid, by_degree, u in zip(system.grids, tables, weighted):
             if n in by_degree:
-                psi, support = rep.generator(by_degree[n], dual_spec.base_rotation)
-                rows, support = rep.inner(grid.factors[1:], psi, support)
+                psi, support = rep.generator(by_degree[n])
+                rows, support = rep.inner(grid.factors[1:] + base, psi, support)
                 out += rep.outer_apply(grid.factors[0], u @ rows, support)
         parts[n] = (rep.keys, out)
     coeffs = {}

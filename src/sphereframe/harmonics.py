@@ -344,24 +344,21 @@ class ExpansionEvaluator:
                 out[:, sl] = left @ right
         return out
 
-    def rotated_apply(self, rotations, points, reduce_fn, base_rotation=None,
-                      max_block: int = 1 << 21, workers: int | None = None):
+    def rotated_apply(self, rotations, points, reduce_fn, max_block: int = 1 << 21,
+                      workers: int | None = None):
         """Evaluate the expansion at g^{-1} x over a rotation grid.
 
         For each block of rotations, values[r, p] = Psi(rot_r^{-1} x_p) is
-        formed (composed with base_rotation when the table is stored
-        pre-rotation) and handed to reduce_fn(values, rows) where rows is the
-        block's slice into the grid; the per-block results are returned in
-        grid order.  Blocks are independent, so they run on `workers` threads
-        (default `_config.worker_count()`).  max_block bounds points times
-        table rows of one block, with at least one rotation per block; within
-        a block the moved points are evaluated ROTATED_CHUNK at a time.
+        handed to reduce_fn(values, rows), rows the block's slice into the
+        grid; the per-block results are returned in grid order.  Blocks are
+        independent, so they run on `workers` threads (default
+        `_config.worker_count()`).  max_block bounds points times table rows
+        of one block, with at least one rotation per block; within a block
+        the moved points are evaluated ROTATED_CHUNK at a time.
         """
         rotations = np.asarray(rotations, dtype=float)
         points = np.asarray(points, dtype=float)
         P = points.shape[0]
-        if base_rotation is not None:
-            rotations = rotations @ np.asarray(base_rotation, dtype=float)
         slices = _blocks(rotations.shape[0],
                          max(1, max_block // max(1, P * self._rows)))
 

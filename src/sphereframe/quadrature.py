@@ -290,6 +290,24 @@ def _so2_factor(n: int) -> SphereRule:
     return SphereRule((Rule1D(-circle.nodes, w, circle.exact_degree),), w, 2 * n)
 
 
+def chain_factors(g) -> tuple:
+    """One-node factors, outermost first, that `_compose(d, factors,
+    "general")` multiplies back to the rotation g.  Block m = d..2 reads its
+    section angles off x = g e^m, theta_1 = atan2(x_1, x_2) (at m = 2 the
+    `_so2_factor` node) and theta_ell = atan2(|(x_1..x_ell)|, x_{ell+1}), and
+    leaves the leading block of sections(theta)^T g, which fixes e^m, to the next."""
+    g = np.asarray(g, dtype=float)
+    one = np.ones(1)
+    factors = []
+    for m in range(len(g), 1, -1):
+        x = g[:, -1]
+        theta = [math.atan2(x[0], x[1])] + [math.atan2(math.hypot(*x[:ell]), x[ell])
+                                            for ell in range(2, m)]
+        factors.append(SphereRule(tuple(Rule1D(np.array([a]), one, 0) for a in theta), one, 0))
+        g = (sections([theta])[0].T @ g)[:-1, :-1]
+    return tuple(factors)
+
+
 def rotation_rule(d: int, N: int, variant: str = "general", K: int | None = None) -> RotationRule:
     """Compose an SO(d) grid of class N from sphere rules.
 

@@ -246,9 +246,11 @@ def analysis(system, f, j: int) -> np.ndarray:
     rule = sphere_rule(spec.d, (psi.degree + f.degree + 1) // 2)
     f_vals = ExpansionEvaluator(spec.d, f.coeffs).eval_angles(rule.angles)
     v_conj = np.conj(rule.weights * f_vals)
-    parts = psi.rotated_apply(grid.rotations, rule.points,
-                              lambda vals, sl: exact_sum(vals * v_conj),
-                              base_rotation=spec.base_rotation)
+    rotations = grid.rotations
+    if spec.base_rotation is not None:
+        rotations = rotations @ spec.base_rotation
+    parts = psi.rotated_apply(rotations, rule.points,
+                              lambda vals, sl: exact_sum(vals * v_conj))
     return np.sqrt(grid.weights) * np.conj(np.concatenate(parts))
 
 
@@ -266,9 +268,11 @@ def synthesis(system, dual_spec, coefficients, n_out: int) -> Signal:
             continue
         grid = system.grids[j]
         u = np.sqrt(grid.weights) * np.asarray(coefficients[j])
-        terms += ev.rotated_apply(grid.rotations, rule.points,
-                                  lambda vals, sl: u[sl, None] * vals,
-                                  base_rotation=dual_spec.base_rotation)
+        rotations = grid.rotations
+        if dual_spec.base_rotation is not None:
+            rotations = rotations @ dual_spec.base_rotation
+        terms += ev.rotated_apply(rotations, rule.points,
+                                  lambda vals, sl: u[sl, None] * vals)
     weighted = rule.weights * exact_sum(np.vstack(terms).T)
     coeffs = {}
     for n in range(n_out + 1):

@@ -591,6 +591,11 @@ def test_parse_error_is_input_error(tmp_path):
     ({}, ("autocorr", "--spec", "{tmp}/reflected_g0.json", "--j", "1")),
     ({}, ("check", "--spec", "{tmp}/utf16.json", "--n-max", "8")),
     ({}, ("reconstruct", "--spec", "{w}", "--signal", "{tmp}/deep.json")),
+    ({}, ("check", "--spec", "{tmp}/huge.json", "--n-max", "8")),
+    ({}, ("reconstruct", "--spec", "{tmp}/huge.json", "--random", "2")),
+    ({}, ("localize", "--spec", "{tmp}/huge.json")),
+    ({}, ("autocorr", "--spec", "{tmp}/huge.json", "--j", "1")),
+    ({}, ("reconstruct", "--spec", "{w}", "--signal", "{tmp}/huge_signal.json")),
 ])
 def test_bad_input_is_one_line_input_error(tmp_path, capsys, monkeypatch, env, argv):
     spec_path = tmp_path / "w.json"
@@ -642,6 +647,13 @@ def test_bad_input_is_one_line_input_error(tmp_path, capsys, monkeypatch, env, a
     # a spec saved as UTF-16 with its byte-order mark, and JSON nested past the parser's stack
     (tmp_path / "utf16.json").write_bytes(spec_path.read_text().encode("utf-16"))
     (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
+    # finite coefficients whose squares overflow: the energy sum |c|^2 is infinite
+    huge = io.read_spec(spec_path)
+    for key in list(huge.scales[2].coeffs)[:2]:
+        huge.scales[2].coeffs[key] = 1e308
+    io.write_spec(huge, tmp_path / "huge.json")
+    io.write_signal(F.Signal(4, 0, {(0, (0, 0)): complex(1e308, 1e308)}),
+                    tmp_path / "huge_signal.json")
     capsys.readouterr()
     for name, value in env.items():
         monkeypatch.setenv(name, value)

@@ -47,6 +47,11 @@ def test_frame_bounds_parseval_and_gap():
     missing0 = F.FrameSpec(3, [F.Scale(0, 2, {(1, (0,)): 1.0})])
     bounds = F.frame_bounds(missing0, 2)
     assert bounds.c1 == 0.0 and not bounds.is_frame_on_range
+    # a square that overflows: an infinite upper bound is no frame
+    huge = F.FrameSpec(3, [F.Scale(0, 1, {(0, (0,)): 1.0, (1, (0,)): 1e200})])
+    with np.errstate(over="ignore"):
+        bounds = F.frame_bounds(huge, 1)
+    assert bounds.c1 == 1.0 and bounds.c2 == math.inf and not bounds.is_frame_on_range
 
 
 def test_dual_residuals_parseval_self_and_scaled():
@@ -267,6 +272,10 @@ def test_spec_validation_rejects_malformed():
         F.FrameSpec(3, [F.Scale(0, 2, {(3, (0,)): 1.0})]).validate()
     with pytest.raises(ParameterError):
         F.FrameSpec(3, [F.Scale(0, 4, {}), F.Scale(1, 2, {})]).validate()
+    # finite coefficients whose energy is not: abs(c) ** 2 would raise OverflowError
+    for c in (1e200, complex(1e308, 1e308), math.nan):
+        with pytest.raises(ParameterError, match="energy"):
+            F.FrameSpec(3, [F.Scale(0, 1, {(1, (0,)): c})]).validate()
 
 
 def test_spec_validation_refuses_a_base_rotation_that_is_no_rotation():
@@ -435,7 +444,8 @@ def test_plane_matrices_are_unitary_and_mix_one_label(d):
 @pytest.mark.parametrize("d", [3, 4, 5])
 def test_plane_products_are_the_representation_of_section_chains(d):
     # D^n(g1 g2) = D^n(g1) D^n(g2), each a product of plane matrices, against
-    # the dense quadrature build of the oracle
+    # the dense quadrature build of the oracle; and D^n(g) of any rotation g,
+    # applied through `inner` down the one-node chain of `chain_factors(g)`
     rng = np.random.default_rng(d)
     n = 3
     rep = F._Degree(d, n)
@@ -449,6 +459,14 @@ def test_plane_products_are_the_representation_of_section_chains(d):
             D = D @ (np.diag(plane) if ell == 1 else plane)
         return D
 
+    def applied(g):
+        factors = Q.chain_factors(g)
+        D = np.zeros((len(every), len(every)), dtype=complex)
+        for i in every:
+            rows, reached = rep.inner(factors, np.eye(len(every))[i], [i])
+            D[reached, i] = rows[0]
+        return D
+
     for _ in range(3):
         t1 = rng.uniform(0.0, math.pi, d - 1)
         t2 = rng.uniform(0.0, math.pi, d - 2)
@@ -457,18 +475,26 @@ def test_plane_products_are_the_representation_of_section_chains(d):
         for g, D in ((g1, chain(t1)), (g2, chain(t2)), (g1 @ g2, chain(t1) @ chain(t2))):
             dense = oracle.matrix_function_block(d, n, g[None], rule)[0]
             assert np.max(np.abs(D - dense)) < 1e-12
+    for g in [C.make_g0(d)] + [oracle.random_rotation(d, rng) for _ in range(3)]:
+        dense = oracle.matrix_function_block(d, n, g[None], rule)[0]
+        assert np.max(np.abs(applied(g) - dense)) < 1e-14
 
 
 @pytest.mark.parametrize("d, n_max", [(3, 40), (4, 10), (5, 7)])
 def test_generator_planes_match_quadrature(d, n_max):
     # plane 2 from the eigenvectors of its generator against the conjugated
-    # phase of the quadrature-built D^n(P_2); d = 5 stops at n = 7, where the
-    # dense quadrature reference already holds 25 MB per array
+    # phase of the oracle's quadrature D^n(P_2), with P_2 the cyclic shift
+    # (P e^1 = e^2, P e^2 = e^3), made unitary by one Newton-Schulz step as
+    # the quadrature planes are; d = 5 stops at n = 7, where the dense
+    # quadrature reference already holds 25 MB per array
     beta = np.array([0.4, 1.9, 3.0, -2.2])
+    shift = np.eye(d)
+    shift[:3, :3] = np.roll(np.eye(3), -2, axis=0)
     for n in range(n_max + 1):
         rep = F._Degree(d, n)
         every = list(range(len(rep.keys)))
-        delta = rep.matrix(F._shift(d, 2))
+        delta = F._unitarize(
+            oracle.matrix_function_block(d, n, shift[None], Q.sphere_rule(d, n))[0])
         phases = np.exp(-1j * np.outer(beta, rep.klast))
         want = delta @ (phases[:, :, None] * delta.conj().T)
         got = rep.plane(2, beta, every, every)
@@ -566,8 +592,12 @@ def test_transform_caps_fire_before_allocation(transform, monkeypatch):
     assert peak < 1_000_000, peak
 
 
-def test_zonal_d3_round_trip_builds_no_rule_and_projects_nothing(monkeypatch):
-    spec = C.zonal_spec(3, 3, "kappa2")
+@pytest.mark.parametrize("spec", [
+    C.zonal_spec(3, 3, "kappa2"),
+    F.FrameSpec(3, C.zonal_spec(3, 3, "kappa2").scales, base_rotation=C.make_g0(3)),
+], ids=["zonal", "moved"])
+def test_zonal_d3_round_trip_builds_no_rule_and_projects_nothing(spec, monkeypatch):
+    # planes 1 and 2 only, the base rotation's chain included
     f = F.random_signal(3, spec.max_bandwidth(), seed=9)
     system = F.build_system(spec)
     dual = F.canonical_dual(spec)
@@ -672,8 +702,9 @@ def test_a_warmed_system_adds_no_phase_table(spec):
 
     want = round_trip()
     tables = dict(system._phases)
-    axes = {axis.nodes.tobytes() for g in system.grids for section in g.factors
-            for axis in section.axes}
+    base = () if spec.base_rotation is None else Q.chain_factors(spec.base_rotation)
+    sections = [section for g in system.grids for section in g.factors] + list(base)
+    axes = {axis.nodes.tobytes() for section in sections for axis in section.axes}
     assert tables and set(tables) <= axes
     assert all(t.shape[1] <= 2 * f.degree + 1 for t in tables.values())
     got = round_trip()
@@ -689,7 +720,8 @@ def test_a_warmed_system_adds_no_phase_table(spec):
     C.wavelet_spec(5, 1, 1, "kappa2"), C.curvelet_spec(5, 1),
 ], ids=["zonal-d3", "moved-d3", "wavelet-d4", "curvelet-d4", "wavelet-d5", "curvelet-d5"])
 def test_tables_hold_one_unitary_matrix_per_plane(spec):
-    # one dense D^n(P_ell) per plane ell = 2..d-1, plus D^n(g0) with a base rotation
+    # one dense D^n(P_ell) per plane ell = 2..d-1, keyed by ell, with or without
+    # a base rotation: its chain runs down the same planes
     d = spec.d
     f = F.random_signal(d, spec.max_bandwidth(), seed=8)
     system = F.build_system(spec)
@@ -697,7 +729,8 @@ def test_tables_hold_one_unitary_matrix_per_plane(spec):
     F.synthesis(system, F.canonical_dual(spec), coeffs, f.degree)
     assert system._tables
     for n, tables in system._tables.items():
-        assert 1 <= len(tables) <= d - 2 + (spec.base_rotation is not None)
+        assert 1 <= len(tables) <= d - 2
+        assert all(type(ell) is int and 2 <= ell <= d - 1 for ell in tables)
         dim = H.dim_harmonic(d, n)
         for D in tables.values():
             assert D.shape == (dim, dim)

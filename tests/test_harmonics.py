@@ -231,9 +231,8 @@ def test_evaluator_entry_points_match_oracle(table):
                 close(rows[i], oracle.eval_harmonic(d, n, k, theta))
     stacked = {}
     for workers in (1, 2):
-        blocks = ev.rotated_apply(rotations, points, lambda vals, sl: vals.copy(),
-                                  base_rotation=base, max_block=len(points),
-                                  workers=workers)
+        blocks = ev.rotated_apply(rotations @ base, points, lambda vals, sl: vals.copy(),
+                                  max_block=len(points), workers=workers)
         assert len(blocks) == len(rotations)
         stacked[workers] = np.vstack(blocks)
     assert np.array_equal(stacked[1], stacked[2])

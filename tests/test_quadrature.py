@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
+from sphereframe import constructions as C
 from sphereframe import harmonics as H
 from sphereframe import quadrature as Q
 from sphereframe.errors import CapacityError, ParameterError
@@ -287,6 +288,30 @@ def test_so2_grids_are_the_general_circle_whatever_the_variant(variant):
     assert (rule.variant, rule.steer_K, rule.class_degree, len(rule)) == ("general", None, 2, 5)
     assert rule.rotations.tobytes() == general.rotations.tobytes()
     assert rule.weights.tobytes() == general.weights.tobytes()
+
+
+def signed_permutations(d):
+    """The det +1 signed permutation matrices of R^d, every axis singularity."""
+    for perm in itertools.permutations(range(d)):
+        for signs in itertools.product((1.0, -1.0), repeat=d):
+            g = np.zeros((d, d))
+            g[np.arange(d), perm] = signs
+            if np.linalg.det(g) > 0:
+                yield g
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_chain_factors_compose_back_to_the_rotation(d):
+    rng = np.random.default_rng(30 + d)
+    rotations = [np.eye(d), C.make_g0(d)] + [oracle.random_rotation(d, rng) for _ in range(10)]
+    if d <= 4:
+        rotations += list(signed_permutations(d))
+    assert len(rotations) == 12 + {3: 24, 4: 192}.get(d, 0)
+    for g in rotations:
+        factors = Q.chain_factors(g)
+        assert [len(f) for f in factors] == [1] * (d - 1)
+        assert [len(f.axes) for f in factors] == list(range(d - 1, 0, -1))
+        assert np.max(np.abs(Q._compose(d, factors, "general")[0] - g)) <= 1e-15
 
 
 def ladder_stem(N):
