@@ -7,6 +7,7 @@ tolerance), 2 input or parse error, 3 capacity error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -137,7 +138,8 @@ def cmd_reconstruct(args) -> int:
     err_sq = 0.0
     for key in set(signal.coeffs) | set(recovered.coeffs):
         err_sq += abs(recovered.coeffs.get(key, 0.0) - signal.coeffs.get(key, 0.0)) ** 2
-    rel_err = math.sqrt(err_sq / signal.norm_sq()) if signal.norm_sq() else 0.0
+    norm_sq = signal.norm_sq()
+    rel_err = math.sqrt(err_sq / norm_sq) if norm_sq else 0.0
     gap = frames.parseval_check(system, signal, coefficients=coeffs)
     report = {
         "command": "reconstruct",
@@ -373,8 +375,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """`build_parser()`, built once per process: parsing leaves a parser as
+    it was, so every call of `main` can share one.  It holds the command
+    functions it was built with."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _require(args.threads is None or args.threads >= 1,
                  f"--threads must be positive, got {args.threads}")

@@ -56,6 +56,14 @@ def _coupled(g: dict, h: dict, coupling: dict) -> complex:
     return total
 
 
+def _energy(f: Signal) -> float:
+    """|f|^2, refused unless finite."""
+    norm_sq = f.norm_sq()
+    if not math.isfinite(norm_sq):
+        raise ParameterError("the signal's energy sum |c|^2 is not finite")
+    return norm_sq
+
+
 def center_of_mass(f: Signal) -> np.ndarray:
     """xi = int x |f(x)|^2 dx / |f|^2, shape (d,), from the coefficients:
     xi_ell |f|^2 = (-1)^{d-ell} sum_S <X_S f, x_d X_S' f> over the subsets S
@@ -65,7 +73,7 @@ def center_of_mass(f: Signal) -> np.ndarray:
     generator keeps the degree and at most doubles a table; the entries this
     bounds are checked against the cap first.  The couplings come from one
     Q_d call per k1, over the degrees of all the tables."""
-    norm_sq = f.norm_sq()
+    norm_sq = _energy(f)
     if norm_sq == 0.0:
         raise DegenerateSignalError("zero signal has no center of mass")
     d = f.d
@@ -95,7 +103,7 @@ def center_of_mass(f: Signal) -> np.ndarray:
 
 def var_momentum(f: Signal) -> float:
     """sum_n n(n+d-2) |f(n,k)|^2 / |f|^2, the Laplace-Beltrami energy."""
-    norm_sq = f.norm_sq()
+    norm_sq = _energy(f)
     if norm_sq == 0.0:
         raise DegenerateSignalError("zero signal has no momentum variance")
     total = sum(n * (n + f.d - 2) * abs(c) ** 2 for (n, _), c in f.coeffs.items())

@@ -14,19 +14,23 @@ vector, scale after scale, each in its grid's flat order.  D^n(G_1) is a
 diagonal phase, and every other plane matrix is that phase conjugated by one
 fixed unitary Delta_ell.  Delta_2, the SO(3) plane, comes from the
 eigenvectors of its closed-form generator; Delta_ell for ell >= 3 is built
-by exact quadrature, so the discrete sums equal their integrals.
+by exact quadrature, so the discrete sums equal their integrals.  The index
+layouts and the generator's stem blocks depend on (d, n) alone and are built
+once per process; the Delta_ell themselves belong to a system.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
 from .errors import NotAFrameError, ParameterError
-from .harmonics import basis_matrix, dim_harmonic, generator_step, index_set
+from .harmonics import (basis_matrix, dim_harmonic, generator_step, index_set,
+                        spherical_to_cartesian)
 from .quadrature import (RotationRule, chain_factors, check_cap, eigh_tridiagonal,
                          rotation_rule, sphere_rule, sphere_size)
 from .specfun import validate_multi_index
@@ -39,7 +43,7 @@ class Scale:
     coeffs: dict = field(default_factory=dict)  # (n, k) -> complex
 
     def norm_sq(self) -> float:
-        return float(sum(abs(c) ** 2 for c in self.coeffs.values()))
+        return energy(self.coeffs.values())
 
 
 @dataclass
@@ -89,7 +93,7 @@ class FrameSpec:
                     raise ParameterError(
                         f"coefficient at degree {n} exceeds scale bandwidth {s.bandwidth}")
                 validate_multi_index(self.d, n, k)
-        if not finite_energy(c for s in self.scales for c in s.coeffs.values()):
+        if not math.isfinite(energy(c for s in self.scales for c in s.coeffs.values())):
             raise ParameterError("the table's energy sum |c|^2 is not finite")
         if self.base_rotation is not None:
             g = np.asarray(self.base_rotation, dtype=float)
@@ -117,11 +121,16 @@ def check_rotation(g: np.ndarray, name: str) -> None:
         raise ParameterError(f"{name} is not a rotation: det {name} < 0")
 
 
-def finite_energy(coeffs) -> bool:
-    """Whether sum |c|^2 over the coefficients is finite.  The squares are
-    taken as re^2 + im^2 in Python floats, which overflow to inf where
-    abs(c) ** 2 raises OverflowError."""
-    return math.isfinite(sum(c.real * c.real + c.imag * c.imag for c in map(complex, coeffs)))
+def energy(coeffs) -> float:
+    """sum |c|^2 over the coefficients, inf where a square overflows.  The
+    squares are abs(c) ** 2, whose bits the finite sums keep; Python raises
+    OverflowError where that square, or abs(c) itself, is too large, and
+    numpy, for a numpy coefficient, warns."""
+    try:
+        with np.errstate(over="ignore"):
+            return float(sum(abs(c) ** 2 for c in coeffs))
+    except OverflowError:
+        return math.inf
 
 
 @dataclass
@@ -132,7 +141,7 @@ class Signal:
     coeffs: dict = field(default_factory=dict)
 
     def norm_sq(self) -> float:
-        return float(sum(abs(c) ** 2 for c in self.coeffs.values()))
+        return energy(self.coeffs.values())
 
 
 def random_signal(d: int, degree: int, seed=None) -> Signal:
@@ -328,12 +337,15 @@ class FrameSystem:
     The system also owns the tables that `analysis` and `synthesis` build:
     per degree n, the dense unitary Delta_ell of each plane ell >= 2, keyed by
     ell.  They live as long as the system, so one round trip builds each
-    once.  `_phases` holds one phase table per axis of the grids and of a
-    base rotation's chain, keyed by the axis's bytes: e^{-i k beta} for beta
-    in the axis and k = -M..M, with M the largest degree the axis has
-    served.  The phases depend on the axis node and the label k_{d-2}
-    only, not on the degree, so every degree and plane that runs down the
-    axis gathers its columns from the one table.
+    once.  What depends on (d, n) alone outlives the system (see `_Degree`):
+    a second system finds the index layouts and the ladder stems of Delta_2
+    built, but builds its own Delta_ell for ell >= 3.  `_phases` holds one
+    phase table per axis of the grids and of a base rotation's chain, keyed
+    by the axis's bytes: e^{-i k beta} for beta in the axis and k = -M..M,
+    with M the largest degree the axis has served.  The phases depend on
+    the axis node and the label k_{d-2} only, not on the degree, so every
+    degree and plane that runs down the axis gathers its columns from the
+    one table.
     """
     spec: FrameSpec
     grids: list[RotationRule]
@@ -391,16 +403,73 @@ def _by_scale(system: FrameSystem, coefficients: np.ndarray) -> list:
     return np.split(coefficients, np.cumsum(sizes)[:-1])
 
 
-def _mixed(keys: tuple, support: list, pos: int) -> list:
-    """Indices of the keys that agree with some key of support everywhere
-    except at position pos: the rows a plane mixing that label can reach."""
-    stems = {keys[i][:pos] + keys[i][pos + 1:] for i in support}
-    return [i for i, k in enumerate(keys) if k[:pos] + k[pos + 1:] in stems]
+@dataclass(frozen=True)
+class _Layout:
+    """What the transforms read off `index_set(d, n)` alone: the keys, the
+    position of each key, the label k_{d-2} of each, and for each position p
+    of the labels a stem id per key, shared by the keys that agree
+    everywhere but at p.  The map and the arrays are read-only."""
+    keys: tuple
+    index: MappingProxyType
+    klast: np.ndarray
+    stems: tuple
+
+    def reach(self, pos: int, support) -> np.ndarray:
+        """Indices of the keys that agree with some key of support everywhere
+        except at position pos: the rows a plane mixing that label can reach."""
+        stem = self.stems[pos]
+        hit = np.zeros(len(stem), dtype=bool)
+        hit[stem[support]] = True
+        return np.flatnonzero(hit[stem])
+
+
+@lru_cache(maxsize=128)
+def _layout(d: int, n: int) -> _Layout:
+    """The layout of degree n, remembered per process: at most 128 of them,
+    the most recently used, each about 60 + 8 (d - 1) bytes per key of
+    `index_set(d, n)`, whose own memo holds the keys (89 KB at d = 4,
+    n = 32)."""
+    keys = index_set(d, n)
+    stems = []
+    for pos in range(d - 2):
+        ids: dict = {}
+        stems.append(np.array([ids.setdefault(k[:pos] + k[pos + 1:], len(ids)) for k in keys],
+                              dtype=np.intp))
+    layout = _Layout(keys, MappingProxyType({k: i for i, k in enumerate(keys)}),
+                     np.array([k[-1] for k in keys]), tuple(stems))
+    for a in (layout.klast, *layout.stems):
+        a.flags.writeable = False
+    return layout
 
 
 def _unitarize(D: np.ndarray) -> np.ndarray:
     """One Newton-Schulz step D(3I - D^H D)/2 toward the unitary polar factor."""
     return D @ (3.0 * np.eye(len(D)) - D.conj().T @ D) / 2.0
+
+
+_STEMS_KEPT = 64  # ladder stems N <= _STEMS_KEPT outlive their system
+_stems: dict = {}
+
+
+def _ladder_stem(N: int) -> np.ndarray:
+    """The block of Delta_2 on a stem M = -N..N, from the eigenvectors of the
+    generator of plane 2.  With S = diag(i^p), S^H iX S is real symmetric
+    tridiagonal with the off-diagonal X[M+1, M] = `generator_step(2, M, N)`,
+    so its eigenvectors V give iX's as S V.
+
+    The real factor depends on N alone, so for N <= _STEMS_KEPT it is
+    remembered per process: 65 read-only blocks of (2N+1)^2 floats, 2.9 MB
+    in all.  A larger stem is solved on every call."""
+    V = _stems.get(N)
+    if V is None:
+        off = generator_step(2, np.arange(-N, N), N)
+        _, V = eigh_tridiagonal(np.zeros(2 * N + 1), off)  # eigenvalues -N..N
+        # the eigenvectors leave |V^T V - I| up to 6e-14 at N = 64
+        V = _unitarize(V)
+        V.flags.writeable = False
+        if N <= _STEMS_KEPT:
+            _stems[N] = V
+    return np.array([1, 1j, -1, -1j])[np.arange(2 * N + 1) % 4, None] * V
 
 
 class _Degree:
@@ -433,13 +502,19 @@ class _Degree:
     degrees (see `FrameSystem`); a table is built, or widened to columns
     -n..n, the first time this degree needs it, so after the cap check.
     Without an owner both dicts are the object's own.
+
+    What depends on (d, n) alone outlives the object and its system, per
+    process and bounded: the layout of the index set (`_layout`) and the
+    ladder stems of Delta_2 (`_ladder_stem`).  Delta_ell for ell >= 3 does
+    not: it is the large memory at degree 32, and its quadrature's
+    `sphere_rule` and `basis_matrix` calls are what a traced run counts.
     """
 
     def __init__(self, d: int, n: int, tables: dict | None = None, phases: dict | None = None):
         self.d, self.n = d, n
-        self.keys = index_set(d, n)
-        self.klast = np.array([k[-1] for k in self.keys])
         check_cap(sphere_size(d, n), "sphere rule")
+        self.layout = _layout(d, n)
+        self.keys, self.klast = self.layout.keys, self.layout.klast
         self.tables = {} if tables is None else tables
         self.phases = {} if phases is None else phases
 
@@ -456,7 +531,10 @@ class _Degree:
         the first ell+1 coordinates by two places, so that G_ell = P G_1 P^T."""
         shift = np.eye(self.d)
         shift[:ell + 1, :ell + 1] = np.roll(np.eye(ell + 1), -2, axis=0)
-        D = self.proj @ basis_matrix(self.d, self.n, self.rule.points @ shift).T
+        # the rule's cartesian nodes are not kept beside the moved ones: the
+        # basis at the moved nodes is the round trip's memory peak
+        moved = spherical_to_cartesian(self.rule.angles) @ shift
+        D = self.proj @ basis_matrix(self.d, self.n, moved).T
         # quadrature leaves |D^H D - I| near 1e-14; a Newton-Schulz step fixes it
         return _unitarize(D)
 
@@ -467,21 +545,14 @@ class _Degree:
         return self.tables[ell]
 
     def _ladder_basis(self) -> np.ndarray:
-        """Delta_2 from the eigenvectors of the generator of plane 2, one
-        stem at a time.  The stems are contiguous runs M = -N..N of the index
-        set.  With S = diag(i^p), S^H iX S is real symmetric tridiagonal with
-        the off-diagonal X[M+1, M] = `generator_step(2, M, N)`, so its
-        eigenvectors V give iX's as S V."""
+        """Delta_2, one `_ladder_stem` block per stem.  The stems are
+        contiguous runs M = -N..N of the index set."""
         out = np.zeros((len(self.keys), len(self.keys)), dtype=complex)
         lo = 0
         while lo < len(self.keys):
             N = -self.keys[lo][-1]
-            off = generator_step(2, np.arange(-N, N), N)
-            _, V = eigh_tridiagonal(np.zeros(2 * N + 1), off)  # eigenvalues -N..N
-            # the eigenvectors leave |V^T V - I| up to 6e-14 at N = 64
-            S = np.array([1, 1j, -1, -1j])[np.arange(2 * N + 1) % 4]
             stem = slice(lo, lo + 2 * N + 1)
-            out[stem, stem] = S[:, None] * _unitarize(V)
+            out[stem, stem] = _ladder_stem(N)
             lo += 2 * N + 1
         return out
 
@@ -495,7 +566,7 @@ class _Degree:
             self.phases[key] = table
         return table, table.shape[1] // 2
 
-    def plane(self, ell: int, axis: np.ndarray, rows: list, cols: list) -> np.ndarray:
+    def plane(self, ell: int, axis: np.ndarray, rows, cols) -> np.ndarray:
         """D^n(G_ell(beta))[rows, cols] for beta in axis, shape
         (len(axis), |rows|, |cols|); for ell = 1 (rows = cols) only the
         diagonal, shape (len(axis), |cols|)."""
@@ -507,17 +578,21 @@ class _Degree:
         # rows, the reach of cols, are never fewer: the phase scales the smaller factor
         return delta[rows] @ (phases[:, :, None] * delta[cols].conj().T)
 
-    def reach(self, ell: int, support: list) -> list:
-        return support if ell == 1 else _mixed(self.keys, support, self.d - ell - 1)
+    def reach(self, ell: int, support):
+        return support if ell == 1 else self.layout.reach(self.d - ell - 1, support)
 
     def generator(self, table: dict) -> tuple[np.ndarray, list]:
         """psi_n as a vector over index_set(d, n) and its support."""
-        index = {k: i for i, k in enumerate(self.keys)}
+        index = self.layout.index
         entries = {index[k]: c for k, c in table.items()}
         support = sorted(entries)
         psi = np.zeros(len(self.keys), dtype=complex)
         psi[support] = [entries[i] for i in support]
         return psi, support
+
+    # Each plane below is contracted by one np.dot on the operands that
+    # np.tensordot would form, so the bits are tensordot's; `@` rounds a
+    # contraction of length one differently.
 
     def inner(self, factors: tuple, psi: np.ndarray, support: list):
         """Rows D^n(H_h) psi over the grid of the inner factors, restricted to
@@ -534,19 +609,20 @@ class _Degree:
                 if ell == 1:
                     rows = m[:, None, :] * rows[None, :, :]
                 else:
-                    rows = np.tensordot(rows, m, axes=([1], [2])).transpose(1, 0, 2)
+                    A, R, C = m.shape
+                    rows = np.dot(rows, m.reshape(A * R, C).T).reshape(-1, A, R).transpose(1, 0, 2)
                 rows = rows.reshape(-1, len(reached))
                 support = reached
         return rows, support
 
-    def _chain(self, section, target: list) -> list:
+    def _chain(self, section, target) -> list:
         """Index sets T_0 .. T_{d-1} of the outer chain, back from T_{d-1} = target."""
         sets = [target]
         for ell in range(len(section.axes), 0, -1):
             sets.append(self.reach(ell, sets[-1]))
         return sets[::-1]
 
-    def outer_adjoint(self, section, f: np.ndarray, target: list) -> np.ndarray:
+    def outer_adjoint(self, section, f: np.ndarray, target) -> np.ndarray:
         """Rows (D^n(S_eta)^H f)[target] over the outer factor's grid,
         applying G_1^H first so that each new axis is the fastest."""
         sets = self._chain(section, target)
@@ -556,11 +632,11 @@ class _Degree:
             if ell == 1:
                 rows = rows[:, None, :] * m[None, :, :]
             else:
-                rows = np.tensordot(rows, m, axes=([1], [1]))
+                rows = np.dot(rows, m.transpose(1, 0, 2).reshape(m.shape[1], -1))
             rows = rows.reshape(-1, len(sets[ell]))
         return rows
 
-    def outer_apply(self, section, rows: np.ndarray, target: list) -> np.ndarray:
+    def outer_apply(self, section, rows: np.ndarray, target) -> np.ndarray:
         """sum_eta D^n(S_eta)[:, target] rows[eta], the adjoint of
         `outer_adjoint`: the fastest axis is summed first."""
         sets = self._chain(section, target)
@@ -571,7 +647,8 @@ class _Degree:
             if ell == 1:
                 rows = np.einsum("pak,ak->pk", rows, m)
             else:
-                rows = np.tensordot(rows, m, axes=([1, 2], [0, 2]))
+                rows = np.dot(rows.reshape(len(rows), -1),
+                              m.transpose(0, 2, 1).reshape(-1, m.shape[1]))
         out = np.zeros(len(self.keys), dtype=complex)
         out[sets[0]] = rows[0]
         return out
@@ -652,9 +729,9 @@ def synthesis(system: FrameSystem, dual_spec: FrameSpec, coefficients, n_out: in
     coeffs = {}
     for n in sorted(parts):
         keys, out = parts[n]
-        for k, v in zip(keys, out):
+        for k, v in zip(keys, out.tolist()):
             if v != 0.0:
-                coeffs[(n, k)] = complex(v)
+                coeffs[(n, k)] = v
     return Signal(d, n_out, coeffs)
 
 
@@ -679,11 +756,11 @@ def parseval_check(system: FrameSystem, f: Signal, coefficients=None) -> Parseva
     discrete = 0.0
     for part in _by_scale(system, coefficients):
         discrete += float(np.sum(np.abs(part) ** 2))
-    sigma = sigma_profile(system.spec, max((n for n, _ in f.coeffs), default=0))
+    sigma = sigma_profile(system.spec, max((n for n, _ in f.coeffs), default=0)).tolist()
     spectral = 0.0
     for (n, _), c in f.coeffs.items():
         spectral += sigma[n] * abs(c) ** 2
     gap = 0.0 if spectral == 0.0 else abs(discrete - spectral) / spectral
     if spectral == 0.0 and discrete != 0.0:
         gap = math.inf
-    return ParsevalGap(discrete, float(spectral), gap)
+    return ParsevalGap(discrete, spectral, gap)

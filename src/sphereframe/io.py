@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import cmath
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
 from .constructions import PolarGrid
 from .errors import FormatError
-from .frames import FrameSpec, Scale, Signal, finite_energy
+from .frames import FrameSpec, Scale, Signal
 from .quadrature import RotationRule, rotation_rule
 
 FORMAT_VERSION = 1
@@ -155,7 +156,7 @@ def signal_from_dict(doc: dict, path="<doc>") -> Signal:
     top = max((n for n, _ in signal.coeffs), default=0)
     if top > signal.degree:
         raise FormatError(f"{path}: coefficient at degree {top} exceeds N_f {signal.degree}")
-    if not finite_energy(signal.coeffs.values()):
+    if not math.isfinite(signal.norm_sq()):
         raise FormatError(f"{path}: the signal's energy sum |c|^2 is not finite")
     return signal
 

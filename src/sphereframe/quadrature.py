@@ -2,7 +2,8 @@
 deterministic rotation sections, and composed rotation-group grids.
 
 The Gauss rules and the SO(3) plane basis of `frames` rest on one symmetric
-tridiagonal eigensolver, `eigh_tridiagonal`, which runs on numpy's LAPACK.
+tridiagonal eigensolver, `eigh_tridiagonal`, which runs on numpy's LAPACK;
+each caller remembers what it builds from the answers.
 
 All sphere rules are positive product rules with weights normalized to sum
 to one (the surface measure here is a probability measure); rotation grids
@@ -49,28 +50,29 @@ def eigh_tridiagonal(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarr
     matrix is answered directly.
 
     The reduction and back-transformation make eigh about twice as slow as
-    `dstevd` above 32 rows, so answers are remembered per process: the same
-    Jacobi matrices and ladder stems recur across stems, scales and systems.
-    Each call returns fresh copies.
+    `dstevd` above 32 rows.  Nothing is remembered here: the callers keep
+    what they build from the answers (`gauss_symmetric_jacobi`, and the
+    ladder stems of `frames`).
     """
-    w, v = _eigh_tridiagonal(np.asarray(d, float).tobytes(), np.asarray(e, float).tobytes())
-    return w.copy(), v.copy(order="F")
-
-
-@lru_cache(maxsize=256)
-def _eigh_tridiagonal(d: bytes, e: bytes) -> tuple[np.ndarray, np.ndarray]:
-    d, e = np.frombuffer(d), np.frombuffer(e)
+    d, e = np.asarray(d, float), np.asarray(e, float)
     if len(d) == 1:
         return np.array([d[0]]), np.array([[1.0]])
     w, v = np.linalg.eigh(np.diag(d) + np.diag(e, -1))
     return w, np.asfortranarray(v)
 
 
+@lru_cache(maxsize=256)
 def gauss_symmetric_jacobi(m: int, alpha: float) -> Rule1D:
     """Gauss rule for the weight (1-t^2)^alpha on [-1, 1].
 
     Nodes and weights come from the symmetric tridiagonal eigenproblem of the
     Jacobi recurrence matrix (Golub-Welsch); exact through degree 2m-1.
+
+    Rules are remembered per process, since the same (m, alpha) recurs across
+    the axes, rules and grids of a command.  Their arrays are read-only, so
+    no caller can change what the next one gets.  At most 256 rules are
+    kept, the most recently used, each 16 m bytes: under 1 MB for every
+    m <= 256.
     """
     if m < 1:
         raise ParameterError(f"node count must be positive, got {m}")
@@ -78,13 +80,15 @@ def gauss_symmetric_jacobi(m: int, alpha: float) -> Rule1D:
         raise ParameterError(f"Jacobi exponent must exceed -1, got {alpha}")
     mu0 = math.sqrt(math.pi) * math.gamma(alpha + 1.0) / math.gamma(alpha + 1.5)
     if m == 1:
-        return Rule1D(np.zeros(1), np.array([mu0]), 1)
-    k = np.arange(1, m, dtype=float)
-    off = np.sqrt(k * (k + 2.0 * alpha)
-                  / ((2.0 * k + 2.0 * alpha + 1.0) * (2.0 * k + 2.0 * alpha - 1.0)))
-    nodes, vecs = eigh_tridiagonal(np.zeros(m), off)
-    weights = mu0 * vecs[0] ** 2
-    return Rule1D(nodes, weights, 2 * m - 1)
+        nodes, weights, exact = np.zeros(1), np.array([mu0]), 1
+    else:
+        k = np.arange(1, m, dtype=float)
+        off = np.sqrt(k * (k + 2.0 * alpha)
+                      / ((2.0 * k + 2.0 * alpha + 1.0) * (2.0 * k + 2.0 * alpha - 1.0)))
+        nodes, vecs = eigh_tridiagonal(np.zeros(m), off)
+        weights, exact = mu0 * vecs[0] ** 2, 2 * m - 1
+    nodes.flags.writeable = weights.flags.writeable = False
+    return Rule1D(nodes, weights, exact)
 
 
 def _circle_rule(M: int) -> Rule1D:

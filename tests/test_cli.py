@@ -1,8 +1,12 @@
+import argparse
 import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -687,3 +691,38 @@ def test_reconstruct_checks_the_grid_before_building(tmp_path, capsys, monkeypat
     assert run("reconstruct", "--spec", spec_path, "--random", "3",
                "--grid", "steerable", "--K", "1") == cli.EXIT_INPUT
     assert capsys.readouterr().err.startswith("error: the spec does not admit")
+
+
+def test_main_builds_its_parser_once_and_parses_afresh_after_errors(tmp_path, capsys,
+                                                                    monkeypatch):
+    # the parser outlives a call, also one that argparse rejects (exit 2) or that
+    # ends in a capacity error (exit 3); the next call prints what a new process does
+    spec_path = tmp_path / "z.json"
+    io.write_spec(C.zonal_spec(3, 3, "kappa2"), spec_path)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage to the terminal
+    argv = ["reconstruct", "--spec", str(spec_path), "--random", "6"]
+    assert run(*argv) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **k: built.append(a) or init(self, *a, **k))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    for bad, want in ((["check", "--spec", str(spec_path), "--n-max"], cli.EXIT_INPUT),
+                      (["--threads", "2", "reconstruct", "--spec", str(spec_path),
+                        "--random", "6", "--seed", "5", "--grid", "general",
+                        "--max-nodes", "10"], cli.EXIT_CAPACITY)):
+        capsys.readouterr()
+        try:
+            code = run(*bad)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == want
+        assert run(*argv) == 0
+        got = capsys.readouterr()
+        fresh = [subprocess.run([sys.executable, "-m", "sphereframe.cli", *args], env=env,
+                                capture_output=True, text=True, timeout=120)
+                 for args in (bad, argv)]
+        assert [p.returncode for p in fresh] == [code, 0]
+        assert got.out == fresh[0].stdout + fresh[1].stdout
+        assert got.err == fresh[0].stderr + fresh[1].stderr
+    assert built == []

@@ -52,6 +52,23 @@ def test_xi0_spectral_rejects_zero_signal():
         D.center_of_mass(F.Signal(4, 2, {(1, (0, 0)): 0.0}))
 
 
+def test_a_signal_of_infinite_energy_is_refused():
+    # squares that overflow give norm_sq = inf, not OverflowError
+    huge = F.FrameSpec(3, [F.Scale(0, 1, {(0, (0,)): 1.0, (1, (0,)): 1e200})])
+    assert huge.scales[0].norm_sq() == math.inf
+    for c in (1e200, complex(1e308, 1e308), math.nan, np.complex128(1e200)):
+        f = F.Signal(3, 1, {(0, (0,)): 1.0, (1, (0,)): c})
+        assert not math.isfinite(f.norm_sq())
+        for diagnostic in (D.center_of_mass, D.var_momentum):
+            with pytest.raises(ParameterError, match="energy"):
+                diagnostic(f)
+    with pytest.raises(ParameterError, match="energy"):
+        D.localization_report(huge)
+    # a finite sum keeps the bits of abs(c) ** 2
+    f = F.random_signal(4, 6, seed=5)
+    assert f.norm_sq() == float(sum(abs(c) ** 2 for c in f.coeffs.values()))
+
+
 def test_xi0_numeric_constant_is_zero_vector():
     f = F.Signal(4, 0, {(0, (0, 0)): 2.0})
     assert np.max(np.abs(D.center_of_mass(f))) < 1e-14

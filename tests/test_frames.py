@@ -737,6 +737,70 @@ def test_tables_hold_one_unitary_matrix_per_plane(spec):
             assert np.max(np.abs(D.conj().T @ D - np.eye(dim))) <= 1e-15
 
 
+# -- what outlives a system: layouts and ladder stems, bounded per process ---------
+
+def test_a_second_system_builds_its_own_quadrature_planes_but_no_ladder(monkeypatch):
+    # Delta_3 is built anew per system (a traced run counts its basis_matrix
+    # calls), Delta_2's stems are not: the second system solves no eigenproblem
+    spec = C.wavelet_spec(4, 2, 2, "kappa2")
+    f = F.random_signal(4, 4, seed=3)
+    dual = F.canonical_dual(spec, n_max=f.degree)
+    projections, solves = [], []
+    project, solve = F.basis_matrix, F.eigh_tridiagonal
+    monkeypatch.setattr(F, "basis_matrix", lambda *a: projections.append(a[1]) or project(*a))
+    results, counts = [], []
+    for _ in range(2):
+        system = F.build_system(spec)
+        results.append(F.synthesis(system, dual, F.analysis(system, f), f.degree))
+        counts.append((len(projections), len(solves)))
+        projections.clear()
+        monkeypatch.setattr(F, "eigh_tridiagonal", lambda *a: solves.append(a) or solve(*a))
+    assert counts[0][0] > 0 and counts[1] == (counts[0][0], 0)
+    assert results[0].coeffs == results[1].coeffs
+
+
+def test_remembered_arrays_are_read_only():
+    layout = F._layout(4, 5)
+    assert F._Degree(4, 5).layout is layout
+    rule = Q.gauss_symmetric_jacobi(7, 0.5)
+    assert Q.gauss_symmetric_jacobi(7, 0.5) is rule
+    F._ladder_stem(5)
+    for a in (layout.klast, *layout.stems, F._stems[5], rule.nodes, rule.weights):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0
+    with pytest.raises(TypeError):
+        layout.index[layout.keys[0]] = 1
+
+
+def test_kept_ladder_stems_equal_a_fresh_build_bit_for_bit(monkeypatch):
+    kept = [F._ladder_stem(N) for N in range(66)]
+    assert F._stems.keys() >= set(range(65)) and 65 not in F._stems
+    monkeypatch.setattr(F, "_stems", {})
+    for N, block in enumerate(kept):
+        assert np.array_equal(F._ladder_stem(N), block), N
+    # the stems above the bound are solved on every call
+    assert F._stems.keys() == set(range(65))
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_layout_reach_is_the_stem_closure_of_the_support(d):
+    layout = F._layout(d, 4)
+    rng = np.random.default_rng(d)
+    for pos in range(d - 2):
+        for size in (1, 3, 7):
+            support = sorted(rng.choice(len(layout.keys), size, replace=False).tolist())
+            stems = {layout.keys[i][:pos] + layout.keys[i][pos + 1:] for i in support}
+            want = [i for i, k in enumerate(layout.keys) if k[:pos] + k[pos + 1:] in stems]
+            assert layout.reach(pos, support).tolist() == want
+
+
+def test_every_lru_memo_is_bounded():
+    # the stems and the accepted keys have their own bound tests
+    for memo in (F._layout, Q.gauss_symmetric_jacobi, H.index_set):
+        assert memo.cache_info().maxsize is not None
+
+
 @pytest.mark.parametrize("transform", ["analysis", "synthesis"])
 def test_warmed_system_still_caps_before_allocation(transform, monkeypatch):
     spec = C.wavelet_spec(4, 2, 3, "kappa2")

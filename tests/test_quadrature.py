@@ -344,14 +344,20 @@ def test_eigh_tridiagonal_is_scipys_bit_for_bit():
         assert v.flags.f_contiguous, len(diag)
 
 
-def test_eigh_tridiagonal_remembers_its_answers_but_hands_out_copies():
+def test_gauss_rules_are_remembered_and_read_only():
+    rule = Q.gauss_symmetric_jacobi(40, 0.5)
+    fresh = Q.gauss_symmetric_jacobi.__wrapped__(40, 0.5)
+    for a in (rule.nodes, rule.weights):
+        with pytest.raises(ValueError):  # a caller writing into its rule
+            a[:] = np.nan
+    again = Q.gauss_symmetric_jacobi(40, 0.5)
+    assert again is rule
+    assert np.array_equal(again.nodes, fresh.nodes) and np.array_equal(again.weights, fresh.weights)
+    # the solver keeps nothing: every call hands out new, writable arrays
     diag, off = jacobi_matrix(40, 0.5)
     w, v = Q.eigh_tridiagonal(diag, off)
-    want = w.copy(), v.copy()
-    w[:] = v[:] = np.nan  # a caller writing into its result
-    again = Q.eigh_tridiagonal(diag.copy(), off.copy())
-    assert all(np.array_equal(a, b) for a, b in zip(again, want))
-    assert again[1].flags.f_contiguous and again[0] is not w and again[1] is not v
+    assert Q.eigh_tridiagonal(diag, off)[1] is not v
+    assert v.flags.f_contiguous and v.flags.writeable and w.flags.writeable
 
 
 def test_rotation_rule_rejects_a_negative_degree_before_its_cap(monkeypatch):

@@ -80,6 +80,24 @@ def test_multi_index_check_is_the_same_for_every_key_type(d, n, k):
     assert results[0] is IndexSetError or all(type(v) is int for v in results[0])
 
 
+def test_accepted_keys_are_remembered_up_to_a_bound(monkeypatch):
+    monkeypatch.setattr(specfun, "_accepted", set())
+    monkeypatch.setattr(specfun, "_ACCEPTED_MAX", 4)
+    keys = index_set(4, 2)
+    for k in keys[:4] + keys[:4]:
+        assert specfun.validate_multi_index(4, 2, k) is k
+    assert specfun._accepted == {(4, 2, k) for k in keys[:4]}
+    with pytest.raises(IndexSetError):  # a refused key is not kept
+        specfun.validate_multi_index(4, 2, (3, 0))
+    assert len(specfun._accepted) == 4
+    # the fifth key finds the bound reached and empties the memo first
+    assert specfun.validate_multi_index(4, 2, np.array(keys[4])) == keys[4]
+    assert specfun._accepted == {(4, 2, keys[4])}
+    # a key met again is still handed back as ints
+    got = specfun.validate_multi_index(4, 2, tuple(float(v) for v in keys[4]))
+    assert got == keys[4] and all(type(v) is int for v in got)
+
+
 def _norm_factor_by_quadrature(d, n, k):
     """1-d quadrature oracle for the normalization: the squared reciprocal is
     Gamma(d/2)/pi^{(d-2)/2} * prod_j int C^2 (1-t^2)^{lam_j - 1/2} dt."""
