@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from types import MappingProxyType
 
 import numpy as np
@@ -70,7 +70,10 @@ class FrameSpec:
         return self.scales[j]
 
     def validate(self) -> None:
-        """Check the table and its tags.  The table's energy must be finite.
+        """Check the table and its tags.  Scale j sits at position j, its
+        bandwidth is nonnegative and no smaller than the one before, and
+        every key is stored as an int n and a tuple of ints k, as grids and
+        profiles read them.  The table's energy must be finite.
         Without a base rotation the tags must agree with the table, so that
         no grid chosen from them is too coarse: steerable_K at least
         `steerable_order`, invariant_m at most `invariance_order`, or 1 (the
@@ -83,16 +86,20 @@ class FrameSpec:
         if self.invariant_m is not None and not 1 <= self.invariant_m <= self.d - 1:
             raise ParameterError(
                 f"invariant_m must lie in 1..{self.d - 1}, got {self.invariant_m}")
-        prev = -1
-        for s in self.scales:
+        prev = 0
+        for j, s in enumerate(self.scales):
+            if s.j != j:
+                raise ParameterError(f"scale {j} is labelled j = {s.j}")
             if s.bandwidth < prev:
-                raise ParameterError("scale bandwidths must be nondecreasing")
+                raise ParameterError("scale bandwidths must be nonnegative and nondecreasing")
             prev = s.bandwidth
             for (n, k), _ in s.coeffs.items():
+                # the check hands back k itself only when k is a tuple of ints
+                if type(n) is not int or validate_multi_index(self.d, n, k) is not k:
+                    raise ParameterError(f"key {(n, k)!r} is not an int and a tuple of ints")
                 if n > s.bandwidth:
                     raise ParameterError(
                         f"coefficient at degree {n} exceeds scale bandwidth {s.bandwidth}")
-                validate_multi_index(self.d, n, k)
         if not math.isfinite(energy(c for s in self.scales for c in s.coeffs.values())):
             raise ParameterError("the table's energy sum |c|^2 is not finite")
         if self.base_rotation is not None:
@@ -171,7 +178,10 @@ def random_signal(d: int, degree: int, seed=None) -> Signal:
 def _cross_sums(scales_a, scales_b, n_max: int) -> np.ndarray:
     """sum_j sum_k conj(A^j(n,k)) B^j(n,k) for n = 0..n_max, undivided.
 
-    The n_max + 1 entries are checked against the node cap first."""
+    A negative n_max is refused, and the n_max + 1 entries are checked
+    against the node cap."""
+    if n_max < 0:
+        raise ParameterError(f"n_max must be nonnegative, got {n_max}")
     check_cap(n_max + 1, "degree profile")
     cross = np.zeros(n_max + 1, dtype=complex)
     for sa, sb in zip(scales_a, scales_b):
@@ -237,6 +247,8 @@ def canonical_dual(spec: FrameSpec, n_max: int | None = None) -> FrameSpec:
     before anything is computed.
     """
     top = spec.max_bandwidth()
+    if n_max is not None and n_max < 0:
+        raise ParameterError(f"n_max must be nonnegative, got {n_max}")
     if n_max is not None and n_max > top:
         raise NotAFrameError(f"sigma vanishes at degree {top + 1}; "
                              f"the system is not a frame on the requested range")
@@ -334,24 +346,32 @@ def admits(spec: FrameSpec, variant: str, K: int | None = None) -> bool:
 class FrameSystem:
     """A spec paired with per-scale rotation grids of matching class.
 
-    The system also owns the tables that `analysis` and `synthesis` build:
-    per degree n, the dense unitary Delta_ell of each plane ell >= 2, keyed by
-    ell.  They live as long as the system, so one round trip builds each
-    once.  What depends on (d, n) alone outlives the system (see `_Degree`):
-    a second system finds the index layouts and the ladder stems of Delta_2
-    built, but builds its own Delta_ell for ell >= 3.  `_phases` holds one
-    phase table per axis of the grids and of a base rotation's chain, keyed
-    by the axis's bytes: e^{-i k beta} for beta in the axis and k = -M..M,
-    with M the largest degree the axis has served.  The phases depend on
-    the axis node and the label k_{d-2} only, not on the degree, so every
-    degree and plane that runs down the axis gathers its columns from the
-    one table.
+    The system also keeps what `analysis` and `synthesis` build: one
+    `_Degree` per degree n that a transform has reached, made whole on first
+    use and kept as long as the system, so one round trip builds each plane
+    once.  `_phases` holds one phase table per axis of the grids and of a
+    base rotation's chain, keyed by the axis's bytes: e^{-i k beta} for beta
+    in the axis and k = -M..M, with M the largest degree the axis has
+    served.  The phases depend on the axis node and the label k_{d-2} only,
+    not on the degree, so every degree and plane that runs down the axis
+    gathers its columns from the one table.  What depends on (d, n) alone
+    outlives the system (see `_Degree`); nothing is kept per call.
     """
     spec: FrameSpec
     grids: list[RotationRule]
     variant: str
-    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _degrees: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _phases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def _degree(self, n: int) -> _Degree:
+        """The `_Degree` of degree n, built on first use.  The node count of
+        `sphere_rule(d, n)` is checked against the cap on every call, before
+        anything is built or returned."""
+        check_cap(sphere_size(self.spec.d, n), "sphere rule")
+        rep = self._degrees.get(n)
+        if rep is None:
+            rep = self._degrees[n] = _Degree(self.spec.d, n, self._phases)
+        return rep
 
 
 def build_system(spec: FrameSpec, variant: str = "auto", K: int | None = None) -> FrameSystem:
@@ -472,6 +492,47 @@ def _ladder_stem(N: int) -> np.ndarray:
     return np.array([1, 1j, -1, -1j])[np.arange(2 * N + 1) % 4, None] * V
 
 
+def _planes(d: int, n: int) -> tuple:
+    """(Delta_2, ..., Delta_{d-1}) of degree n (see `_Degree`).
+
+    Delta_2 needs no quadrature.  The generator X = d/dbeta D^n(G_2(beta))
+    at 0 is real, antisymmetric and tridiagonal on each stem (every label
+    but M = k_{d-2} fixed, M = -N..N with N = k_{d-3}, or n at d = 3), with
+    the closed-form steps X[M+1, M] of `generator_step`, the angular-momentum
+    ladder.  iX = Delta_2 diag(k_{d-2}) Delta_2^H, so the columns of Delta_2
+    are its eigenvectors, ordered by eigenvalue, one `_ladder_stem` block per
+    stem; each is fixed up to a phase, which the conjugation cancels.
+
+    Delta_ell = D^n(P_ell) for ell >= 3 is built by exact quadrature on
+    `sphere_rule(d, n)`: the harmonics Y_k' at the moved nodes P_ell^{-1} x_p,
+    projected on every Y_k, with P_ell the cyclic shift of the first ell+1
+    coordinates by two places, so that G_ell = P G_1 P^T.  The rule and the
+    projection serve every such plane and are freed on return.
+    """
+    keys = _layout(d, n).keys
+    ladder = np.zeros((len(keys), len(keys)), dtype=complex)
+    lo = 0
+    while lo < len(keys):
+        N = -keys[lo][-1]
+        stem = slice(lo, lo + 2 * N + 1)
+        ladder[stem, stem] = _ladder_stem(N)
+        lo += 2 * N + 1
+    if d == 3:
+        return (ladder,)
+    rule = sphere_rule(d, n)
+    proj = np.conj(basis_matrix(d, n, rule.angles)) * rule.weights
+    planes = [ladder]
+    for ell in range(3, d):
+        shift = np.eye(d)
+        shift[:ell + 1, :ell + 1] = np.roll(np.eye(ell + 1), -2, axis=0)
+        # the rule's cartesian nodes are not kept beside the moved ones: the
+        # basis at the moved nodes is the round trip's memory peak
+        moved = spherical_to_cartesian(rule.angles) @ shift
+        # quadrature leaves |D^H D - I| near 1e-14; a Newton-Schulz step fixes it
+        planes.append(_unitarize(proj @ basis_matrix(d, n, moved).T))
+    return tuple(planes)
+
+
 class _Degree:
     """Representation matrices D^n(g)[k, k'] = <T(g) Y_k', Y_k> of one degree.
 
@@ -480,101 +541,41 @@ class _Degree:
     D^n(G_ell(beta)) = Delta_ell diag(e^{-i k_{d-2} beta}) Delta_ell^H.
     G_ell mixes only k_{d-ell} (position d-ell-1 of k), so plane matrices are
     formed on index sets: columns where the vectors they act on live, rows
-    where those vectors can land.
+    where those vectors can land.  Every other rotation, a base rotation's
+    included, is a chain of planes (`inner`).
 
-    Delta_2 needs no quadrature.  The generator X = d/dbeta D^n(G_2(beta))
-    at 0 is real, antisymmetric and tridiagonal on each stem (every label
-    but M = k_{d-2} fixed, M = -N..N with N = k_{d-3}, or n at d = 3), with
-    the closed-form steps X[M+1, M] of `generator_step`, the angular-momentum
-    ladder.  iX = Delta_2 diag(k_{d-2}) Delta_2^H, so the columns of Delta_2
-    are its eigenvectors, ordered by eigenvalue; each is fixed up to a phase,
-    which the conjugation cancels.
-
-    Delta_ell = D^n(P_ell) for ell >= 3 is built by exact quadrature on
-    `sphere_rule(d, n)`: the harmonics Y_k' at the moved nodes P_ell^{-1} x_p,
-    projected on every Y_k.  Every other rotation, a base rotation's
-    included, is a chain of planes (`inner`).  The node count is checked
-    against the cap when the object is made, so the cap fires before any
-    work; the rule itself is built only when such a plane is missing.  An
-    object serves one degree of one call.  Its matrices go into `tables`,
-    the degree's entry of the owning `FrameSystem`, keyed by ell.  The
-    phases come from `phases`, the system's per-axis tables shared by all
-    degrees (see `FrameSystem`); a table is built, or widened to columns
-    -n..n, the first time this degree needs it, so after the cap check.
-    Without an owner both dicts are the object's own.
-
-    What depends on (d, n) alone outlives the object and its system, per
-    process and bounded: the layout of the index set (`_layout`) and the
-    ladder stems of Delta_2 (`_ladder_stem`).  Delta_ell for ell >= 3 does
-    not: it is the large memory at degree 32, and its quadrature's
-    `sphere_rule` and `basis_matrix` calls are what a traced run counts.
+    Every grid's outer factor runs down all planes, so the object is built
+    whole, `planes` holding Delta_ell at ell - 2 (`_planes`), and kept by its
+    system (`FrameSystem._degree`).  The phases come from `phases`, the
+    system's per-axis tables; a table is built, or widened to columns -n..n,
+    the first time this degree needs it.  What depends on (d, n) alone
+    outlives the system, per process and bounded: `_layout` and
+    `_ladder_stem`.  Delta_ell for ell >= 3 does not: it is the large memory
+    at degree 32, and its `sphere_rule` and `basis_matrix` calls are what a
+    traced run counts.
     """
 
-    def __init__(self, d: int, n: int, tables: dict | None = None, phases: dict | None = None):
+    def __init__(self, d: int, n: int, phases: dict):
         self.d, self.n = d, n
-        check_cap(sphere_size(d, n), "sphere rule")
         self.layout = _layout(d, n)
         self.keys, self.klast = self.layout.keys, self.layout.klast
-        self.tables = {} if tables is None else tables
-        self.phases = {} if phases is None else phases
-
-    @cached_property
-    def rule(self):
-        return sphere_rule(self.d, self.n)
-
-    @cached_property
-    def proj(self) -> np.ndarray:
-        return np.conj(basis_matrix(self.d, self.n, self.rule.angles)) * self.rule.weights
-
-    def _quadrature(self, ell: int) -> np.ndarray:
-        """Delta_ell = D^n(P_ell) for ell >= 3, with P_ell the cyclic shift of
-        the first ell+1 coordinates by two places, so that G_ell = P G_1 P^T."""
-        shift = np.eye(self.d)
-        shift[:ell + 1, :ell + 1] = np.roll(np.eye(ell + 1), -2, axis=0)
-        # the rule's cartesian nodes are not kept beside the moved ones: the
-        # basis at the moved nodes is the round trip's memory peak
-        moved = spherical_to_cartesian(self.rule.angles) @ shift
-        D = self.proj @ basis_matrix(self.d, self.n, moved).T
-        # quadrature leaves |D^H D - I| near 1e-14; a Newton-Schulz step fixes it
-        return _unitarize(D)
-
-    def delta(self, ell: int) -> np.ndarray:
-        """Delta_ell for a plane ell >= 2, from the tables or built on first use."""
-        if ell not in self.tables:
-            self.tables[ell] = self._ladder_basis() if ell == 2 else self._quadrature(ell)
-        return self.tables[ell]
-
-    def _ladder_basis(self) -> np.ndarray:
-        """Delta_2, one `_ladder_stem` block per stem.  The stems are
-        contiguous runs M = -N..N of the index set."""
-        out = np.zeros((len(self.keys), len(self.keys)), dtype=complex)
-        lo = 0
-        while lo < len(self.keys):
-            N = -self.keys[lo][-1]
-            stem = slice(lo, lo + 2 * N + 1)
-            out[stem, stem] = _ladder_stem(N)
-            lo += 2 * N + 1
-        return out
-
-    def _phase_table(self, axis: np.ndarray) -> tuple[np.ndarray, int]:
-        """(e^{-i k beta} for beta in axis and k = -M..M, M) from the phase
-        tables, with M >= n; built, or rebuilt wider, on first use."""
-        key = axis.tobytes()
-        table = self.phases.get(key)
-        if table is None or table.shape[1] < 2 * self.n + 1:
-            table = np.exp(-1j * np.outer(axis, np.arange(-self.n, self.n + 1)))
-            self.phases[key] = table
-        return table, table.shape[1] // 2
+        self.planes = _planes(d, n)
+        self.phases = phases
 
     def plane(self, ell: int, axis: np.ndarray, rows, cols) -> np.ndarray:
         """D^n(G_ell(beta))[rows, cols] for beta in axis, shape
         (len(axis), |rows|, |cols|); for ell = 1 (rows = cols) only the
-        diagonal, shape (len(axis), |cols|)."""
-        table, M = self._phase_table(axis)
+        diagonal, shape (len(axis), |cols|).  The phases are gathered from
+        the axis's table e^{-i k beta}, k = -M..M with M >= n."""
+        table = self.phases.get(axis.tobytes())
+        if table is None or table.shape[1] < 2 * self.n + 1:
+            table = np.exp(-1j * np.outer(axis, np.arange(-self.n, self.n + 1)))
+            self.phases[axis.tobytes()] = table
+        M = table.shape[1] // 2
         if ell == 1:
             return table[:, self.klast[cols] + M]
         phases = table[:, self.klast + M]
-        delta = self.delta(ell)
+        delta = self.planes[ell - 2]
         # rows, the reach of cols, are never fewer: the phase scales the smaller factor
         return delta[rows] @ (phases[:, :, None] * delta[cols].conj().T)
 
@@ -666,10 +667,10 @@ def analysis(system: FrameSystem, f: Signal) -> np.ndarray:
     that the inner rotations reach from psi_n.  Only degrees present in both
     f and Psi^j contribute (degree spaces are rotation invariant and
     mutually orthogonal).  Degrees run in the outer loop and scales in the
-    inner one, so f_n is formed once per degree.  Each degree checks the
-    node count of `sphere_rule(d, n)` against the cap, the largest first, so
-    the cap fires before any work is done, though only planes ell >= 3
-    build the rule; the matrices stay in the system's tables for later calls.
+    inner one, so f_n is formed once per degree.  Each degree comes from
+    `FrameSystem._degree`, which checks the node count of `sphere_rule(d, n)`
+    against the cap, the largest first, so the cap fires before any work is
+    done; a degree built once stays in the system for later calls.
     """
     spec = system.spec
     if f.d != spec.d:
@@ -681,7 +682,7 @@ def analysis(system: FrameSystem, f: Signal) -> np.ndarray:
     out = np.zeros(sum(len(grid) for grid in system.grids), dtype=complex)
     parts = _by_scale(system, out)
     for n in sorted(f_tables.keys() & set().union(*psi_tables), reverse=True):
-        rep = _Degree(d, n, system._tables.setdefault(n, {}), system._phases)
+        rep = system._degree(n)
         f_n, _ = rep.generator(f_tables[n])
         for grid, by_degree, part in zip(system.grids, psi_tables, parts):
             if n in by_degree:
@@ -704,8 +705,8 @@ def synthesis(system: FrameSystem, dual_spec: FrameSpec, coefficients, n_out: in
     D^n(H_h g0) psi_n (g0 the dual's base rotation, if any),
         out_n = sum_eta D^n(S_eta) (U @ B)[eta].
     No signal is evaluated.  After `analysis` of every degree up to n_out,
-    the dual finds every plane in the system's tables, so nothing is
-    projected either.  Degrees run from the largest down, so the cap on
+    the dual finds every degree built in the system, so nothing is projected
+    either.  Degrees run from the largest down, so the cap on
     `sphere_rule(d, n)` fires first.
     """
     spec = system.spec
@@ -718,21 +719,15 @@ def synthesis(system: FrameSystem, dual_spec: FrameSpec, coefficients, n_out: in
                 for grid, part in zip(system.grids, _by_scale(system, coefficients))]
     parts = {}
     for n in sorted(set().union(*tables), reverse=True):
-        rep = _Degree(d, n, system._tables.setdefault(n, {}), system._phases)
+        rep = system._degree(n)
         out = np.zeros(len(rep.keys), dtype=complex)
         for grid, by_degree, u in zip(system.grids, tables, weighted):
             if n in by_degree:
                 psi, support = rep.generator(by_degree[n])
                 rows, support = rep.inner(grid.factors[1:] + base, psi, support)
                 out += rep.outer_apply(grid.factors[0], u @ rows, support)
-        parts[n] = (rep.keys, out)
-    coeffs = {}
-    for n in sorted(parts):
-        keys, out = parts[n]
-        for k, v in zip(keys, out.tolist()):
-            if v != 0.0:
-                coeffs[(n, k)] = v
-    return Signal(d, n_out, coeffs)
+        parts[n] = zip(rep.keys, out.tolist())
+    return Signal(d, n_out, {(n, k): v for n in sorted(parts) for k, v in parts[n] if v != 0.0})
 
 
 @dataclass(frozen=True)

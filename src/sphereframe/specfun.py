@@ -51,7 +51,8 @@ _ACCEPTED_MAX = 1 << 14
 
 def validate_multi_index(d: int, n: int, k) -> tuple:
     """Membership test for the degree-n multi-index chain (k_0 = n); returns
-    k as a tuple of ints.
+    k as a tuple of ints, k itself when it is one.  An entry must be an int
+    or an integral float; anything else, 1.5 or a bool included, is refused.
 
     Accepted keys are remembered per process, so a key met again costs one
     lookup; a refused key is never kept.  A kept key costs about 105 bytes,
@@ -61,7 +62,10 @@ def validate_multi_index(d: int, n: int, k) -> tuple:
     if type(k) is int:
         k = (k,)
     elif not (type(k) is tuple and all(type(v) is int for v in k)):
-        k = tuple(int(v) for v in np.atleast_1d(k))
+        values = np.atleast_1d(k).tolist()
+        if not all(type(v) is int or (type(v) is float and v.is_integer()) for v in values):
+            raise IndexSetError(f"multi-index {k!r} has an entry that is not an integer")
+        k = tuple(int(v) for v in values)
     key = (d, n, k)
     if key in _accepted:
         return k

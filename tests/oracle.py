@@ -341,5 +341,5 @@ def plane(rep, ell: int, axis, rows, cols) -> np.ndarray:
     phases = np.exp(-1j * np.outer(axis, rep.klast))
     if ell == 1:
         return phases[:, cols]
-    delta = rep.delta(ell)
+    delta = rep.planes[ell - 2]
     return delta[rows] @ (phases[:, :, None] * delta[cols].conj().T)

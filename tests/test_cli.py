@@ -591,6 +591,7 @@ def test_parse_error_is_input_error(tmp_path):
     ({}, ("reconstruct", "--spec", "{tmp}/bool_K.json", "--random", "2")),
     ({}, ("check", "--spec", "{tmp}/list_meta.json", "--n-max", "8")),
     ({}, ("check", "--spec", "{tmp}/text_g0.json", "--n-max", "8")),
+    ({}, ("localize", "--spec", "{tmp}/j_7.json", "--scales", "1")),
     ({}, ("reconstruct", "--spec", "{tmp}/reflected_g0.json", "--random", "2")),
     ({}, ("autocorr", "--spec", "{tmp}/reflected_g0.json", "--j", "1")),
     ({}, ("check", "--spec", "{tmp}/utf16.json", "--n-max", "8")),
@@ -635,7 +636,8 @@ def test_bad_input_is_one_line_input_error(tmp_path, capsys, monkeypatch, env, a
         doc = json.loads(spec_path.read_text())
         doc["scales"][2]["coeffs"][0][:2] = [n, [k1, 0]]
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))
-    # tags the table contradicts, and integer fields that int() would read as valid
+    # tags the table contradicts, integer fields that int() would read as valid,
+    # and a scale labelled other than its position
     edits = {"steer_1": lambda doc: doc["metadata"].update(steerable_K=1),
              "inv_3": lambda doc: doc["metadata"].update(invariant_m=3),
              "inv_7": lambda doc: doc["metadata"].update(invariant_m=7),
@@ -643,7 +645,8 @@ def test_bad_input_is_one_line_input_error(tmp_path, capsys, monkeypatch, env, a
              "float_N": lambda doc: doc["scales"][1].update(N_j=2.9),
              "bool_K": lambda doc: doc["metadata"].update(steerable_K=True),
              "list_meta": lambda doc: doc.update(metadata=[]),
-             "text_g0": lambda doc: doc["metadata"].update(base_rotation="abc")}
+             "text_g0": lambda doc: doc["metadata"].update(base_rotation="abc"),
+             "j_7": lambda doc: doc["scales"][1].update(j=7)}
     for name, edit in edits.items():
         doc = json.loads(spec_path.read_text())
         edit(doc)

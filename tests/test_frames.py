@@ -276,6 +276,28 @@ def test_spec_validation_rejects_malformed():
     for c in (1e200, complex(1e308, 1e308), math.nan):
         with pytest.raises(ParameterError, match="energy"):
             F.FrameSpec(3, [F.Scale(0, 1, {(1, (0,)): c})]).validate()
+    # a negative bandwidth, and a scale whose label is not its position
+    with pytest.raises(ParameterError, match="nonnegative"):
+        F.FrameSpec(3, [F.Scale(0, -1, {})]).validate()
+    with pytest.raises(ParameterError, match="scale 1 is labelled j = 7"):
+        F.FrameSpec(3, [F.Scale(0, 1, {}), F.Scale(7, 2, {})]).validate()
+    # keys that grids and profiles would read raw: a float order would become a
+    # grid degree, so even an integral float or a numpy integer is refused (a
+    # non-integral entry by the multi-index check itself)
+    for key in ((2, (1.0,)), (2.0, (1,)), (2, (np.int64(1),)), (2, 1), (2, (True,)),
+                (2, (1.5,))):
+        with pytest.raises((ParameterError, IndexSetError), match="not an int"):
+            F.FrameSpec(3, [F.Scale(0, 2, {key: 1.0})]).validate()
+
+
+@pytest.mark.parametrize("n_max", [-1, -5])
+def test_spectral_functions_refuse_a_negative_n_max(n_max):
+    spec = parseval_zonal(3, 2)
+    for call in (lambda: F.sigma_profile(spec, n_max), lambda: F.frame_bounds(spec, n_max),
+                 lambda: F.dual_residuals(spec, spec, n_max),
+                 lambda: F.canonical_dual(spec, n_max=n_max)):
+        with pytest.raises(ParameterError, match=f"n_max must be nonnegative, got {n_max}"):
+            call()
 
 
 def test_spec_validation_refuses_a_base_rotation_that_is_no_rotation():
@@ -417,10 +439,11 @@ def plane_rotations(d, ell, beta):
 
 @pytest.mark.parametrize("d", [3, 4, 5])
 def test_phase_plane_is_the_closed_form_diagonal(d):
-    rep = F._Degree(d, 3)
+    rep = F._Degree(d, 3, {})
     every = list(range(len(rep.keys)))
     alpha = np.array([0.3, 2.1, 5.9])
-    dense = oracle.matrix_function_block(d, 3, plane_rotations(d, 1, alpha), rep.rule)
+    dense = oracle.matrix_function_block(d, 3, plane_rotations(d, 1, alpha),
+                                         Q.sphere_rule(d, 3))
     klast = np.array([k[-1] for k in rep.keys])
     for a, D in zip(alpha, dense):
         assert np.max(np.abs(D - np.diag(np.exp(-1j * klast * a)))) < 1e-13
@@ -430,7 +453,7 @@ def test_phase_plane_is_the_closed_form_diagonal(d):
 
 @pytest.mark.parametrize("d", [3, 4, 5])
 def test_plane_matrices_are_unitary_and_mix_one_label(d):
-    rep = F._Degree(d, 3)
+    rep = F._Degree(d, 3, {})
     every = list(range(len(rep.keys)))
     for ell in range(2, d):
         pos = d - ell - 1  # G_ell mixes k_{d-ell} only
@@ -448,7 +471,7 @@ def test_plane_products_are_the_representation_of_section_chains(d):
     # applied through `inner` down the one-node chain of `chain_factors(g)`
     rng = np.random.default_rng(d)
     n = 3
-    rep = F._Degree(d, n)
+    rep = F._Degree(d, n, {})
     every = list(range(len(rep.keys)))
     rule = Q.sphere_rule(d, n)
 
@@ -491,7 +514,7 @@ def test_generator_planes_match_quadrature(d, n_max):
     shift = np.eye(d)
     shift[:3, :3] = np.roll(np.eye(3), -2, axis=0)
     for n in range(n_max + 1):
-        rep = F._Degree(d, n)
+        rep = F._Degree(d, n, {})
         every = list(range(len(rep.keys)))
         delta = F._unitarize(
             oracle.matrix_function_block(d, n, shift[None], Q.sphere_rule(d, n))[0])
@@ -522,10 +545,9 @@ def test_generator_steps_match_the_quadrature_generators(d, n_max):
     # X_ell = Delta_ell diag(-i k_{d-2}) Delta_ell^H, with Delta_2 from the
     # ladder and Delta_ell (ell >= 3) by quadrature
     for n in range(n_max + 1):
-        rep = F._Degree(d, n)
-        for ell in range(2, d):
-            delta = rep.delta(ell)
-            want = delta @ (-1j * rep.klast[:, None] * delta.conj().T)
+        klast = F._layout(d, n).klast
+        for ell, delta in enumerate(F._planes(d, n), 2):
+            want = delta @ (-1j * klast[:, None] * delta.conj().T)
             assert np.max(np.abs(generator_matrix(d, n, ell) - want)) < 1e-13, (n, ell)
 
 
@@ -535,7 +557,7 @@ def test_planes_from_phase_tables_equal_the_per_call_phases(d):
     # bit, also after a lower degree built the table and a higher one widened it
     axis = np.array([0.4, 1.9, 3.0, -2.2, 5.5])
     phases = {}
-    low, high = F._Degree(d, 2, phases=phases), F._Degree(d, 4, phases=phases)
+    low, high = F._Degree(d, 2, phases), F._Degree(d, 4, phases)
     for rep, width in ((low, 5), (high, 9), (low, 9)):
         every = list(range(len(rep.keys)))
         support = every[1::3]
@@ -547,9 +569,6 @@ def test_planes_from_phase_tables_equal_the_per_call_phases(d):
                     rep.n, ell)
         assert list(phases) == [axis.tobytes()]
         assert phases[axis.tobytes()].shape == (len(axis), width)
-    # a degree made without an owner keeps its own tables
-    assert F._Degree(d, 2).phases == {}
-    assert F._Degree(d, 2).phases is not F._Degree(d, 2).phases
 
 
 # -- node caps --------------------------------------------------------------------
@@ -624,6 +643,9 @@ def test_analysis_rejects_invalid_signal_indices():
     system = F.build_system(parseval_zonal(3, 2))
     with pytest.raises(IndexSetError):
         F.analysis(system, F.Signal(3, 2, {(2, (3,)): 1.0}))
+    # a non-integral order is refused, not merged into the key it truncates to
+    with pytest.raises(IndexSetError, match="not an integer"):
+        F.analysis(system, F.Signal(3, 2, {(2, (1,)): 1.0, (2, (1.5,)): 1.0}))
 
 
 def test_round_trip_validates_each_key_once(monkeypatch):
@@ -642,8 +664,9 @@ def test_round_trip_validates_each_key_once(monkeypatch):
     assert degrees == sorted(shared, reverse=True)
     degrees.clear()
     F.synthesis(system, dual, coeffs, f.degree)
-    assert degrees == sorted({n for scale in dual.scales for n, _ in scale.coeffs},
-                             reverse=True)
+    # the system keeps them: synthesis builds only the degrees analysis did not reach
+    dual_degrees = {n for scale in dual.scales for n, _ in scale.coeffs if n <= f.degree}
+    assert degrees == sorted(dual_degrees - shared, reverse=True)
     # the keys of f, of each scale and of each dual scale, once per table
     tables = [f.coeffs] + [s.coeffs for s in spec.scales + dual.scales]
     assert sorted(calls) == sorted(key for table in tables for key in table)
@@ -689,6 +712,31 @@ def test_tables_are_built_once_per_system(monkeypatch):
     assert np.array_equal(first, again)
 
 
+@pytest.mark.parametrize("spec", round_trip_systems() + [
+    C.zonal_spec(3, 5, "kappa2"), C.wavelet_spec(5, 1, 1, "kappa2"),
+], ids=["zonal", "wavelet", "curvelet", "z5", "wavelet-d5"])
+def test_each_degree_is_built_once_and_whole_per_system(spec, monkeypatch):
+    # over analysis, synthesis and a second round trip on the same system:
+    # per degree reached, one degree object, one sphere rule and d - 2
+    # basis matrices at d >= 4, none of either at d = 3
+    d = spec.d
+    f = F.random_signal(d, spec.max_bandwidth(), seed=5)
+    dual = F.canonical_dual(spec)
+    system = F.build_system(spec)
+    made, rules, bases = [], [], []
+    make, rule, basis = F._Degree, F.sphere_rule, F.basis_matrix
+    monkeypatch.setattr(F, "_Degree", lambda d, n, *a: made.append(n) or make(d, n, *a))
+    monkeypatch.setattr(F, "sphere_rule", lambda d, n: rules.append(n) or rule(d, n))
+    monkeypatch.setattr(F, "basis_matrix", lambda d, n, x: bases.append(n) or basis(d, n, x))
+    results = [F.synthesis(system, dual, F.analysis(system, f), f.degree) for _ in range(2)]
+    assert results[0].coeffs == results[1].coeffs
+    table = {n for scale in spec.scales for (n, _), c in scale.coeffs.items() if c != 0}
+    reached = sorted(table & {n for n, _ in f.coeffs})
+    assert sorted(made) == sorted(system._degrees) == reached
+    assert sorted(rules) == (reached if d > 3 else [])
+    assert sorted(bases) == sorted(reached * (d - 2) if d > 3 else [])
+
+
 @pytest.mark.parametrize("spec", round_trip_systems(), ids=["zonal", "wavelet", "curvelet"])
 def test_a_warmed_system_adds_no_phase_table(spec):
     # one table per distinct grid axis, as wide as the largest degree it served
@@ -720,19 +768,18 @@ def test_a_warmed_system_adds_no_phase_table(spec):
     C.wavelet_spec(5, 1, 1, "kappa2"), C.curvelet_spec(5, 1),
 ], ids=["zonal-d3", "moved-d3", "wavelet-d4", "curvelet-d4", "wavelet-d5", "curvelet-d5"])
 def test_tables_hold_one_unitary_matrix_per_plane(spec):
-    # one dense D^n(P_ell) per plane ell = 2..d-1, keyed by ell, with or without
+    # one dense D^n(P_ell) per plane ell = 2..d-1, at ell - 2, with or without
     # a base rotation: its chain runs down the same planes
     d = spec.d
     f = F.random_signal(d, spec.max_bandwidth(), seed=8)
     system = F.build_system(spec)
     coeffs = F.analysis(system, f)
     F.synthesis(system, F.canonical_dual(spec), coeffs, f.degree)
-    assert system._tables
-    for n, tables in system._tables.items():
-        assert 1 <= len(tables) <= d - 2
-        assert all(type(ell) is int and 2 <= ell <= d - 1 for ell in tables)
+    assert system._degrees
+    for n, rep in system._degrees.items():
+        assert rep.n == n and len(rep.planes) == d - 2
         dim = H.dim_harmonic(d, n)
-        for D in tables.values():
+        for D in rep.planes:
             assert D.shape == (dim, dim)
             assert np.max(np.abs(D.conj().T @ D - np.eye(dim))) <= 1e-15
 
@@ -761,7 +808,7 @@ def test_a_second_system_builds_its_own_quadrature_planes_but_no_ladder(monkeypa
 
 def test_remembered_arrays_are_read_only():
     layout = F._layout(4, 5)
-    assert F._Degree(4, 5).layout is layout
+    assert F._Degree(4, 5, {}).layout is layout
     rule = Q.gauss_symmetric_jacobi(7, 0.5)
     assert Q.gauss_symmetric_jacobi(7, 0.5) is rule
     F._ladder_stem(5)
@@ -793,12 +840,6 @@ def test_layout_reach_is_the_stem_closure_of_the_support(d):
             stems = {layout.keys[i][:pos] + layout.keys[i][pos + 1:] for i in support}
             want = [i for i, k in enumerate(layout.keys) if k[:pos] + k[pos + 1:] in stems]
             assert layout.reach(pos, support).tolist() == want
-
-
-def test_every_lru_memo_is_bounded():
-    # the stems and the accepted keys have their own bound tests
-    for memo in (F._layout, Q.gauss_symmetric_jacobi, H.index_set):
-        assert memo.cache_info().maxsize is not None
 
 
 @pytest.mark.parametrize("transform", ["analysis", "synthesis"])

@@ -97,6 +97,70 @@ def test_public_name_rule_catches_an_unused_name():
     assert unreferenced_public_names(sources) == [("a.py", "unused"), ("a.py", "idle")]
 
 
+def unbounded_memos(source: str) -> list:
+    """Line of every use of functools' `lru_cache` or `cache` that does not
+    give maxsize as an integer literal: a bare `@lru_cache`, `@lru_cache()`,
+    `maxsize=None` or a computed size, and every `cache`, under any name the
+    source imports them by."""
+    tree = ast.parse(source)
+    modules = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names
+               if alias.name == "functools"}
+    names = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "functools"
+             for alias in node.names if alias.name in ("lru_cache", "cache")}
+
+    def memo(node):
+        if isinstance(node, ast.Name):
+            return names.get(node.id)
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr in ("lru_cache", "cache")):
+            return node.attr
+        return None
+
+    bounded = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and memo(node.func) == "lru_cache":
+            size = [kw.value for kw in node.keywords if kw.arg == "maxsize"] + node.args[:1]
+            if size and isinstance(size[0], ast.Constant) and type(size[0].value) is int:
+                bounded.add(id(node.func))
+    return sorted(node.lineno for node in ast.walk(tree) if memo(node) and id(node) not in bounded)
+
+
+def test_every_lru_memo_is_bounded():
+    # the ladder stems and the accepted keys are plain dicts with their own bound tests
+    found = {path.name: unbounded_memos(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    assert found == {name: [] for name in found}
+
+
+def test_memo_bound_rule_catches_every_unbounded_form():
+    source = ("import functools\n"
+              "import functools as ft\n"
+              "from functools import cache, cached_property, lru_cache, lru_cache as memo\n"
+              "@lru_cache(maxsize=128)\n"
+              "def a(): pass\n"
+              "@functools.lru_cache(8)\n"
+              "def b(): pass\n"
+              "@lru_cache\n"
+              "def c(): pass\n"
+              "@functools.lru_cache(maxsize=None)\n"
+              "def d(): pass\n"
+              "@cache\n"
+              "def e(): pass\n"
+              "@ft.cache\n"
+              "def f(): pass\n"
+              "@memo()\n"
+              "def g(): pass\n"
+              "h = ft.lru_cache(maxsize=SIZE)(len)\n"
+              "k = lru_cache(2.0)(len)\n"
+              "class A:\n"
+              "    @cached_property\n"
+              "    def x(self): pass\n"
+              "    @memo(maxsize=4)\n"
+              "    def y(self): pass\n")
+    assert unbounded_memos(source) == [8, 10, 12, 14, 16, 18, 19]
+
+
 def scipy_imports(source: str) -> list:
     """Line of every import of scipy or a scipy submodule, at any depth:
     module level, class bodies, conditional blocks and function bodies."""

@@ -80,6 +80,18 @@ def test_multi_index_check_is_the_same_for_every_key_type(d, n, k):
     assert results[0] is IndexSetError or all(type(v) is int for v in results[0])
 
 
+@pytest.mark.parametrize("d, n, k", [
+    (3, 2, (1.5,)), (3, 2, 1.9), (3, 2, [0.5]), (3, 2, np.array([1.25])),
+    (4, 3, (2.0, 0.5)), (3, 2, (math.nan,)), (3, 2, (math.inf,)), (3, 2, (True,)),
+    (3, 2, ("1",)),
+])
+def test_multi_index_refuses_entries_that_are_not_integers(d, n, k):
+    # int() would truncate the fractions to a valid key, read "1" and True as 1,
+    # and raise ValueError or OverflowError on nan and inf
+    with pytest.raises(IndexSetError, match="not an integer"):
+        specfun.validate_multi_index(d, n, k)
+
+
 def test_accepted_keys_are_remembered_up_to_a_bound(monkeypatch):
     monkeypatch.setattr(specfun, "_accepted", set())
     monkeypatch.setattr(specfun, "_ACCEPTED_MAX", 4)
