@@ -59,11 +59,6 @@ def _require(ok: bool, message: str) -> None:
         raise ParameterError(message)
 
 
-def _require_cap(max_nodes) -> None:
-    _require(max_nodes is None or max_nodes >= 1,
-             f"--max-nodes must be positive, got {max_nodes}")
-
-
 def cmd_check(args) -> int:
     _require(args.n_max >= 0, f"--n-max must be nonnegative, got {args.n_max}")
     _require(math.isfinite(args.tol) and args.tol >= 0,
@@ -115,7 +110,6 @@ def cmd_reconstruct(args) -> int:
              f"--random must be a nonnegative degree, got {args.random}")
     _require(args.n_out is None or args.n_out >= 0,
              f"--n-out must be a nonnegative degree, got {args.n_out}")
-    _require_cap(args.max_nodes)
     spec = io.read_spec(args.spec)
     _require(frames.admits(spec, args.grid, args.K),
              f"the spec does not admit --grid {args.grid}"
@@ -165,7 +159,8 @@ def _parse_scales(text):
     try:
         if ".." in text:
             lo, hi = text.split("..")
-            scales = list(range(int(lo), int(hi) + 1))
+            # lazy: localization_report refuses the first index outside 0..J before reading on
+            scales = range(int(lo), int(hi) + 1)
         else:
             scales = [int(v) for v in text.split(",")]
     except ValueError:
@@ -187,7 +182,10 @@ def cmd_localize(args) -> int:
             var_s = scaled = product = f"{'undefined':>12}"
         else:
             var_s = f"{r.var_space:>12.4e}"
-            scaled = f"{r.var_space * r.bandwidth**2:>12.6f}"
+            try:
+                scaled = f"{r.var_space * r.bandwidth**2:>12.6f}"
+            except OverflowError:  # N^2 past the float range
+                scaled = f"{math.inf:>12.6f}"
             product = f"{r.uncertainty_product:>12.6f}"
         print(f"{r.j:>3} {r.bandwidth:>6} {r.norm_sq:>14.6e} {r.xi0_d:>12.8f} "
               f"{var_s} {scaled} {r.var_momentum:>14.6e} {product}")
@@ -274,7 +272,6 @@ def cmd_figure(args) -> int:
 
 
 def cmd_quadinfo(args) -> int:
-    _require_cap(args.max_nodes)
     outer = quadrature.sphere_rule(args.d, args.N)
     rule = quadrature.rotation_rule(args.d, args.N, args.variant, K=args.K)
     print(f"sphere rule S^{args.d - 1}, target degree {2 * args.N}: "
@@ -385,10 +382,13 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    max_nodes = getattr(args, "max_nodes", None)
     try:
         _require(args.threads is None or args.threads >= 1,
                  f"--threads must be positive, got {args.threads}")
-        with _config.command_flags(getattr(args, "max_nodes", None), args.threads):
+        _require(max_nodes is None or max_nodes >= 1,
+                 f"--max-nodes must be positive, got {max_nodes}")
+        with _config.command_flags(max_nodes, args.threads):
             return args.func(args)
     except CapacityError as exc:
         # name only the overrides this command accepts

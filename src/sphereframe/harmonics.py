@@ -10,7 +10,7 @@ Conventions used throughout the package:
       ...
       x_d = cos(theta_{d-1}),
   so e^{i theta_1} = (x_2 + i x_1) / |(x_1, x_2)|, the unit complex whose
-  powers the evaluator takes as its phases.
+  powers the evaluator takes as its phases.  It reads cartesian points only.
 * A degree-n multi-index is a tuple (k_1, ..., k_{d-2}) of integers with
   n >= k_1 >= ... >= k_{d-3} >= |k_{d-2}|; only the last entry is signed.
 * Coefficient tables are sparse dicts mapping (n, k) -> complex; iteration
@@ -115,14 +115,15 @@ def _blocks(total: int, size: int) -> list:
 def basis_matrix(d: int, n: int, points: np.ndarray) -> np.ndarray:
     """Degree-n harmonics stacked: shape (dim H_n, M), in index-set order.
 
-    points holds spherical angles (M, d-1) or cartesian unit vectors (M, d).
+    points holds cartesian unit vectors (M, d) or spherical angles (M, d-1), converted first.
     """
     points = np.asarray(points, dtype=float)
+    if points.shape[1] != d:
+        points = spherical_to_cartesian(points)
     ev = ExpansionEvaluator(d, {(n, k): 1.0 for k in index_set(d, n)})
-    levels_of = ev._cartesian_levels if points.shape[1] == d else ev._angle_levels
     out = np.empty((ev.n_terms, points.shape[0]), dtype=complex)
     for sl in _blocks(points.shape[0], EVAL_CHUNK):
-        terms = ev._terms(*levels_of(points[sl]))
+        terms = ev._terms(*ev._cartesian_levels(points[sl]))
         for row, amp, term in zip(out, ev._amp, terms):
             row[sl] = amp * term
     return out
@@ -163,9 +164,9 @@ class ExpansionEvaluator:
                     * prod_j C_{m_j}^{lam_j}(cos t_j) sin^{a_j}(t_j)
     over the levels j = 0..d-3, with t_j = theta_{d-1-j}, a_j = |k_{j+1}|,
     m_j = k_j - a_j (k_0 = n) and lam_j = (d-j-2)/2 + a_j.  Points arrive as
-    angles or as cartesian vectors and become per-level (cos t_j, sin t_j)
-    pairs and, only when some k_{d-2} != 0, the unit complex
-    z = e^{i theta_1}, whose powers are the phases.  One Gegenbauer table
+    cartesian vectors (angles are converted first) and become per-level
+    (cos t_j, sin t_j) pairs and, only when some k_{d-2} != 0, the unit
+    complex z = e^{i theta_1}, whose powers are the phases.  One Gegenbauer table
     times its sine power is built per distinct (level, a_j) pair and shared
     by all terms.  `_terms` yields each term's level product times its phase:
     `_eval_core` sums them with the weights c(n,k) A_k^n and `basis_matrix`
@@ -214,19 +215,12 @@ class ExpansionEvaluator:
 
     # -- core ---------------------------------------------------------------
 
-    def _angle_levels(self, theta):
-        """Per-level (cos, sin) pairs and z = e^{i theta_1} of spherical points
-        (M, d-1)."""
-        levels = [(np.cos(theta[:, i]), np.sin(theta[:, i]))
-                  for i in range(self.d - 2, 0, -1)]
-        return levels, None if self.theta1_free else np.exp(1j * theta[:, 0])
-
     def _cartesian_levels(self, x):
-        """The same for cartesian points (M, d): cos theta_l = x_{l+1}/r_{l+1}
-        and sin theta_l = r_l/r_{l+1}, with r_l = |(x_1, ..., x_l)|, and
-        z = (x_2 + i x_1)/r_2.  Points x of R^D, D < d, give the levels
-        j = d-D .. d-3 of any point whose first D coordinates are a positive
-        multiple of x.
+        """Per-level (cos, sin) pairs and z = e^{i theta_1} of cartesian points
+        (M, d): cos theta_l = x_{l+1}/r_{l+1} and sin theta_l = r_l/r_{l+1},
+        with r_l = |(x_1, ..., x_l)|, and z = (x_2 + i x_1)/r_2.  Points x of
+        R^D, D < d, give the levels j = d-D .. d-3 of any point whose first D
+        coordinates are a positive multiple of x.
 
         Where r_{l+1} = 0 both come out 0, and z is 1 where r_2 = 0.  No value
         depends on them: the nearest level above with a nonzero radius has
@@ -293,21 +287,21 @@ class ExpansionEvaluator:
             acc += np.multiply(w, v, out=term)
         return acc
 
-    def _eval_blocks(self, pts, levels_of, chunk=EVAL_CHUNK):
-        out = np.empty(pts.shape[0], dtype=self._weight.dtype)
-        for sl in _blocks(pts.shape[0], chunk):
-            out[sl] = self._eval_core(*levels_of(pts[sl]))
+    def _eval_blocks(self, x, chunk=EVAL_CHUNK):
+        out = np.empty(x.shape[0], dtype=self._weight.dtype)
+        for sl in _blocks(x.shape[0], chunk):
+            out[sl] = self._eval_core(*self._cartesian_levels(x[sl]))
         return out
 
     # -- public entry points --------------------------------------------------
 
     def eval_angles(self, theta: np.ndarray) -> np.ndarray:
-        """Evaluate at spherical points, shape (M, d-1) -> (M,)."""
-        return self._eval_blocks(np.asarray(theta, dtype=float), self._angle_levels)
+        """Evaluate at spherical points, shape (M, d-1) -> (M,), as cartesian ones."""
+        return self._eval_blocks(spherical_to_cartesian(theta))
 
     def eval_cartesian(self, x: np.ndarray) -> np.ndarray:
         """Evaluate at cartesian points, shape (M, d) -> (M,)."""
-        return self._eval_blocks(np.asarray(x, dtype=float), self._cartesian_levels)
+        return self._eval_blocks(np.asarray(x, dtype=float))
 
     def eval_polar(self, t: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Evaluate at cos(t) e^d + sin(t) u for every t and every u: t has
@@ -366,7 +360,7 @@ class ExpansionEvaluator:
             # the moved points are freed before the Gegenbauer tables are built
             vals = self._eval_blocks(
                 np.matmul(points[None, :, :], rotations[sl]).reshape(-1, self.d),
-                self._cartesian_levels, ROTATED_CHUNK)
+                ROTATED_CHUNK)
             return reduce_fn(vals.reshape(sl.stop - sl.start, P), sl)
 
         nworkers = _config.worker_count() if workers is None else max(1, workers)

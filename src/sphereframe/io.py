@@ -180,10 +180,13 @@ def grid_from_dict(doc: dict, path="<doc>") -> RotationRule:
     """
     _expect(doc, "rotation_grid", path)
     try:
-        rule = rotation_rule(_index(doc["d"]), _index(doc["class_degree"]), doc["variant"],
-                             K=_optional_index(doc.get("steer_K")))
+        d = _index(doc["d"])
         rotations = np.asarray(doc["rotations"], dtype=float)
         weights = np.asarray(doc["weights"], dtype=float)
+        if rotations.ndim != 2 or rotations.shape[1] != d * d:  # before (N+1)^(d-2) nodes
+            raise ValueError("its rows are not d x d matrices")
+        rule = rotation_rule(d, _index(doc["class_degree"]), doc["variant"],
+                             K=_optional_index(doc.get("steer_K")))
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed rotation grid ({exc})") from exc
     if not (np.array_equal(rotations, rule.rotations.reshape(len(rule), -1))

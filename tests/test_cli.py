@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -6,15 +7,20 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sphereframe import _config, cli, diagnostics, io
 from sphereframe import constructions as C
 from sphereframe import frames as F
 from sphereframe import quadrature as Q
+from sphereframe.errors import SphereFrameError
 
 
 def run(*argv):
@@ -310,6 +316,33 @@ def test_autocorr_caps_its_sweep_before_allocation(tmp_path, capsys, monkeypatch
     assert code == cli.EXIT_CAPACITY
     assert f"autocorrelation sweep would hold {count} nodes" in capsys.readouterr().err
     assert peak < 1_000_000, peak
+
+
+@pytest.mark.parametrize("scales, j", [
+    ("0..30000000", 4), ("2..30000000", 4), ("-30000000..2", -30000000),
+    ("30000000..40000000", 30000000),
+])
+def test_localize_checks_a_scale_range_before_building_it(tmp_path, capsys, scales, j):
+    # a list of 30 million indices would take about 1.2 GB
+    spec_path = tmp_path / "w.json"
+    io.write_spec(C.wavelet_spec(4, 4, 3, "kappa2"), spec_path)
+    code, peak = peak_of(lambda: run("localize", "--spec", spec_path, f"--scales={scales}"))
+    assert code == cli.EXIT_INPUT
+    assert capsys.readouterr().err == f"error: scale {j} is outside 0..3\n"
+    assert peak < 1_000_000, peak
+
+
+@pytest.mark.parametrize("bandwidth", [1e308, 10**400], ids=["1e308", "10^400"])
+def test_localize_scales_a_bandwidth_past_the_float_range_to_inf(tmp_path, capsys, bandwidth):
+    # the spec is valid: N_j bounds the degrees of its scale from above
+    spec_path = tmp_path / "w.json"
+    io.write_spec(C.wavelet_spec(4, 2, 2, "kappa2"), spec_path)
+    doc = json.loads(spec_path.read_text())
+    doc["scales"][2]["N_j"] = bandwidth
+    spec_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run("localize", "--spec", spec_path) == 0
+    assert capsys.readouterr().out.splitlines()[-1].split()[5] == "inf"
 
 
 def test_localize_marks_an_undefined_variance_per_scale(tmp_path, capsys):
@@ -729,3 +762,88 @@ def test_main_builds_its_parser_once_and_parses_afresh_after_errors(tmp_path, ca
         assert got.out == fresh[0].stdout + fresh[1].stdout
         assert got.err == fresh[0].stderr + fresh[1].stderr
     assert built == []
+
+
+# -- fuzzed documents: every reader ends in an exit code and at most one line ------
+
+# the commands that read each document kind, on the tiny wavelet spec d4 K2 J2;
+# no command reads a grid, so grids go through io.read_grid
+READERS = {
+    "spec": [
+        ("check", "--spec", "{doc}", "--dual", "{doc}", "--n-max", "4"),
+        ("dual", "--spec", "{doc}", "--n-max", "4", "--out", "{dir}/dual.json"),
+        ("build", "--kind", "from-file", "--input", "{doc}", "--out", "{dir}/copy.json"),
+        ("reconstruct", "--spec", "{doc}", "--random", "2"),
+        ("localize", "--spec", "{doc}"),
+        ("autocorr", "--spec", "{doc}", "--j", "1", "--angles", "4"),
+        ("figure", "--spec", "{doc}", "--j", "1", "--resolution", "4", "--out", "{dir}/f.csv"),
+    ],
+    "signal": [("reconstruct", "--spec", "{dir}/spec.json", "--signal", "{doc}")],
+    "grid": [],
+}
+
+LEAF_VALUES = st.one_of(
+    st.integers(-1, 8), st.floats(-10, 10), st.integers(), st.floats(),
+    st.sampled_from([1e308, -0.0]), st.booleans(), st.none(), st.text(max_size=4),
+    st.sampled_from([[], {}, [0], {"j": 0}]))
+
+# half the byte edits write a digit, sign, point or exponent, which a number can absorb
+BYTES = st.one_of(st.sampled_from(b"0123456789-.e"), st.integers(0, 255))
+
+
+def leaf_paths(doc, path=()):
+    """The key paths of the leaves (neither dict nor list) of a JSON document."""
+    if not isinstance(doc, (dict, list)):
+        return [path]
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    return [p for key, value in items for p in leaf_paths(value, path + (key,))]
+
+
+@st.composite
+def mutations(draw, text):
+    """`text` with one leaf replaced (three times in four), or with a few
+    bytes overwritten and perhaps cut short."""
+    if draw(st.integers(0, 3)):
+        doc = json.loads(text)
+        *parents, key = draw(st.sampled_from(leaf_paths(doc)))
+        node = doc
+        for parent in parents:
+            node = node[parent]
+        node[key] = draw(LEAF_VALUES)
+        return json.dumps(doc).encode()
+    data = bytearray(text.encode())
+    for _ in range(draw(st.integers(1, 3))):
+        data[draw(st.integers(0, len(data) - 1))] = draw(BYTES)
+    return bytes(data[:draw(st.integers(1, len(data)))] if draw(st.booleans()) else data)
+
+
+@pytest.fixture(scope="module")
+def documents(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("fuzz")
+    io.write_spec(C.wavelet_spec(4, 2, 2, "kappa2"), directory / "spec.json")
+    io.write_signal(F.random_signal(4, 2, seed=1), directory / "signal.json")
+    io.write_grid(Q.rotation_rule(3, 2, "zonal"), directory / "grid.json")
+    return directory
+
+
+@pytest.mark.parametrize("kind", ["spec", "signal", "grid"])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_mutated_documents_end_in_one_exit_code_and_line(documents, kind, data):
+    base = (documents / f"{kind}.json").read_text()
+    doc = documents / f"mutated_{kind}.json"
+    doc.write_bytes(data.draw(mutations(base), label="document"))
+    with warnings.catch_warnings(record=True) as caught, pytest.MonkeyPatch.context() as mp:
+        # the base documents need at most 3,375 nodes: a mutation that asks
+        # for far more ends at once in exit 3, not after seconds of work
+        mp.setenv("SPHEREFRAME_MAX_NODES", "20000")
+        if kind == "grid":
+            with contextlib.suppress(SphereFrameError):
+                io.read_grid(doc)
+        for argv in READERS[kind]:
+            err = StringIO()
+            with contextlib.redirect_stdout(StringIO()), contextlib.redirect_stderr(err):
+                code = run(*[a.format(doc=doc, dir=documents) for a in argv])
+            assert code in range(4), argv
+            assert err.getvalue().count("\n") <= 1, (argv, err.getvalue())
+    assert [str(w.message) for w in caught] == []

@@ -17,6 +17,7 @@ runs the list in DIR and prints it.  A change to the manifest is a change of
 the program's outputs, and is listed in CHANGES.md with its reason.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -201,6 +202,15 @@ def test_cli_outputs_match_the_manifest(tmp_path):
             problems += [f"{where}: {m}" for m in report_mismatches(
                 report_want, report_got, norm_sq=report_want.get("norm_sq"))]
     assert problems == []
+
+
+def test_manifest_pins_every_subcommand():
+    # a new command cannot ship without a pinned run
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    pinned = {parser.parse_args(e["argv"]).command for e in json.loads(MANIFEST.read_text())}
+    assert pinned == set(commands)
 
 
 def test_manifest_comparison_catches_a_planted_change():

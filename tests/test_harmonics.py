@@ -448,3 +448,14 @@ def test_basis_matrix_key_subset_at_cartesian_points():
         full = H.basis_matrix(d, n, theta)
         got = H.basis_matrix(d, n, x)
         assert np.max(np.abs(got - full)) < 1e-12
+
+
+@pytest.mark.parametrize("d, n", [(3, 5), (4, 4), (5, 3)])
+def test_angles_and_points_take_one_route_bit_for_bit(d, n):
+    # angle input is converted to cartesian points and evaluated as they are
+    rule = Q.sphere_rule(d, n)
+    assert np.array_equal(H.basis_matrix(d, n, rule.angles), H.basis_matrix(d, n, rule.points))
+    rng = np.random.default_rng(n)
+    ev = H.ExpansionEvaluator(d, {(n, k): complex(*rng.standard_normal(2))
+                                  for k in H.index_set(d, n)})
+    assert np.array_equal(ev.eval_angles(rule.angles), ev.eval_cartesian(rule.points))

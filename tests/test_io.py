@@ -95,6 +95,16 @@ def test_grid_rejects_rotations_off_the_declared_rule():
         io.grid_from_dict(doc)
 
 
+@pytest.mark.parametrize("d", [4, 2 ** 64, 1e308])
+def test_grid_rows_bound_the_declared_dimension(d):
+    # the rule of a huge d would have (N+1)^(d-2) nodes, a power that never
+    # finishes; the rows of d x d entries refuse it first
+    doc = oracle.grid_to_dict(Q.rotation_rule(3, 1, "zonal"))
+    doc["d"] = d
+    with pytest.raises(FormatError, match="its rows are not d x d matrices"):
+        io.grid_from_dict(doc)
+
+
 def test_report_round_trip(tmp_path):
     path = tmp_path / "r.json"
     io.write_report({"command": "check", "C1": 1.0}, path)
