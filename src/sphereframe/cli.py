@@ -139,6 +139,7 @@ def cmd_reconstruct(args) -> int:
         "command": "reconstruct",
         "d": spec.d,
         "grid_variant": system.variant,
+        "grid_choice": system.choice,
         "grid_sizes": [len(g) for g in system.grids],
         "signal_degree": signal.degree,
         "seed": seed,

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ParameterError
 from .frames import FrameSpec, Scale
 from .harmonics import ExpansionEvaluator, dim_harmonic
-from .quadrature import check_cap
+from .quadrature import capped_power, check_cap
 from .specfun import validate_multi_index
 
 
@@ -61,7 +61,12 @@ def _band_filter(d: int, j: int, n, shape):
     """2^{j(d-2)/2} shape(n), a float for a scalar n; scales j >= 1 only."""
     if j < 1:
         raise ParameterError("band filters are defined for scales j >= 1")
-    out = 2.0 ** (j * (d - 2) / 2.0) * shape(np.asarray(n, dtype=float))
+    try:
+        amplitude = 2.0 ** (j * (d - 2) / 2.0)
+    except OverflowError:
+        raise ParameterError(f"band filter amplitude 2^{j * (d - 2) / 2.0:g} of scale {j} "
+                             f"is past the float range") from None
+    out = amplitude * shape(np.asarray(n, dtype=float))
     return float(out) if np.ndim(n) == 0 else out
 
 
@@ -131,7 +136,7 @@ def _dyadic_scales(d: int, J: int, window: str, component) -> list:
     degrees capped, before the window is looked up."""
     if J < 0:
         raise ParameterError("J must be nonnegative")
-    check_cap(2 ** (J + 1) - 1, f"scales 0..{J}")
+    check_cap(capped_power(2, J + 1, f"scales 0..{J}") - 1, f"scales 0..{J}")
     if window not in _WINDOWS:
         raise ParameterError(f"unknown window kind {window!r}")
     scales = [Scale(0, 0, {(0, (0,) * (d - 2)): 1.0 + 0.0j})]

@@ -155,7 +155,9 @@ def random_signal(d: int, degree: int, seed=None) -> Signal:
 
     The normals come from one draw, real and imaginary part of each key in
     turn, keys by degree and then in `index_set` order: the stream that one
-    scalar draw per part would give.  A negative degree is refused, and the
+    scalar draw per part would give, viewed as complex.  The energy is
+    Python's abs(c) ** 2 summed in key order, whose bits numpy's complex
+    abs does not always give.  A negative degree is refused, and the
     C(N+d-1, d-1) + C(N+d-2, d-1) coefficients of degree N are capped before
     anything is drawn.
     """
@@ -164,10 +166,9 @@ def random_signal(d: int, degree: int, seed=None) -> Signal:
     check_cap(math.comb(degree + d - 1, d - 1) + math.comb(degree + d - 2, d - 1),
               "random signal")
     keys = [(n, k) for n in range(degree + 1) for k in index_set(d, n)]
-    z = np.random.default_rng(seed).standard_normal(2 * len(keys)).tolist()
-    coeffs = {key: complex(re, im) for key, re, im in zip(keys, z[0::2], z[1::2])}
-    scale = 1.0 / math.sqrt(sum(abs(c) ** 2 for c in coeffs.values()))
-    return Signal(d, degree, {key: c * scale for key, c in coeffs.items()})
+    c = np.random.default_rng(seed).standard_normal(2 * len(keys)).view(complex)
+    scale = 1.0 / math.sqrt(sum(abs(z) ** 2 for z in c.tolist()))
+    return Signal(d, degree, dict(zip(keys, (c * scale).tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +307,9 @@ def invariance_order(spec: FrameSpec) -> int | None:
     return None
 
 
-def _structure(spec: FrameSpec) -> tuple[int | None, int | None]:
-    """(invariance order, steerability order) that grids may rely on.
+def _structure(spec: FrameSpec) -> tuple[int | None, int | None, str]:
+    """(invariance order, steerability order) that grids may rely on, and
+    where they were read: "tags", "table" or "none".
 
     Tags are trusted when present: they describe the function after any base
     rotation (`FrameSpec.validate` checks those of an unrotated table against
@@ -315,10 +317,10 @@ def _structure(spec: FrameSpec) -> tuple[int | None, int | None]:
     in which case no structure is assumed.
     """
     if spec.invariant_m is not None or spec.steerable_K is not None:
-        return spec.invariant_m, spec.steerable_K
+        return spec.invariant_m, spec.steerable_K, "tags"
     if spec.base_rotation is not None:
-        return None, None
-    return invariance_order(spec), steerable_order(spec)
+        return None, None, "none"
+    return invariance_order(spec), steerable_order(spec), "table"
 
 
 def admits(spec: FrameSpec, variant: str, K: int | None = None) -> bool:
@@ -328,7 +330,7 @@ def admits(spec: FrameSpec, variant: str, K: int | None = None) -> bool:
     order of at most K (K defaults to the spec's tag, as in `build_system`).
     "general" and "auto" fit every spec.
     """
-    inv, steer = _structure(spec)
+    inv, steer, _ = _structure(spec)
     d = spec.d
     if variant in ("steerable", "steerable_so_d2"):
         K = spec.steerable_K if K is None else K
@@ -341,6 +343,27 @@ def admits(spec: FrameSpec, variant: str, K: int | None = None) -> bool:
     return True
 
 
+_KEPT_BYTES = 4 << 20  # plane operands and chain sets one system keeps
+
+
+class _Kept:
+    """The bytes of plane operands and chain sets, keys included, that a
+    system's degrees keep, at most `_KEPT_BYTES` in all.  The w3, z5 and
+    curvelet d4 J3 round trips keep 0.3 to 0.7 MB; unbounded, a zonal d3 J7
+    round trip of degree 127 would keep 37 MB and a wavelet d4 J4 one of
+    degree 16 54 MB.  What does not fit is formed per call."""
+
+    def __init__(self):
+        self.nbytes = 0
+
+    def fits(self, nbytes: int) -> bool:
+        """Whether nbytes more still fit; if so, they are counted."""
+        if self.nbytes + nbytes > _KEPT_BYTES:
+            return False
+        self.nbytes += nbytes
+        return True
+
+
 @dataclass
 class FrameSystem:
     """A spec paired with per-scale rotation grids of matching class.
@@ -348,19 +371,25 @@ class FrameSystem:
     The system also keeps what `analysis` and `synthesis` build: one
     `_Degree` per degree n that a transform has reached, made whole on first
     use and kept as long as the system, so one round trip builds each plane
-    once.  `_phases` holds one phase table per axis of the grids and of a
-    base rotation's chain, keyed by the axis's bytes: e^{-i k beta} for beta
-    in the axis and k = -M..M, with M the largest degree the axis has
+    basis once.  `_phases` holds one phase table per axis of the grids and of
+    a base rotation's chain, keyed by the axis's bytes: e^{-i k beta} for
+    beta in the axis and k = -M..M, with M the largest degree the axis has
     served.  The phases depend on the axis node and the label k_{d-2} only,
     not on the degree, so every degree and plane that runs down the axis
-    gathers its columns from the one table.  What depends on (d, n) alone
-    outlives the system (see `_Degree`); nothing is kept per call.
+    gathers its columns from the one table.  Each degree also keeps the
+    plane operands (ell >= 2) and outer-chain index sets its transforms
+    form, so that synthesis replays what analysis formed: `_kept` counts
+    their bytes against `_KEPT_BYTES` over the whole system, and past it
+    they are formed per call.  What depends on (d, n) alone outlives the
+    system (see `_Degree`).
     """
     spec: FrameSpec
     grids: list[RotationRule]
     variant: str
+    choice: dict = field(default_factory=dict, compare=False)  # see `build_system`
     _degrees: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _phases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _kept: _Kept = field(default_factory=_Kept, init=False, repr=False, compare=False)
 
     def _degree(self, n: int) -> _Degree:
         """The `_Degree` of degree n, built on first use.  The node count of
@@ -369,7 +398,7 @@ class FrameSystem:
         check_cap(sphere_size(self.spec.d, n), "sphere rule")
         rep = self._degrees.get(n)
         if rep is None:
-            rep = self._degrees[n] = _Degree(self.spec.d, n, self._phases)
+            rep = self._degrees[n] = _Degree(self.spec.d, n, self._phases, self._kept)
         return rep
 
 
@@ -380,10 +409,15 @@ def build_system(spec: FrameSpec, variant: str = "auto", K: int | None = None) -
     the structure `_structure` reads off its tags or table.  Any other
     variant is built as asked, whether or not the spec admits it: the
     transforms are exact on every grid, only reconstruction needs `admits`.
+    The system's `choice` records the variant asked for and, for "auto",
+    where the structure was read and the orders read off.
     """
     d = spec.d
+    choice = {"requested": variant, "structure_from": None,
+              "invariance_order": None, "steerability_order": None}
     if variant == "auto":
-        inv, steer = _structure(spec)
+        inv, steer, source = _structure(spec)
+        choice.update(structure_from=source, invariance_order=inv, steerability_order=steer)
         if inv == d - 1:
             variant = "zonal"
         elif inv == d - 2 and steer is not None:
@@ -399,7 +433,7 @@ def build_system(spec: FrameSpec, variant: str = "auto", K: int | None = None) -
         if K is None:
             raise ParameterError(f"variant {variant!r} needs a steerability order K")
     grids = [rotation_rule(d, scale.bandwidth, variant, K=K) for scale in spec.scales]
-    return FrameSystem(spec, grids, variant)
+    return FrameSystem(spec, grids, variant, choice)
 
 
 def _by_degree(d: int, coeffs: dict, n_max: int | None = None) -> dict:
@@ -410,6 +444,23 @@ def _by_degree(d: int, coeffs: dict, n_max: int | None = None) -> dict:
         if c != 0 and (n_max is None or n <= n_max):
             out.setdefault(n, {})[validate_multi_index(d, n, k)] = c
     return out
+
+
+def _signal_vectors(d: int, coeffs: dict, degrees) -> dict:
+    """f_n as one vector over index_set(d, n) per degree n of `degrees` that
+    f reaches, read in one pass: every nonzero key is validated once, at any
+    degree, and placed by `_layout(d, n).index`."""
+    vectors, index = {}, {}
+    for (n, k), c in coeffs.items():
+        if c != 0:
+            k = validate_multi_index(d, n, k)
+            if n in degrees:
+                if n not in vectors:
+                    layout = _layout(d, n)
+                    vectors[n] = np.zeros(len(layout.keys), dtype=complex)
+                    index[n] = layout.index
+                vectors[n][index[n][k]] = c
+    return vectors
 
 
 def _by_scale(system: FrameSystem, coefficients: np.ndarray) -> list:
@@ -532,6 +583,11 @@ def _planes(d: int, n: int) -> tuple:
     return tuple(planes)
 
 
+def _ids(indices) -> bytes:
+    """An index set as the bytes of its intp array, a key of the memos."""
+    return np.asarray(indices, dtype=np.intp).tobytes()
+
+
 class _Degree:
     """Representation matrices D^n(g)[k, k'] = <T(g) Y_k', Y_k> of one degree.
 
@@ -552,28 +608,55 @@ class _Degree:
     `_ladder_stem`.  Delta_ell for ell >= 3 does not: it is the large memory
     at degree 32, and its `sphere_rule` and `basis_matrix` calls are what a
     traced run counts.
+
+    Analysis and synthesis of one system run down the same axes on the same
+    index sets, so the object keeps, read-only, what `plane` forms for
+    ell >= 2 (`operands`, keyed by ell, the axis's bytes, rows and cols) and
+    what `_chain` computes (`chains`, keyed by the section's axis count and
+    the target), while `kept`, the system's count, has room for them: each
+    round trip forms them once, as SOFT and FFTW build their tables once for
+    the forward and the inverse transform.  Past the room they are formed
+    per call.  The plane-1 diagonal is a gather from the phase table and is
+    not kept.
     """
 
-    def __init__(self, d: int, n: int, phases: dict):
+    def __init__(self, d: int, n: int, phases: dict, kept: _Kept | None = None):
         self.d, self.n = d, n
         self.layout = _layout(d, n)
         self.keys, self.klast = self.layout.keys, self.layout.klast
         self.planes = _planes(d, n)
         self.phases = phases
+        self.kept = _Kept() if kept is None else kept
+        self.operands: dict = {}
+        self.chains: dict = {}
 
     def plane(self, ell: int, axis: np.ndarray, rows, cols) -> np.ndarray:
         """D^n(G_ell(beta))[rows, cols] for beta in axis, shape
         (len(axis), |rows|, |cols|); for ell = 1 (rows = cols) only the
         diagonal, shape (len(axis), |cols|).  The phases are gathered from
-        the axis's table e^{-i k beta}, k = -M..M with M >= n."""
-        table = self.phases.get(axis.tobytes())
+        the axis's table e^{-i k beta}, k = -M..M with M >= n; an operand of
+        ell >= 2 formed before is handed back as it was kept, read-only."""
+        name = axis.tobytes()
+        if ell > 1:
+            key = (ell, name, _ids(rows), _ids(cols))
+            m = self.operands.get(key)
+            if m is not None:
+                return m
+        table = self.phases.get(name)
         if table is None or table.shape[1] < 2 * self.n + 1:
             table = np.exp(-1j * np.outer(axis, np.arange(-self.n, self.n + 1)))
-            self.phases[axis.tobytes()] = table
+            self.phases[name] = table
         M = table.shape[1] // 2
         if ell == 1:
             return table[:, self.klast[cols] + M]
-        phases = table[:, self.klast + M]
+        m = self._operand(ell, table[:, self.klast + M], rows, cols)
+        if self.kept.fits(m.nbytes + sum(map(len, key[1:]))):
+            m.flags.writeable = False
+            self.operands[key] = m
+        return m
+
+    def _operand(self, ell: int, phases: np.ndarray, rows, cols) -> np.ndarray:
+        """Delta_ell[rows] diag(phases) Delta_ell[cols]^H per axis node."""
         delta = self.planes[ell - 2]
         # rows, the reach of cols, are never fewer: the phase scales the smaller factor
         return delta[rows] @ (phases[:, :, None] * delta[cols].conj().T)
@@ -615,12 +698,24 @@ class _Degree:
                 support = reached
         return rows, support
 
-    def _chain(self, section, target) -> list:
-        """Index sets T_0 .. T_{d-1} of the outer chain, back from T_{d-1} = target."""
-        sets = [target]
-        for ell in range(len(section.axes), 0, -1):
+    def _chain(self, section, target) -> tuple:
+        """Index sets T_0 .. T_{d-1} of the outer chain, back from T_{d-1} =
+        target.  They depend on the section only through its axis count."""
+        key = (len(section.axes), _ids(target))
+        sets = self.chains.get(key)
+        if sets is None:
+            sets = self._chain_sets(len(section.axes), target)
+            if self.kept.fits(sum(a.nbytes for a in sets) + len(key[1])):
+                for a in sets:
+                    a.flags.writeable = False
+                self.chains[key] = sets
+        return sets
+
+    def _chain_sets(self, axes: int, target) -> tuple:
+        sets = [np.array(target, dtype=np.intp)]
+        for ell in range(axes, 0, -1):
             sets.append(self.reach(ell, sets[-1]))
-        return sets[::-1]
+        return tuple(reversed(sets))
 
     def outer_adjoint(self, section, f: np.ndarray, target) -> np.ndarray:
         """Rows (D^n(S_eta)^H f)[target] over the outer factor's grid,
@@ -665,24 +760,25 @@ def analysis(system: FrameSystem, f: Signal) -> np.ndarray:
     one (R_out x |supp|) @ (|supp| x R_in) product over the index set supp
     that the inner rotations reach from psi_n.  Only degrees present in both
     f and Psi^j contribute (degree spaces are rotation invariant and
-    mutually orthogonal).  Degrees run in the outer loop and scales in the
-    inner one, so f_n is formed once per degree.  Each degree comes from
+    mutually orthogonal).  f is read in one pass into one vector f_n per
+    degree it shares with the table (`_signal_vectors`).  Degrees run in the
+    outer loop and scales in the inner one.  Each degree comes from
     `FrameSystem._degree`, which checks the node count of `sphere_rule(d, n)`
-    against the cap, the largest first, so the cap fires before any work is
-    done; a degree built once stays in the system for later calls.
+    against the cap, the largest first, so the cap fires before any plane is
+    built; a degree built once stays in the system for later calls.
     """
     spec = system.spec
     if f.d != spec.d:
         raise ParameterError("signal dimension mismatch")
     d = spec.d
-    f_tables = _by_degree(d, f.coeffs)
     psi_tables = [_by_degree(d, scale.coeffs) for scale in spec.scales]
+    f_vectors = _signal_vectors(d, f.coeffs, set().union(*psi_tables))
     base = () if spec.base_rotation is None else chain_factors(spec.base_rotation)
     out = np.zeros(sum(len(grid) for grid in system.grids), dtype=complex)
     parts = _by_scale(system, out)
-    for n in sorted(f_tables.keys() & set().union(*psi_tables), reverse=True):
+    for n in sorted(f_vectors, reverse=True):
         rep = system._degree(n)
-        f_n, _ = rep.generator(f_tables[n])
+        f_n = f_vectors[n]
         for grid, by_degree, part in zip(system.grids, psi_tables, parts):
             if n in by_degree:
                 psi, support = rep.generator(by_degree[n])

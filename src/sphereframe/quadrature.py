@@ -78,7 +78,11 @@ def gauss_symmetric_jacobi(m: int, alpha: float) -> Rule1D:
         raise ParameterError(f"node count must be positive, got {m}")
     if alpha <= -1:
         raise ParameterError(f"Jacobi exponent must exceed -1, got {alpha}")
-    mu0 = math.sqrt(math.pi) * math.gamma(alpha + 1.0) / math.gamma(alpha + 1.5)
+    try:
+        mu0 = math.sqrt(math.pi) * math.gamma(alpha + 1.0) / math.gamma(alpha + 1.5)
+    except OverflowError:  # from alpha = 170.5, the axes of a sphere in d >= 344
+        raise ParameterError(f"Jacobi exponent {alpha} is too large: "
+                             f"Gamma({alpha + 1.5}) is past the float range") from None
     if m == 1:
         nodes, weights, exact = np.zeros(1), np.array([mu0]), 1
     else:
@@ -115,8 +119,13 @@ class SphereRule:
     @cached_property
     def angles(self) -> np.ndarray:
         """The (R, d-1) spherical coordinates, first axis slowest."""
-        mesh = np.meshgrid(*(axis.nodes for axis in self.axes), indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        out = np.empty((len(self), len(self.axes)))
+        outer = 1  # the nodes of the slower axes
+        for i, axis in enumerate(self.axes):
+            inner = len(self) // (outer * len(axis.nodes))
+            out[:, i] = np.tile(np.repeat(axis.nodes, inner), outer)
+            outer *= len(axis.nodes)
+        return out
 
     @cached_property
     def points(self) -> np.ndarray:
@@ -129,15 +138,39 @@ class SphereRule:
 
 def sphere_size(d: int, N: int) -> int:
     """Node count of `sphere_rule(d, N)`."""
-    return (2 * N + 1) * (N + 1) ** (d - 2)
+    return (2 * N + 1) * capped_power(N + 1, d - 2, "sphere rule")
+
+
+_POWER_BITS = 1 << 15  # past the 4,300 digits (14,284 bits) of any cap a user can type
+
+
+def capped_power(base: int, exp: int, what: str) -> int:
+    """base ** exp, the fast-growing factor of a node count.  A power of
+    2^15 bits or more is compared with the cap by its exponent, before it is
+    formed, and refused if over it: at d = 10^12 the power alone would not
+    finish.  Smaller powers are formed and left to `check_cap`."""
+    bits = exp * (base.bit_length() - 1)  # base ** exp >= 2 ** bits
+    if bits >= _POWER_BITS:
+        cap = node_cap()
+        if bits >= cap.bit_length():
+            raise CapacityError(f"{what} would hold of the order of {base}^{exp} nodes, "
+                                f"exceeding the cap {cap}")
+    return base ** exp
 
 
 def check_cap(count: int, what: str) -> None:
     """Raise before allocating a rule or grid of `count` nodes over `node_cap()`:
-    the running command's --max-nodes, else SPHEREFRAME_MAX_NODES, else the default."""
+    the running command's --max-nodes, else SPHEREFRAME_MAX_NODES, else the default.
+    A count with more digits than Python prints, 4,300 by default, is named
+    by its leading digits and its power of ten."""
     cap = node_cap()
     if count > cap:
-        raise CapacityError(f"{what} would hold {count} nodes, exceeding the cap {cap}")
+        try:
+            text = str(count)
+        except ValueError:
+            log10 = math.log10(count)
+            text = f"about {10 ** (log10 % 1):.3f}e+{math.floor(log10)}"
+        raise CapacityError(f"{what} would hold {text} nodes, exceeding the cap {cap}")
 
 
 def _check_degree(d: int, N: int) -> None:
@@ -163,9 +196,8 @@ def _sphere_rule(d: int, N: int) -> SphereRule:
     axes = [_circle_rule(2 * N + 1)] + _gauss_axes(d, N)
     w = axes[0].weights
     for axis in axes[1:]:
-        w = np.multiply.outer(w, axis.weights)
-    weights = w.ravel()
-    return SphereRule(tuple(axes), weights / weights.sum(), 2 * N)
+        w = np.multiply.outer(w, axis.weights).ravel()
+    return SphereRule(tuple(axes), w / w.sum(), 2 * N)
 
 
 def sphere_rule(d: int, N: int) -> SphereRule:

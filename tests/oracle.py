@@ -335,6 +335,16 @@ def random_signal(d: int, degree: int, seed=None) -> Signal:
     return Signal(d, degree, {key: c * scale for key, c in coeffs.items()})
 
 
+def random_signal_lists(d: int, degree: int, seed=None) -> Signal:
+    """`frames.random_signal` on Python lists: the draws paired into
+    complexes and scaled one by one."""
+    keys = [(n, k) for n in range(degree + 1) for k in index_set(d, n)]
+    z = np.random.default_rng(seed).standard_normal(2 * len(keys)).tolist()
+    coeffs = {key: complex(re, im) for key, re, im in zip(keys, z[0::2], z[1::2])}
+    scale = 1.0 / math.sqrt(sum(abs(c) ** 2 for c in coeffs.values()))
+    return Signal(d, degree, {key: c * scale for key, c in coeffs.items()})
+
+
 def plane(rep, ell: int, axis, rows, cols) -> np.ndarray:
     """`rep.plane(ell, axis, rows, cols)` with the phases of the degree's own
     labels exponentiated anew."""

@@ -703,6 +703,35 @@ def test_bad_input_is_one_line_input_error(tmp_path, capsys, monkeypatch, env, a
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("argv, code", [
+    # the 3^99998 nodes of the sphere rule are refused by their exponent
+    (("quadinfo", "--d", "100000", "--N", "2"), cli.EXIT_CAPACITY),
+    (("quadinfo", "--d", "1000000000000", "--N", "2"), cli.EXIT_CAPACITY),
+    # one node, but the Gauss weight of axis 342 is past the float range
+    (("quadinfo", "--d", "1000000000000", "--N", "0"), cli.EXIT_INPUT),
+    (("build", "--kind", "zonal", "--d", "100000", "--J", "1", "--out", "{tmp}/z.json"),
+     cli.EXIT_INPUT),
+    (("build", "--kind", "zonal", "--J", "1000000000000", "--out", "{tmp}/z.json"),
+     cli.EXIT_CAPACITY),
+    # a sweep count of about 4,500 digits, past what Python prints
+    (("autocorr", "--spec", "{tmp}/far.json", "--j", "2"), cli.EXIT_CAPACITY),
+])
+def test_huge_sizes_end_in_one_line(tmp_path, argv, code):
+    # each in a process of its own, so that a hang fails instead of stalling
+    spec_path = tmp_path / "w.json"
+    io.write_spec(C.wavelet_spec(4, 2, 2, "kappa2"), spec_path)
+    doc = json.loads(spec_path.read_text())
+    doc["scales"][-1]["N_j"] = 10 ** 1500  # N_j only bounds the degrees
+    (tmp_path / "far.json").write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-m", "sphereframe.cli",
+                           *(a.format(tmp=tmp_path) for a in argv)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == code, done.stderr
+    assert done.stdout == ""
+    assert "error: " in done.stderr and done.stderr.count("\n") == 1, done.stderr
+
+
 def test_scale_index_is_refused_by_the_library_check(tmp_path, capsys):
     spec_path = tmp_path / "w.json"
     io.write_spec(C.wavelet_spec(4, 4, 3, "kappa2"), spec_path)

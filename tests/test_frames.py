@@ -355,6 +355,21 @@ def test_random_signal_is_the_scalar_draw_stream(d):
             assert list(got.coeffs) == list(want.coeffs)
 
 
+@pytest.mark.parametrize("d, degrees", [(3, (0, 1, 6, 32, 127)), (4, (0, 2, 9, 24)),
+                                        (5, (0, 3, 7, 12))])
+def test_random_signal_is_the_list_draw_bit_for_bit(d, degrees):
+    # scaled as one complex array, the coefficients keep the bits of scaling
+    # each Python complex; the energy is summed as Python abs, in key order
+    for seed in (0, 3, 17, 2 ** 31 - 1):
+        for degree in degrees:
+            want = oracle.random_signal_lists(d, degree, seed=seed)
+            got = F.random_signal(d, degree, seed=seed)
+            assert list(got.coeffs) == list(want.coeffs)
+            assert all(type(c) is complex for c in got.coeffs.values())
+            assert (np.array(list(got.coeffs.values())).tobytes()
+                    == np.array(list(want.coeffs.values())).tobytes()), (degree, seed)
+
+
 # -- coefficient-space transforms against the point-space oracle -----------------
 
 def random_table(rng, d, n_max, size):
@@ -699,6 +714,70 @@ def test_synthesis_reuses_the_tables_analysis_built(spec, monkeypatch):
     assert all(got.coeffs[key] == c for key, c in want.coeffs.items())
 
 
+def count_forming(monkeypatch):
+    """Wrap what forms plane operands (ell >= 2) and chain index sets; the
+    list gets one entry per operand or chain formed."""
+    formed = []
+    operand, chain = F._Degree._operand, F._Degree._chain_sets
+    monkeypatch.setattr(F._Degree, "_operand",
+                        lambda self, ell, *a: formed.append(("plane", ell)) or operand(self, ell, *a))
+    monkeypatch.setattr(F._Degree, "_chain_sets",
+                        lambda self, *a: formed.append(("chain",)) or chain(self, *a))
+    return formed
+
+
+def kept_bytes(system) -> int:
+    return sum(a.nbytes for rep in system._degrees.values()
+               for a in [*rep.operands.values(), *(x for sets in rep.chains.values() for x in sets)])
+
+
+@pytest.mark.parametrize("spec", round_trip_systems(), ids=["zonal", "wavelet", "curvelet"])
+def test_synthesis_forms_no_operand_and_no_chain_after_analysis(spec, monkeypatch):
+    # the canonical dual has the table's supports, so synthesis replays every
+    # plane operand and outer chain that analysis formed
+    f = F.random_signal(spec.d, 3, seed=6)
+    dual = F.canonical_dual(spec, n_max=f.degree)
+    want = F.synthesis(F.build_system(spec), dual, F.analysis(F.build_system(spec), f), f.degree)
+    formed = count_forming(monkeypatch)
+    warm = F.build_system(spec)
+    coeffs = F.analysis(warm, f)
+    assert ("chain",) in formed and ("plane", 2) in formed
+    formed.clear()
+    got = F.synthesis(warm, dual, coeffs, f.degree)
+    assert formed == []
+    assert 0 < warm._kept.nbytes <= F._KEPT_BYTES
+    assert list(got.coeffs) == list(want.coeffs)
+    assert all(got.coeffs[key] == c for key, c in want.coeffs.items())
+
+
+@pytest.mark.parametrize("spec", round_trip_systems(), ids=["zonal", "wavelet", "curvelet"])
+def test_the_byte_bound_moves_no_bit(spec, monkeypatch):
+    # past the bound operands and chains are formed per call, with the same bits
+    f = F.random_signal(spec.d, spec.max_bandwidth(), seed=4)
+    dual = F.canonical_dual(spec)
+
+    def round_trip():
+        system = F.build_system(spec)
+        coeffs = F.analysis(system, f)
+        return system, coeffs, F.synthesis(system, dual, coeffs, f.degree)
+
+    monkeypatch.setattr(F, "_KEPT_BYTES", 1 << 40)
+    system, coeffs, want = round_trip()
+    unbounded = system._kept.nbytes
+    assert kept_bytes(system) <= unbounded
+    for bound in (0, unbounded // 3):
+        monkeypatch.setattr(F, "_KEPT_BYTES", bound)
+        formed = count_forming(monkeypatch)
+        system, got_coeffs, got = round_trip()
+        assert kept_bytes(system) <= system._kept.nbytes <= bound
+        assert (bound == 0) == (system._kept.nbytes == 0)
+        assert formed  # some were not kept, and were formed again
+        assert got_coeffs.tobytes() == coeffs.tobytes()
+        assert list(got.coeffs) == list(want.coeffs)
+        assert np.array(list(got.coeffs.values())).tobytes() == \
+            np.array(list(want.coeffs.values())).tobytes()
+
+
 def test_tables_are_built_once_per_system(monkeypatch):
     spec = C.wavelet_spec(4, 2, 2, "kappa2")
     f = F.random_signal(4, 4, seed=7)
@@ -812,7 +891,12 @@ def test_remembered_arrays_are_read_only():
     rule = Q.gauss_symmetric_jacobi(7, 0.5)
     assert Q.gauss_symmetric_jacobi(7, 0.5) is rule
     F._ladder_stem(5)
-    for a in (layout.klast, *layout.stems, F._stems[5], rule.nodes, rule.weights):
+    system = F.build_system(C.curvelet_spec(4, 2))
+    F.analysis(system, F.random_signal(4, 4, seed=1))
+    kept = [a for rep in system._degrees.values()
+            for a in [*rep.operands.values(), *(x for sets in rep.chains.values() for x in sets)]]
+    assert kept
+    for a in (layout.klast, *layout.stems, F._stems[5], rule.nodes, rule.weights, *kept):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 0

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
+from sphereframe import _config
 from sphereframe import constructions as C
 from sphereframe import harmonics as H
 from sphereframe import quadrature as Q
@@ -230,6 +231,36 @@ def test_capacity_admits_exact_count(monkeypatch):
             monkeypatch.setenv("SPHEREFRAME_MAX_NODES", str(size - 1))
             with pytest.raises(CapacityError):
                 Q.rotation_rule(d, 2, variant, K=1)
+
+
+def test_counts_past_what_python_prints_are_named_compactly(monkeypatch):
+    # a count Python prints stays whole; a longer one is named by its leading
+    # digits, and a power of 2^15 bits or more is refused before it is formed
+    with pytest.raises(CapacityError, match=f"x would hold {10 ** 4000} nodes"):
+        Q.check_cap(10 ** 4000, "x")
+    with pytest.raises(CapacityError, match=r"x would hold about 1\.000e\+5000 nodes"):
+        Q.check_cap(10 ** 5000, "x")
+    with pytest.raises(CapacityError, match=r"of the order of 3\^999999999998 nodes"):
+        Q.sphere_size(10 ** 12, 2)
+    assert Q.sphere_size(20002, 2) == 5 * 3 ** 20000  # 31,700 bits: formed
+    with pytest.raises(CapacityError, match=r"of the order of 2\^32768 nodes"):
+        Q.capped_power(2, 1 << 15, "x")
+    # the exponent is compared with the cap, not with a fixed bound
+    with _config.command_flags(1 << 40000, None):
+        assert Q.capped_power(2, 1 << 15, "x") == 1 << (1 << 15)
+
+
+def test_one_node_rules_of_any_dimension_up_to_the_float_range():
+    # more axes than numpy has array dimensions: the products stay flat
+    assert Q.sphere_rule(100, 0).angles.shape == (1, 99)
+    assert Q.rotation_rule(100, 0).rotations.shape == (1, 100, 100)
+    assert len(Q.sphere_rule(343, 0)) == 1
+    # Gamma(alpha + 1.5) overflows from alpha = 170.5, the axis 342 of S^{d-1}
+    assert Q.gauss_symmetric_jacobi(1, 170.0).weights[0] > 0
+    with pytest.raises(ParameterError, match="Jacobi exponent 170.5 is too large"):
+        Q.gauss_symmetric_jacobi(1, 170.5)
+    with pytest.raises(ParameterError, match="Jacobi exponent"):
+        Q.sphere_rule(344, 0)
 
 
 def test_sphere_rule_arrays_are_the_tensor_product_of_its_axes():
