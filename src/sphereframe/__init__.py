@@ -18,8 +18,8 @@ from .errors import (CapacityError, DegenerateSignalError, DomainError,
 from .frames import (FrameBounds, FrameSpec, FrameSystem, ParsevalGap, Scale,
                      Signal, analysis, build_system, canonical_dual,
                      dual_residuals, frame_bounds, invariance_order,
-                     parseval_check, random_signal, sigma_profile,
-                     steerable_order, synthesis)
+                     parseval_check, random_signal, relative_error,
+                     sigma_profile, steerable_order, synthesis)
 from .harmonics import (ExpansionEvaluator, basis_matrix, dim_harmonic,
                         index_set, spherical_to_cartesian)
 from .quadrature import (RotationRule, Rule1D, SphereRule, embed_rotation,

@@ -123,17 +123,13 @@ def cmd_reconstruct(args) -> int:
     else:
         signal = frames.random_signal(spec.d, args.random, seed=seed)
     # certified up to the signal's highest nonzero degree, before any grid is built
-    highest = max((n for (n, _), c in signal.coeffs.items() if c != 0), default=0)
+    highest = max(signal.energies(), default=0)
     dual = frames.canonical_dual(spec, n_max=highest)
     system = frames.build_system(spec, variant=args.grid, K=args.K)
     coeffs = frames.analysis(system, signal)
     n_out = signal.degree if args.n_out is None else args.n_out
     recovered = frames.synthesis(system, dual, coeffs, n_out)
-    err_sq = 0.0
-    for key in set(signal.coeffs) | set(recovered.coeffs):
-        err_sq += abs(recovered.coeffs.get(key, 0.0) - signal.coeffs.get(key, 0.0)) ** 2
-    norm_sq = signal.norm_sq()
-    rel_err = math.sqrt(err_sq / norm_sq) if norm_sq else 0.0
+    rel_err = frames.relative_error(signal, recovered)
     gap = frames.parseval_check(system, signal, coefficients=coeffs)
     report = {
         "command": "reconstruct",

@@ -133,13 +133,15 @@ def _dyadic_scales(d: int, J: int, window: str, component) -> list:
     bandwidth 2^j and, at each degree n of ceil(2^{j-2})..2^j (where the band
     filters live) with w = window(d, j, n) nonzero, the coefficients
     `component(j, n, w)`, keyed by k.  J is checked, and its 2^{J+1} - 1
-    degrees capped, before the window is looked up."""
+    degrees capped, before the window is looked up.  Scales 1..J come
+    first, so a band filter refuses a dimension whose amplitude is past the
+    float range before scale 0's key of d - 2 zeros is formed."""
     if J < 0:
         raise ParameterError("J must be nonnegative")
     check_cap(capped_power(2, J + 1, f"scales 0..{J}") - 1, f"scales 0..{J}")
     if window not in _WINDOWS:
         raise ParameterError(f"unknown window kind {window!r}")
-    scales = [Scale(0, 0, {(0, (0,) * (d - 2)): 1.0 + 0.0j})]
+    scales = []
     for j in range(1, J + 1):
         coeffs = {}
         for n in range(max(1, math.ceil(2.0 ** (j - 2))), 2 ** j + 1):
@@ -147,7 +149,7 @@ def _dyadic_scales(d: int, J: int, window: str, component) -> list:
             if w != 0.0:
                 coeffs.update({(n, k): c for k, c in component(j, n, w).items()})
         scales.append(Scale(j, 2 ** j, coeffs))
-    return scales
+    return [Scale(0, 0, {(0, (0,) * (d - 2)): 1.0 + 0.0j})] + scales
 
 
 def wavelet_spec(d: int, K: int, J: int, window: str = "kappa1") -> FrameSpec:

@@ -139,19 +139,89 @@ def energy(coeffs) -> float:
         return math.inf
 
 
-@dataclass
 class Signal:
-    """Bandlimited function given by its coefficient table up to `degree`."""
-    d: int
-    degree: int
-    coeffs: dict = field(default_factory=dict)
+    """Bandlimited function of degree at most `degree`, in one of two forms.
+
+    `Signal(d, degree, coeffs)` holds a coefficient table (n, k) -> c, as io,
+    diagnostics and callers write one.  `random_signal` and `synthesis` make
+    the vector form: f_n in H_n as one vector over `index_set(d, n)` per
+    degree n, the vectors back to back in one read-only array.  The
+    transforms and the round trip read vectors (`vectors`): a table is
+    packed at the degrees asked for only, every nonzero key validated once
+    on the way, so a key far above every bandwidth is never made dense.  A
+    vector-made signal builds `coeffs` when it is first read, once and
+    read-only, with its zeros dropped.
+    """
+
+    def __init__(self, d: int, degree: int, coeffs: dict | None = None):
+        self.d, self.degree = d, degree
+        self._coeffs = {} if coeffs is None else coeffs
+        self._vectors = self._energies = None  # the vector form: n -> f_n, n -> |f_n|^2
+
+    @classmethod
+    def _of_vectors(cls, d: int, degree: int, degrees, flat: np.ndarray) -> Signal:
+        """The signal whose vector at each of `degrees`, ascending, is the
+        next block of `flat`, dim H_n entries long.  Its energies are summed
+        here, once: the vectors do not change."""
+        f = cls(d, degree)
+        flat.flags.writeable = False
+        ends = np.cumsum([dim_harmonic(d, n) for n in degrees], dtype=int).tolist()
+        starts = [0] + ends[:-1]
+        f._coeffs, f._energies = None, {}
+        f._vectors = {n: flat[lo:hi] for n, lo, hi in zip(degrees, starts, ends)}
+        if ends:
+            with np.errstate(over="ignore"):
+                sums = np.add.reduceat(np.abs(flat) ** 2, starts).tolist()
+            hits = np.logical_or.reduceat(flat != 0, starts).tolist()
+            f._energies = {n: e for n, e, hit in zip(degrees, sums, hits) if hit}
+        return f
+
+    @property
+    def coeffs(self):
+        if self._coeffs is None:
+            self._coeffs = MappingProxyType(
+                {(n, k): c for n, v in self._vectors.items()
+                 for k, c in zip(index_set(self.d, n), v.tolist()) if c != 0.0})
+        return self._coeffs
 
     def norm_sq(self) -> float:
         return energy(self.coeffs.values())
 
+    def energies(self) -> dict:
+        """|f_n|^2 for each degree n at which f has a nonzero coefficient,
+        ascending; inf where a square overflows.  A table's degrees sum
+        abs(c) ** 2 in key order (`energy`), a vector's in numpy's order."""
+        if self._energies is not None:
+            return dict(self._energies)
+        by_degree: dict = {}
+        for (n, _), c in self._coeffs.items():
+            if c != 0:
+                by_degree.setdefault(n, []).append(c)
+        return {n: energy(by_degree[n]) for n in sorted(by_degree)}
+
+    def vectors(self, degrees) -> dict:
+        """f_n over index_set(d, n) for each degree n of `degrees` at which f
+        has a nonzero coefficient, ascending.  The vector form hands back
+        read-only views of its array.  A table is read in one pass: every
+        nonzero key is validated once, at any degree, and placed by
+        `_layout(d, n).index`."""
+        if self._vectors is not None:
+            return {n: v for n, v in self._vectors.items()
+                    if n in degrees and n in self._energies}
+        out: dict = {}
+        for (n, k), c in self._coeffs.items():
+            if c != 0:
+                k = validate_multi_index(self.d, n, k)
+                if n in degrees:
+                    if n not in out:
+                        out[n] = np.zeros(dim_harmonic(self.d, n), dtype=complex)
+                    out[n][_layout(self.d, n).index[k]] = c
+        return dict(sorted(out.items()))
+
 
 def random_signal(d: int, degree: int, seed=None) -> Signal:
-    """Unit-energy signal with complex-Gaussian coefficients per (n, k).
+    """Unit-energy signal with complex-Gaussian coefficients per (n, k), in
+    vector form.
 
     The normals come from one draw, real and imaginary part of each key in
     turn, keys by degree and then in `index_set` order: the stream that one
@@ -163,12 +233,11 @@ def random_signal(d: int, degree: int, seed=None) -> Signal:
     """
     if degree < 0:
         raise ParameterError(f"random signal degree must be nonnegative, got {degree}")
-    check_cap(math.comb(degree + d - 1, d - 1) + math.comb(degree + d - 2, d - 1),
-              "random signal")
-    keys = [(n, k) for n in range(degree + 1) for k in index_set(d, n)]
-    c = np.random.default_rng(seed).standard_normal(2 * len(keys)).view(complex)
+    size = math.comb(degree + d - 1, d - 1) + math.comb(degree + d - 2, d - 1)
+    check_cap(size, "random signal")
+    c = np.random.default_rng(seed).standard_normal(2 * size).view(complex)
     scale = 1.0 / math.sqrt(sum(abs(z) ** 2 for z in c.tolist()))
-    return Signal(d, degree, dict(zip(keys, (c * scale).tolist())))
+    return Signal._of_vectors(d, degree, range(degree + 1), c * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -444,23 +513,6 @@ def _by_degree(d: int, coeffs: dict, n_max: int | None = None) -> dict:
         if c != 0 and (n_max is None or n <= n_max):
             out.setdefault(n, {})[validate_multi_index(d, n, k)] = c
     return out
-
-
-def _signal_vectors(d: int, coeffs: dict, degrees) -> dict:
-    """f_n as one vector over index_set(d, n) per degree n of `degrees` that
-    f reaches, read in one pass: every nonzero key is validated once, at any
-    degree, and placed by `_layout(d, n).index`."""
-    vectors, index = {}, {}
-    for (n, k), c in coeffs.items():
-        if c != 0:
-            k = validate_multi_index(d, n, k)
-            if n in degrees:
-                if n not in vectors:
-                    layout = _layout(d, n)
-                    vectors[n] = np.zeros(len(layout.keys), dtype=complex)
-                    index[n] = layout.index
-                vectors[n][index[n][k]] = c
-    return vectors
 
 
 def _by_scale(system: FrameSystem, coefficients: np.ndarray) -> list:
@@ -760,8 +812,8 @@ def analysis(system: FrameSystem, f: Signal) -> np.ndarray:
     one (R_out x |supp|) @ (|supp| x R_in) product over the index set supp
     that the inner rotations reach from psi_n.  Only degrees present in both
     f and Psi^j contribute (degree spaces are rotation invariant and
-    mutually orthogonal).  f is read in one pass into one vector f_n per
-    degree it shares with the table (`_signal_vectors`).  Degrees run in the
+    mutually orthogonal).  f is read as one vector f_n per degree it shares
+    with the table (`Signal.vectors`).  Degrees run in the
     outer loop and scales in the inner one.  Each degree comes from
     `FrameSystem._degree`, which checks the node count of `sphere_rule(d, n)`
     against the cap, the largest first, so the cap fires before any plane is
@@ -772,7 +824,7 @@ def analysis(system: FrameSystem, f: Signal) -> np.ndarray:
         raise ParameterError("signal dimension mismatch")
     d = spec.d
     psi_tables = [_by_degree(d, scale.coeffs) for scale in spec.scales]
-    f_vectors = _signal_vectors(d, f.coeffs, set().union(*psi_tables))
+    f_vectors = f.vectors(set().union(*psi_tables))
     base = () if spec.base_rotation is None else chain_factors(spec.base_rotation)
     out = np.zeros(sum(len(grid) for grid in system.grids), dtype=complex)
     parts = _by_scale(system, out)
@@ -802,7 +854,8 @@ def synthesis(system: FrameSystem, dual_spec: FrameSpec, coefficients, n_out: in
     No signal is evaluated.  After `analysis` of every degree up to n_out,
     the dual finds every degree built in the system, so nothing is projected
     either.  Degrees run from the largest down, so the cap on
-    `sphere_rule(d, n)` fires first.
+    `sphere_rule(d, n)` fires first.  The result is in vector form, one
+    vector per degree of the dual up to n_out.
     """
     spec = system.spec
     if dual_spec.d != spec.d:
@@ -813,7 +866,8 @@ def synthesis(system: FrameSystem, dual_spec: FrameSpec, coefficients, n_out: in
     weighted = [(np.sqrt(grid.weights) * part).reshape(len(grid.factors[0]), -1)
                 for grid, part in zip(system.grids, _by_scale(system, coefficients))]
     parts = {}
-    for n in sorted(set().union(*tables), reverse=True):
+    degrees = sorted(set().union(*tables))
+    for n in reversed(degrees):
         rep = system._degree(n)
         out = np.zeros(len(rep.keys), dtype=complex)
         for grid, by_degree, u in zip(system.grids, tables, weighted):
@@ -821,8 +875,9 @@ def synthesis(system: FrameSystem, dual_spec: FrameSpec, coefficients, n_out: in
                 psi, support = rep.generator(by_degree[n])
                 rows, support = rep.inner(grid.factors[1:] + base, psi, support)
                 out += rep.outer_apply(grid.factors[0], u @ rows, support)
-        parts[n] = zip(rep.keys, out.tolist())
-    return Signal(d, n_out, {(n, k): v for n in sorted(parts) for k, v in parts[n] if v != 0.0})
+        parts[n] = out
+    flat = np.concatenate([parts[n] for n in degrees]) if degrees else np.zeros(0, dtype=complex)
+    return Signal._of_vectors(d, n_out, degrees, flat)
 
 
 @dataclass(frozen=True)
@@ -838,19 +893,38 @@ def parseval_check(system: FrameSystem, f: Signal, coefficients=None) -> Parseva
     discrete = sum_{j,r} mu |<f, T(g) Psi^j>|^2 computed by quadrature;
     spectral = sum_n sigma_n sum_l |f(n,l)|^2.  With grids of sufficient
     class and bandlimited f the two agree to rounding.  Precomputed analysis
-    coefficients may be passed to avoid repeating the transform.  sigma is
-    taken only up to the highest degree that carries a coefficient of f.
+    coefficients may be passed to avoid repeating the transform.  The
+    spectral sum weighs each degree's energy `Signal.energies`, and sigma is
+    taken only up to the highest degree that carries a nonzero coefficient
+    of f.
     """
     if coefficients is None:
         coefficients = analysis(system, f)
     discrete = 0.0
     for part in _by_scale(system, coefficients):
         discrete += float(np.sum(np.abs(part) ** 2))
-    sigma = sigma_profile(system.spec, max((n for n, _ in f.coeffs), default=0)).tolist()
+    energies = f.energies()
+    sigma = sigma_profile(system.spec, max(energies, default=0)).tolist()
     spectral = 0.0
-    for (n, _), c in f.coeffs.items():
-        spectral += sigma[n] * abs(c) ** 2
+    for n, e in energies.items():
+        spectral += sigma[n] * e
     gap = 0.0 if spectral == 0.0 else abs(discrete - spectral) / spectral
     if spectral == 0.0 and discrete != 0.0:
         gap = math.inf
     return ParsevalGap(discrete, spectral, gap)
+
+
+def relative_error(f: Signal, g: Signal) -> float:
+    """|g - f| / |f|, 0 for a zero f, summed degree by degree from the
+    vectors (`Signal.energies` and `Signal.vectors`): a degree that only one
+    of the two reaches adds its energy there, so neither is packed at a
+    degree the other lacks."""
+    ef, eg = f.energies(), g.energies()
+    shared = ef.keys() & eg.keys()
+    fv, gv = (np.concatenate([np.zeros(0), *x.vectors(shared).values()]) for x in (f, g))
+    with np.errstate(over="ignore"):
+        err_sq = float(np.sum(np.abs(gv - fv) ** 2))
+    err_sq += sum(e for n, e in ef.items() if n not in shared)
+    err_sq += sum(e for n, e in eg.items() if n not in shared)
+    norm_sq = sum(ef.values())
+    return math.sqrt(err_sq / norm_sq) if norm_sq else 0.0

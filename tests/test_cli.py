@@ -21,6 +21,7 @@ from sphereframe import constructions as C
 from sphereframe import frames as F
 from sphereframe import quadrature as Q
 from sphereframe.errors import SphereFrameError
+from test_cli_outputs import report_mismatches
 
 
 def run(*argv):
@@ -255,6 +256,34 @@ def test_reconstruct_with_signal_file(tmp_path):
     assert run("reconstruct", "--spec", spec_path, "--signal", sig_path,
                "--out", report) == 0
     assert io.read_report(report)["relative_coefficient_error"] < 1e-9
+
+
+def test_random_round_trip_reads_no_signal_key(tmp_path, monkeypatch):
+    # the --random signal stays one vector per degree from draw to report
+    spec_path, sig_path = tmp_path / "z5.json", tmp_path / "f.json"
+    assert run("build", "--kind", "zonal", "--d", "3", "--J", "5", "--window", "kappa2",
+               "--out", spec_path) == 0
+    spec_keys = {key for scale in io.read_spec(spec_path).scales for key in scale.coeffs}
+    signal = F.random_signal(3, 32, seed=11)
+    io.write_signal(signal, sig_path)
+    signal_keys = set(signal.coeffs)
+    validated, tables = [], []
+    check, coeffs = F.validate_multi_index, F.Signal.coeffs
+    monkeypatch.setattr(F, "validate_multi_index",
+                        lambda d, n, k: validated.append((n, k)) or check(d, n, k))
+    monkeypatch.setattr(F.Signal, "coeffs",
+                        property(lambda self: tables.append(self) or coeffs.fget(self)))
+    want, got = tmp_path / "file.json", tmp_path / "random.json"
+    assert run("reconstruct", "--spec", spec_path, "--random", 32, "--seed", 11,
+               "--out", got) == 0
+    # the dual's keys are the spec's: only table keys were validated
+    assert validated and set(validated) <= spec_keys
+    assert tables == []
+    assert run("reconstruct", "--spec", spec_path, "--signal", sig_path, "--out", want) == 0
+    assert signal_keys - spec_keys <= set(validated)  # a file's table is validated
+    want, got = io.read_report(want), io.read_report(got)
+    assert (want.pop("seed"), got.pop("seed")) == (None, 11)
+    assert report_mismatches(want, got) == []
 
 
 def test_localize_command(tmp_path):
@@ -634,6 +663,9 @@ def test_parse_error_is_input_error(tmp_path):
     ({}, ("localize", "--spec", "{tmp}/huge.json")),
     ({}, ("autocorr", "--spec", "{tmp}/huge.json", "--j", "1")),
     ({}, ("reconstruct", "--spec", "{w}", "--signal", "{tmp}/huge_signal.json")),
+    # scales 1..J refuse the amplitude before scale 0's key of d - 2 zeros is formed
+    ({}, ("build", "--kind", "zonal", "--d", "1000000000000", "--J", "1",
+          "--out", "{tmp}/z.json")),
 ])
 def test_bad_input_is_one_line_input_error(tmp_path, capsys, monkeypatch, env, argv):
     spec_path = tmp_path / "w.json"

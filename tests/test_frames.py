@@ -665,7 +665,8 @@ def test_analysis_rejects_invalid_signal_indices():
 
 def test_round_trip_validates_each_key_once(monkeypatch):
     spec = C.zonal_spec(3, 3, "kappa2")
-    f = F.random_signal(3, 8, seed=2)
+    # a table-made signal: its keys are validated as it is packed
+    f = F.Signal(3, 8, dict(F.random_signal(3, 8, seed=2).coeffs))
     dual = F.canonical_dual(spec, n_max=f.degree)
     system = F.build_system(spec)
     calls, degrees = [], []
@@ -712,6 +713,67 @@ def test_synthesis_reuses_the_tables_analysis_built(spec, monkeypatch):
     assert calls == []  # no projection and no plane built
     assert got.coeffs.keys() == want.coeffs.keys()
     assert all(got.coeffs[key] == c for key, c in want.coeffs.items())
+
+
+@pytest.mark.parametrize("spec", round_trip_systems(), ids=["zonal", "wavelet", "curvelet"])
+def test_table_and_vector_forms_give_the_same_bits(spec):
+    system = F.build_system(spec)
+    for degree, seed in ((spec.max_bandwidth(), 5), (2, 8)):
+        vector = F.random_signal(spec.d, degree, seed=seed)
+        table = F.Signal(spec.d, degree, dict(vector.coeffs))
+        coeffs = F.analysis(system, vector)
+        assert np.array_equal(F.analysis(system, table), coeffs)
+        a, b = F.parseval_check(system, vector, coeffs), F.parseval_check(system, table, coeffs)
+        assert a.discrete_sum == b.discrete_sum
+        assert b.spectral_sum == pytest.approx(a.spectral_sum, rel=1e-15, abs=0)
+        assert abs(b.rel_gap - a.rel_gap) <= 1e-15
+        # a signal's own energies, degree by degree, in either form
+        assert vector.energies().keys() == table.energies().keys() == set(range(degree + 1))
+        # the error, summed per degree, against the loop over keys
+        rec = F.synthesis(system, F.canonical_dual(spec), coeffs, degree)
+        keys = set(rec.coeffs) | set(table.coeffs)
+        want = math.sqrt(sum(abs(rec.coeffs.get(key, 0.0) - table.coeffs.get(key, 0.0)) ** 2
+                             for key in keys) / table.norm_sq())
+        for f in (vector, table):
+            assert F.relative_error(f, rec) == pytest.approx(want, rel=1e-12)
+
+
+def test_a_vector_made_signal_builds_its_table_once_read_only():
+    f = F.random_signal(3, 4, seed=1)
+    table = f.coeffs
+    assert f.coeffs is table and len(table) == 25
+    with pytest.raises(TypeError):
+        table[(0, (0,))] = 1.0
+    # synthesis drops the zeros of its vectors from the table
+    system = F.build_system(parseval_zonal(3, 2))
+    out = F.synthesis(system, system.spec, np.zeros(sum(map(len, system.grids)), complex), 4)
+    assert dict(out.coeffs) == {} and out.energies() == {}
+
+
+def test_a_key_far_above_every_bandwidth_is_never_made_dense():
+    # dim H_n at d = 4, n = 10^5 is about 10^10: one vector of it would take 160 GB
+    spec = C.wavelet_spec(4, 2, 2, "kappa2")
+    system = F.build_system(spec)
+    dual = F.canonical_dual(spec)
+    low = F.random_signal(4, spec.max_bandwidth(), seed=3)
+    F.synthesis(system, dual, F.analysis(system, low), low.degree)  # builds every degree
+    far = (10 ** 5, (3, -1))
+    f = F.Signal(4, 10 ** 5, {**low.coeffs, far: 0.6})
+    tracemalloc.start()
+    try:
+        coeffs = F.analysis(system, f)
+        norm_sq = f.norm_sq()
+        rec = F.synthesis(system, dual, coeffs, spec.max_bandwidth())
+        err = F.relative_error(f, rec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
+    assert np.array_equal(coeffs, F.analysis(system, low))
+    assert norm_sq == pytest.approx(1.36, rel=1e-14)
+    assert f.energies()[10 ** 5] == 0.36
+    # the round trip recovers everything below the bandwidth and nothing of the far key
+    assert err == pytest.approx(0.6 / math.sqrt(1.36), rel=1e-12)
 
 
 def count_forming(monkeypatch):
