@@ -135,7 +135,8 @@ def _dyadic_scales(d: int, J: int, window: str, component) -> list:
     `component(j, n, w)`, keyed by k.  J is checked, and its 2^{J+1} - 1
     degrees capped, before the window is looked up.  Scales 1..J come
     first, so a band filter refuses a dimension whose amplitude is past the
-    float range before scale 0's key of d - 2 zeros is formed."""
+    float range before scale 0's key of d - 2 zeros is formed; that key's
+    length is checked against the node cap before it is formed."""
     if J < 0:
         raise ParameterError("J must be nonnegative")
     check_cap(capped_power(2, J + 1, f"scales 0..{J}") - 1, f"scales 0..{J}")
@@ -149,6 +150,7 @@ def _dyadic_scales(d: int, J: int, window: str, component) -> list:
             if w != 0.0:
                 coeffs.update({(n, k): c for k, c in component(j, n, w).items()})
         scales.append(Scale(j, 2 ** j, coeffs))
+    check_cap(d - 2, "scale 0's key of d - 2 labels")
     return [Scale(0, 0, {(0, (0,) * (d - 2)): 1.0 + 0.0j})] + scales
 
 

@@ -9,21 +9,26 @@ so the rotate T(g) Psi_n has the coefficients D^n(g) psi_n, and a grid
 rotation g = S_eta H_h, times a base rotation g0 if any, factors into Givens
 planes, one 1-d angle axis each.  Per degree, the transforms apply the plane
 matrices D^n(G_ell(beta)) down these axes and meet in one product over the
-outer and inner grid indices.  The frame coefficients of all scales form one
-vector, scale after scale, each in its grid's flat order.  D^n(G_1) is a
-diagonal phase, and every other plane matrix is that phase conjugated by one
-fixed unitary Delta_ell.  Delta_2, the SO(3) plane, comes from the
-eigenvectors of its closed-form generator; Delta_ell for ell >= 3 is built
-by exact quadrature, so the discrete sums equal their integrals.  The index
-layouts and the generator's stem blocks depend on (d, n) alone and are built
-once per process; the Delta_ell themselves belong to a system.
+outer and inner grid indices.  D^n(G_1) is a diagonal phase, and every other
+plane matrix is that phase conjugated by one fixed unitary Delta_ell.  The
+phase depends on the label k_{d-2} alone, not on n, so on grids with one
+inner rotation (zonal ones) the outer chain runs from the psi side without
+its phase plane, the degrees are summed per label, and the phase axis is
+applied once per scale for all degrees, as fast SO(3) transforms separate
+their variables.  The frame coefficients of all scales form one vector,
+scale after scale, each in its grid's flat order.  Delta_2, the SO(3)
+plane, comes from the eigenvectors of its closed-form generator; Delta_ell
+for ell >= 3 is built by exact quadrature, so the discrete sums equal their
+integrals.  The index layouts and the generator's stem blocks depend on
+(d, n) alone and are built once per process; the Delta_ell themselves
+belong to a system.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 
 import numpy as np
@@ -445,11 +450,13 @@ class FrameSystem:
     beta in the axis and k = -M..M, with M the largest degree the axis has
     served.  The phases depend on the axis node and the label k_{d-2} only,
     not on the degree, so every degree and plane that runs down the axis
-    gathers its columns from the one table.  Each degree also keeps the
-    plane operands (ell >= 2) and outer-chain index sets its transforms
-    form, so that synthesis replays what analysis formed: `_kept` counts
-    their bytes against `_KEPT_BYTES` over the whole system, and past it
-    they are formed per call.  What depends on (d, n) alone outlives the
+    gathers its columns from the one table, and a grid with one inner
+    rotation reads its phase axis's table once per scale (`_alpha`).  The
+    weights' square roots are taken once (`_roots`).  Each degree also
+    keeps the plane operands (ell >= 2) and outer-chain index sets its
+    transforms form, so that synthesis replays what analysis formed:
+    `_kept` counts their bytes against `_KEPT_BYTES` over the whole system,
+    and past it they are formed per call.  What depends on (d, n) alone outlives the
     system (see `_Degree`).
     """
     spec: FrameSpec
@@ -469,6 +476,18 @@ class FrameSystem:
         if rep is None:
             rep = self._degrees[n] = _Degree(self.spec.d, n, self._phases, self._kept)
         return rep
+
+    @cached_property
+    def _roots(self) -> list:
+        """sqrt(mu_r) per grid, the weights' square roots, taken once."""
+        return [np.sqrt(grid.weights) for grid in self.grids]
+
+    def _alpha(self, grid: RotationRule, M: int) -> np.ndarray:
+        """e^{-i m alpha} for alpha in the grid's phase axis, the first of its
+        outer section, and m = -M..M: a view of the axis's phase table."""
+        table = _phase_table(self._phases, grid.factors[0].axes[0].nodes, M)
+        K = table.shape[1] // 2
+        return table[:, K - M:K + M + 1]
 
 
 def build_system(spec: FrameSpec, variant: str = "auto", K: int | None = None) -> FrameSystem:
@@ -635,6 +654,17 @@ def _planes(d: int, n: int) -> tuple:
     return tuple(planes)
 
 
+def _phase_table(phases: dict, axis: np.ndarray, n: int) -> np.ndarray:
+    """The phases e^{-i k beta} of an axis, for beta in axis and k = -M..M
+    with M >= n: the table `phases` keeps under the axis's bytes, built, or
+    widened to k = -n..n, the first time it is asked for n."""
+    name = axis.tobytes()
+    table = phases.get(name)
+    if table is None or table.shape[1] < 2 * n + 1:
+        table = phases[name] = np.exp(-1j * np.outer(axis, np.arange(-n, n + 1)))
+    return table
+
+
 def _ids(indices) -> bytes:
     """An index set as the bytes of its intp array, a key of the memos."""
     return np.asarray(indices, dtype=np.intp).tobytes()
@@ -670,6 +700,13 @@ class _Degree:
     the forward and the inverse transform.  Past the room they are formed
     per call.  The plane-1 diagonal is a gather from the phase table and is
     not kept.
+
+    Grids with R_in > 1 run the outer chain from the f side, phase plane
+    first (`outer_adjoint`, `outer_apply`).  Grids with one inner rotation
+    run it from the psi side without its phase plane (`outer_planes`), on
+    the same operands and chain sets; the transforms add or gather the
+    result per label k_{d-2} (`add_by_label`) and apply the phase axis
+    themselves, once per scale.
     """
 
     def __init__(self, d: int, n: int, phases: dict, kept: _Kept | None = None):
@@ -688,16 +725,12 @@ class _Degree:
         diagonal, shape (len(axis), |cols|).  The phases are gathered from
         the axis's table e^{-i k beta}, k = -M..M with M >= n; an operand of
         ell >= 2 formed before is handed back as it was kept, read-only."""
-        name = axis.tobytes()
         if ell > 1:
-            key = (ell, name, _ids(rows), _ids(cols))
+            key = (ell, axis.tobytes(), _ids(rows), _ids(cols))
             m = self.operands.get(key)
             if m is not None:
                 return m
-        table = self.phases.get(name)
-        if table is None or table.shape[1] < 2 * self.n + 1:
-            table = np.exp(-1j * np.outer(axis, np.arange(-self.n, self.n + 1)))
-            self.phases[name] = table
+        table = _phase_table(self.phases, axis, self.n)
         M = table.shape[1] // 2
         if ell == 1:
             return table[:, self.klast[cols] + M]
@@ -740,15 +773,44 @@ class _Degree:
         for section in reversed(factors):
             for ell in range(len(section.axes), 0, -1):
                 reached = self.reach(ell, support)
-                m = self.plane(ell, section.axes[ell - 1].nodes, reached, support)
-                if ell == 1:
-                    rows = m[:, None, :] * rows[None, :, :]
-                else:
-                    A, R, C = m.shape
-                    rows = np.dot(rows, m.reshape(A * R, C).T).reshape(-1, A, R).transpose(1, 0, 2)
-                rows = rows.reshape(-1, len(reached))
+                rows = self._expand(ell, section.axes[ell - 1].nodes, rows, reached, support)
                 support = reached
         return rows, support
+
+    def _expand(self, ell: int, axis: np.ndarray, rows: np.ndarray, reached, support):
+        """D^n(G_ell(beta)) applied to each row over support, for beta in
+        axis: (len(axis) * len(rows), |reached|), the new axis slowest."""
+        m = self.plane(ell, axis, reached, support)
+        if ell == 1:
+            rows = m[:, None, :] * rows[None, :, :]
+        else:
+            A, R, C = m.shape
+            rows = np.dot(rows, m.reshape(A * R, C).T).reshape(-1, A, R).transpose(1, 0, 2)
+        return rows.reshape(-1, len(reached))
+
+    def outer_planes(self, section, rows: np.ndarray, target) -> tuple:
+        """The outer chain without its phase plane: D^n(G_2(beta_2)) ...
+        D^n(G_L(beta_L)) b for each row b of rows over target, and for each
+        node of the section's axes 2..L (beta_2 slowest), over the set T_0
+        of the chain; returns (rows, T_0).  T_0 is the reach of plane 2, a
+        union of whole stems, each contiguous and labelled k_{d-2} = -N..N."""
+        sets = self._chain(section, target)
+        for ell in range(len(section.axes), 1, -1):
+            rows = self._expand(ell, section.axes[ell - 1].nodes, rows, sets[ell - 1], sets[ell])
+        return rows, sets[0]
+
+    def add_by_label(self, out: np.ndarray, rows: np.ndarray, reached) -> None:
+        """out[:, M + k] += the columns of rows (over `reached`, a T_0 of
+        `outer_planes`) whose key has the label k_{d-2} = k, for an out of
+        2M+1 >= 2n+1 columns.  Stem by stem, so at d = 3, one stem, it is
+        one slice."""
+        labels = self.klast[reached]
+        M = out.shape[1] // 2
+        lo = 0
+        while lo < len(labels):
+            N = -int(labels[lo])
+            out[:, M - N:M + N + 1] += rows[:, lo:lo + 2 * N + 1]
+            lo += 2 * N + 1
 
     def _chain(self, section, target) -> tuple:
         """Index sets T_0 .. T_{d-1} of the outer chain, back from T_{d-1} =
@@ -801,6 +863,13 @@ class _Degree:
         return out
 
 
+def _one_inner(grid: RotationRule) -> bool:
+    """Whether the grid has one inner rotation (R_in = 1: zonal, or inner
+    factors of one node each), so that the transforms apply its phase axis
+    once per scale for all degrees.  Read off the factors alone."""
+    return len(grid) == len(grid.factors[0])
+
+
 def analysis(system: FrameSystem, f: Signal) -> np.ndarray:
     """Frame coefficients sqrt(mu_r) <f, Psi^j(g_r^{-1} .)> of every scale.
 
@@ -810,11 +879,19 @@ def analysis(system: FrameSystem, f: Signal) -> np.ndarray:
     whose one-node chain follows the inner factors), per degree n
         <f_n, T(g) Psi_n> = sum_k (D^n(S_eta)^H f_n)_k conj(D^n(H) psi_n)_k,
     one (R_out x |supp|) @ (|supp| x R_in) product over the index set supp
-    that the inner rotations reach from psi_n.  Only degrees present in both
-    f and Psi^j contribute (degree spaces are rotation invariant and
-    mutually orthogonal).  f is read as one vector f_n per degree it shares
-    with the table (`Signal.vectors`).  Degrees run in the
-    outer loop and scales in the inner one.  Each degree comes from
+    that the inner rotations reach from psi_n.  On a grid with one inner
+    rotation (R_in = 1: zonal, or any grid whose inner factors have one
+    node each) the phase axis alpha of S_eta = G_1(alpha) S' waits for all
+    degrees instead: D^n(G_1(alpha)) = diag(e^{-i k_{d-2} alpha}) does not
+    depend on n, so
+        c[alpha, beta] = sum_m e^{i m alpha} sum_n sum_{k_{d-2} = m}
+                         f_n conj(D^n(S'_beta) D^n(H) psi_n),
+    the inner sum over degrees added up per label (`_Degree.add_by_label`)
+    and the outer one a single (A_1 x (2M+1)) product per scale.  Only
+    degrees present in both f and Psi^j contribute (degree spaces are
+    rotation invariant and mutually orthogonal).  f is read as one vector
+    f_n per degree it shares with the table (`Signal.vectors`).  Degrees run
+    in the outer loop and scales in the inner one.  Each degree comes from
     `FrameSystem._degree`, which checks the node count of `sphere_rule(d, n)`
     against the cap, the largest first, so the cap fires before any plane is
     built; a degree built once stays in the system for later calls.
@@ -828,18 +905,29 @@ def analysis(system: FrameSystem, f: Signal) -> np.ndarray:
     base = () if spec.base_rotation is None else chain_factors(spec.base_rotation)
     out = np.zeros(sum(len(grid) for grid in system.grids), dtype=complex)
     parts = _by_scale(system, out)
+    by_label = {}  # scale of one inner rotation -> its sum over degrees, (A_2...A_L, 2M+1)
     for n in sorted(f_vectors, reverse=True):
         rep = system._degree(n)
         f_n = f_vectors[n]
-        for grid, by_degree, part in zip(system.grids, psi_tables, parts):
-            if n in by_degree:
-                psi, support = rep.generator(by_degree[n])
-                rows, support = rep.inner(grid.factors[1:] + base, psi, support)
+        for j, (grid, by_degree, part) in enumerate(zip(system.grids, psi_tables, parts)):
+            if n not in by_degree:
+                continue
+            psi, support = rep.generator(by_degree[n])
+            rows, support = rep.inner(grid.factors[1:] + base, psi, support)
+            section = grid.factors[0]
+            if not _one_inner(grid):
                 # (R_out x R_in) in the grid's flat order, outer index slowest
-                part += (rep.outer_adjoint(grid.factors[0], f_n, support)
-                         @ np.conj(rows).T).reshape(-1)
-    for grid, part in zip(system.grids, parts):
-        part *= np.sqrt(grid.weights)
+                part += (rep.outer_adjoint(section, f_n, support) @ np.conj(rows).T).reshape(-1)
+                continue
+            rows, reached = rep.outer_planes(section, rows, support)
+            if j not in by_label:  # n is the scale's largest degree
+                by_label[j] = np.zeros((len(rows), 2 * n + 1), dtype=complex)
+            rep.add_by_label(by_label[j], np.conj(rows) * f_n[reached], reached)
+    for j, sums in by_label.items():
+        phases = system._alpha(system.grids[j], sums.shape[1] // 2)
+        parts[j] += np.dot(np.conj(phases), sums.T).reshape(-1)
+    for part, roots in zip(parts, system._roots):
+        part *= roots
     return out
 
 
@@ -851,6 +939,10 @@ def synthesis(system: FrameSystem, dual_spec: FrameSpec, coefficients, n_out: in
     the weighted coefficients as an (R_out x R_in) array and B the rows
     D^n(H_h g0) psi_n (g0 the dual's base rotation, if any),
         out_n = sum_eta D^n(S_eta) (U @ B)[eta].
+    On a grid with one inner rotation the phase axis goes first, once per
+    scale: the weighted coefficients U[alpha, beta] are contracted with
+    e^{-i m alpha} into V[beta, m], and each degree gathers the columns of
+    its labels, out_n[k] = sum_beta V[beta, k_{d-2}] (D^n(S'_beta) B)[k].
     No signal is evaluated.  After `analysis` of every degree up to n_out,
     the dual finds every degree built in the system, so nothing is projected
     either.  Degrees run from the largest down, so the cap on
@@ -863,18 +955,31 @@ def synthesis(system: FrameSystem, dual_spec: FrameSpec, coefficients, n_out: in
     d = spec.d
     tables = [_by_degree(d, scale.coeffs, n_out) for scale in dual_spec.scales]
     base = () if dual_spec.base_rotation is None else chain_factors(dual_spec.base_rotation)
-    weighted = [(np.sqrt(grid.weights) * part).reshape(len(grid.factors[0]), -1)
-                for grid, part in zip(system.grids, _by_scale(system, coefficients))]
+    weighted = [(roots * part).reshape(len(grid.factors[0]), -1)
+                for grid, roots, part in zip(system.grids, system._roots,
+                                             _by_scale(system, coefficients))]
+    by_label = {}  # scale of one inner rotation -> V, (A_2...A_L, 2M+1)
     parts = {}
     degrees = sorted(set().union(*tables))
     for n in reversed(degrees):
         rep = system._degree(n)
         out = np.zeros(len(rep.keys), dtype=complex)
-        for grid, by_degree, u in zip(system.grids, tables, weighted):
-            if n in by_degree:
-                psi, support = rep.generator(by_degree[n])
-                rows, support = rep.inner(grid.factors[1:] + base, psi, support)
-                out += rep.outer_apply(grid.factors[0], u @ rows, support)
+        for j, (grid, by_degree, u) in enumerate(zip(system.grids, tables, weighted)):
+            if n not in by_degree:
+                continue
+            psi, support = rep.generator(by_degree[n])
+            rows, support = rep.inner(grid.factors[1:] + base, psi, support)
+            section = grid.factors[0]
+            if not _one_inner(grid):
+                out += rep.outer_apply(section, u @ rows, support)
+                continue
+            if j not in by_label:  # n is the scale's largest degree
+                phases = system._alpha(grid, n)
+                by_label[j] = np.dot(u.reshape(len(phases), -1).T, phases)
+            rows, reached = rep.outer_planes(section, rows, support)
+            V = by_label[j]
+            M = V.shape[1] // 2
+            out[reached] += np.einsum("bk,bk->k", V[:, rep.klast[reached] + M], rows)
         parts[n] = out
     flat = np.concatenate([parts[n] for n in degrees]) if degrees else np.zeros(0, dtype=complex)
     return Signal._of_vectors(d, n_out, degrees, flat)

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -526,6 +527,24 @@ def test_autocorr_is_the_same_at_one_and_two_threads(tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("build", [
+    ("--kind", "zonal", "--d", "3", "--J", "3", "--window", "kappa2"),
+    ("--kind", "wavelet", "--d", "4", "--K", "2", "--J", "2", "--window", "kappa2"),
+], ids=["zonal", "wavelet"])
+def test_reconstruct_is_the_same_at_one_and_two_threads(tmp_path, capsys, build):
+    # one inner rotation and R_in > 1: each transform order keeps its bytes
+    spec_path = tmp_path / "s.json"
+    assert run("build", *build, "--out", spec_path) == 0
+    outputs = []
+    for threads in (1, 2):
+        report = tmp_path / f"r_{threads}.json"
+        capsys.readouterr()
+        assert run("--threads", threads, "reconstruct", "--spec", spec_path, "--random", "4",
+                   "--seed", "3", "--out", report) == 0
+        outputs.append((capsys.readouterr(), report.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("argv", [
     ("figure", "--spec", "{w}", "--j", "1", "--resolution", "64", "--out", "{tmp}/f.csv"),
     ("localize", "--spec", "{w}", "--scales", "2"),
@@ -762,6 +781,24 @@ def test_huge_sizes_end_in_one_line(tmp_path, argv, code):
     assert done.returncode == code, done.stderr
     assert done.stdout == ""
     assert "error: " in done.stderr and done.stderr.count("\n") == 1, done.stderr
+
+
+def test_scale_0s_key_is_capped_before_it_is_formed(tmp_path, capsys):
+    # at J = 0 no band filter refuses a huge d first: its key of d - 2 zeros
+    # would take 8 TB at d = 10^12
+    out = tmp_path / "z.json"
+    capsys.readouterr()
+    code, peak = peak_of(lambda: run("build", "--kind", "zonal", "--d", "1000000000000",
+                                     "--J", "0", "--out", out))
+    assert code == cli.EXIT_CAPACITY and peak < 1_000_000, peak
+    err = capsys.readouterr().err
+    assert err.startswith("capacity error: scale 0's key of d - 2 labels would hold "
+                          "999999999998 nodes") and err.count("\n") == 1, err
+    assert not out.exists()
+    # under the cap the spec keeps its bytes
+    assert run("build", "--kind", "zonal", "--d", "100000", "--J", "0", "--out", out) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "d65a03fb02a1b5b66740caca20663062a133355f185c422cd13156875e17e8d7"
 
 
 def test_scale_index_is_refused_by_the_library_check(tmp_path, capsys):

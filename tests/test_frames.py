@@ -411,10 +411,14 @@ def assert_close(got, want, scale):
 @settings(max_examples=40, deadline=None)
 @given(systems())
 def test_transforms_match_point_space_oracle(case):
+    spec, system, f, _ = case
+    check_against_oracle(spec, system, f)
+
+
+def check_against_oracle(spec, system, f):
     # tolerances are relative to the largest coefficient each transform can
     # produce (Cauchy-Schwarz, T unitary), which stays meaningful when a
     # coefficient vanishes by symmetry
-    spec, system, f, _ = case
     coefficients = F.analysis(system, f)
     assert coefficients.shape == (sum(len(g) for g in system.grids),)
     parts = by_scale(system, coefficients)
@@ -429,6 +433,82 @@ def test_transforms_match_point_space_oracle(case):
                   for g, c, s in zip(system.grids, parts, spec.scales))
     assert_close(np.array([got.coeffs.get(k, 0.0) for k in keys]),
                  np.array([want.coeffs.get(k, 0.0) for k in keys]), largest)
+
+
+def one_inner_specs():
+    # zonal tables at d = 3, 4, 5, as built and moved by a base rotation,
+    # whose one-node chain leaves the grid one inner rotation
+    rng = np.random.default_rng(29)
+    specs = []
+    for d, J in ((3, 3), (4, 2), (5, 1)):
+        scales = C.zonal_spec(d, J, "kappa2").scales
+        specs += [F.FrameSpec(d, scales),
+                  F.FrameSpec(d, scales, base_rotation=oracle.random_rotation(d, rng))]
+    return specs
+
+
+@pytest.mark.parametrize("spec", one_inner_specs(),
+                         ids=["d3", "d3-moved", "d4", "d4-moved", "d5", "d5-moved"])
+def test_one_inner_rotation_transforms_match_point_space_oracle(spec):
+    system = F.build_system(spec, variant="zonal")
+    assert all(F._one_inner(grid) for grid in system.grids)
+    check_against_oracle(spec, system, F.random_signal(spec.d, spec.max_bandwidth(), seed=spec.d))
+
+
+@pytest.mark.parametrize("spec", one_inner_specs()[3:4], ids=["d4-moved"])
+def test_both_orders_agree_on_a_grid_with_one_inner_rotation(spec, monkeypatch):
+    # the phase axis once per scale, against the outer chain of grids with R_in > 1
+    f = F.random_signal(spec.d, spec.max_bandwidth(), seed=2)
+    size = sum(len(g) for g in F.build_system(spec, variant="zonal").grids)
+    rng = np.random.default_rng(3)
+    c = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    results = []
+    for one_inner in (F._one_inner, lambda grid: False):
+        monkeypatch.setattr(F, "_one_inner", one_inner)
+        system = F.build_system(spec, variant="zonal")
+        results.append((F.analysis(system, f), F.synthesis(system, spec, c, f.degree)))
+    (a, s), (a_old, s_old) = results
+    largest = max(math.sqrt(np.max(g.weights)) for g in system.grids) \
+        * norm(f.coeffs) * max(norm(scale.coeffs) for scale in spec.scales)
+    assert_close(a, a_old, largest)
+    largest = sum(np.sum(np.sqrt(g.weights) * np.abs(part)) * norm(scale.coeffs)
+                  for g, part, scale in zip(system.grids, by_scale(system, c), spec.scales))
+    assert s.energies().keys() == s_old.energies().keys()
+    assert_close(np.concatenate(list(s.vectors(range(f.degree + 1)).values())),
+                 np.concatenate(list(s_old.vectors(range(f.degree + 1)).values())), largest)
+
+
+@pytest.mark.parametrize("spec, one_inner", [
+    (C.zonal_spec(3, 3, "kappa2"), True),
+    (F.FrameSpec(4, C.zonal_spec(4, 2, "kappa2").scales, base_rotation=C.make_g0(4)), True),
+    (C.wavelet_spec(4, 2, 2, "kappa2"), False),
+], ids=["zonal", "zonal-moved", "wavelet"])
+def test_the_phase_axis_runs_once_per_scale_only_on_one_inner_rotation(spec, one_inner,
+                                                                      monkeypatch):
+    f = F.random_signal(spec.d, spec.max_bandwidth(), seed=4)
+    dual = F.canonical_dual(spec)
+    system = F.build_system(spec, variant="zonal" if one_inner else "auto")
+    assert [F._one_inner(grid) for grid in system.grids] == [one_inner] * len(system.grids)
+    calls = []
+    for name in ("outer_adjoint", "outer_apply"):
+        real = getattr(F._Degree, name)
+        monkeypatch.setattr(F._Degree, name, lambda self, *a, name=name, real=real:
+                            calls.append((name, self.n)) or real(self, *a))
+    alpha = F.FrameSystem._alpha
+    monkeypatch.setattr(F.FrameSystem, "_alpha", lambda self, grid, M:
+                        calls.append(("alpha", id(grid))) or alpha(self, grid, M))
+    F.synthesis(system, dual, F.analysis(system, f), f.degree)
+    # one (degree, scale) pair per degree a scale carries, in each direction
+    pairs = sorted(n for scale in spec.scales
+                   for n in {n for (n, _), c in scale.coeffs.items() if c != 0})
+    scales = [id(grid) for grid in system.grids] * 2
+    if one_inner:
+        assert sorted(j for name, j in calls if name == "alpha") == sorted(scales)
+        assert [name for name, _ in calls if name != "alpha"] == []
+    else:
+        assert [name for name, _ in calls if name == "alpha"] == []
+        assert sorted(n for name, n in calls if name == "outer_adjoint") == pairs
+        assert sorted(n for name, n in calls if name == "outer_apply") == pairs
 
 
 @settings(max_examples=40, deadline=None)
