@@ -110,6 +110,7 @@ def cmd_reconstruct(args) -> int:
              f"--random must be a nonnegative degree, got {args.random}")
     _require(args.n_out is None or args.n_out >= 0,
              f"--n-out must be a nonnegative degree, got {args.n_out}")
+    _require(args.seed >= 0, f"--seed must be nonnegative, got {args.seed}")
     spec = io.read_spec(args.spec)
     _require(frames.admits(spec, args.grid, args.K),
              f"the spec does not admit --grid {args.grid}"

@@ -7,17 +7,18 @@ and dual pairs are recognized by the cross profile being identically one.
 Analysis and synthesis stay in coefficient space.  T is a representation,
 so the rotate T(g) Psi_n has the coefficients D^n(g) psi_n, and a grid
 rotation g = S_eta H_h, times a base rotation g0 if any, factors into Givens
-planes, one 1-d angle axis each.  Per degree, the transforms apply the plane
-matrices D^n(G_ell(beta)) down these axes and meet in one product over the
-outer and inner grid indices.  D^n(G_1) is a diagonal phase, and every other
-plane matrix is that phase conjugated by one fixed unitary Delta_ell.  The
-phase depends on the label k_{d-2} alone, not on n, so on grids with one
-inner rotation (zonal ones) the outer chain runs from the psi side without
-its phase plane, the degrees are summed per label, and the phase axis is
-applied once per scale for all degrees, as fast SO(3) transforms separate
-their variables.  The frame coefficients of all scales form one vector,
-scale after scale, each in its grid's flat order.  Delta_2, the SO(3)
-plane, comes from the eigenvectors of its closed-form generator; Delta_ell
+planes, one 1-d angle axis each.  Both transforms share one walk over
+(degree, scale) pairs (`_walk`) that applies the plane matrices
+D^n(G_ell(beta)) up the inner axes to psi_n, and each keeps only its
+contraction with the outer grid indices.  D^n(G_1) is a diagonal phase, and
+every other plane matrix is that phase conjugated by one fixed unitary
+Delta_ell.  The phase depends on the label k_{d-2} alone, not on n, so on
+grids with one inner rotation (zonal ones) the walk runs the outer chain on
+from psi's side up to its phase plane, the degrees are summed per label,
+and the phase axis is applied once per scale for all degrees, as fast SO(3)
+transforms separate their variables.  The frame coefficients of all scales
+form one vector, scale after scale, each in its grid's flat order.
+Delta_2, the SO(3) plane, comes from the eigenvectors of its closed-form generator; Delta_ell
 for ell >= 3 is built by exact quadrature, so the discrete sums equal their
 integrals.  The index layouts and the generator's stem blocks depend on
 (d, n) alone and are built once per process; the Delta_ell themselves
@@ -207,21 +208,14 @@ class Signal:
     def vectors(self, degrees) -> dict:
         """f_n over index_set(d, n) for each degree n of `degrees` at which f
         has a nonzero coefficient, ascending.  The vector form hands back
-        read-only views of its array.  A table is read in one pass: every
-        nonzero key is validated once, at any degree, and placed by
-        `_layout(d, n).index`."""
+        read-only views of its array.  A table is grouped by degree, every
+        nonzero key validated once, at any degree (`_by_degree`), and packed
+        at the degrees asked for (`_pack`)."""
         if self._vectors is not None:
             return {n: v for n, v in self._vectors.items()
                     if n in degrees and n in self._energies}
-        out: dict = {}
-        for (n, k), c in self._coeffs.items():
-            if c != 0:
-                k = validate_multi_index(self.d, n, k)
-                if n in degrees:
-                    if n not in out:
-                        out[n] = np.zeros(dim_harmonic(self.d, n), dtype=complex)
-                    out[n][_layout(self.d, n).index[k]] = c
-        return dict(sorted(out.items()))
+        tables = _by_degree(self.d, self._coeffs)
+        return {n: _pack(self.d, n, tables[n])[0] for n in sorted(tables) if n in degrees}
 
 
 def random_signal(d: int, degree: int, seed=None) -> Signal:
@@ -694,19 +688,18 @@ class _Degree:
     Analysis and synthesis of one system run down the same axes on the same
     index sets, so the object keeps, read-only, what `plane` forms for
     ell >= 2 (`operands`, keyed by ell, the axis's bytes, rows and cols) and
-    what `_chain` computes (`chains`, keyed by the section's axis count and
-    the target), while `kept`, the system's count, has room for them: each
-    round trip forms them once, as SOFT and FFTW build their tables once for
-    the forward and the inverse transform.  Past the room they are formed
-    per call.  The plane-1 diagonal is a gather from the phase table and is
-    not kept.
+    what `_chain` computes for every section, inner or outer (`chains`,
+    keyed by the section's axis count and the target), while `kept`, the
+    system's count, has room for them: each round trip forms them once, as
+    SOFT and FFTW build their tables once for the forward and the inverse
+    transform.  Past the room they are formed per call.  The plane-1
+    diagonal is a gather from the phase table and is not kept.
 
     Grids with R_in > 1 run the outer chain from the f side, phase plane
     first (`outer_adjoint`, `outer_apply`).  Grids with one inner rotation
-    run it from the psi side without its phase plane (`outer_planes`), on
-    the same operands and chain sets; the transforms add or gather the
-    result per label k_{d-2} (`add_by_label`) and apply the phase axis
-    themselves, once per scale.
+    run it from the psi side, in `inner` after the inner factors, up to its
+    phase plane; the transforms add or gather the result per label k_{d-2}
+    (`add_by_label`) and apply the phase axis themselves, once per scale.
     """
 
     def __init__(self, d: int, n: int, phases: dict, kept: _Kept | None = None):
@@ -749,32 +742,26 @@ class _Degree:
     def reach(self, ell: int, support):
         return support if ell == 1 else self.layout.reach(self.d - ell - 1, support)
 
-    def generator(self, table: dict) -> tuple[np.ndarray, list]:
-        """psi_n as a vector over index_set(d, n) and its support."""
-        index = self.layout.index
-        entries = {index[k]: c for k, c in table.items()}
-        support = sorted(entries)
-        psi = np.zeros(len(self.keys), dtype=complex)
-        psi[support] = [entries[i] for i in support]
-        return psi, support
-
     # Each plane below is contracted by one np.dot on the operands that
     # np.tensordot would form, so the bits are tensordot's; `@` rounds a
     # contraction of length one differently.
 
-    def inner(self, factors: tuple, psi: np.ndarray, support: list):
-        """Rows D^n(H_h) psi over the grid of the inner factors, restricted to
-        the index set they reach; returns (B (R_in, |set|), set).
+    def inner(self, factors: tuple, psi: np.ndarray, support, last: int = 0):
+        """Rows D^n(g) psi over the grid of the factors' chain g, restricted to
+        the index set they reach; returns (B (R, |set|), set).  Each section
+        runs down the index sets of `_chain`, and the first section stops
+        before its plane `last`: last = 1 leaves out the phase plane.
 
         The planes are applied right to left, so each new axis is slower than
         the ones already expanded, matching the flat grid order.
         """
         rows = psi[support][None, :]
-        for section in reversed(factors):
-            for ell in range(len(section.axes), 0, -1):
-                reached = self.reach(ell, support)
-                rows = self._expand(ell, section.axes[ell - 1].nodes, rows, reached, support)
-                support = reached
+        for i in range(len(factors) - 1, -1, -1):
+            axes = factors[i].axes
+            sets = self._chain(factors[i], support)
+            for ell in range(len(axes), 0 if i else last, -1):
+                rows = self._expand(ell, axes[ell - 1].nodes, rows, sets[ell - 1], sets[ell])
+            support = sets[0]
         return rows, support
 
     def _expand(self, ell: int, axis: np.ndarray, rows: np.ndarray, reached, support):
@@ -788,20 +775,9 @@ class _Degree:
             rows = np.dot(rows, m.reshape(A * R, C).T).reshape(-1, A, R).transpose(1, 0, 2)
         return rows.reshape(-1, len(reached))
 
-    def outer_planes(self, section, rows: np.ndarray, target) -> tuple:
-        """The outer chain without its phase plane: D^n(G_2(beta_2)) ...
-        D^n(G_L(beta_L)) b for each row b of rows over target, and for each
-        node of the section's axes 2..L (beta_2 slowest), over the set T_0
-        of the chain; returns (rows, T_0).  T_0 is the reach of plane 2, a
-        union of whole stems, each contiguous and labelled k_{d-2} = -N..N."""
-        sets = self._chain(section, target)
-        for ell in range(len(section.axes), 1, -1):
-            rows = self._expand(ell, section.axes[ell - 1].nodes, rows, sets[ell - 1], sets[ell])
-        return rows, sets[0]
-
     def add_by_label(self, out: np.ndarray, rows: np.ndarray, reached) -> None:
         """out[:, M + k] += the columns of rows (over `reached`, a T_0 of
-        `outer_planes`) whose key has the label k_{d-2} = k, for an out of
+        `_chain`) whose key has the label k_{d-2} = k, for an out of
         2M+1 >= 2n+1 columns.  Stem by stem, so at d = 3, one stem, it is
         one slice."""
         labels = self.klast[reached]
@@ -870,6 +846,39 @@ def _one_inner(grid: RotationRule) -> bool:
     return len(grid) == len(grid.factors[0])
 
 
+def _pack(d: int, n: int, table: dict) -> tuple[np.ndarray, list]:
+    """A degree's table {k: c} as one vector over index_set(d, n), and the
+    positions of its keys, ascending."""
+    index = _layout(d, n).index
+    entries = {index[k]: c for k, c in table.items()}
+    support = sorted(entries)
+    vector = np.zeros(len(index), dtype=complex)
+    vector[support] = [entries[i] for i in support]
+    return vector, support
+
+
+def _walk(system: FrameSystem, tables: list, degrees, base: tuple):
+    """The walk that analysis and synthesis share: (rep, j, rows, set) for
+    each degree n of `degrees`, the largest first, and each scale j whose
+    table, grouped by degree, has n, with rep the system's `_Degree` and rows
+    `_Degree.inner` of the packed psi_n over the index set it reaches.  The
+    rows run down the inner factors and the base chain; on a grid with one
+    inner rotation (`_one_inner`) they run down the outer section too, up to
+    its phase plane, which the transforms apply per scale.  Each degree
+    starts with `FrameSystem._degree`, so its cap fires before anything of
+    that degree is built."""
+    d = system.spec.d
+    ones = [_one_inner(grid) for grid in system.grids]
+    chains = [(grid.factors if one else grid.factors[1:]) + base
+              for grid, one in zip(system.grids, ones)]
+    for n in sorted(degrees, reverse=True):
+        rep = system._degree(n)
+        for j, table in enumerate(tables):
+            if n in table:
+                psi, support = _pack(d, n, table[n])
+                yield (rep, j, *rep.inner(chains[j], psi, support, last=int(ones[j])))
+
+
 def analysis(system: FrameSystem, f: Signal) -> np.ndarray:
     """Frame coefficients sqrt(mu_r) <f, Psi^j(g_r^{-1} .)> of every scale.
 
@@ -890,39 +899,30 @@ def analysis(system: FrameSystem, f: Signal) -> np.ndarray:
     and the outer one a single (A_1 x (2M+1)) product per scale.  Only
     degrees present in both f and Psi^j contribute (degree spaces are
     rotation invariant and mutually orthogonal).  f is read as one vector
-    f_n per degree it shares with the table (`Signal.vectors`).  Degrees run
-    in the outer loop and scales in the inner one.  Each degree comes from
-    `FrameSystem._degree`, which checks the node count of `sphere_rule(d, n)`
-    against the cap, the largest first, so the cap fires before any plane is
-    built; a degree built once stays in the system for later calls.
+    f_n per degree it shares with the table (`Signal.vectors`).  The rows
+    D^n(H) psi_n, or D^n(S'_beta) D^n(H) psi_n, come from `_walk`, degree by
+    degree from the largest, so the cap fires before any plane is built; a
+    degree built once stays in the system for later calls.
     """
     spec = system.spec
     if f.d != spec.d:
         raise ParameterError("signal dimension mismatch")
-    d = spec.d
-    psi_tables = [_by_degree(d, scale.coeffs) for scale in spec.scales]
+    psi_tables = [_by_degree(spec.d, scale.coeffs) for scale in spec.scales]
     f_vectors = f.vectors(set().union(*psi_tables))
     base = () if spec.base_rotation is None else chain_factors(spec.base_rotation)
     out = np.zeros(sum(len(grid) for grid in system.grids), dtype=complex)
     parts = _by_scale(system, out)
     by_label = {}  # scale of one inner rotation -> its sum over degrees, (A_2...A_L, 2M+1)
-    for n in sorted(f_vectors, reverse=True):
-        rep = system._degree(n)
-        f_n = f_vectors[n]
-        for j, (grid, by_degree, part) in enumerate(zip(system.grids, psi_tables, parts)):
-            if n not in by_degree:
-                continue
-            psi, support = rep.generator(by_degree[n])
-            rows, support = rep.inner(grid.factors[1:] + base, psi, support)
-            section = grid.factors[0]
-            if not _one_inner(grid):
-                # (R_out x R_in) in the grid's flat order, outer index slowest
-                part += (rep.outer_adjoint(section, f_n, support) @ np.conj(rows).T).reshape(-1)
-                continue
-            rows, reached = rep.outer_planes(section, rows, support)
-            if j not in by_label:  # n is the scale's largest degree
-                by_label[j] = np.zeros((len(rows), 2 * n + 1), dtype=complex)
-            rep.add_by_label(by_label[j], np.conj(rows) * f_n[reached], reached)
+    for rep, j, rows, support in _walk(system, psi_tables, f_vectors, base):
+        grid, f_n = system.grids[j], f_vectors[rep.n]
+        if not _one_inner(grid):
+            # (R_out x R_in) in the grid's flat order, outer index slowest
+            parts[j] += (rep.outer_adjoint(grid.factors[0], f_n, support)
+                         @ np.conj(rows).T).reshape(-1)
+            continue
+        if j not in by_label:  # n is the scale's largest degree
+            by_label[j] = np.zeros((len(rows), 2 * rep.n + 1), dtype=complex)
+        rep.add_by_label(by_label[j], np.conj(rows) * f_n[support], support)
     for j, sums in by_label.items():
         phases = system._alpha(system.grids[j], sums.shape[1] // 2)
         parts[j] += np.dot(np.conj(phases), sums.T).reshape(-1)
@@ -935,9 +935,10 @@ def synthesis(system: FrameSystem, dual_spec: FrameSpec, coefficients, n_out: in
     """The degree-(n_out) truncation of sum_{j,r} sqrt(mu_r) c_{j,r} T(g_r) dual^j.
 
     coefficients is the vector produced by `analysis`, split by grid size.
-    This is the exact adjoint of analysis: per degree n and scale j, with U
-    the weighted coefficients as an (R_out x R_in) array and B the rows
-    D^n(H_h g0) psi_n (g0 the dual's base rotation, if any),
+    This is the exact adjoint of analysis, on the same walk (`_walk`): per
+    degree n and scale j, with U the weighted coefficients as an
+    (R_out x R_in) array and B the rows D^n(H_h g0) psi_n (g0 the dual's
+    base rotation, if any),
         out_n = sum_eta D^n(S_eta) (U @ B)[eta].
     On a grid with one inner rotation the phase axis goes first, once per
     scale: the weighted coefficients U[alpha, beta] are contracted with
@@ -947,13 +948,14 @@ def synthesis(system: FrameSystem, dual_spec: FrameSpec, coefficients, n_out: in
     the dual finds every degree built in the system, so nothing is projected
     either.  Degrees run from the largest down, so the cap on
     `sphere_rule(d, n)` fires first.  The result is in vector form, one
-    vector per degree of the dual up to n_out.
+    vector per degree of the dual up to n_out; a negative n_out is refused.
     """
     spec = system.spec
     if dual_spec.d != spec.d:
         raise ParameterError("dual spec dimension mismatch")
-    d = spec.d
-    tables = [_by_degree(d, scale.coeffs, n_out) for scale in dual_spec.scales]
+    if n_out < 0:
+        raise ParameterError(f"n_out must be nonnegative, got {n_out}")
+    tables = [_by_degree(spec.d, scale.coeffs, n_out) for scale in dual_spec.scales]
     base = () if dual_spec.base_rotation is None else chain_factors(dual_spec.base_rotation)
     weighted = [(roots * part).reshape(len(grid.factors[0]), -1)
                 for grid, roots, part in zip(system.grids, system._roots,
@@ -961,28 +963,22 @@ def synthesis(system: FrameSystem, dual_spec: FrameSpec, coefficients, n_out: in
     by_label = {}  # scale of one inner rotation -> V, (A_2...A_L, 2M+1)
     parts = {}
     degrees = sorted(set().union(*tables))
-    for n in reversed(degrees):
-        rep = system._degree(n)
-        out = np.zeros(len(rep.keys), dtype=complex)
-        for j, (grid, by_degree, u) in enumerate(zip(system.grids, tables, weighted)):
-            if n not in by_degree:
-                continue
-            psi, support = rep.generator(by_degree[n])
-            rows, support = rep.inner(grid.factors[1:] + base, psi, support)
-            section = grid.factors[0]
-            if not _one_inner(grid):
-                out += rep.outer_apply(section, u @ rows, support)
-                continue
-            if j not in by_label:  # n is the scale's largest degree
-                phases = system._alpha(grid, n)
-                by_label[j] = np.dot(u.reshape(len(phases), -1).T, phases)
-            rows, reached = rep.outer_planes(section, rows, support)
-            V = by_label[j]
-            M = V.shape[1] // 2
-            out[reached] += np.einsum("bk,bk->k", V[:, rep.klast[reached] + M], rows)
-        parts[n] = out
+    for rep, j, rows, support in _walk(system, tables, degrees, base):
+        grid, u = system.grids[j], weighted[j]
+        out = parts.get(rep.n)
+        if out is None:
+            out = parts[rep.n] = np.zeros(len(rep.keys), dtype=complex)
+        if not _one_inner(grid):
+            out += rep.outer_apply(grid.factors[0], u @ rows, support)
+            continue
+        if j not in by_label:  # n is the scale's largest degree
+            phases = system._alpha(grid, rep.n)
+            by_label[j] = np.dot(u.reshape(len(phases), -1).T, phases)
+        V = by_label[j]
+        M = V.shape[1] // 2
+        out[support] += np.einsum("bk,bk->k", V[:, rep.klast[support] + M], rows)
     flat = np.concatenate([parts[n] for n in degrees]) if degrees else np.zeros(0, dtype=complex)
-    return Signal._of_vectors(d, n_out, degrees, flat)
+    return Signal._of_vectors(spec.d, n_out, degrees, flat)
 
 
 @dataclass(frozen=True)
@@ -1023,7 +1019,9 @@ def relative_error(f: Signal, g: Signal) -> float:
     """|g - f| / |f|, 0 for a zero f, summed degree by degree from the
     vectors (`Signal.energies` and `Signal.vectors`): a degree that only one
     of the two reaches adds its energy there, so neither is packed at a
-    degree the other lacks."""
+    degree the other lacks.  Signals of different dimensions are refused."""
+    if f.d != g.d:
+        raise ParameterError("signal dimension mismatch")
     ef, eg = f.energies(), g.energies()
     shared = ef.keys() & eg.keys()
     fv, gv = (np.concatenate([np.zeros(0), *x.vectors(shared).values()]) for x in (f, g))

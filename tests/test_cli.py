@@ -685,6 +685,7 @@ def test_parse_error_is_input_error(tmp_path):
     # scales 1..J refuse the amplitude before scale 0's key of d - 2 zeros is formed
     ({}, ("build", "--kind", "zonal", "--d", "1000000000000", "--J", "1",
           "--out", "{tmp}/z.json")),
+    ({}, ("reconstruct", "--spec", "{w}", "--random", "2", "--seed", "-1")),
 ])
 def test_bad_input_is_one_line_input_error(tmp_path, capsys, monkeypatch, env, argv):
     spec_path = tmp_path / "w.json"
@@ -752,6 +753,60 @@ def test_bad_input_is_one_line_input_error(tmp_path, capsys, monkeypatch, env, a
     assert run(*argv) == cli.EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+# a small valid command per subcommand, with every integer flag it takes;
+# --threads and --max-nodes lift their guard when large, so only -1 is swept
+SWEPT_COMMANDS = [
+    ("build", "--kind", "wavelet", "--d", "4", "--K", "1", "--J", "1", "--out", "{tmp}/b.json"),
+    ("check", "--spec", "{z}", "--n-max", "2"),
+    ("dual", "--spec", "{z}", "--n-max", "2", "--out", "{tmp}/d.json"),
+    ("reconstruct", "--spec", "{z}", "--random", "1", "--seed", "0", "--n-out", "1",
+     "--K", "0", "--max-nodes", "1000"),
+    ("autocorr", "--spec", "{z}", "--j", "1", "--angles", "2"),
+    ("figure", "--spec", "{z}", "--j", "1", "--resolution", "2", "--out", "{tmp}/f.csv"),
+    ("--threads", "1", "quadinfo", "--d", "3", "--N", "1", "--variant", "steerable",
+     "--K", "1", "--max-nodes", "1000"),
+]
+UNBOUNDED_FLAGS = ("--threads", "--max-nodes")
+
+
+def swept_flags():
+    """(command, flag, value, argv): each integer flag of each command at -1
+    and 10**30, the command None for the flags before it."""
+    for argv in SWEPT_COMMANDS:
+        command = next(a for a in argv if not a.startswith("-") and not a.isdigit())
+        for i, flag in enumerate(argv):
+            if argv[i + 1:i + 2] and argv[i + 1].isdigit():
+                for value in (-1, 10 ** 30)[:1 if flag in UNBOUNDED_FLAGS else 2]:
+                    yield (command if i > argv.index(command) else None, flag, value,
+                           argv[:i + 1] + (str(value),) + argv[i + 2:])
+
+
+def test_the_sweep_covers_every_integer_flag():
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    want = {(None, a.option_strings[0]) for a in parser._actions if a.type is int}
+    for name, sub in subparsers.choices.items():
+        want |= {(name, a.option_strings[0]) for a in sub._actions if a.type is int}
+    assert {(command, flag) for command, flag, _, _ in swept_flags()} == want
+
+
+@pytest.fixture(scope="module")
+def zonal_spec_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("sweep") / "z.json"
+    io.write_spec(C.zonal_spec(3, 1, "kappa2"), path)
+    return path
+
+
+@pytest.mark.parametrize("argv", [argv for *_, argv in swept_flags()],
+                         ids=[f"{c or 'main'} {flag}={'-1' if v < 0 else '10**30'}"
+                              for c, flag, v, _ in swept_flags()])
+def test_integer_flags_at_extremes_end_in_an_exit_code(zonal_spec_path, tmp_path, capsys, argv):
+    argv = [a.format(z=zonal_spec_path, tmp=tmp_path) for a in argv]
+    assert run(*argv) in range(4)
+    err = capsys.readouterr().err
+    assert err.count("\n") <= 1, err
 
 
 @pytest.mark.parametrize("argv, code", [

@@ -254,6 +254,25 @@ def test_synthesis_of_zero_coefficients_is_zero():
             F.synthesis(system, F.canonical_dual(spec), bad, 4)
 
 
+def test_synthesis_refuses_a_negative_n_out():
+    spec = parseval_zonal(3, 2)
+    system = F.build_system(spec)
+    zeros = np.zeros(sum(len(g) for g in system.grids))
+    with pytest.raises(ParameterError, match="n_out must be nonnegative, got -1"):
+        F.synthesis(system, F.canonical_dual(spec), zeros, -1)
+
+
+def test_relative_error_refuses_a_dimension_mismatch():
+    # tables of degree 0 alone, one entry each, and vectors of a shared
+    # degree 2, of unequal lengths
+    pairs = [(F.Signal(3, 0, {(0, (0,)): 1.0}), F.Signal(4, 0, {(0, (0, 0)): 2.0})),
+             (F.random_signal(3, 2, seed=1), F.random_signal(4, 2, seed=1))]
+    for f, g in pairs:
+        for a, b in ((f, g), (g, f)):
+            with pytest.raises(ParameterError, match="signal dimension mismatch"):
+                F.relative_error(a, b)
+
+
 def test_sigma_profile_ignores_base_rotation():
     spec = C.curvelet_spec(4, 3)
     bare = F.FrameSpec(spec.d, spec.scales)
