@@ -132,6 +132,7 @@ def cmd_reconstruct(args) -> int:
     recovered = frames.synthesis(system, dual, coeffs, n_out)
     rel_err = frames.relative_error(signal, recovered)
     gap = frames.parseval_check(system, signal, coefficients=coeffs)
+    errors = frames.degree_errors(signal, recovered)
     report = {
         "command": "reconstruct",
         "d": spec.d,
@@ -141,6 +142,9 @@ def cmd_reconstruct(args) -> int:
         "signal_degree": signal.degree,
         "seed": seed,
         "relative_coefficient_error": rel_err,
+        # error_n = |g_n - f_n| / |f_n| grows like 1/sigma_n where sigma is small
+        "max_degree_error_times_sigma": max((err * gap.sigma[n] for n, err in errors.items()),
+                                            default=0.0),
         "parseval_discrete": gap.discrete_sum,
         "parseval_spectral": gap.spectral_sum,
         "parseval_rel_gap": gap.rel_gap,

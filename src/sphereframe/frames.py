@@ -16,8 +16,11 @@ Delta_ell.  The phase depends on the label k_{d-2} alone, not on n, so on
 grids with one inner rotation (zonal ones) the walk runs the outer chain on
 from psi's side up to its phase plane, the degrees are summed per label,
 and the phase axis is applied once per scale for all degrees, as fast SO(3)
-transforms separate their variables.  The frame coefficients of all scales
-form one vector, scale after scale, each in its grid's flat order.
+transforms separate their variables.  A plain zonal scale at d = 3 (no base
+rotation, psi on the zonal key) is a spherical-harmonic transform: its rows
+are associated Legendre values, which one recurrence gives for every degree
+(`_legendre`), and it takes no part in the walk.  The frame coefficients of
+all scales form one vector, scale after scale, each in its grid's flat order.
 Delta_2, the SO(3) plane, comes from the eigenvectors of its closed-form generator; Delta_ell
 for ell >= 3 is built by exact quadrature, so the discrete sums equal their
 integrals.  The index layouts and the generator's stem blocks depend on
@@ -416,10 +419,10 @@ _KEPT_BYTES = 4 << 20  # plane operands and chain sets one system keeps
 
 class _Kept:
     """The bytes of plane operands and chain sets, keys included, that a
-    system's degrees keep, at most `_KEPT_BYTES` in all.  The w3, z5 and
-    curvelet d4 J3 round trips keep 0.3 to 0.7 MB; unbounded, a zonal d3 J7
-    round trip of degree 127 would keep 37 MB and a wavelet d4 J4 one of
-    degree 16 54 MB.  What does not fit is formed per call."""
+    system's degrees keep, at most `_KEPT_BYTES` in all.  The w3 and curvelet
+    d4 J3 round trips keep 0.37 and 0.14 MB, a plain zonal d3 one nothing (it
+    forms neither); unbounded, a wavelet d4 J4 round trip of degree 16 would
+    keep 54 MB.  What does not fit is formed per call."""
 
     def __init__(self):
         self.nbytes = 0
@@ -451,7 +454,8 @@ class FrameSystem:
     transforms form, so that synthesis replays what analysis formed:
     `_kept` counts their bytes against `_KEPT_BYTES` over the whole system,
     and past it they are formed per call.  What depends on (d, n) alone outlives the
-    system (see `_Degree`).
+    system (see `_Degree`).  A plain zonal scale keeps its `_legendre` table
+    instead, one per polar axis (`_zonal`), so a round trip builds it once.
     """
     spec: FrameSpec
     grids: list[RotationRule]
@@ -460,6 +464,7 @@ class FrameSystem:
     _degrees: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _phases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _kept: _Kept = field(default_factory=_Kept, init=False, repr=False, compare=False)
+    _columns: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def _degree(self, n: int) -> _Degree:
         """The `_Degree` of degree n, built on first use.  The node count of
@@ -482,6 +487,15 @@ class FrameSystem:
         table = _phase_table(self._phases, grid.factors[0].axes[0].nodes, M)
         K = table.shape[1] // 2
         return table[:, K - M:K + M + 1]
+
+    def _zonal(self, grid: RotationRule, M: int) -> np.ndarray:
+        """`_legendre` of the grid's polar axis beta for m, n <= M: a view of the
+        table kept per axis, built, or rebuilt to M, the first time it is asked for M."""
+        beta = grid.factors[0].axes[1].nodes
+        table = self._columns.get(beta.tobytes())
+        if table is None or len(table) <= M:
+            table = self._columns[beta.tobytes()] = _legendre(beta, M)
+        return table[:M + 1, :M + 1]
 
 
 def build_system(spec: FrameSpec, variant: str = "auto", K: int | None = None) -> FrameSystem:
@@ -659,6 +673,46 @@ def _phase_table(phases: dict, axis: np.ndarray, n: int) -> np.ndarray:
     return table
 
 
+def _legendre(beta: np.ndarray, M: int) -> np.ndarray:
+    """T[m, n, b] = sqrt((n-m)!/(n+m)!) P_n^m(cos beta_b), no Condon-Shortley
+    sign, for m, n = 0..M and zero where m > n: D^n(G_2(beta_b))[k, 0] at
+    |k| = m, the zonal column that `_Degree.plane` forms from Delta_2.  Every
+    order and node runs at once along n - m = 0..M, from T[m, m] = s^m
+    prod_{i <= m} sqrt((2i - 1) / (2i)), s = sin beta, by the recurrence
+        q_n T[m, n] = (2n - 1) x T[m, n-1] - q_{n-1} T[m, n-2],  q_n = sqrt(n^2 - m^2)
+    (Driscoll & Healy 1994; SHTns), x = |cos beta| = 1 - t, the sign (-1)^(n-m)
+    of southern nodes restored on the way.  It runs on Delta_n = T[m, n] -
+    T[m, n-1], q_n Delta_n = (h_n - (2n - 1) t) T[m, n-1] + q_{n-1} Delta_{n-1}
+    with h_n = (2n - 1) - q_n - q_{n-1} = m^2/(n + q_n) + m^2/(n - 1 + q_{n-1})
+    (Reinsch's modification): near a pole the plain form leaves |sum_m T^2 - 1|
+    near 1e-11 at N = 2235.  s^m underflows where T[m, n <= M] is still O(1)
+    once M nears 1900 (1e-304 at s = 1/e, m = M/e), so a column starting below
+    2^-500 runs scaled by 2^500 or 2^1000, as in libsharp and SHTns."""
+    near = np.minimum(beta, np.pi - beta)  # s and t of one angle, or the start excites Q_n^m
+    s, t = np.sin(near), 2 * np.sin(near / 2) ** 2
+    sign = np.where(beta > np.pi / 2, -1.0, 1.0)
+    m = np.arange(M + 1.0)
+    c = np.sqrt((2 * m[1:] - 1) / (2 * m[1:]))
+    log2 = np.concatenate(([0.0], np.cumsum(np.log2(c))))[:, None] + np.outer(m, np.log2(s))
+    e = -500 * np.clip(np.floor(-log2 / 500), 0, 2).astype(int)  # (M+1, A): 2^e per column
+    T = np.zeros((M + 1, M + 1, len(s)))
+    flat = T.reshape(-1, len(s))  # row m (M+1) + n is T[m, n]; n - m = l every M+2 rows
+    prev = delta = flat[::M + 2] = np.cumprod(np.concatenate(
+        (np.ones((1, len(s))), np.ldexp(np.outer(c, s), e[:-1] - e[1:]))), axis=0)
+    twice, odd_t = np.arange(2 * M + 1.0), (2 * m - 1)[:, None] * t  # 2m + l at [l::2]
+    q_prev, r_prev = np.zeros(M + 1), m  # at l = 0: q = 0, and m^2 / (n + q) = m
+    for l in range(1, M + 1):
+        L = M + 1 - l  # the orders m with n = m + l <= M
+        q = np.sqrt(l * twice[l:2 * M - l + 1:2])  # exact where n^2 - m^2 is a square
+        r = m[:L] ** 2 / (m[l:] + q)
+        delta = (((r + r_prev[:L])[:, None] - odd_t[l:]) * prev[:L]
+                 + q_prev[:L, None] * delta[:L]) / q[:, None]
+        prev = prev[:L] + delta
+        np.multiply(prev, sign if l % 2 else 1.0, out=flat[l::M + 2][:L])
+        q_prev, r_prev = q, r
+    return np.ldexp(T, e[:, None, :], out=T)
+
+
 def _ids(indices) -> bytes:
     """An index set as the bytes of its intp array, a key of the memos."""
     return np.asarray(indices, dtype=np.intp).tobytes()
@@ -675,11 +729,13 @@ class _Degree:
     where those vectors can land.  Every other rotation, a base rotation's
     included, is a chain of planes (`inner`).
 
-    Every grid's outer factor runs down all planes, so the object is built
-    whole, `planes` holding Delta_ell at ell - 2 (`_planes`), and kept by its
-    system (`FrameSystem._degree`).  The phases come from `phases`, the
-    system's per-axis tables; a table is built, or widened to columns -n..n,
-    the first time this degree needs it.  What depends on (d, n) alone
+    At d >= 4 every grid's outer factor runs down all planes, so the object
+    is built whole, `planes` holding Delta_ell at ell - 2 (`_planes`), and
+    kept by its system (`FrameSystem._degree`).  At d = 3 `planes`, Delta_2
+    alone, is built on first use: a plain zonal scale (`_plain_zonal`) never
+    asks.  The phases come from `phases`, the system's per-axis tables; a
+    table is built, or widened to columns -n..n, the first time this degree
+    needs it.  What depends on (d, n) alone
     outlives the system, per process and bounded: `_layout` and
     `_ladder_stem`.  Delta_ell for ell >= 3 does not: it is the large memory
     at degree 32, and its `sphere_rule` and `basis_matrix` calls are what a
@@ -706,11 +762,17 @@ class _Degree:
         self.d, self.n = d, n
         self.layout = _layout(d, n)
         self.keys, self.klast = self.layout.keys, self.layout.klast
-        self.planes = _planes(d, n)
         self.phases = phases
         self.kept = _Kept() if kept is None else kept
         self.operands: dict = {}
         self.chains: dict = {}
+        if d > 3:  # Delta_ell for ell >= 3 by quadrature, with the degree, as every grid needs it
+            self.__dict__["planes"] = _planes(d, n)
+
+    @cached_property
+    def planes(self) -> tuple:
+        """(Delta_2, ..., Delta_{d-1}) of `_planes`, built whole on first use."""
+        return _planes(self.d, self.n)
 
     def plane(self, ell: int, axis: np.ndarray, rows, cols) -> np.ndarray:
         """D^n(G_ell(beta))[rows, cols] for beta in axis, shape
@@ -846,6 +908,27 @@ def _one_inner(grid: RotationRule) -> bool:
     return len(grid) == len(grid.factors[0])
 
 
+def _plain_zonal(grid: RotationRule, table: dict, base: tuple) -> bool:
+    """Whether a scale's transform is a spherical-harmonic transform: d = 3, no
+    base rotation, one factor (alpha, beta), and psi_n on the zonal key (0,) at
+    every degree of its table.  Its rows D^n(G_2(beta)) psi_n are then
+    psi_n(0) times `_legendre`'s columns, and it takes no part in `_walk`."""
+    return (grid.d == 3 and not base and len(grid.factors) == 1
+            and all(t.keys() == {(0,)} for t in table.values()))
+
+
+def _by_order(T: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Z[:, M + m] = T[|m|] @ Y[:, M + m] for m = -M..M, with T real, (M+1, Q, P),
+    and Y complex, (P, 2M+1): one real product per order for both signs and
+    both parts."""
+    M = len(T) - 1
+    pairs = np.stack([Y[:, M:].T, Y[:, M::-1].T], axis=-1)  # (M+1, P, 2)
+    Z2 = np.matmul(T, pairs.view(float)).view(complex)
+    Z = np.empty((T.shape[1], 2 * M + 1), dtype=complex)
+    Z[:, M:], Z[:, M::-1] = Z2[..., 0].T, Z2[..., 1].T
+    return Z
+
+
 def _pack(d: int, n: int, table: dict) -> tuple[np.ndarray, list]:
     """A degree's table {k: c} as one vector over index_set(d, n), and the
     positions of its keys, ascending."""
@@ -896,13 +979,17 @@ def analysis(system: FrameSystem, f: Signal) -> np.ndarray:
         c[alpha, beta] = sum_m e^{i m alpha} sum_n sum_{k_{d-2} = m}
                          f_n conj(D^n(S'_beta) D^n(H) psi_n),
     the inner sum over degrees added up per label (`_Degree.add_by_label`)
-    and the outer one a single (A_1 x (2M+1)) product per scale.  Only
+    and the outer one a single (A_1 x (2M+1)) product per scale.  On a plain
+    zonal scale (`_plain_zonal`) D^n(G_2(beta)) psi_n = psi_n(0) T[|m|, n],
+    T of `_legendre`, so the inner sum is one real product per order |m|,
+    sum_n T[|m|, n, beta] conj(psi_n(0)) f_n[m] (`_by_order`).  Only
     degrees present in both f and Psi^j contribute (degree spaces are
     rotation invariant and mutually orthogonal).  f is read as one vector
     f_n per degree it shares with the table (`Signal.vectors`).  The rows
     D^n(H) psi_n, or D^n(S'_beta) D^n(H) psi_n, come from `_walk`, degree by
     degree from the largest, so the cap fires before any plane is built; a
-    degree built once stays in the system for later calls.
+    degree built once stays in the system for later calls.  The walk checks
+    the cap of a plain zonal scale's degrees too, before its table is built.
     """
     spec = system.spec
     if f.d != spec.d:
@@ -910,10 +997,12 @@ def analysis(system: FrameSystem, f: Signal) -> np.ndarray:
     psi_tables = [_by_degree(spec.d, scale.coeffs) for scale in spec.scales]
     f_vectors = f.vectors(set().union(*psi_tables))
     base = () if spec.base_rotation is None else chain_factors(spec.base_rotation)
+    plain = [_plain_zonal(grid, table, base) for grid, table in zip(system.grids, psi_tables)]
+    walked = [{} if p else table for p, table in zip(plain, psi_tables)]
     out = np.zeros(sum(len(grid) for grid in system.grids), dtype=complex)
     parts = _by_scale(system, out)
     by_label = {}  # scale of one inner rotation -> its sum over degrees, (A_2...A_L, 2M+1)
-    for rep, j, rows, support in _walk(system, psi_tables, f_vectors, base):
+    for rep, j, rows, support in _walk(system, walked, f_vectors, base):
         grid, f_n = system.grids[j], f_vectors[rep.n]
         if not _one_inner(grid):
             # (R_out x R_in) in the grid's flat order, outer index slowest
@@ -923,6 +1012,14 @@ def analysis(system: FrameSystem, f: Signal) -> np.ndarray:
         if j not in by_label:  # n is the scale's largest degree
             by_label[j] = np.zeros((len(rows), 2 * rep.n + 1), dtype=complex)
         rep.add_by_label(by_label[j], np.conj(rows) * f_n[support], support)
+    for j, table in enumerate(psi_tables):
+        shared = [n for n in table if n in f_vectors] if plain[j] else []
+        if shared:  # G[n, M + m] = conj(psi_n(0)) f_n[m], summed over n by order |m|
+            M = max(shared)
+            G = np.zeros((M + 1, 2 * M + 1), dtype=complex)
+            for n in shared:
+                G[n, M - n:M + n + 1] = np.conj(table[n][(0,)]) * f_vectors[n]
+            by_label[j] = _by_order(system._zonal(system.grids[j], M).transpose(0, 2, 1), G)
     for j, sums in by_label.items():
         phases = system._alpha(system.grids[j], sums.shape[1] // 2)
         parts[j] += np.dot(np.conj(phases), sums.T).reshape(-1)
@@ -943,7 +1040,8 @@ def synthesis(system: FrameSystem, dual_spec: FrameSpec, coefficients, n_out: in
     On a grid with one inner rotation the phase axis goes first, once per
     scale: the weighted coefficients U[alpha, beta] are contracted with
     e^{-i m alpha} into V[beta, m], and each degree gathers the columns of
-    its labels, out_n[k] = sum_beta V[beta, k_{d-2}] (D^n(S'_beta) B)[k].
+    its labels, out_n[k] = sum_beta V[beta, k_{d-2}] (D^n(S'_beta) B)[k];
+    on a plain zonal scale, out_n[m] = psi_n(0) sum_beta V[beta, m] T[|m|, n].
     No signal is evaluated.  After `analysis` of every degree up to n_out,
     the dual finds every degree built in the system, so nothing is projected
     either.  Degrees run from the largest down, so the cap on
@@ -960,10 +1058,17 @@ def synthesis(system: FrameSystem, dual_spec: FrameSpec, coefficients, n_out: in
     weighted = [(roots * part).reshape(len(grid.factors[0]), -1)
                 for grid, roots, part in zip(system.grids, system._roots,
                                              _by_scale(system, coefficients))]
-    by_label = {}  # scale of one inner rotation -> V, (A_2...A_L, 2M+1)
+    plain = [_plain_zonal(grid, table, base) for grid, table in zip(system.grids, tables)]
+    walked = [{} if p else table for p, table in zip(plain, tables)]
+
+    def phased(j: int, M: int) -> np.ndarray:  # V, (A_2...A_L, 2M+1)
+        phases = system._alpha(system.grids[j], M)
+        return np.dot(weighted[j].reshape(len(phases), -1).T, phases)
+
+    by_label = {}  # scale of one inner rotation -> V
     parts = {}
     degrees = sorted(set().union(*tables))
-    for rep, j, rows, support in _walk(system, tables, degrees, base):
+    for rep, j, rows, support in _walk(system, walked, degrees, base):
         grid, u = system.grids[j], weighted[j]
         out = parts.get(rep.n)
         if out is None:
@@ -972,11 +1077,17 @@ def synthesis(system: FrameSystem, dual_spec: FrameSpec, coefficients, n_out: in
             out += rep.outer_apply(grid.factors[0], u @ rows, support)
             continue
         if j not in by_label:  # n is the scale's largest degree
-            phases = system._alpha(grid, rep.n)
-            by_label[j] = np.dot(u.reshape(len(phases), -1).T, phases)
+            by_label[j] = phased(j, rep.n)
         V = by_label[j]
         M = V.shape[1] // 2
         out[support] += np.einsum("bk,bk->k", V[:, rep.klast[support] + M], rows)
+    for j, table in enumerate(tables):
+        if plain[j] and table:  # out_n[m] = psi_n(0) sum_beta V[beta, m] T[|m|, n, beta]
+            M = max(table)
+            Z = _by_order(system._zonal(system.grids[j], M), phased(j, M))
+            for n, psi in table.items():
+                out = parts.setdefault(n, np.zeros(2 * n + 1, dtype=complex))
+                out += psi[(0,)] * Z[n, M - n:M + n + 1]
     flat = np.concatenate([parts[n] for n in degrees]) if degrees else np.zeros(0, dtype=complex)
     return Signal._of_vectors(spec.d, n_out, degrees, flat)
 
@@ -986,6 +1097,7 @@ class ParsevalGap:
     discrete_sum: float
     spectral_sum: float
     rel_gap: float
+    sigma: tuple = field(default=(), compare=False)  # sigma_n, n = 0..the top degree of f
 
 
 def parseval_check(system: FrameSystem, f: Signal, coefficients=None) -> ParsevalGap:
@@ -997,7 +1109,7 @@ def parseval_check(system: FrameSystem, f: Signal, coefficients=None) -> Parseva
     coefficients may be passed to avoid repeating the transform.  The
     spectral sum weighs each degree's energy `Signal.energies`, and sigma is
     taken only up to the highest degree that carries a nonzero coefficient
-    of f.
+    of f; the result keeps that profile.
     """
     if coefficients is None:
         coefficients = analysis(system, f)
@@ -1012,7 +1124,19 @@ def parseval_check(system: FrameSystem, f: Signal, coefficients=None) -> Parseva
     gap = 0.0 if spectral == 0.0 else abs(discrete - spectral) / spectral
     if spectral == 0.0 and discrete != 0.0:
         gap = math.inf
-    return ParsevalGap(discrete, spectral, gap)
+    return ParsevalGap(discrete, spectral, gap, tuple(sigma))
+
+
+def degree_errors(f: Signal, g: Signal) -> dict:
+    """|g_n - f_n| / |f_n| for each degree n at which f has a nonzero
+    coefficient, ascending, from the vectors as `relative_error` reads them."""
+    if f.d != g.d:
+        raise ParameterError("signal dimension mismatch")
+    ef = f.energies()
+    fv, gv = f.vectors(ef), g.vectors(ef)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return {n: math.sqrt(float(np.sum(np.abs(gv.get(n, 0.0) - fv[n]) ** 2)) / e)
+                for n, e in ef.items()}
 
 
 def relative_error(f: Signal, g: Signal) -> float:

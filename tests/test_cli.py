@@ -203,6 +203,45 @@ def test_reconstruct_caps_the_random_signal_before_drawing(tmp_path, capsys):
     assert capsys.readouterr().err == failure
 
 
+def test_a_plain_zonal_reconstruct_caps_before_allocation(tmp_path, capsys):
+    # the top scale's grid and the walk's sphere rule of degree 8 hold as many nodes
+    spec_path = tmp_path / "z.json"
+    io.write_spec(C.zonal_spec(3, 3, "kappa2"), spec_path)
+    count = Q.sphere_size(3, 8)
+    argv = ("reconstruct", "--spec", spec_path, "--random", 8, "--seed", 3)
+    code, peak = peak_of(lambda: run(*argv, "--max-nodes", count - 1))
+    assert code == cli.EXIT_CAPACITY
+    assert capsys.readouterr().err == (
+        f"capacity error: rotation grid would hold {count} nodes, exceeding the cap "
+        f"{count - 1}; raise --max-nodes or SPHEREFRAME_MAX_NODES to override\n")
+    assert peak < 1_000_000, peak
+    assert run(*argv, "--max-nodes", count) == 0
+
+
+def test_reconstruct_reports_the_largest_sigma_weighted_degree_error(tmp_path, capsys):
+    spec_path = tmp_path / "z.json"
+    spec = C.zonal_spec(3, 4, "kappa2")
+    io.write_spec(spec, spec_path)
+    fields = []
+    for threads in (1, 2):
+        report = tmp_path / f"r_{threads}.json"
+        assert run("--threads", threads, "reconstruct", "--spec", spec_path, "--random", 16,
+                   "--seed", 5, "--out", report) == 0
+        fields.append(json.dumps(io.read_report(report)["max_degree_error_times_sigma"]))
+    assert fields[0] == fields[1]
+    f = F.random_signal(3, 16, seed=5)
+    system = F.build_system(spec)
+    g = F.synthesis(system, F.canonical_dual(spec, n_max=16), F.analysis(system, f), 16)
+    sigma = F.sigma_profile(spec, 16)
+    errors = F.degree_errors(f, g)
+    assert sorted(errors) == list(range(17))
+    assert json.loads(fields[0]) == max(errors[n] * sigma[n] for n in errors) < 1e-13
+    # a degree the recovered signal lacks is wholly wrong
+    assert F.degree_errors(f, F.Signal(3, 16))[4] == 1.0
+    with pytest.raises(F.ParameterError, match="dimension mismatch"):
+        F.degree_errors(f, F.Signal(4, 16))
+
+
 def test_reconstruct_takes_sigma_only_up_to_the_signal_coefficients(tmp_path, monkeypatch):
     # a sparse signal of huge N_f: the profile is taken up to degree 2 only
     spec_path = tmp_path / "z.json"

@@ -95,6 +95,7 @@ REPORT_COMMANDS = ("reconstruct", "localize", "autocorr")
 REPORT_TOL = {
     # round-trip errors sit near 1e-14; the acceptance bound for them is 1e-12
     "relative_coefficient_error": (1e-12, 1.0),
+    "max_degree_error_times_sigma": (1e-12, 1.0),
     "parseval_rel_gap": (1e-12, 1.0),
     "parseval_discrete": (1e-12, 0.0),
     "parseval_spectral": (1e-12, 0.0),

@@ -753,6 +753,56 @@ def test_zonal_d3_round_trip_builds_no_rule_and_projects_nothing(spec, monkeypat
     assert peak < 1_000_000, peak
 
 
+def test_legendre_columns_are_the_walks_zonal_columns():
+    # the dense route, Delta_2 from the ladder stems, is the oracle
+    beta = Q.sphere_rule(3, 64).axes[1].nodes
+    T = F._legendre(beta, 64)
+    assert T.shape == (65, 65, 65) and np.all(np.triu(np.ones((65, 65)), 1).T[:, :, None] * T == 0)
+    for n in range(65):
+        column = F._Degree(3, n, {}).plane(2, beta, np.arange(2 * n + 1), [n])[:, :, 0]
+        assert np.max(np.abs(column - T[abs(np.arange(-n, n + 1)), n].T)) <= 1e-14, n
+
+
+@pytest.mark.parametrize("N", [255, 2235])
+def test_legendre_columns_have_unit_norm(N):
+    # N = 2235 is the largest degree under the default cap.  There s^m reaches
+    # 1e-357 where sin(beta) = 1/e, and the Gauss nodes next to the poles, at
+    # j_{0,1} / (N + 3/2) to leading order (its rule alone takes 2 s to build),
+    # ask most of the recurrence
+    assert Q.sphere_size(3, N) <= 10 ** 7 < Q.sphere_size(3, 2236)
+    pole = 2.404825557695773 / (N + 1.5)
+    T = F._legendre(np.array([pole, math.asin(1 / math.e), math.pi - pole]), N)
+    norms = np.einsum("mnb,mnb->nb", T, T) * 2 - T[0] ** 2  # sum over m = -n..n
+    assert np.max(np.abs(norms - 1)) <= 1e-12
+
+
+def count_walk(monkeypatch) -> list:
+    """Wrap the ladder eigensolver and the plane builder, solving every stem
+    afresh; with `count_forming`, all that a walk forms for a d = 3 grid."""
+    called = count_forming(monkeypatch)
+    monkeypatch.setattr(F, "_stems", {})
+    for name in ("eigh_tridiagonal", "_planes"):
+        real = getattr(F, name)
+        monkeypatch.setattr(F, name, lambda *a, name=name, real=real:
+                            called.append((name,)) or real(*a))
+    return called
+
+
+@pytest.mark.parametrize("moved", [False, True], ids=["plain", "moved"])
+def test_a_plain_zonal_d3_round_trip_runs_no_walk(moved, monkeypatch):
+    spec = C.zonal_spec(3, 3, "kappa2")
+    if moved:
+        spec = F.FrameSpec(3, spec.scales, base_rotation=C.make_g0(3))
+    f = F.random_signal(3, spec.max_bandwidth(), seed=8)
+    called = count_walk(monkeypatch)
+    system = F.build_system(spec)
+    got = F.synthesis(system, F.canonical_dual(spec), F.analysis(system, f), f.degree)
+    assert F.relative_error(f, got) < 1e-13
+    kinds = {name for name, *_ in called}
+    assert kinds == ({"eigh_tridiagonal", "_planes", "plane", "chain"} if moved else set())
+    assert bool(system._columns) != moved
+
+
 def test_analysis_rejects_invalid_signal_indices():
     system = F.build_system(parseval_zonal(3, 2))
     with pytest.raises(IndexSetError):
@@ -892,7 +942,14 @@ def kept_bytes(system) -> int:
                for a in [*rep.operands.values(), *(x for sets in rep.chains.values() for x in sets)])
 
 
-@pytest.mark.parametrize("spec", round_trip_systems(), ids=["zonal", "wavelet", "curvelet"])
+def walked_round_trip_systems():
+    # the same, with the zonal table moved by a base rotation: a plain zonal
+    # d = 3 scale forms no plane operand and no chain set (`F._legendre`)
+    return [F.FrameSpec(3, C.zonal_spec(3, 3, "kappa2").scales, base_rotation=C.make_g0(3)),
+            *round_trip_systems()[1:]]
+
+
+@pytest.mark.parametrize("spec", walked_round_trip_systems(), ids=["zonal", "wavelet", "curvelet"])
 def test_synthesis_forms_no_operand_and_no_chain_after_analysis(spec, monkeypatch):
     # the canonical dual has the table's supports, so synthesis replays every
     # plane operand and outer chain that analysis formed
@@ -911,7 +968,7 @@ def test_synthesis_forms_no_operand_and_no_chain_after_analysis(spec, monkeypatc
     assert all(got.coeffs[key] == c for key, c in want.coeffs.items())
 
 
-@pytest.mark.parametrize("spec", round_trip_systems(), ids=["zonal", "wavelet", "curvelet"])
+@pytest.mark.parametrize("spec", walked_round_trip_systems(), ids=["zonal", "wavelet", "curvelet"])
 def test_the_byte_bound_moves_no_bit(spec, monkeypatch):
     # past the bound operands and chains are formed per call, with the same bits
     f = F.random_signal(spec.d, spec.max_bandwidth(), seed=4)
